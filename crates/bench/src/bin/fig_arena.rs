@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use modpeg_bench::{ms, time_once, Knobs};
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{EventCounts, EventSink, ParseError, SyntaxTree};
+use modpeg_runtime::{EventCounts, EventSink, ParseError, ParseRequest, SyntaxTree};
 use modpeg_session::SessionPool;
 use modpeg_vm::VmProgram;
 
@@ -411,7 +411,7 @@ fn heap_section() -> Vec<Vec<String>> {
             let (peak, _) = peak_during(|| {
                 if events {
                     let mut c = EventCounts::default();
-                    s.parse_events(&mut c).expect("parses");
+                    s.run(ParseRequest::events(&mut c)).0.expect("parses");
                     std::hint::black_box(c);
                 } else {
                     std::hint::black_box(s.parse().expect("parses"));

@@ -1,6 +1,6 @@
 //! E10 — resource-governance guard overhead.
 //!
-//! The governed entry points thread a fuel/deadline/depth/memo guard
+//! Governed requests thread a fuel/deadline/depth/memo guard
 //! through every production application and repetition iteration. This
 //! experiment measures what those guards cost when nothing trips: the same
 //! Java workload is parsed ungoverned and under (a) a fully unlimited
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use modpeg_bench::{ms, Knobs};
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::Governor;
+use modpeg_runtime::{Engine, Governor, ParseRequest};
 
 fn generous() -> Governor {
     Governor::new()
@@ -188,14 +188,14 @@ fn main() {
         || {
             for input in &inputs {
                 let gov = Governor::new();
-                let (r, _) = interp.parse_governed(input, &gov);
+                let (r, _) = interp.run(input, ParseRequest::tree().governed(&gov));
                 std::hint::black_box(r.expect("workload parses governed"));
             }
         },
         || {
             for input in &inputs {
                 let gov = generous();
-                let (r, _) = interp.parse_governed(input, &gov);
+                let (r, _) = interp.run(input, ParseRequest::tree().governed(&gov));
                 std::hint::black_box(r.expect("workload parses under generous limits"));
             }
         },
@@ -214,14 +214,20 @@ fn main() {
         || {
             for input in &inputs {
                 let gov = Governor::new();
-                let (r, _) = modpeg_grammars::generated::java::parse_governed(input, &gov);
+                let (r, _) = modpeg_grammars::generated::java::run(
+                    input,
+                    ParseRequest::tree().governed(&gov),
+                );
                 std::hint::black_box(r.expect("workload parses governed"));
             }
         },
         || {
             for input in &inputs {
                 let gov = generous();
-                let (r, _) = modpeg_grammars::generated::java::parse_governed(input, &gov);
+                let (r, _) = modpeg_grammars::generated::java::run(
+                    input,
+                    ParseRequest::tree().governed(&gov),
+                );
                 std::hint::black_box(r.expect("workload parses under generous limits"));
             }
         },

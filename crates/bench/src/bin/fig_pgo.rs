@@ -23,6 +23,7 @@ use std::time::Duration;
 use modpeg_bench::{ms, time_once, Knobs};
 use modpeg_core::transform::grammar_fingerprint;
 use modpeg_interp::{derive_plan, CompiledGrammar, OptConfig, OPT_COUNT, OPT_NAMES};
+use modpeg_runtime::{Engine, ParseRequest};
 use modpeg_telemetry::{mask, MetricsRegistry, Telemetry, WorkloadProfile};
 use modpeg_vm::VmProgram;
 
@@ -71,7 +72,7 @@ fn record_and_tune(
         CompiledGrammar::compile(grammar, OptConfig::incremental()).expect("compiles");
     let telem = Telemetry::collector(1 << 24).with_mask(mask::ALL);
     for input in inputs {
-        let _ = recorder.parse_with_telemetry(input, &telem);
+        let _ = recorder.run(input, ParseRequest::tree().with_telemetry(&telem));
     }
     let registry = MetricsRegistry::from_report(&telem.take_report());
     let profile = WorkloadProfile::from_registry(

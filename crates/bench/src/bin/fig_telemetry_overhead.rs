@@ -1,11 +1,11 @@
 //! E11 — telemetry hook overhead.
 //!
-//! Every parse entry point now routes through telemetry hooks: the plain
-//! `parse`/`parse_with_stats` paths carry a disabled [`Telemetry`] handle
-//! whose hooks reduce to a single branch on a cached `enabled` flag. This
-//! experiment measures what that costs when telemetry is off, and what a
-//! user pays when it is on: the same Java workload is parsed (a) through
-//! the default path, (b) through `parse_with_telemetry` with an explicitly
+//! Every parse routes through telemetry hooks: a request without a
+//! handle leaves the run's disabled [`Telemetry`] in place, whose hooks
+//! reduce to a single branch on a cached `enabled` flag. This experiment
+//! measures what that costs when telemetry is off, and what a user pays
+//! when it is on: the same Java workload is parsed (a) through the
+//! default path (no handle in the request), (b) with an explicitly
 //! constructed disabled handle, (c) with a collector sampling 1-in-64
 //! production spans, and (d) with a full collector recording every event
 //! kind. The acceptance bar is <1% median paired overhead for the disabled
@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use modpeg_bench::{ms, Knobs};
 use modpeg_interp::{CompiledGrammar, OptConfig};
+use modpeg_runtime::{Engine, ParseRequest};
 use modpeg_telemetry::Telemetry;
 
 /// Event-buffer cap for the enabled variants. Large enough that the
@@ -178,7 +179,7 @@ fn main() {
     // Report how much a full collector actually sees on this workload, so
     // the "full" column can be read against its event volume.
     let probe = Telemetry::collector(TELEM_CAP);
-    let _ = interp.parse_with_telemetry(&inputs[0], &probe);
+    let _ = interp.run(&inputs[0], ParseRequest::tree().with_telemetry(&probe));
     let report = probe.take_report();
     println!(
         "full collector on input 0: {} events recorded, {} dropped (cap {})",
@@ -207,29 +208,29 @@ fn main() {
         // the same machine code regardless of variant, so only the handle
         // configuration differs.
         #[inline(never)]
-        fn run_interp(interp: &CompiledGrammar, inputs: &[String], telem: &Telemetry) {
+        fn run_interp(interp: &CompiledGrammar, inputs: &[String], telem: Option<&Telemetry>) {
             for input in inputs {
-                let (r, _) = interp.parse_with_telemetry(input, telem);
+                let mut req = ParseRequest::tree();
+                req.telemetry = telem;
+                let (r, _) = interp.run(input, req);
                 std::hint::black_box(r.expect("workload parses"));
             }
         }
         let interp = &interp;
         let inputs = &inputs;
-        // `parse_with_stats` is `parse_with_telemetry(text, &disabled())`,
-        // so the disabled handle *is* the default path; base re-constructs
-        // the handle per call exactly as the delegating entry point does.
-        let mut base = || run_interp(interp, inputs, &Telemetry::disabled());
+        // The default path (`parse_with_stats`) sends no handle at all.
+        let mut base = || run_interp(interp, inputs, None);
         let mut disabled = || {
             let telem = Telemetry::disabled();
-            run_interp(interp, inputs, &telem);
+            run_interp(interp, inputs, Some(&telem));
         };
         let mut sampled = || {
             let telem = Telemetry::collector(TELEM_CAP).with_sampling(64);
-            run_interp(interp, inputs, &telem);
+            run_interp(interp, inputs, Some(&telem));
         };
         let mut full = || {
             let telem = Telemetry::collector(TELEM_CAP);
-            run_interp(interp, inputs, &telem);
+            run_interp(interp, inputs, Some(&telem));
         };
         let m = campaign(
             knobs.runs,
@@ -241,25 +242,27 @@ fn main() {
     {
         use modpeg_grammars::generated::java;
         #[inline(never)]
-        fn run_codegen(inputs: &[String], telem: &Telemetry) {
+        fn run_codegen(inputs: &[String], telem: Option<&Telemetry>) {
             for input in inputs {
-                let (r, _) = java::parse_with_telemetry(input, telem);
+                let mut req = ParseRequest::tree();
+                req.telemetry = telem;
+                let (r, _) = java::run(input, req);
                 std::hint::black_box(r.expect("workload parses"));
             }
         }
         let inputs = &inputs;
-        let mut base = || run_codegen(inputs, &Telemetry::disabled());
+        let mut base = || run_codegen(inputs, None);
         let mut disabled = || {
             let telem = Telemetry::disabled();
-            run_codegen(inputs, &telem);
+            run_codegen(inputs, Some(&telem));
         };
         let mut sampled = || {
             let telem = Telemetry::collector(TELEM_CAP).with_sampling(64);
-            run_codegen(inputs, &telem);
+            run_codegen(inputs, Some(&telem));
         };
         let mut full = || {
             let telem = Telemetry::collector(TELEM_CAP);
-            run_codegen(inputs, &telem);
+            run_codegen(inputs, Some(&telem));
         };
         let m = campaign(
             knobs.runs,

@@ -42,10 +42,13 @@ use modpeg_conformance::{
 };
 use modpeg_core::transform::TuningPlan;
 use modpeg_core::Grammar;
-use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{GovernorLimits, ParseFault};
+use modpeg_interp::{CompiledGrammar, OptConfig, Trace};
+use modpeg_runtime::{
+    engine, Engine, EventCounts, Governor, GovernorLimits, ParseFault, ParseRequest,
+};
 use modpeg_session::ParseSession;
 use modpeg_telemetry::{export, mask, MetricsRegistry, ProfileDiff, Telemetry, WorkloadProfile};
+use modpeg_vm::VmProgram;
 
 /// A CLI failure, carrying which exit code it maps to.
 #[derive(Debug)]
@@ -289,19 +292,45 @@ fn compile_planned(
     }
 }
 
-/// Assembles VM bytecode under an optional tuning plan (same error
-/// contract as [`compile_planned`]).
-fn vm_planned(
-    grammar: &Grammar,
-    cfg: OptConfig,
-    plan: Option<&TuningPlan>,
-) -> Result<modpeg_vm::VmProgram, CliError> {
-    match plan {
-        None => modpeg_vm::VmProgram::compile(grammar, cfg)
-            .map_err(|e| CliError::Internal(e.to_string())),
-        Some(p) => modpeg_vm::VmProgram::compile_with_plan(grammar, cfg, Some(p))
-            .map_err(|e| CliError::Failure(e.to_string())),
+/// The engine `--engine` picked, over an already compiled grammar: the
+/// interpreter itself, or the bytecode machine assembled from it.
+fn open_engine(kind: EngineKind, compiled: CompiledGrammar) -> Result<Box<dyn Engine>, CliError> {
+    Ok(match kind {
+        EngineKind::Vm => Box::new(
+            VmProgram::from_compiled(&compiled).map_err(|e| CliError::Internal(e.to_string()))?,
+        ),
+        _ => Box::new(compiled),
+    })
+}
+
+/// The governor the limit flags describe; `None` (an ungoverned run)
+/// when no flag was given.
+fn governor(args: &Args) -> Option<Governor> {
+    let limits = governor_limits(args);
+    (!limits.is_unlimited()).then(|| limits.governor())
+}
+
+/// The CLI error for a failed run: a syntax error fails the check (exit
+/// 1); an abort is a resource abort (exit 4), reported with the steps the
+/// governor counted.
+fn fault_error(fault: ParseFault, gov: Option<&Governor>, what: &str) -> CliError {
+    match fault {
+        ParseFault::Syntax(e) => CliError::Failure(e.to_string()),
+        ParseFault::Abort(kind) => CliError::Abort(format!(
+            "{what} aborted after {} step(s): {kind}",
+            gov.map_or(0, Governor::steps)
+        )),
     }
+}
+
+/// Reads `--input <file>`.
+fn read_input(args: &Args) -> Result<(String, String), CliError> {
+    let path = args
+        .input
+        .clone()
+        .ok_or_else(|| CliError::Usage("--input <file> is required".into()))?;
+    let text = std::fs::read_to_string(&path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    Ok((path, text))
 }
 
 fn cmd_check(args: &Args) -> Result<(), CliError> {
@@ -336,47 +365,26 @@ fn cmd_check(args: &Args) -> Result<(), CliError> {
 /// exit 1 when any error was recovered; governor flags apply and a
 /// tripped limit is a resource abort (exit 4), not a verdict.
 fn check_input(args: &Args, grammar: &Grammar) -> Result<(), CliError> {
-    let path = args.input.as_deref().expect("caller checked --input");
-    let input =
-        std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    let engine = parse_engine(args)?;
-    let limits = governor_limits(args);
-
-    let compiled = compile(grammar, OptConfig::all())?;
-    let mut policy = compiled.recover_policy();
+    let (path, input) = read_input(args)?;
+    let kind = parse_engine(args)?;
+    let engine = open_engine(kind, compile(grammar, OptConfig::all())?)?;
+    let mut policy = engine.recover_policy();
     if let Some(n) = args.max_errors {
         policy = policy.with_max_errors(n);
     }
-
-    let abort = |gov: &modpeg_runtime::Governor, kind: modpeg_runtime::ParseAbort| {
-        CliError::Abort(format!(
-            "resilient parse aborted after {} step(s): {kind}",
-            gov.steps()
-        ))
-    };
-    let rec = if engine == EngineKind::Vm {
-        let program =
-            modpeg_vm::VmProgram::full(grammar).map_err(|e| CliError::Internal(e.to_string()))?;
-        if limits.is_unlimited() {
-            program.parse_resilient(&input, &policy)
-        } else {
-            let gov = limits.governor();
-            let (result, _) = program.parse_resilient_governed(&input, &policy, &gov);
-            result.map_err(|kind| abort(&gov, kind))?
-        }
-    } else if limits.is_unlimited() {
-        compiled.parse_resilient(&input, &policy)
-    } else {
-        let gov = limits.governor();
-        let (result, _) = compiled.parse_resilient_governed(&input, &policy, &gov);
-        result.map_err(|kind| abort(&gov, kind))?
-    };
+    let gov = governor(args);
+    let mut req = ParseRequest::resilient(&policy);
+    req.governor = gov.as_ref();
+    let (result, _) = engine.run(&input, req);
+    let rec = result
+        .map_err(|f| fault_error(f, gov.as_ref(), "resilient parse"))?
+        .into_recovered();
 
     let diagnostics = &rec.diagnostics;
     if args.json {
         println!("{}", diagnostics.to_json());
     } else {
-        print!("{}", diagnostics.render_human(path));
+        print!("{}", diagnostics.render_human(&path));
     }
     if diagnostics.is_clean() {
         Ok(())
@@ -452,123 +460,61 @@ fn parse_engine(args: &Args) -> Result<EngineKind, CliError> {
     }
 }
 
+/// Events a `--trace` collector keeps before reporting the rest dropped.
+const TRACE_CAP: usize = 2_000;
+
 fn cmd_parse(args: &Args) -> Result<(), CliError> {
     let grammar = load_grammar(args)?;
-    let engine = parse_engine(args)?;
+    let kind = parse_engine(args)?;
     let plan = load_plan(args)?;
-    let engine_name = match engine {
-        EngineKind::Vm => "vm",
-        _ => "interp",
-    };
-    let input_path = args
-        .input
-        .as_ref()
-        .ok_or_else(|| CliError::Usage("--input <file> is required".into()))?;
-    let input = std::fs::read_to_string(input_path)
-        .map_err(|e| CliError::Io(format!("{input_path}: {e}")))?;
-    if args.trace {
-        if engine == EngineKind::Vm {
-            return Err(CliError::Usage(
-                "--trace is interpreter-only; drop `--engine vm` (or use `modpeg compile --dump-bytecode`)".into(),
-            ));
-        }
-        let compiled = compile_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-        let (result, trace) = compiled.parse_with_trace(&input, 2_000);
-        eprint!("{trace}");
-        return match result {
-            Ok(tree) => {
-                println!("{}", tree.to_sexpr());
-                Ok(())
-            }
-            Err(e) => Err(CliError::Failure(e.to_string())),
-        };
-    }
-    if args.events {
-        // SAX mode: stream events into a counting sink, build no tree.
-        if !governor_limits(args).is_unlimited() {
-            return Err(CliError::Usage(
-                "--events runs ungoverned; drop the governor flags".into(),
-            ));
-        }
-        let mut counts = modpeg_runtime::EventCounts::default();
-        let t = Instant::now();
-        if engine == EngineKind::Vm {
-            let program = vm_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-            program
-                .parse_events(&input, &mut counts)
-                .map_err(|e| CliError::Failure(e.to_string()))?;
-        } else {
-            let compiled = compile_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-            compiled
-                .parse_events(&input, &mut counts)
-                .map_err(|e| CliError::Failure(e.to_string()))?;
-        }
-        let elapsed = t.elapsed();
-        println!(
-            "events: {} node(s), {} list(s), {} text leaf(s), {} unit(s), {} absent(s), max depth {}",
-            counts.nodes, counts.lists, counts.texts, counts.units, counts.absents, counts.max_depth
-        );
-        println!(
-            "engine: {engine_name}, {} bytes, no tree built, {:.3} ms",
-            input.len(),
-            elapsed.as_secs_f64() * 1e3
-        );
-        return Ok(());
-    }
-    let telem = if args.telemetry {
+    let (_, input) = read_input(args)?;
+    let compiled = compile_planned(&grammar, OptConfig::all(), plan.as_ref())?;
+    let engine = open_engine(kind, compiled)?;
+    // One request from the flags: the mode, the governor, and the
+    // collector (`--trace` keeps a bounded trace-masked one).
+    let telem = if args.trace {
+        Telemetry::collector(TRACE_CAP).with_mask(mask::TRACE)
+    } else if args.telemetry {
         Telemetry::collector(TELEMETRY_CAP).with_mask(mask::ALL)
     } else {
         Telemetry::disabled()
     };
-    let limits = governor_limits(args);
-    let outcome = if engine == EngineKind::Vm {
-        let program = vm_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, stats) = program.parse_governed_telemetry(&input, &gov, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(ParseFault::Syntax(e)) => Err(CliError::Failure(e.to_string())),
-                Err(ParseFault::Abort(kind)) => Err(CliError::Abort(format!(
-                    "parse aborted after {} step(s): {kind}",
-                    gov.steps()
-                ))),
-            }
-        } else {
-            let (result, stats) = program.parse_with_telemetry(&input, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(e) => Err(CliError::Failure(e.to_string())),
-            }
-        }
+    let gov = governor(args);
+    let mut counts = EventCounts::default();
+    let mut req = if args.events {
+        // SAX mode: stream events into a counting sink, build no tree.
+        ParseRequest::events(&mut counts)
     } else {
-        let compiled = compile_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, stats) = compiled.parse_governed_telemetry(&input, &gov, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(ParseFault::Syntax(e)) => Err(CliError::Failure(e.to_string())),
-                Err(ParseFault::Abort(kind)) => Err(CliError::Abort(format!(
-                    "parse aborted after {} step(s): {kind}",
-                    gov.steps()
-                ))),
-            }
-        } else {
-            let (result, stats) = compiled.parse_with_telemetry(&input, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(e) => Err(CliError::Failure(e.to_string())),
-            }
-        }
+        ParseRequest::tree()
     };
-    if args.telemetry {
+    req.governor = gov.as_ref();
+    req.telemetry = Some(&telem);
+    let t = Instant::now();
+    let (result, stats) = engine.run(&input, req);
+    let elapsed = t.elapsed();
+    if args.trace {
+        eprint!("{}", Trace::from_report(&telem.take_report()));
+    } else if args.telemetry {
         eprintln!("{}", MetricsRegistry::from_report(&telem.take_report()));
     }
-    let (tree, stats) = outcome?;
-    println!("{}", tree.to_sexpr());
+    let parsed = result.map_err(|f| fault_error(f, gov.as_ref(), "parse"))?;
+    match parsed.tree {
+        Some(tree) => println!("{}", tree.to_sexpr()),
+        None => {
+            println!(
+                "events: {} node(s), {} list(s), {} text leaf(s), {} unit(s), {} absent(s), max depth {}",
+                counts.nodes, counts.lists, counts.texts, counts.units, counts.absents, counts.max_depth
+            );
+            println!(
+                "engine: {}, {} bytes, no tree built, {:.3} ms",
+                engine.name(),
+                input.len(),
+                elapsed.as_secs_f64() * 1e3
+            );
+        }
+    }
     if args.stats {
-        eprintln!("engine: {engine_name}");
+        eprintln!("engine: {}", engine.name());
         eprintln!("{stats}");
     }
     Ok(())
@@ -656,13 +602,8 @@ fn read_profile(path: &str) -> Result<WorkloadProfile, CliError> {
 /// parse and render it (`--format`) and/or record it (`--record`).
 fn cmd_profile_run(args: &Args) -> Result<(), CliError> {
     let grammar = load_grammar(args)?;
-    let engine = parse_engine(args)?;
-    let input_path = args
-        .input
-        .as_ref()
-        .ok_or_else(|| CliError::Usage("--input <file> is required".into()))?;
-    let input = std::fs::read_to_string(input_path)
-        .map_err(|e| CliError::Io(format!("{input_path}: {e}")))?;
+    let kind = parse_engine(args)?;
+    let (_, input) = read_input(args)?;
     // Recording compiles under `incremental()` — every production
     // memoized — so the profile observes memo behavior everywhere and
     // the tuner has a full-coverage baseline to carve down from. The
@@ -672,6 +613,7 @@ fn cmd_profile_run(args: &Args) -> Result<(), CliError> {
     } else {
         OptConfig::all()
     };
+    let engine = open_engine(kind, compile(&grammar, cfg)?)?;
     let mut telem = Telemetry::collector(TELEMETRY_CAP).with_mask(mask::ALL);
     if let Some(n) = args.sample {
         if n == 0 {
@@ -679,50 +621,25 @@ fn cmd_profile_run(args: &Args) -> Result<(), CliError> {
         }
         telem = telem.with_sampling(n);
     }
-    let limits = governor_limits(args);
-    let note = |result: Result<(), ParseFault>, steps: Option<u64>| match result {
-        Err(ParseFault::Abort(kind)) => {
-            // The profile of an aborted run is exactly what the flags
-            // asked to see; note the abort and keep going.
-            eprintln!(
-                "note: parse aborted after {} step(s): {kind}",
-                steps.unwrap_or(0)
-            );
-        }
-        Err(ParseFault::Syntax(e)) => eprintln!("note: input did not fully parse: {e}"),
-        Ok(()) => {}
-    };
-    if engine == EngineKind::Vm {
-        let program = modpeg_vm::VmProgram::compile(&grammar, cfg)
-            .map_err(|e| CliError::Internal(e.to_string()))?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, _) = program.parse_governed_telemetry(&input, &gov, &telem);
-            note(result.map(drop), Some(gov.steps()));
-        } else {
-            let (result, _) = program.parse_with_telemetry(&input, &telem);
-            note(result.map(drop).map_err(ParseFault::Syntax), None);
-        }
-    } else {
-        let compiled = compile(&grammar, cfg)?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, _) = compiled.parse_governed_telemetry(&input, &gov, &telem);
-            note(result.map(drop), Some(gov.steps()));
-        } else {
-            let (result, _) = compiled.parse_with_telemetry(&input, &telem);
-            note(result.map(drop).map_err(ParseFault::Syntax), None);
+    let gov = governor(args);
+    let mut req = ParseRequest::tree().with_telemetry(&telem);
+    req.governor = gov.as_ref();
+    // The profile of a failed or aborted run is exactly what the flags
+    // asked to see; note the failure and keep going.
+    if let Err(fault) = engine.run(&input, req).0 {
+        match fault_error(fault, gov.as_ref(), "parse") {
+            CliError::Failure(e) => eprintln!("note: input did not fully parse: {e}"),
+            other => eprintln!("note: {}", other.message()),
         }
     }
     let report = telem.take_report();
     if let Some(path) = &args.record {
         let registry = MetricsRegistry::from_report(&report);
-        let engine_name = if engine == EngineKind::Vm { "vm" } else { "interp" };
         let profile = WorkloadProfile::from_registry(
             &registry,
             modpeg_core::transform::grammar_fingerprint(&grammar),
             &grammar.production(grammar.root()).name,
-            engine_name,
+            engine.name(),
             input.len() as u64,
         );
         if !profile.complete() {
@@ -941,11 +858,12 @@ fn cmd_session_bench(args: &Args) -> Result<(), CliError> {
     } else {
         Telemetry::disabled()
     };
-    session.attach_telemetry(&telem);
+    let reparse = |session: &mut ParseSession| {
+        engine::tree_result(session.run(ParseRequest::tree().with_telemetry(&telem))).0
+    };
     let t0 = Instant::now();
-    let tree = session
-        .parse()
-        .map_err(|e| CliError::Failure(format!("priming parse: {e}")))?;
+    let tree =
+        reparse(&mut session).map_err(|e| CliError::Failure(format!("priming parse: {e}")))?;
     let prime = t0.elapsed();
     drop(tree);
     let mut incremental_times = Vec::with_capacity(script.len());
@@ -953,8 +871,7 @@ fn cmd_session_bench(args: &Args) -> Result<(), CliError> {
     for (range, replacement) in &script {
         session.apply_edit(range.clone(), replacement);
         let t = Instant::now();
-        let tree = session
-            .parse()
+        let tree = reparse(&mut session)
             .map_err(|e| CliError::Failure(format!("incremental reparse: {e}")))?;
         incremental_times.push(t.elapsed());
         incremental_trees.push(tree.to_sexpr());

@@ -105,6 +105,28 @@ fn resource_aborts_exit_four() {
     );
 }
 
+/// Every flag combination is one request on either engine: `--trace`
+/// runs on the VM too, and event mode honors the governor flags.
+#[test]
+fn trace_and_events_compose_with_engine_and_governor_flags() {
+    let input = temp_input("compose.calc", "1 + 2 * (3 - 4)");
+    let grammar = calc_grammar();
+    let parse = |extra: &[&str]| {
+        let mut argv = vec!["parse", grammar.as_str(), "--input", &input];
+        argv.extend_from_slice(extra);
+        run(&argv)
+    };
+    let traced = parse(&["--engine", "vm", "--trace"]);
+    let stderr = String::from_utf8_lossy(&traced.stderr);
+    assert_eq!(exit_code(&traced), 0, "stderr: {stderr}");
+    assert!(stderr.contains("> calc."), "stderr: {stderr}");
+
+    let starved = parse(&["--events", "--fuel", "0"]);
+    let stderr = String::from_utf8_lossy(&starved.stderr);
+    assert_eq!(exit_code(&starved), 4, "stderr: {stderr}");
+    assert!(stderr.contains("abort"), "stderr: {stderr}");
+}
+
 #[test]
 fn fault_smoke_campaign_exits_zero() {
     let out = run(&["fault", "--grammar", "calc", "--smoke"]);

@@ -665,9 +665,9 @@ impl<'g> Emitter<'g> {
 // `pub mod parser {{ include!(concat!(env!("OUT_DIR"), "/x_parser.rs")); }}`.
 
 use modpeg_runtime::{{
-    recover, scan, ChunkMemo, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind,
-    Out, ParseAbort, ParseError, ParseFault, RecoverPolicy, Recovered, ScopedState, Span, Stats,
-    SyncSet, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
+    engine, scan, ChunkMemo, EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable,
+    NodeKind, Out, Outcome, ParseAbort, ParseError, ParseRequest, RecoverPolicy, Recovered,
+    ScopedState, Span, Stats, SyncSet, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
 }};
 use modpeg_telemetry::Telemetry;
 
@@ -730,18 +730,21 @@ impl<'i> Parser<'i> {{
         }}
     }}
 
-    fn install_governor(&mut self, gov: &'i Governor) {{
-        self.max_depth = gov.max_depth().unwrap_or(DEFAULT_MAX_DEPTH);
-        self.memo_budget = gov.memo_budget().unwrap_or(u64::MAX);
-        self.gov = Some(gov);
-    }}
-
-    fn install_telemetry(&mut self, telem: &Telemetry) {{
-        if telem.is_enabled() {{
-            telem.set_names(PN.iter().map(|s| (*s).to_owned()).collect());
-            telem.set_input_len(self.input.len());
-            self.telem = telem.clone();
+    /// Creates a parser over `text` under `gov`'s limits and reporting to
+    /// `telem`, when given.
+    fn open(text: &'i str, gov: Option<&'i Governor>, telem: Option<&Telemetry>) -> Self {{
+        let mut parser = Parser::new(text);
+        if let Some(gov) = gov {{
+            parser.max_depth = gov.max_depth().unwrap_or(DEFAULT_MAX_DEPTH);
+            parser.memo_budget = gov.memo_budget().unwrap_or(u64::MAX);
+            parser.gov = Some(gov);
         }}
+        if let Some(telem) = telem.filter(|t| t.is_enabled()) {{
+            telem.set_names(PN.iter().map(|s| (*s).to_owned()).collect());
+            telem.set_input_len(parser.input.len());
+            parser.telem = telem.clone();
+        }}
+        parser
     }}
 
     #[inline]
@@ -932,16 +935,6 @@ impl<'i> Parser<'i> {{
         Value::list(items)
     }}
 
-    /// Detaches `value` from the parser's arena before it escapes into a
-    /// [`SyntaxTree`]. Legacy trees pass through as-is.
-    fn materialize(&self, value: Value) -> Value {{
-        if self.use_arena {{
-            self.memo.arena().copy_out(&value)
-        }} else {{
-            value
-        }}
-    }}
-
     fn normalize_opt(&mut self, o: Out) -> Out {{
         match o {{
             Out::Many(vs) => {{
@@ -967,6 +960,67 @@ fn state_name<'a>(o: &'a Out, input: &'a str, pos: u32, end: u32) -> &'a str {{
         .unwrap_or(&input[pos as usize..end as usize])
 }}
 
+impl modpeg_runtime::ParseRun for Parser<'_> {{
+    fn eval_root(&mut self, pos: u32) -> Result<(u32, Value), Fail> {{
+        self.p{root}(pos)
+    }}
+
+    fn aborted(&self) -> Option<ParseAbort> {{
+        self.aborted
+    }}
+
+    fn failures(&mut self) -> &mut Failures {{
+        &mut self.failures
+    }}
+
+    fn error(&self) -> ParseError {{
+        self.failures.to_error(&self.input)
+    }}
+
+    /// Detaches `value` from the parser's arena before it escapes into a
+    /// [`SyntaxTree`]. Legacy trees pass through as-is.
+    fn materialize(&self, value: Value) -> Value {{
+        if self.use_arena {{
+            self.memo.arena().copy_out(&value)
+        }} else {{
+            value
+        }}
+    }}
+
+    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {{
+        self.memo.arena().emit_events(value, sink);
+    }}
+
+    fn finish_stats(&mut self) -> Stats {{
+        self.stats.memo_bytes = self.memo.retained_bytes();
+        std::mem::take(&mut self.stats)
+    }}
+}}
+
+/// Parses `text` as `req` asks: a tree, events, or a resilient parse,
+/// optionally governed and reporting to a telemetry handle.
+pub fn run(text: &str, req: ParseRequest<'_>) -> Outcome {{
+    let (gov, telem) = (req.governor, req.telemetry);
+    engine::drive(text, req, || Parser::open(text, gov, telem)).0
+}}
+
+/// This parser as a [`modpeg_runtime::Engine`].
+pub struct Generated;
+
+impl modpeg_runtime::Engine for Generated {{
+    fn run(&self, text: &str, req: ParseRequest<'_>) -> Outcome {{
+        run(text, req)
+    }}
+
+    fn recover_policy(&self) -> RecoverPolicy {{
+        recover_policy()
+    }}
+
+    fn name(&self) -> &'static str {{
+        "codegen"
+    }}
+}}
+
 /// Parses `text`, requiring full input consumption.
 ///
 /// # Errors
@@ -978,38 +1032,25 @@ pub fn parse(text: &str) -> Result<SyntaxTree, ParseError> {{
 
 /// Like [`parse`], also returning runtime statistics.
 pub fn parse_with_stats(text: &str) -> (Result<SyntaxTree, ParseError>, Stats) {{
-    parse_with_telemetry(text, &Telemetry::disabled())
+    engine::tree_result(run(text, ParseRequest::tree()))
 }}
 
-/// Like [`parse_with_stats`], with telemetry hooks reporting to `telem`
-/// (production spans, memo traffic, backtracks). A disabled handle
-/// reduces every hook to a single branch.
-pub fn parse_with_telemetry(
-    text: &str,
-    telem: &Telemetry,
-) -> (Result<SyntaxTree, ParseError>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        // Spans and memo positions are 32-bit; refuse cleanly.
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return (Err(failures.to_error(&input)), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    parser.install_telemetry(telem);
-    let r = parser.p{root}(0);
-    let outcome = match r {{
-        Ok((end, value)) if end == parser.input.len() => {{
-            Ok(SyntaxTree::new(text, parser.materialize(value)))
-        }}
-        Ok((end, _)) => {{
-            parser.note(end, "end of input");
-            Err(parser.failures.to_error(&parser.input))
-        }}
-        Err(_) => Err(parser.failures.to_error(&parser.input)),
-    }};
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    (outcome, parser.stats)
+/// Parses `text` in SAX event mode: on a full match the semantic tree is
+/// streamed to `sink` straight from the parser's arena. No events are
+/// delivered for failing parses.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] describing the farthest failure.
+pub fn parse_events(text: &str, sink: &mut dyn EventSink) -> Result<(), ParseError> {{
+    engine::events_result(run(text, ParseRequest::events(sink)))
+}}
+
+/// Parses `text` with panic-mode error recovery: never fails on
+/// malformed input, returning a partial tree (skipped regions become
+/// `$error` nodes) plus the diagnostics report.
+pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {{
+    engine::recovered_result(run(text, ParseRequest::resilient(policy)))
 }}
 
 /// Like [`parse`], but building legacy heap-allocated values instead of
@@ -1020,119 +1061,15 @@ pub fn parse_with_telemetry(
 ///
 /// Returns a [`ParseError`] describing the farthest failure.
 pub fn parse_legacy(text: &str) -> Result<SyntaxTree, ParseError> {{
-    if text.len() > u32::MAX as usize {{
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return Err(failures.to_error(&input));
-    }}
-    let mut parser = Parser::new(text);
-    parser.use_arena = false;
-    let r = parser.p{root}(0);
-    match r {{
-        Ok((end, value)) if end == parser.input.len() => Ok(SyntaxTree::new(text, value)),
-        Ok((end, _)) => {{
-            parser.note(end, "end of input");
-            Err(parser.failures.to_error(&parser.input))
-        }}
-        Err(_) => Err(parser.failures.to_error(&parser.input)),
-    }}
-}}
-
-/// Parses `text` in SAX event mode: on a full match the semantic tree is
-/// streamed to `sink` as [`modpeg_runtime::ParseEvent`]s straight from the
-/// parser's arena — no owned tree is ever materialized. No events are
-/// delivered for failing parses.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] describing the farthest failure.
-pub fn parse_events(
-    text: &str,
-    sink: &mut dyn modpeg_runtime::EventSink,
-) -> Result<(), ParseError> {{
-    if text.len() > u32::MAX as usize {{
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return Err(failures.to_error(&input));
-    }}
-    let mut parser = Parser::new(text);
-    let r = parser.p{root}(0);
-    match r {{
-        Ok((end, value)) if end == parser.input.len() => {{
-            parser.memo.arena().emit_events(&value, sink);
-            Ok(())
-        }}
-        Ok((end, _)) => {{
-            parser.note(end, "end of input");
-            Err(parser.failures.to_error(&parser.input))
-        }}
-        Err(_) => Err(parser.failures.to_error(&parser.input)),
-    }}
-}}
-
-/// Parses `text` under `gov`'s resource limits, requiring full input
-/// consumption.
-///
-/// With an untripped governor and no limit exhausted this behaves exactly
-/// like [`parse_with_stats`]; when a budget runs out it returns
-/// [`ParseFault::Abort`] instead of looping, overflowing the stack, or
-/// growing the memo table without bound. The abort check runs before the
-/// nominal outcome: a parse that "succeeded" around an aborted
-/// sub-expression (e.g. under a `!p` predicate) is still reported as
-/// aborted.
-pub fn parse_governed(text: &str, gov: &Governor) -> (Result<SyntaxTree, ParseFault>, Stats) {{
-    parse_governed_telemetry(text, gov, &Telemetry::disabled())
-}}
-
-/// Like [`parse_governed`], with telemetry hooks reporting to `telem`
-/// (including governor tick totals and abort events).
-pub fn parse_governed_telemetry(
-    text: &str,
-    gov: &Governor,
-    telem: &Telemetry,
-) -> (Result<SyntaxTree, ParseFault>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        // Spans and memo positions are 32-bit; refuse cleanly.
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return (
-            Err(ParseFault::Syntax(failures.to_error(&input))),
-            Stats::default(),
-        );
-    }}
-    // A pre-cancelled or pre-expired governor aborts before any work.
-    if let Err(kind) = gov.poll() {{
-        return (Err(ParseFault::Abort(kind)), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    parser.install_governor(gov);
-    parser.install_telemetry(telem);
-    let r = parser.p{root}(0);
-    let outcome = if let Some(kind) = parser.aborted {{
-        Err(ParseFault::Abort(kind))
-    }} else {{
-        match r {{
-            Ok((end, value)) if end == parser.input.len() => {{
-                Ok(SyntaxTree::new(text, parser.materialize(value)))
-            }}
-            Ok((end, _)) => {{
-                parser.note(end, "end of input");
-                Err(ParseFault::Syntax(parser.failures.to_error(&parser.input)))
-            }}
-            Err(_) => Err(ParseFault::Syntax(parser.failures.to_error(&parser.input))),
-        }}
+    let legacy = || {{
+        let mut parser = Parser::new(text);
+        parser.use_arena = false;
+        parser
     }};
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    parser.stats.gov_ticks = gov.steps();
-    parser.stats.gov_stride_refills = gov.stride_refills();
-    parser.telem.gov_ticks(gov.steps(), gov.stride_refills());
-    (outcome, parser.stats)
+    engine::tree_result(engine::drive(text, ParseRequest::tree(), legacy).0).0
 }}
 
-// ----- resilient parsing (panic-mode error recovery) -----
+// ----- the recovery policy resilient parses run under -----
 
 /// Restart synchronization bytes: FIRST(root) plus every `@recover`
 /// byte, computed from the *source* grammar before any transform (so
@@ -1148,129 +1085,6 @@ const CONSUME: &[u8] = &[{consume}];
 pub fn recover_policy() -> RecoverPolicy {{
     RecoverPolicy::new(SyncSet::from_bytes(RESTART.iter().copied()))
         .with_consume(SyncSet::from_bytes(CONSUME.iter().copied()))
-}}
-
-/// One restart attempt for the resilient driver: evaluate the root at
-/// `pos` — resetting the failure accumulator first when the driver just
-/// consumed a diagnostic — and report the outcome with the semantic
-/// value detached from the parser's arena.
-fn resilient_attempt(parser: &mut Parser<'_>, pos: u32, fresh: bool) -> recover::Attempt {{
-    if fresh {{
-        parser.failures.reset();
-    }}
-    let end = match parser.p{root}(pos) {{
-        Ok((end, value)) => Some((end, parser.materialize(value))),
-        Err(_) => None,
-    }};
-    recover::Attempt {{
-        end,
-        error: parser.failures.to_error(&parser.input),
-    }}
-}}
-
-/// The resilient report for an input too large for 32-bit spans: one
-/// truncated diagnostic, an empty tree.
-fn oversize_recovered() -> Recovered<SyntaxTree> {{
-    let input = Input::new("");
-    let mut failures = Failures::new();
-    failures.note(0, "input smaller than 4 GiB");
-    let diagnostics = recover::Diagnostics {{
-        errors: vec![recover::Diagnostic {{
-            error: failures.to_error(&input),
-            skipped: Span::point(0),
-        }}],
-        truncated: true,
-        failures_dropped: 0,
-    }};
-    Recovered {{
-        tree: SyntaxTree::new("", Value::Unit),
-        diagnostics,
-    }}
-}}
-
-/// Parses `text` with panic-mode error recovery: never fails on
-/// malformed input, returning a partial tree (skipped regions become
-/// `$error` nodes) plus the diagnostics report. One parser (and one
-/// packrat table) lives across all restart attempts, so re-attempting
-/// after an error re-derives nothing that was already memoized.
-pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {{
-    parse_resilient_with_stats(text, policy).0
-}}
-
-/// Like [`parse_resilient`], also returning the run's [`Stats`].
-pub fn parse_resilient_with_stats(
-    text: &str,
-    policy: &RecoverPolicy,
-) -> (Recovered<SyntaxTree>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        return (oversize_recovered(), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    let input = Input::new(text);
-    let (value, diagnostics) = recover::drive_infallible(&input, policy, |pos, fresh| {{
-        resilient_attempt(&mut parser, pos, fresh)
-    }});
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    (
-        Recovered {{
-            tree: SyntaxTree::new(text, value),
-            diagnostics,
-        }},
-        parser.stats,
-    )
-}}
-
-/// The governed counterpart of [`parse_resilient`]: the never-die
-/// guarantee holds up to `gov`'s resource limits.
-///
-/// # Errors
-///
-/// Returns the abort kind when a limit stopped the run; syntax errors
-/// never fail a resilient parse.
-pub fn parse_resilient_governed(
-    text: &str,
-    policy: &RecoverPolicy,
-    gov: &Governor,
-) -> (Result<Recovered<SyntaxTree>, ParseAbort>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        return (Ok(oversize_recovered()), Stats::default());
-    }}
-    if let Err(kind) = gov.poll() {{
-        return (Err(kind), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    parser.install_governor(gov);
-    let input = Input::new(text);
-    let driven = recover::drive(&input, policy, |pos, fresh| {{
-        let attempt = resilient_attempt(&mut parser, pos, fresh);
-        match parser.aborted {{
-            Some(kind) => Err(kind),
-            None => Ok(attempt),
-        }}
-    }});
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    parser.stats.gov_ticks = gov.steps();
-    parser.stats.gov_stride_refills = gov.stride_refills();
-    let outcome = driven.map(|(value, diagnostics)| Recovered {{
-        tree: SyntaxTree::new(text, value),
-        diagnostics,
-    }});
-    (outcome, parser.stats)
-}}
-
-/// The event-mode counterpart of [`parse_resilient`]: streams the
-/// recovered tree as [`modpeg_runtime::ParseEvent`]s, with skipped
-/// regions bracketed by `ErrorStart`/`ErrorEnd`. The driver assembles
-/// the fragments first and replays them, so every engine emits the
-/// identical stream.
-pub fn parse_resilient_events(
-    text: &str,
-    policy: &RecoverPolicy,
-    sink: &mut dyn modpeg_runtime::EventSink,
-) -> recover::Diagnostics {{
-    let rec = parse_resilient(text, policy);
-    recover::emit_recovered_events(rec.tree.root(), sink);
-    rec.diagnostics
 }}
 "#,
             root = root.0,

@@ -7,12 +7,22 @@
 //!
 //! ```text
 //! pub struct Parser<'i>;
+//! pub fn run(text: &str, req: ParseRequest<'_>) -> Outcome;
+//! pub struct Generated;  // impl modpeg_runtime::Engine, forwarding to `run`
 //! pub fn parse(text: &str) -> Result<SyntaxTree, ParseError>;
 //! pub fn parse_with_stats(text: &str) -> (Result<SyntaxTree, ParseError>, Stats);
-//! pub fn parse_with_telemetry(text: &str, telem: &Telemetry) -> (Result<SyntaxTree, ParseError>, Stats);
-//! pub fn parse_governed(text: &str, gov: &Governor) -> (Result<SyntaxTree, ParseFault>, Stats);
-//! pub fn parse_governed_telemetry(text: &str, gov: &Governor, telem: &Telemetry) -> (Result<SyntaxTree, ParseFault>, Stats);
+//! pub fn parse_events(text: &str, sink: &mut dyn EventSink) -> Result<(), ParseError>;
+//! pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree>;
+//! pub fn parse_legacy(text: &str) -> Result<SyntaxTree, ParseError>;
+//! pub fn recover_policy() -> RecoverPolicy;
 //! ```
+//!
+//! `run` answers every [`ParseRequest`](modpeg_runtime::ParseRequest) —
+//! tree, events, resilient or resilient events, each optionally governed
+//! and with telemetry — through the runtime's shared driver; the `parse*`
+//! functions are one-line shorthands for the ungoverned modes. The
+//! generated code holds only the grammar-specific parse functions and the
+//! driver's per-run hooks ([`ParseRun`](modpeg_runtime::ParseRun)).
 //!
 //! Generated parsers always use the fully optimized strategy set (grammar
 //! transforms, chunked memoization, iterative repetitions, first-byte

@@ -33,8 +33,8 @@ use std::rc::Rc;
 use modpeg_baseline::BacktrackParser;
 use modpeg_interp::{CompiledGrammar, OptConfig};
 use modpeg_runtime::{
-    scan, CancelToken, ChunkMemo, Governor, ParseAbort, ParseFault, Stats, SyntaxTree,
-    DEFAULT_MAX_DEPTH,
+    scan, CancelToken, ChunkMemo, Engine, Governor, ParseAbort, ParseFault, ParseRequest, Parsed,
+    Stats, SyntaxTree, DEFAULT_MAX_DEPTH,
 };
 use modpeg_session::ParseSession;
 use modpeg_vm::VmProgram;
@@ -127,6 +127,18 @@ pub fn fault_grammar(id: GrammarId, cfg: &FaultConfig) -> Result<FaultReport, St
     } else {
         None
     };
+    // The compiled engines every per-engine family runs over, in
+    // reporting order.
+    let mut engines: Vec<&dyn Engine> = Vec::new();
+    if cfg.engines.opt_levels {
+        engines.push(&reference);
+    }
+    if let Some(vm) = &vm {
+        engines.push(vm);
+    }
+    if cfg.engines.codegen {
+        engines.push(id.codegen());
+    }
     let baseline = BacktrackParser::new(&grammar);
     let alphabet = grammar_alphabet(&grammar);
     let mut rng = StdRng::seed_from_u64(cfg.rng_seed ^ fnv1a(id.name().as_bytes()));
@@ -145,10 +157,10 @@ pub fn fault_grammar(id: GrammarId, cfg: &FaultConfig) -> Result<FaultReport, St
         let doc = id.workload(cfg.rng_seed.wrapping_add(doc_no), target);
         report.documents += 1;
         inject_document(
-            id,
+            id.name(),
             &reference,
             &incremental,
-            vm.as_ref(),
+            &engines,
             &baseline,
             &alphabet,
             &doc,
@@ -164,10 +176,10 @@ pub fn fault_grammar(id: GrammarId, cfg: &FaultConfig) -> Result<FaultReport, St
 /// Runs every injection family against one workload document.
 #[allow(clippy::too_many_arguments)]
 fn inject_document(
-    id: GrammarId,
+    name: &str,
     reference: &CompiledGrammar,
     incremental: &Rc<CompiledGrammar>,
-    vm: Option<&VmProgram>,
+    engines: &[&dyn Engine],
     baseline: &BacktrackParser<'_>,
     alphabet: &[char],
     doc: &str,
@@ -176,7 +188,6 @@ fn inject_document(
     rng: &mut StdRng,
     report: &mut FaultReport,
 ) {
-    let name = id.name();
     let ref_sexpr = match reference.parse(doc) {
         Ok(tree) => tree.to_sexpr(),
         Err(e) => {
@@ -193,8 +204,8 @@ fn inject_document(
     // Interpreter (incremental config): fuel injection on the memo path.
     // ------------------------------------------------------------------
     let probe = Governor::new();
-    let (r, probe_stats, _) =
-        incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &probe);
+    let (r, probe_stats) =
+        governed_incremental(incremental, doc, &mut ChunkMemo::new(slots, len), &probe);
     let total = probe.steps();
     if !matches_reference(&r, &ref_sexpr) {
         report.violations.push(format!(
@@ -212,8 +223,8 @@ fn inject_document(
         let tag = format!("{name}/doc{doc_no}/interp fuel {fuel}/{total}");
 
         let gov = Governor::new().with_fuel(fuel);
-        let (r, _, memo) =
-            incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &gov);
+        let mut memo = ChunkMemo::new(slots, len);
+        let (r, _) = governed_incremental(incremental, doc, &mut memo, &gov);
         if abort_kind(&r) != Some(ParseAbort::FuelExhausted) {
             report
                 .violations
@@ -235,22 +246,21 @@ fn inject_document(
         }
         // Semantic memo soundness: a retry on the aborted table must
         // reproduce the reference tree exactly.
-        let (r, _, memo) = incremental.parse_incremental_governed(doc, memo, &Governor::new());
+        let (r, _) = governed_incremental(incremental, doc, &mut memo, &Governor::new());
         if !matches_reference(&r, &ref_sexpr) {
             report.violations.push(format!(
                 "{tag}: retry on aborted memo diverged: {}",
                 describe(&r)
             ));
         }
-        drop(memo);
 
         // `apply_edit` on a freshly aborted memo. Carrying a memo across
         // edits is unsound for stateful grammars with or without aborts
         // (the session's fallback is the fix), so this leg is pure-only.
         if !incremental.uses_state() {
             let gov = Governor::new().with_fuel(fuel);
-            let (_, _, mut memo) =
-                incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &gov);
+            let mut memo = ChunkMemo::new(slots, len);
+            let _ = governed_incremental(incremental, doc, &mut memo, &gov);
             let (range, insert) = random_edit(doc, alphabet, rng);
             let mut edited = doc.to_owned();
             edited.replace_range(range.clone(), &insert);
@@ -265,7 +275,7 @@ fn inject_document(
                     .violations
                     .push(format!("{tag}: after edit {range:?} -> {insert:?}: {v}"));
             }
-            let (r, _, _) = incremental.parse_incremental_governed(&edited, memo, &Governor::new());
+            let (r, _) = governed_incremental(incremental, &edited, &mut memo, &Governor::new());
             let scratch = incremental.parse(&edited);
             // Verdict and tree must agree; failure offsets inside reused
             // regions are documented to be coarser and are not compared.
@@ -292,8 +302,7 @@ fn inject_document(
         }
         report.degradations += 1;
         let gov = Governor::new().with_memo_budget(budget.max(1));
-        let (r, _, _) =
-            incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &gov);
+        let (r, _) = governed_incremental(incremental, doc, &mut ChunkMemo::new(slots, len), &gov);
         let ok = matches_reference(&r, &ref_sexpr)
             || abort_kind(&r) == Some(ParseAbort::MemoBudget);
         if !ok {
@@ -306,24 +315,17 @@ fn inject_document(
     }
 
     // ------------------------------------------------------------------
-    // Generated parser: fuel, depth, memo-budget, and cancellation.
+    // Every compiled engine: fuel, depth, memo-budget, and cancellation.
     // ------------------------------------------------------------------
-    if cfg.engines.codegen {
-        inject_codegen(id, &ref_sexpr, doc, doc_no, cfg, rng, report);
-    }
-
-    // ------------------------------------------------------------------
-    // Bytecode machine: the same abort contract as the generated parser.
-    // ------------------------------------------------------------------
-    if let Some(vm) = vm {
-        inject_vm(vm, name, &ref_sexpr, doc, doc_no, cfg, rng, report);
+    for &engine in engines {
+        inject_engine(engine, name, &ref_sexpr, doc, doc_no, cfg, rng, report);
     }
 
     // ------------------------------------------------------------------
     // Scan parity: the bulk class scanner must abort exactly where the
     // scalar reference path does, on every compiled engine.
     // ------------------------------------------------------------------
-    inject_scan_parity(id, reference, vm, doc, doc_no, cfg, rng, report);
+    inject_scan_parity(name, engines, doc, doc_no, cfg, rng, report);
 
     // ------------------------------------------------------------------
     // Session: abort mid-parse, then prove the session is still usable.
@@ -333,7 +335,8 @@ fn inject_document(
         let tag = format!("{name}/doc{doc_no}/session");
         let mut session = ParseSession::new(incremental.clone(), doc.to_owned());
         let fuel = if total > 1 { rng.gen_range(1..total) } else { 0 };
-        match session.parse_governed(&Governor::new().with_fuel(fuel)) {
+        let gov = Governor::new().with_fuel(fuel);
+        match session.run(ParseRequest::tree().governed(&gov)).0 {
             Err(ParseFault::Abort(ParseAbort::FuelExhausted)) => {}
             Err(other) => report.violations.push(format!(
                 "{tag}: fuel {fuel}/{total}: expected FuelExhausted, got {other}"
@@ -372,7 +375,17 @@ fn inject_document(
     // every fuel point, ample budgets reproduce the ungoverned recovery,
     // and a session survives an abort mid-recovery.
     // ------------------------------------------------------------------
-    inject_recovery(id, reference, incremental, vm, doc, doc_no, cfg, rng, report);
+    inject_recovery(
+        name,
+        reference,
+        incremental,
+        engines,
+        doc,
+        doc_no,
+        cfg,
+        rng,
+        report,
+    );
 
     // ------------------------------------------------------------------
     // Baseline: the depth ceiling fails fast and stays conservative.
@@ -405,58 +418,36 @@ fn inject_document(
 /// the same governor step total. Fuel charged per *consumed character*
 /// regardless of chunk width is exactly what makes an abort point name
 /// the same evaluation state in both modes; this leg is the proof.
-#[allow(clippy::too_many_arguments)] // mirrors `inject_document`, one call site
 fn inject_scan_parity(
-    id: GrammarId,
-    reference: &CompiledGrammar,
-    vm: Option<&VmProgram>,
+    name: &str,
+    engines: &[&dyn Engine],
     doc: &str,
     doc_no: u64,
     cfg: &FaultConfig,
     rng: &mut StdRng,
     report: &mut FaultReport,
 ) {
-    let name = id.name();
-    type GovernedParse<'a> = Box<dyn Fn(&Governor) -> (Result<SyntaxTree, ParseFault>, Stats) + 'a>;
-    let mut engines: Vec<(&str, GovernedParse<'_>)> = Vec::new();
-    if cfg.engines.opt_levels {
-        engines.push((
-            "interp",
-            Box::new(move |gov: &Governor| reference.parse_governed(doc, gov)),
-        ));
-    }
-    if let Some(vm) = vm {
-        engines.push((
-            "vm",
-            Box::new(move |gov: &Governor| vm.parse_governed(doc, gov)),
-        ));
-    }
-    if cfg.engines.codegen {
-        engines.push((
-            "codegen",
-            Box::new(move |gov: &Governor| id.codegen_parse_governed(doc, gov)),
-        ));
-    }
-
+    let run = |engine: &dyn Engine, gov: &Governor| governed(engine, doc, gov);
     let prior = scan::scalar_forced();
-    for (engine, run) in &engines {
+    for &engine in engines {
+        let label = engine.name();
         scan::force_scalar(false);
         let probe = Governor::new();
-        let _ = run(&probe);
+        let _ = run(engine, &probe);
         let total = probe.steps();
         for fuel in fuel_points(total, cfg.injections_per_doc, rng) {
             report.injections += 1;
             scan::force_scalar(false);
             let gov_v = Governor::new().with_fuel(fuel);
-            let (rv, sv) = run(&gov_v);
+            let (rv, sv) = run(engine, &gov_v);
             scan::force_scalar(true);
             let gov_s = Governor::new().with_fuel(fuel);
-            let (rs, ss) = run(&gov_s);
+            let (rs, ss) = run(engine, &gov_s);
             if abort_kind(&rv) != Some(ParseAbort::FuelExhausted)
                 || abort_kind(&rs) != Some(ParseAbort::FuelExhausted)
             {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} scan-parity fuel {fuel}/{total}: expected \
+                    "{name}/doc{doc_no}/{label} scan-parity fuel {fuel}/{total}: expected \
                      FuelExhausted in both modes, got vectorized {} / scalar {}",
                     describe(&rv),
                     describe(&rs)
@@ -465,7 +456,7 @@ fn inject_scan_parity(
             }
             if sv != ss || gov_v.steps() != gov_s.steps() {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} scan-parity fuel {fuel}/{total}: vectorized \
+                    "{name}/doc{doc_no}/{label} scan-parity fuel {fuel}/{total}: vectorized \
                      abort ({} comparisons, {} steps) diverged from scalar ({} comparisons, \
                      {} steps)",
                     sv.terminal_comparisons,
@@ -480,7 +471,7 @@ fn inject_scan_parity(
 }
 
 /// Fault injection into the resilient-parsing subsystem: every engine's
-/// `parse_resilient_governed` on a seeded-error copy of `doc` must abort
+/// governed resilient run on a seeded-error copy of `doc` must abort
 /// with [`ParseAbort::FuelExhausted`] at any starvation fuel point (the
 /// restart driver threads aborts straight through; it never converts one
 /// into a diagnostic), reproduce the ungoverned recovery under an
@@ -489,60 +480,40 @@ fn inject_scan_parity(
 /// resilient parse still agrees with a from-scratch recovery.
 #[allow(clippy::too_many_arguments)] // mirrors `inject_document`, one call site
 fn inject_recovery(
-    id: GrammarId,
+    name: &str,
     reference: &CompiledGrammar,
     incremental: &Rc<CompiledGrammar>,
-    vm: Option<&VmProgram>,
+    engines: &[&dyn Engine],
     doc: &str,
     doc_no: u64,
     cfg: &FaultConfig,
     rng: &mut StdRng,
     report: &mut FaultReport,
 ) {
-    let name = id.name();
     let policy = reference.recover_policy();
     let (corrupted, _) = crate::seed_errors(doc, 2);
     let ref_rec = reference.parse_resilient(&corrupted, &policy);
     let ref_sexpr = ref_rec.tree.to_sexpr();
+    let run = |engine: &dyn Engine, gov: &Governor| {
+        let req = ParseRequest::resilient(&policy).governed(gov);
+        engine.run(&corrupted, req).0.map(Parsed::into_recovered)
+    };
 
-    // Engine closures: (ample-probe governed run, fuel-point run).
-    type GovernedRecovery<'a> =
-        Box<dyn Fn(&Governor) -> Result<modpeg_runtime::Recovered<SyntaxTree>, ParseAbort> + 'a>;
-    let mut engines: Vec<(&str, GovernedRecovery<'_>)> = Vec::new();
-    let (text, pol) = (corrupted.as_str(), &policy);
-    if cfg.engines.opt_levels {
-        engines.push((
-            "interp",
-            Box::new(move |gov| reference.parse_resilient_governed(text, pol, gov).0),
-        ));
-    }
-    if let Some(vm) = vm {
-        engines.push((
-            "vm",
-            Box::new(move |gov| vm.parse_resilient_governed(text, pol, gov).0),
-        ));
-    }
-    if cfg.engines.codegen {
-        engines.push((
-            "codegen",
-            Box::new(move |gov| id.codegen_parse_resilient_governed(text, pol, gov).0),
-        ));
-    }
-
-    for (engine, run) in &engines {
+    for &engine in engines {
+        let label = engine.name();
         let probe = Governor::new();
-        match run(&probe) {
+        match run(engine, &probe) {
             Ok(rec) if rec.tree.to_sexpr() == ref_sexpr && rec.diagnostics == ref_rec.diagnostics => {}
             Ok(rec) => {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine}: unlimited governed recovery diverged: {}",
+                    "{name}/doc{doc_no}/{label}: unlimited governed recovery diverged: {}",
                     clip(&rec.tree.to_sexpr())
                 ));
                 continue;
             }
-            Err(kind) => {
+            Err(fault) => {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine}: unlimited governed recovery aborted with {kind:?}"
+                    "{name}/doc{doc_no}/{label}: unlimited governed recovery failed: {fault}"
                 ));
                 continue;
             }
@@ -551,14 +522,14 @@ fn inject_recovery(
 
         for fuel in fuel_points(total, cfg.injections_per_doc, rng) {
             report.injections += 1;
-            match run(&Governor::new().with_fuel(fuel)) {
-                Err(ParseAbort::FuelExhausted) => {}
-                Err(kind) => report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} recovery fuel {fuel}/{total}: expected \
-                     FuelExhausted, got abort {kind:?}"
+            match run(engine, &Governor::new().with_fuel(fuel)) {
+                Err(ParseFault::Abort(ParseAbort::FuelExhausted)) => {}
+                Err(fault) => report.violations.push(format!(
+                    "{name}/doc{doc_no}/{label} recovery fuel {fuel}/{total}: expected \
+                     FuelExhausted, got {fault}"
                 )),
                 Ok(rec) => report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} recovery fuel {fuel}/{total}: completed under \
+                    "{name}/doc{doc_no}/{label} recovery fuel {fuel}/{total}: completed under \
                      starvation fuel with {} diagnostic(s)",
                     rec.diagnostics.error_count()
                 )),
@@ -569,10 +540,10 @@ fn inject_recovery(
         let token = CancelToken::new();
         token.cancel();
         let gov = Governor::new().with_cancel(token);
-        match run(&gov) {
-            Err(ParseAbort::Cancelled) if gov.steps() == 0 => {}
+        match run(engine, &gov) {
+            Err(ParseFault::Abort(ParseAbort::Cancelled)) if gov.steps() == 0 => {}
             other => report.violations.push(format!(
-                "{name}/doc{doc_no}/{engine}: pre-cancelled recovery did {} step(s) and \
+                "{name}/doc{doc_no}/{label}: pre-cancelled recovery did {} step(s) and \
                  returned {:?}",
                 gov.steps(),
                 other.map(|rec| clip(&rec.tree.to_sexpr()))
@@ -589,8 +560,10 @@ fn inject_recovery(
         let tag = format!("{name}/doc{doc_no}/session recovery");
         let scratch = incremental.parse_resilient(&corrupted, &policy);
         let mut session = ParseSession::new(incremental.clone(), corrupted.clone());
-        let _ = session.parse_governed(&Governor::new().with_fuel(1));
-        let rec = session.parse_resilient(&policy);
+        let starve = Governor::new().with_fuel(1);
+        let _ = session.run(ParseRequest::tree().governed(&starve));
+        let rec =
+            modpeg_runtime::engine::recovered_result(session.run(ParseRequest::resilient(&policy)));
         if let Some(v) = recovery_disagreement(&rec, &scratch) {
             report
                 .violations
@@ -626,92 +599,11 @@ fn recovery_disagreement(
     None
 }
 
-/// The generated parser's abort contract: fuel, depth, memo-budget, and
-/// cancellation.
-fn inject_codegen(
-    id: GrammarId,
-    ref_sexpr: &str,
-    doc: &str,
-    doc_no: u64,
-    cfg: &FaultConfig,
-    rng: &mut StdRng,
-    report: &mut FaultReport,
-) {
-    let name = id.name();
-    let probe = Governor::new();
-    let (r, gen_stats) = id.codegen_parse_governed(doc, &probe);
-    let total_gen = probe.steps();
-    if !matches_reference(&r, ref_sexpr) {
-        report.violations.push(format!(
-            "{name}/doc{doc_no}: engine `codegen` unlimited governed parse diverged: {}",
-            describe(&r)
-        ));
-        return;
-    }
-
-    for fuel in fuel_points(total_gen, cfg.injections_per_doc, rng) {
-        report.injections += 1;
-        let gov = Governor::new().with_fuel(fuel);
-        let (r, _) = id.codegen_parse_governed(doc, &gov);
-        if abort_kind(&r) != Some(ParseAbort::FuelExhausted)
-            || gov.tripped() != Some(ParseAbort::FuelExhausted)
-        {
-            report.violations.push(format!(
-                "{name}/doc{doc_no}/codegen fuel {fuel}/{total_gen}: expected FuelExhausted \
-                 (tripped {:?}), got {}",
-                gov.tripped(),
-                describe(&r)
-            ));
-        }
-    }
-
-    report.degradations += 1;
-    let gov = Governor::new().with_max_depth(8);
-    let (r, _) = id.codegen_parse_governed(doc, &gov);
-    let ok = matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::DepthExceeded);
-    if !ok {
-        report.violations.push(format!(
-            "{name}/doc{doc_no}: codegen depth ceiling 8: expected reference tree or \
-             DepthExceeded abort, got {}",
-            describe(&r)
-        ));
-    }
-
-    for budget in [gen_stats.memo_bytes / 2, 64] {
-        report.degradations += 1;
-        let gov = Governor::new().with_memo_budget(budget.max(1));
-        let (r, _) = id.codegen_parse_governed(doc, &gov);
-        let ok =
-            matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::MemoBudget);
-        if !ok {
-            report.violations.push(format!(
-                "{name}/doc{doc_no}: codegen memo budget {budget}: expected reference tree or \
-                 MemoBudget abort, got {}",
-                describe(&r)
-            ));
-        }
-    }
-
-    report.injections += 1;
-    let token = CancelToken::new();
-    token.cancel();
-    let gov = Governor::new().with_cancel(token);
-    let (r, _) = id.codegen_parse_governed(doc, &gov);
-    if abort_kind(&r) != Some(ParseAbort::Cancelled) || gov.steps() != 0 {
-        report.violations.push(format!(
-            "{name}/doc{doc_no}: codegen pre-cancelled governor did {} step(s) and returned {}",
-            gov.steps(),
-            describe(&r)
-        ));
-    }
-}
-
-/// The bytecode machine's abort contract — the same checks the generated
-/// parser gets: fuel exhaustion at randomized ticks, a depth ceiling, a
-/// memo-budget ladder, and pre-cancellation.
+/// One compiled engine's abort contract: fuel exhaustion at randomized
+/// ticks, a depth ceiling, a memo-budget ladder, and pre-cancellation.
 #[allow(clippy::too_many_arguments)] // mirrors `inject_document`, one call site
-fn inject_vm(
-    vm: &VmProgram,
+fn inject_engine(
+    engine: &dyn Engine,
     name: &str,
     ref_sexpr: &str,
     doc: &str,
@@ -720,26 +612,27 @@ fn inject_vm(
     rng: &mut StdRng,
     report: &mut FaultReport,
 ) {
+    let label = engine.name();
     let probe = Governor::new();
-    let (r, vm_stats) = vm.parse_governed(doc, &probe);
-    let total_vm = probe.steps();
+    let (r, probe_stats) = governed(engine, doc, &probe);
+    let total = probe.steps();
     if !matches_reference(&r, ref_sexpr) {
         report.violations.push(format!(
-            "{name}/doc{doc_no}: engine `vm` unlimited governed parse diverged: {}",
+            "{name}/doc{doc_no}: engine `{label}` unlimited governed parse diverged: {}",
             describe(&r)
         ));
         return;
     }
 
-    for fuel in fuel_points(total_vm, cfg.injections_per_doc, rng) {
+    for fuel in fuel_points(total, cfg.injections_per_doc, rng) {
         report.injections += 1;
         let gov = Governor::new().with_fuel(fuel);
-        let (r, _) = vm.parse_governed(doc, &gov);
+        let (r, _) = governed(engine, doc, &gov);
         if abort_kind(&r) != Some(ParseAbort::FuelExhausted)
             || gov.tripped() != Some(ParseAbort::FuelExhausted)
         {
             report.violations.push(format!(
-                "{name}/doc{doc_no}/vm fuel {fuel}/{total_vm}: expected FuelExhausted \
+                "{name}/doc{doc_no}/{label} fuel {fuel}/{total}: expected FuelExhausted \
                  (tripped {:?}), got {}",
                 gov.tripped(),
                 describe(&r)
@@ -749,25 +642,25 @@ fn inject_vm(
 
     report.degradations += 1;
     let gov = Governor::new().with_max_depth(8);
-    let (r, _) = vm.parse_governed(doc, &gov);
+    let (r, _) = governed(engine, doc, &gov);
     let ok = matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::DepthExceeded);
     if !ok {
         report.violations.push(format!(
-            "{name}/doc{doc_no}: vm depth ceiling 8: expected reference tree or \
+            "{name}/doc{doc_no}: {label} depth ceiling 8: expected reference tree or \
              DepthExceeded abort, got {}",
             describe(&r)
         ));
     }
 
-    for budget in [vm_stats.memo_bytes / 2, 64] {
+    for budget in [probe_stats.memo_bytes / 2, 64] {
         report.degradations += 1;
         let gov = Governor::new().with_memo_budget(budget.max(1));
-        let (r, _) = vm.parse_governed(doc, &gov);
+        let (r, _) = governed(engine, doc, &gov);
         let ok =
             matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::MemoBudget);
         if !ok {
             report.violations.push(format!(
-                "{name}/doc{doc_no}: vm memo budget {budget}: expected reference tree or \
+                "{name}/doc{doc_no}: {label} memo budget {budget}: expected reference tree or \
                  MemoBudget abort, got {}",
                 describe(&r)
             ));
@@ -778,14 +671,35 @@ fn inject_vm(
     let token = CancelToken::new();
     token.cancel();
     let gov = Governor::new().with_cancel(token);
-    let (r, _) = vm.parse_governed(doc, &gov);
+    let (r, _) = governed(engine, doc, &gov);
     if abort_kind(&r) != Some(ParseAbort::Cancelled) || gov.steps() != 0 {
         report.violations.push(format!(
-            "{name}/doc{doc_no}: vm pre-cancelled governor did {} step(s) and returned {}",
+            "{name}/doc{doc_no}: {label} pre-cancelled governor did {} step(s) and returned {}",
             gov.steps(),
             describe(&r)
         ));
     }
+}
+
+/// A tree-mode run of `engine` under `gov`.
+fn governed(
+    engine: &dyn Engine,
+    text: &str,
+    gov: &Governor,
+) -> (Result<SyntaxTree, ParseFault>, Stats) {
+    let (r, stats) = engine.run(text, ParseRequest::tree().governed(gov));
+    (r.map(Parsed::into_tree), stats)
+}
+
+/// A tree-mode run of `parser` under `gov` on the caller's memo table.
+fn governed_incremental(
+    parser: &CompiledGrammar,
+    text: &str,
+    memo: &mut ChunkMemo,
+    gov: &Governor,
+) -> (Result<SyntaxTree, ParseFault>, Stats) {
+    let (r, stats) = parser.run_incremental(text, ParseRequest::tree().governed(gov), memo);
+    (r.map(Parsed::into_tree), stats)
 }
 
 /// Deterministic fuel abort points: always the first tick and the last
@@ -894,18 +808,17 @@ mod tests {
         let doc = GrammarId::Calc.workload(7, 120);
         let grammar = GrammarId::Calc.elaborate().unwrap();
         let parser = CompiledGrammar::compile(&grammar, OptConfig::incremental()).unwrap();
+        let fresh = || ChunkMemo::new(parser.memo_slot_count(), doc.len() as u32);
         let probe = Governor::new();
-        let memo = ChunkMemo::new(parser.memo_slot_count(), doc.len() as u32);
-        let (r, _, _) = parser.parse_incremental_governed(&doc, memo, &probe);
+        let (r, _) = governed_incremental(&parser, &doc, &mut fresh(), &probe);
         assert!(r.is_ok());
         let total = probe.steps();
         // Exactly the probed fuel completes; one tick less aborts.
         let exact = Governor::new().with_fuel(total);
-        let memo = ChunkMemo::new(parser.memo_slot_count(), doc.len() as u32);
-        assert!(parser.parse_incremental_governed(&doc, memo, &exact).0.is_ok());
+        let (r, _) = governed_incremental(&parser, &doc, &mut fresh(), &exact);
+        assert!(r.is_ok());
         let starved = Governor::new().with_fuel(total - 1);
-        let memo = ChunkMemo::new(parser.memo_slot_count(), doc.len() as u32);
-        let (r, _, _) = parser.parse_incremental_governed(&doc, memo, &starved);
+        let (r, _) = governed_incremental(&parser, &doc, &mut fresh(), &starved);
         assert_eq!(abort_kind(&r), Some(ParseAbort::FuelExhausted));
     }
 

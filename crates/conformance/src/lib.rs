@@ -35,10 +35,7 @@ pub use shrink::ddmin;
 
 use modpeg_core::Grammar;
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{
-    recover, Governor, ParseAbort, ParseError, ParseFault, RecoverPolicy, Recovered, Stats,
-    SyntaxTree,
-};
+use modpeg_runtime::{recover, Engine, ParseError, ParseRequest, Stats, SyntaxTree};
 use modpeg_telemetry::{mask, MetricsRegistry, Telemetry};
 use modpeg_workload::rng::StdRng;
 
@@ -95,36 +92,21 @@ impl GrammarId {
         .map_err(|d| d.to_string())
     }
 
-    /// Runs the build-time generated parser for this grammar.
-    pub fn codegen_parse(self, input: &str) -> Result<SyntaxTree, ParseError> {
+    /// The build-time generated parser for this grammar, as an [`Engine`].
+    pub fn codegen(self) -> &'static dyn Engine {
         use modpeg_grammars::generated as g;
         match self {
-            GrammarId::Calc => g::calc::parse(input),
-            GrammarId::Json => g::json::parse(input),
-            GrammarId::Java => g::java::parse(input),
-            GrammarId::C => g::c::parse(input),
-        }
-    }
-
-    /// Runs the build-time generated parser in SAX event mode, streaming
-    /// the semantic tree to `sink` without materializing it.
-    pub fn codegen_parse_events(
-        self,
-        input: &str,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> Result<(), ParseError> {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::parse_events(input, sink),
-            GrammarId::Json => g::json::parse_events(input, sink),
-            GrammarId::Java => g::java::parse_events(input, sink),
-            GrammarId::C => g::c::parse_events(input, sink),
+            GrammarId::Calc => &g::calc::Generated,
+            GrammarId::Json => &g::json::Generated,
+            GrammarId::Java => &g::java::Generated,
+            GrammarId::C => &g::c::Generated,
         }
     }
 
     /// Runs the build-time generated parser with arena-backed values
     /// disabled (legacy heap-allocated trees) — the old-representation
-    /// leg of the equivalence tests.
+    /// leg of the equivalence tests, outside [`Engine`] like the arena
+    /// toggle it exercises.
     pub fn codegen_parse_legacy(self, input: &str) -> Result<SyntaxTree, ParseError> {
         use modpeg_grammars::generated as g;
         match self {
@@ -132,107 +114,6 @@ impl GrammarId {
             GrammarId::Json => g::json::parse_legacy(input),
             GrammarId::Java => g::java::parse_legacy(input),
             GrammarId::C => g::c::parse_legacy(input),
-        }
-    }
-
-    /// Runs the build-time generated parser with telemetry hooks
-    /// reporting to `telem` — the entry point the memo-telemetry
-    /// agreement check compares against the interpreter.
-    pub fn codegen_parse_with_telemetry(
-        self,
-        input: &str,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseError>, Stats) {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::parse_with_telemetry(input, telem),
-            GrammarId::Json => g::json::parse_with_telemetry(input, telem),
-            GrammarId::Java => g::java::parse_with_telemetry(input, telem),
-            GrammarId::C => g::c::parse_with_telemetry(input, telem),
-        }
-    }
-
-    /// Runs the build-time generated parser under `gov`'s resource limits
-    /// — the entry point the fault-injection harness ([`fault`]) aborts
-    /// at deterministic fuel points.
-    pub fn codegen_parse_governed(
-        self,
-        input: &str,
-        gov: &Governor,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::parse_governed(input, gov),
-            GrammarId::Json => g::json::parse_governed(input, gov),
-            GrammarId::Java => g::java::parse_governed(input, gov),
-            GrammarId::C => g::c::parse_governed(input, gov),
-        }
-    }
-
-    /// The generated parser's baked-in recovery policy (the `RESTART` /
-    /// `CONSUME` byte constants emitted at build time) — must be
-    /// byte-identical to the interpreter's and the VM's for the same
-    /// grammar.
-    pub fn codegen_recover_policy(self) -> RecoverPolicy {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::recover_policy(),
-            GrammarId::Json => g::json::recover_policy(),
-            GrammarId::Java => g::java::recover_policy(),
-            GrammarId::C => g::c::recover_policy(),
-        }
-    }
-
-    /// Runs the build-time generated parser's resilient entry point:
-    /// panic-mode recovery, partial tree plus diagnostics, never a
-    /// failure on malformed input.
-    pub fn codegen_parse_resilient(
-        self,
-        input: &str,
-        policy: &RecoverPolicy,
-    ) -> Recovered<SyntaxTree> {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::parse_resilient(input, policy),
-            GrammarId::Json => g::json::parse_resilient(input, policy),
-            GrammarId::Java => g::java::parse_resilient(input, policy),
-            GrammarId::C => g::c::parse_resilient(input, policy),
-        }
-    }
-
-    /// Runs the generated parser's resilient parse in SAX event mode
-    /// (skipped regions become `ErrorStart`/`ErrorEnd` brackets),
-    /// returning the diagnostics report.
-    pub fn codegen_parse_resilient_events(
-        self,
-        input: &str,
-        policy: &RecoverPolicy,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> recover::Diagnostics {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::parse_resilient_events(input, policy, sink),
-            GrammarId::Json => g::json::parse_resilient_events(input, policy, sink),
-            GrammarId::Java => g::java::parse_resilient_events(input, policy, sink),
-            GrammarId::C => g::c::parse_resilient_events(input, policy, sink),
-        }
-    }
-
-    /// Runs the generated parser's resilient parse under `gov`'s
-    /// resource limits — the never-die guarantee holds up to the
-    /// governor's budget, beyond which the run aborts structurally.
-    pub fn codegen_parse_resilient_governed(
-        self,
-        input: &str,
-        policy: &RecoverPolicy,
-        gov: &Governor,
-    ) -> (Result<Recovered<SyntaxTree>, ParseAbort>, Stats) {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::parse_resilient_governed(input, policy, gov),
-            GrammarId::Json => g::json::parse_resilient_governed(input, policy, gov),
-            GrammarId::Java => g::java::parse_resilient_governed(input, policy, gov),
-            GrammarId::C => g::c::parse_resilient_governed(input, policy, gov),
         }
     }
 
@@ -690,36 +571,28 @@ pub fn assert_memo_telemetry_agrees(grammar: &str, input: &str) {
     const CAP: usize = 1 << 22;
     let memo_mask = mask::MEMO_HITS | mask::MEMO_TRAFFIC;
 
-    let interp = Telemetry::collector(CAP).with_mask(memo_mask);
-    let _ = compiled.parse_with_telemetry(input, &interp);
-    let generated = Telemetry::collector(CAP).with_mask(memo_mask);
-    let _ = id.codegen_parse_with_telemetry(input, &generated);
-    let machine = Telemetry::collector(CAP).with_mask(memo_mask);
-    let _ = vm.parse_with_telemetry(input, &machine);
-
-    let a = MetricsRegistry::from_report(&interp.take_report());
-    let b = MetricsRegistry::from_report(&generated.take_report());
-    let c = MetricsRegistry::from_report(&machine.take_report());
-    assert_eq!(a.totals.dropped, 0, "interp collector overflowed");
-    assert_eq!(b.totals.dropped, 0, "codegen collector overflowed");
-    assert_eq!(c.totals.dropped, 0, "vm collector overflowed");
-
-    let rates = |r: &MetricsRegistry| -> Vec<(String, u64, u64)> {
-        r.prods
+    let rates = |engine: &dyn Engine| -> Vec<(String, u64, u64)> {
+        let telem = Telemetry::collector(CAP).with_mask(memo_mask);
+        let _ = engine.run(input, ParseRequest::tree().with_telemetry(&telem));
+        let registry = MetricsRegistry::from_report(&telem.take_report());
+        let name = engine.name();
+        assert_eq!(registry.totals.dropped, 0, "{name} collector overflowed");
+        registry
+            .prods
             .iter()
             .filter(|p| p.memo_probes > 0)
             .map(|p| (p.name.clone(), p.memo_probes, p.memo_hits))
             .collect()
     };
-    let (ra, rb, rc) = (rates(&a), rates(&b), rates(&c));
-    assert_eq!(
-        ra, rb,
-        "per-production memo telemetry diverged between interp and codegen on {input:?}"
-    );
-    assert_eq!(
-        ra, rc,
-        "per-production memo telemetry diverged between interp and vm on {input:?}"
-    );
+    let want = rates(&compiled);
+    for engine in [id.codegen(), &vm] {
+        assert_eq!(
+            rates(engine),
+            want,
+            "per-production memo telemetry diverged between interp and {} on {input:?}",
+            engine.name()
+        );
+    }
 }
 
 /// Records `input` through the `modpeg profile --record` path — the
@@ -750,9 +623,9 @@ pub fn assert_profile_record_agrees(grammar: &str, input: &str) {
     let vm = modpeg_vm::VmProgram::compile(&g, cfg).expect("bytecode assembles");
     const CAP: usize = 1 << 22;
 
-    let record = |run: &dyn Fn(&Telemetry)| -> modpeg_telemetry::WorkloadProfile {
+    let record = |engine: &dyn Engine| -> modpeg_telemetry::WorkloadProfile {
         let telem = Telemetry::collector(CAP).with_mask(mask::ALL);
-        run(&telem);
+        let _ = engine.run(input, ParseRequest::tree().with_telemetry(&telem));
         let registry = MetricsRegistry::from_report(&telem.take_report());
         modpeg_telemetry::WorkloadProfile::from_registry(
             &registry,
@@ -762,12 +635,8 @@ pub fn assert_profile_record_agrees(grammar: &str, input: &str) {
             input.len() as u64,
         )
     };
-    let a = record(&|t| {
-        let _ = compiled.parse_with_telemetry(input, t);
-    });
-    let b = record(&|t| {
-        let _ = vm.parse_with_telemetry(input, t);
-    });
+    let a = record(&compiled);
+    let b = record(&vm);
     assert!(a.complete(), "interp collector overflowed");
     assert!(b.complete(), "vm collector overflowed");
 
@@ -808,7 +677,7 @@ pub fn assert_tuned_plan_agrees(grammar: &str, input: &str) {
     let recorder =
         CompiledGrammar::compile(&g, OptConfig::incremental()).expect("grammar compiles");
     let telem = Telemetry::collector(1 << 22).with_mask(mask::ALL);
-    let _ = recorder.parse_with_telemetry(input, &telem);
+    let _ = recorder.run(input, ParseRequest::tree().with_telemetry(&telem));
     let registry = MetricsRegistry::from_report(&telem.take_report());
     let profile = modpeg_telemetry::WorkloadProfile::from_registry(
         &registry,
@@ -828,23 +697,24 @@ pub fn assert_tuned_plan_agrees(grammar: &str, input: &str) {
 
     // Expected-set wording legitimately varies across configurations;
     // the invariants are the tree and the failure offset.
-    let verdict = |r: Result<SyntaxTree, ParseError>| r.map(|t| t.to_sexpr()).map_err(|e| e.offset());
-    let want = verdict(untuned.parse(input));
-    assert_eq!(
-        verdict(tuned.parse(input)),
-        want,
-        "{grammar}: tuned interp disagrees with untuned on {input:?}"
-    );
-    assert_eq!(
-        verdict(tuned_vm.parse(input)),
-        want,
-        "{grammar}: tuned vm disagrees with untuned on {input:?}"
-    );
-    assert_eq!(
-        verdict(id.codegen_parse(input)),
-        want,
-        "{grammar}: build-time generated parser disagrees with untuned on {input:?}"
-    );
+    let verdict = |engine: &dyn Engine| {
+        let (result, _) = engine.run(input, ParseRequest::tree());
+        result
+            .map(|p| p.into_tree().to_sexpr())
+            .map_err(|f| f.syntax().map(ParseError::offset))
+    };
+    let want = verdict(&untuned);
+    for (label, engine) in [
+        ("tuned interp", &tuned as &dyn Engine),
+        ("tuned vm", &tuned_vm),
+        ("build-time generated parser", id.codegen()),
+    ] {
+        assert_eq!(
+            verdict(engine),
+            want,
+            "{grammar}: {label} disagrees with untuned on {input:?}"
+        );
+    }
 }
 
 /// Renders a ready-to-paste regression test for a minimized divergence.

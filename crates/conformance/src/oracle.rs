@@ -17,7 +17,7 @@
 //!
 //! Separately, [`Oracle::check_edits`] replays a random edit script
 //! through the incremental machinery: a [`ParseSession`] and a raw
-//! [`ChunkMemo`] driven through `apply_edit` + `parse_incremental`,
+//! [`ChunkMemo`] driven through `apply_edit` + `run_incremental`,
 //! asserting (a) incremental reparses agree with from-scratch parses on
 //! verdict and tree, and (b) the memo-table invariant — no column whose
 //! recorded lookahead overlaps the damaged window survives `apply_edit`.
@@ -36,8 +36,8 @@ use modpeg_baseline::BacktrackParser;
 use modpeg_core::{Expr, Grammar};
 use modpeg_interp::{CompiledGrammar, OptConfig, OPT_COUNT};
 use modpeg_runtime::{
-    recover, scan, ChunkMemo, Governor, ParseAbort, ParseError, ParseFault, Recovered, Span,
-    Stats, SyntaxTree, TreeBuilder, Value,
+    recover, scan, ChunkMemo, Engine, Governor, ParseAbort, ParseFault, ParseRequest, Parsed,
+    Recovered, Span, Stats, SyntaxTree, TreeBuilder, Value,
 };
 use modpeg_session::ParseSession;
 use modpeg_vm::VmProgram;
@@ -232,15 +232,17 @@ struct Outcome {
 }
 
 impl Outcome {
-    fn of(result: Result<SyntaxTree, ParseError>) -> Self {
+    /// A tree, or a rejection at the syntax error's offset (an abort
+    /// rejects with no offset).
+    fn of(result: Result<SyntaxTree, impl Into<ParseFault>>) -> Self {
         match result {
             Ok(tree) => Outcome {
                 sexpr: Some(tree.to_sexpr()),
                 err_offset: None,
             },
-            Err(e) => Outcome {
+            Err(fault) => Outcome {
                 sexpr: None,
-                err_offset: Some(e.offset()),
+                err_offset: fault.into().syntax().map(|e| e.offset()),
             },
         }
     }
@@ -271,29 +273,17 @@ struct ScanFingerprint {
     steps: u64,
 }
 
-/// A governed run of one engine: hand it a governor, get the verdict
-/// and the statistics record back.
-type GovernedRun<'a> = dyn Fn(&Governor) -> (Result<SyntaxTree, ParseFault>, Stats) + 'a;
-
-/// Runs one engine under a fresh unlimited governor and fingerprints it.
+/// Runs `engine` under a fresh unlimited governor and fingerprints it.
 /// An abort under an unlimited governor is itself a contract violation,
 /// surfaced as `Err`.
-fn scan_fingerprint(run: &GovernedRun<'_>) -> Result<ScanFingerprint, ParseAbort> {
+fn scan_fingerprint(engine: &dyn Engine, input: &str) -> Result<ScanFingerprint, ParseAbort> {
     let gov = Governor::new();
-    let (result, stats) = run(&gov);
-    let outcome = match result {
-        Ok(tree) => Outcome {
-            sexpr: Some(tree.to_sexpr()),
-            err_offset: None,
-        },
-        Err(ParseFault::Syntax(e)) => Outcome {
-            sexpr: None,
-            err_offset: Some(e.offset()),
-        },
-        Err(ParseFault::Abort(kind)) => return Err(kind),
-    };
+    let (result, stats) = engine.run(input, ParseRequest::tree().governed(&gov));
+    if let Some(kind) = result.as_ref().err().and_then(ParseFault::abort) {
+        return Err(kind);
+    }
     Ok(ScanFingerprint {
-        outcome,
+        outcome: Outcome::of(result.map(Parsed::into_tree)),
         stats,
         steps: gov.steps(),
     })
@@ -329,26 +319,26 @@ fn span_nesting_violation(v: &Value, bound: Option<Span>) -> Option<String> {
 /// function at all proves the run neither panicked nor hung.
 fn starved_recovery_violation(
     label: &str,
-    r: Result<Recovered<SyntaxTree>, ParseAbort>,
+    r: Result<Parsed, ParseFault>,
     ref_sexpr: &str,
     ref_diags: &recover::Diagnostics,
 ) -> Option<String> {
     match r {
         Ok(rec) => {
-            let got = rec.tree.to_sexpr();
-            if got != ref_sexpr || rec.diagnostics != *ref_diags {
+            let got = rec.tree.as_ref().map(SyntaxTree::to_sexpr);
+            if got.as_deref() != Some(ref_sexpr) || rec.diagnostics != *ref_diags {
                 Some(format!(
                     "engine `{label}` starved resilient parse completed but diverged: {}",
-                    clip(&got)
+                    got.as_deref().map_or_else(String::new, clip)
                 ))
             } else {
                 None
             }
         }
-        Err(ParseAbort::FuelExhausted) => None,
-        Err(kind) => Some(format!(
-            "engine `{label}` starved resilient parse aborted with {kind:?} instead of \
-             FuelExhausted"
+        Err(ParseFault::Abort(ParseAbort::FuelExhausted)) => None,
+        Err(fault) => Some(format!(
+            "engine `{label}` starved resilient parse failed with `{fault}` instead of \
+             aborting with FuelExhausted"
         )),
     }
 }
@@ -487,6 +477,20 @@ impl<'g> Oracle<'g> {
         self.grammar
     }
 
+    /// The compiled engines at full optimization — the interpreter, then
+    /// the bytecode machine and the generated parser when enabled — that
+    /// every per-engine leg iterates.
+    fn compiled(&self) -> Vec<&dyn Engine> {
+        let mut engines: Vec<&dyn Engine> = vec![&self.full];
+        if let Some(vm) = &self.vm {
+            engines.push(vm);
+        }
+        if let Some(id) = self.id.filter(|_| self.engines.codegen) {
+            engines.push(id.codegen());
+        }
+        engines
+    }
+
     /// Runs every scratch-parse engine on `input` and compares outcomes.
     /// Returns a human-readable description of the first divergence, or
     /// `None` when all engines agree.
@@ -524,23 +528,13 @@ impl<'g> Oracle<'g> {
                 _ => {}
             }
         }
-        if self.engines.codegen {
-            if let Some(result) = self.id.map(|id| id.codegen_parse(input)) {
-                let got = Outcome::of(result);
-                if got != reference {
-                    return Some(format!(
-                        "engine `codegen` disagrees with `cumulative(0)`: {} vs {}",
-                        got.describe(),
-                        reference.describe()
-                    ));
-                }
-            }
-        }
-        if let Some(vm) = &self.vm {
-            let got = Outcome::of(vm.parse(input));
+        for engine in &self.compiled()[1..] {
+            let (result, _) = engine.run(input, ParseRequest::tree());
+            let got = Outcome::of(result.map(Parsed::into_tree));
             if got != reference {
                 return Some(format!(
-                    "engine `vm` disagrees with `cumulative(0)`: {} vs {}",
+                    "engine `{}` disagrees with `cumulative(0)`: {} vs {}",
+                    engine.name(),
                     got.describe(),
                     reference.describe()
                 ));
@@ -585,25 +579,9 @@ impl<'g> Oracle<'g> {
         // Event legs: every engine's SAX stream, rebuilt by a
         // TreeBuilder, must reproduce the reference tree (and reject at
         // the reference offset on failures).
-        if let Some(d) = self.check_event_leg(input, &reference, "opt-levels", |sink| {
-            self.full.parse_events(input, sink)
-        }) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm {
-            if let Some(d) = self.check_event_leg(input, &reference, "vm", |sink| {
-                vm.parse_events(input, sink)
-            }) {
+        for engine in self.compiled() {
+            if let Some(d) = self.check_event_leg(input, &reference, engine) {
                 return Some(d);
-            }
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                if let Some(d) = self.check_event_leg(input, &reference, "codegen", |sink| {
-                    id.codegen_parse_events(input, sink)
-                }) {
-                    return Some(d);
-                }
             }
         }
 
@@ -633,39 +611,21 @@ impl<'g> Oracle<'g> {
     /// which scanner ran.
     pub fn check_scan_parity(&self, input: &str) -> Option<String> {
         self.scan_checks.set(self.scan_checks.get() + 1);
-        let mut legs: Vec<(&'static str, Box<GovernedRun<'_>>)> = vec![(
-            "opt-levels",
-            Box::new(|gov: &Governor| self.full.parse_governed(input, gov)),
-        )];
-        if let Some(vm) = &self.vm {
-            legs.push((
-                "vm",
-                Box::new(move |gov: &Governor| vm.parse_governed(input, gov)),
-            ));
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                legs.push((
-                    "codegen",
-                    Box::new(move |gov: &Governor| id.codegen_parse_governed(input, gov)),
-                ));
-            }
-        }
-
         let prior = scan::scalar_forced();
         let mut verdict = None;
-        'engines: for (label, run) in &legs {
+        for engine in self.compiled() {
+            let label = engine.name();
             scan::force_scalar(false);
-            let vectorized = scan_fingerprint(run.as_ref());
+            let vectorized = scan_fingerprint(engine, input);
             scan::force_scalar(true);
-            let scalar = scan_fingerprint(run.as_ref());
+            let scalar = scan_fingerprint(engine, input);
             match (vectorized, scalar) {
                 (Err(kind), _) | (_, Err(kind)) => {
                     verdict = Some(format!(
                         "engine `{label}` aborted with {kind:?} under an unlimited governor \
                          during the scan-parity leg"
                     ));
-                    break 'engines;
+                    break;
                 }
                 (Ok(v), Ok(s)) if v != s => {
                     verdict = Some(format!(
@@ -678,7 +638,7 @@ impl<'g> Oracle<'g> {
                         s.stats.terminal_comparisons,
                         s.steps,
                     ));
-                    break 'engines;
+                    break;
                 }
                 _ => {}
             }
@@ -790,32 +750,26 @@ impl<'g> Oracle<'g> {
         if let Some(d) = compare("opt-levels (arena disabled)", &got) {
             return Some(d);
         }
-        if let Some(vm) = &self.vm {
-            if vm.recover_policy() != policy {
-                return Some(
-                    "engine `vm` computed a different recovery policy than the interpreter"
-                        .to_owned(),
-                );
-            }
-            if let Some(d) = compare("vm", &vm.parse_resilient(input, &policy)) {
-                return Some(d);
-            }
-        }
         if let Some(vm) = &self.vm_legacy {
             if let Some(d) = compare("vm (arena disabled)", &vm.parse_resilient(input, &policy)) {
                 return Some(d);
             }
         }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                if id.codegen_recover_policy() != policy {
-                    return Some(
-                        "engine `codegen` baked a different recovery policy than the interpreter"
-                            .to_owned(),
-                    );
+        for engine in &self.compiled()[1..] {
+            let label = engine.name();
+            if engine.recover_policy() != policy {
+                return Some(format!(
+                    "engine `{label}` computed a different recovery policy than the interpreter"
+                ));
+            }
+            match engine.run(input, ParseRequest::resilient(&policy)).0 {
+                Ok(got) => {
+                    if let Some(d) = compare(label, &got.into_recovered()) {
+                        return Some(d);
+                    }
                 }
-                if let Some(d) = compare("codegen", &id.codegen_parse_resilient(input, &policy)) {
-                    return Some(d);
+                Err(fault) => {
+                    return Some(format!("engine `{label}` resilient parse failed: {fault}"))
                 }
             }
         }
@@ -823,27 +777,11 @@ impl<'g> Oracle<'g> {
         // Event legs: each engine's resilient event stream must rebuild
         // the recovered tree ($error nodes round-trip through
         // ErrorStart/ErrorEnd) and report identical diagnostics.
-        if let Some(d) = self.check_recovery_event_leg(input, &ref_sexpr, ref_diags, "opt-levels", |sink| {
-            self.full.parse_resilient_events(input, &policy, sink)
-        }) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm {
-            if let Some(d) = self.check_recovery_event_leg(input, &ref_sexpr, ref_diags, "vm", |sink| {
-                vm.parse_resilient_events(input, &policy, sink)
-            }) {
+        for engine in self.compiled() {
+            if let Some(d) =
+                self.check_recovery_event_leg(input, &policy, &ref_sexpr, ref_diags, engine)
+            {
                 return Some(d);
-            }
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                if let Some(d) =
-                    self.check_recovery_event_leg(input, &ref_sexpr, ref_diags, "codegen", |sink| {
-                        id.codegen_parse_resilient_events(input, &policy, sink)
-                    })
-                {
-                    return Some(d);
-                }
             }
         }
 
@@ -869,38 +807,26 @@ impl<'g> Oracle<'g> {
         // starvation fuel aborts with a structured kind. Either way the
         // run returns — no panic, no hang.
         let gov = Governor::new();
-        let (r, _) = self.full.parse_resilient_governed(input, &policy, &gov);
+        let (r, _) = self
+            .full
+            .run(input, ParseRequest::resilient(&policy).governed(&gov));
         match r {
-            Ok(rec) => {
-                if let Some(d) = compare("opt-levels (governed)", &rec) {
+            Ok(got) => {
+                if let Some(d) = compare("opt-levels (governed)", &got.into_recovered()) {
                     return Some(d);
                 }
             }
-            Err(kind) => {
+            Err(fault) => {
                 return Some(format!(
-                    "recovery: unlimited governed resilient parse aborted with {kind:?}"
+                    "recovery: unlimited governed resilient parse failed: {fault}"
                 ));
             }
         }
-        let starve = Governor::new().with_fuel(4);
-        let (r, _) = self.full.parse_resilient_governed(input, &policy, &starve);
-        if let Some(d) = starved_recovery_violation("opt-levels", r, &ref_sexpr, ref_diags) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm {
+        for engine in self.compiled() {
             let starve = Governor::new().with_fuel(4);
-            let (r, _) = vm.parse_resilient_governed(input, &policy, &starve);
-            if let Some(d) = starved_recovery_violation("vm", r, &ref_sexpr, ref_diags) {
+            let (r, _) = engine.run(input, ParseRequest::resilient(&policy).governed(&starve));
+            if let Some(d) = starved_recovery_violation(engine.name(), r, &ref_sexpr, ref_diags) {
                 return Some(d);
-            }
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                let starve = Governor::new().with_fuel(4);
-                let (r, _) = id.codegen_parse_resilient_governed(input, &policy, &starve);
-                if let Some(d) = starved_recovery_violation("codegen", r, &ref_sexpr, ref_diags) {
-                    return Some(d);
-                }
             }
         }
         None
@@ -912,13 +838,22 @@ impl<'g> Oracle<'g> {
     fn check_recovery_event_leg(
         &self,
         input: &str,
+        policy: &recover::RecoverPolicy,
         ref_sexpr: &str,
         ref_diags: &recover::Diagnostics,
-        label: &str,
-        parse: impl FnOnce(&mut dyn modpeg_runtime::EventSink) -> recover::Diagnostics,
+        engine: &dyn Engine,
     ) -> Option<String> {
+        let label = engine.name();
         let mut builder = TreeBuilder::new();
-        let diags = parse(&mut builder);
+        let (result, _) = engine.run(input, ParseRequest::resilient_events(policy, &mut builder));
+        let diags = match result {
+            Ok(parsed) => parsed.diagnostics,
+            Err(fault) => {
+                return Some(format!(
+                    "engine `{label}` (resilient events) failed: {fault}"
+                ))
+            }
+        };
         if diags != *ref_diags {
             return Some(format!(
                 "engine `{label}` (resilient events) diagnostics {diags:?} differ from the \
@@ -940,20 +875,20 @@ impl<'g> Oracle<'g> {
         None
     }
 
-    /// One event-mode leg: run `parse` into a [`TreeBuilder`], then
+    /// One event-mode leg: run `engine` into a [`TreeBuilder`], then
     /// demand the rebuilt tree (or the failure offset) matches the
     /// reference outcome.
     fn check_event_leg(
         &self,
         input: &str,
         reference: &Outcome,
-        label: &str,
-        parse: impl FnOnce(&mut dyn modpeg_runtime::EventSink) -> Result<(), ParseError>,
+        engine: &dyn Engine,
     ) -> Option<String> {
         self.event_checks.set(self.event_checks.get() + 1);
+        let label = engine.name();
         let mut builder = TreeBuilder::new();
-        match parse(&mut builder) {
-            Ok(()) => {
+        match engine.run(input, ParseRequest::events(&mut builder)).0 {
+            Ok(_) => {
                 if !reference.accepted() {
                     return Some(format!(
                         "engine `{label}` (events) accepts but `cumulative(0)` {}",
@@ -972,16 +907,15 @@ impl<'g> Oracle<'g> {
                 }
                 None
             }
-            Err(e) => {
+            Err(fault) => {
+                let offset = fault.syntax().map(|e| e.offset());
                 if reference.accepted() {
                     Some(format!(
-                        "engine `{label}` (events) rejects at {} but `cumulative(0)` accepts",
-                        e.offset()
+                        "engine `{label}` (events) rejects ({fault}) but `cumulative(0)` accepts"
                     ))
-                } else if Some(e.offset()) != reference.err_offset {
+                } else if offset != reference.err_offset {
                     Some(format!(
-                        "engine `{label}` (events) farthest failure {} vs `cumulative(0)` {:?}",
-                        e.offset(),
+                        "engine `{label}` (events) farthest failure {offset:?} vs `cumulative(0)` {:?}",
                         reference.err_offset
                     ))
                 } else {
@@ -1031,8 +965,9 @@ impl<'g> Oracle<'g> {
             return None;
         }
         let mut doc = text.to_owned();
-        let memo = ChunkMemo::new(self.incremental.memo_slot_count(), doc.len() as u32);
-        let (_, _, mut memo) = self.incremental.parse_incremental(&doc, memo);
+        let mut memo = ChunkMemo::new(self.incremental.memo_slot_count(), doc.len() as u32);
+        let parser = &self.incremental;
+        let _ = parser.run_incremental(&doc, ParseRequest::tree(), &mut memo);
         for step in 0..self.edits_per_script {
             let (range, insert) = random_edit(&doc, &self.alphabet, &mut rng);
             let (lo, removed, inserted) = (
@@ -1047,9 +982,8 @@ impl<'g> Oracle<'g> {
                     "after edit {step} ({range:?} -> {insert:?}) on {doc:?}: {violation}"
                 ));
             }
-            let (result, _, back) = self.incremental.parse_incremental(&doc, memo);
-            memo = back;
-            let incremental = Outcome::of(result);
+            let (result, _) = parser.run_incremental(&doc, ParseRequest::tree(), &mut memo);
+            let incremental = Outcome::of(result.map(Parsed::into_tree));
             let scratch = Outcome::of(self.incremental.parse(&doc));
             if incremental.accepted() != scratch.accepted()
                 || incremental.sexpr != scratch.sexpr

@@ -20,7 +20,7 @@
 //! ```
 
 use modpeg_conformance::GrammarId;
-use modpeg_runtime::{SyntaxTree, TreeBuilder};
+use modpeg_runtime::{ParseRequest, SyntaxTree, TreeBuilder};
 
 /// A parsed golden snapshot: atoms are leaf texts / node kinds, lists are
 /// `(Kind child…)` applications.
@@ -163,8 +163,11 @@ fn check_golden(id: GrammarId, input: &str, golden_file: &str) {
         .join("tests/golden")
         .join(golden_file);
     let generated = id
-        .codegen_parse(input)
+        .codegen()
+        .run(input, ParseRequest::tree())
+        .0
         .unwrap_or_else(|e| panic!("{} sample must parse: {e}", id.name()))
+        .into_tree()
         .to_sexpr();
 
     // The interpreter at full optimization must build the same tree,

@@ -15,7 +15,9 @@
 
 use modpeg_core::Diagnostics;
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{scan, Governor, ParseAbort, ParseFault, Stats, SyntaxTree};
+use modpeg_runtime::{
+    scan, Engine, Governor, ParseAbort, ParseFault, ParseRequest, Stats, SyntaxTree,
+};
 use modpeg_vm::VmProgram;
 
 fn compile(src: &str, root: &str) -> CompiledGrammar {
@@ -93,19 +95,16 @@ fn negated_classes_scan_non_ascii_identically() {
     }
 }
 
-/// A governed run of one engine: governor in, verdict and stats out.
-type GovernedParse<'a> = dyn Fn(&Governor) -> (Result<SyntaxTree, ParseFault>, Stats) + 'a;
-
-/// One governed run, fingerprinted: verdict description, full stats,
-/// and governor step total.
-fn governed(run: &GovernedParse<'_>, fuel: Option<u64>) -> (String, Stats, u64) {
+/// One governed tree-mode run, fingerprinted: verdict description, full
+/// stats, and governor step total.
+fn governed(engine: &dyn Engine, doc: &str, fuel: Option<u64>) -> (String, Stats, u64) {
     let gov = match fuel {
         Some(f) => Governor::new().with_fuel(f),
         None => Governor::new(),
     };
-    let (r, stats) = run(&gov);
+    let (r, stats) = engine.run(doc, ParseRequest::tree().governed(&gov));
     let verdict = match r {
-        Ok(t) => format!("accept: {}", t.to_sexpr()),
+        Ok(p) => format!("accept: {}", p.into_tree().to_sexpr()),
         Err(ParseFault::Syntax(e)) => format!("reject at {}", e.offset()),
         Err(ParseFault::Abort(kind)) => format!("abort: {kind:?}"),
     };
@@ -122,25 +121,22 @@ fn every_fuel_point_inside_a_bulk_run_aborts_at_the_scalar_boundary() {
     let vm = VmProgram::from_compiled(&p).unwrap();
     let doc = "abc\u{e9}\u{e9}def\u{800}ghi\u{1f600}\u{4e2d}jklmnop".repeat(3);
 
-    let engines: Vec<(&str, Box<GovernedParse<'_>>)> = vec![
-        ("interp", Box::new(|gov: &Governor| p.parse_governed(&doc, gov))),
-        ("vm", Box::new(|gov: &Governor| vm.parse_governed(&doc, gov))),
-    ];
-
     let prior = scan::scalar_forced();
-    for (name, run) in &engines {
+    for engine in [&p as &dyn Engine, &vm] {
+        let name = engine.name();
         scan::force_scalar(false);
-        let probe = Governor::new();
-        let (r, _) = run(&probe);
-        assert!(r.is_ok(), "{name}: workload document rejected");
-        let total = probe.steps();
+        let (verdict, _, total) = governed(engine, &doc, None);
+        assert!(
+            verdict.starts_with("accept"),
+            "{name}: workload document rejected"
+        );
         assert!(total > 8, "{name}: document too cheap to be interesting");
 
         for fuel in 0..=total {
             scan::force_scalar(false);
-            let v = governed(run.as_ref(), Some(fuel));
+            let v = governed(engine, &doc, Some(fuel));
             scan::force_scalar(true);
-            let s = governed(run.as_ref(), Some(fuel));
+            let s = governed(engine, &doc, Some(fuel));
             assert_eq!(v, s, "{name}: modes diverged at fuel {fuel}/{total}");
             if fuel < total {
                 assert_eq!(

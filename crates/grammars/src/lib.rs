@@ -52,7 +52,9 @@ pub mod sources {
 
 /// Parsers generated at build time by `modpeg-codegen`.
 ///
-/// Each submodule exposes `parse` / `parse_with_stats` / `Parser`.
+/// Each submodule exposes `run` (answering any `ParseRequest`), the
+/// `parse*` shorthands, `Generated` (the module as a `modpeg_runtime::Engine`)
+/// and `Parser`.
 pub mod generated {
     /// Generated parser for the calculator grammar.
     #[allow(clippy::all, unused_mut, unused_variables, dead_code, missing_docs)]
@@ -869,20 +871,33 @@ class Repo {
         assert!(!err.expected().is_empty());
     }
 
+    /// A tree-mode run of a generated parser's `run` under `gov`.
+    fn governed(
+        run: fn(&str, modpeg_runtime::ParseRequest<'_>) -> modpeg_runtime::Outcome,
+        text: &str,
+        gov: &modpeg_runtime::Governor,
+    ) -> (
+        Result<modpeg_runtime::SyntaxTree, modpeg_runtime::ParseFault>,
+        modpeg_runtime::Stats,
+    ) {
+        let (r, stats) = run(text, modpeg_runtime::ParseRequest::tree().governed(gov));
+        (r.map(modpeg_runtime::Parsed::into_tree), stats)
+    }
+
     #[test]
     fn generated_governed_matches_ungoverned_without_limits() {
         use modpeg_runtime::Governor;
         let gov = Governor::new();
-        let (r, stats) = generated::java::parse_governed(JAVA_SAMPLE, &gov);
-        let governed = r.unwrap_or_else(|e| panic!("{e}")).to_sexpr();
-        assert_eq!(governed, generated::java::parse(JAVA_SAMPLE).unwrap().to_sexpr());
+        let (r, stats) = governed(generated::java::run, JAVA_SAMPLE, &gov);
+        let tree = r.unwrap_or_else(|e| panic!("{e}")).to_sexpr();
+        assert_eq!(tree, generated::java::parse(JAVA_SAMPLE).unwrap().to_sexpr());
         assert!(stats.productions_evaluated > 0);
         assert!(gov.tripped().is_none());
         assert!(gov.steps() > 0, "limitless governor still counts steps");
         // Syntax errors surface identically, as ParseFault::Syntax.
         let bad = "class A { int f( { return 0; } }";
         let gov = Governor::new();
-        let fault = generated::java::parse_governed(bad, &gov).0.unwrap_err();
+        let fault = governed(generated::java::run, bad, &gov).0.unwrap_err();
         let err = fault.syntax().expect("syntax fault, not abort");
         assert_eq!(err.offset(), generated::java::parse(bad).unwrap_err().offset());
     }
@@ -891,7 +906,7 @@ class Repo {
     fn generated_fuel_abort_is_deterministic_then_retry_succeeds() {
         use modpeg_runtime::{Governor, ParseAbort};
         let probe = Governor::new();
-        let reference = generated::c::parse_governed(C_SAMPLE, &probe)
+        let reference = governed(generated::c::run, C_SAMPLE, &probe)
             .0
             .unwrap()
             .to_sexpr();
@@ -899,13 +914,13 @@ class Repo {
         assert!(total > 8, "probe counted {total} steps");
         for fuel in [0, 1, total / 2, total - 1] {
             let gov = Governor::new().with_fuel(fuel);
-            let fault = generated::c::parse_governed(C_SAMPLE, &gov).0.unwrap_err();
+            let fault = governed(generated::c::run, C_SAMPLE, &gov).0.unwrap_err();
             assert_eq!(fault.abort(), Some(ParseAbort::FuelExhausted), "fuel={fuel}");
             assert_eq!(gov.tripped(), Some(ParseAbort::FuelExhausted));
         }
         // Exactly enough fuel completes with an identical tree.
         let gov = Governor::new().with_fuel(total);
-        let tree = generated::c::parse_governed(C_SAMPLE, &gov).0.unwrap();
+        let tree = governed(generated::c::run, C_SAMPLE, &gov).0.unwrap();
         assert_eq!(tree.to_sexpr(), reference);
         assert!(gov.tripped().is_none());
     }
@@ -916,33 +931,35 @@ class Repo {
         // Nesting far past any stack: must abort, not crash.
         let deep = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
         let gov = Governor::new();
-        let fault = generated::calc::parse_governed(&deep, &gov).0.unwrap_err();
+        let fault = governed(generated::calc::run, &deep, &gov).0.unwrap_err();
         assert_eq!(fault.abort(), Some(ParseAbort::DepthExceeded));
         // A tight explicit ceiling rejects modest nesting a roomy one accepts.
         let modest = format!("{}1{}", "(".repeat(50), ")".repeat(50));
         let gov = Governor::new().with_max_depth(40);
-        let fault = generated::calc::parse_governed(&modest, &gov).0.unwrap_err();
+        let fault = governed(generated::calc::run, &modest, &gov).0.unwrap_err();
         assert_eq!(fault.abort(), Some(ParseAbort::DepthExceeded));
         let gov = Governor::new().with_max_depth(5_000);
-        assert!(generated::calc::parse_governed(&modest, &gov).0.is_ok());
+        assert!(governed(generated::calc::run, &modest, &gov).0.is_ok());
     }
 
     #[test]
     fn generated_memo_budget_degrades_gracefully_before_aborting() {
         use modpeg_runtime::{Governor, ParseAbort};
         let program = modpeg_workload::java_program(7, 8_000);
-        let (r, full) = generated::java::parse_governed(&program, &Governor::new());
+        let (r, full) = governed(generated::java::run, &program, &Governor::new());
         let reference = r.unwrap().to_sexpr();
         // A quarter of the retained bytes: evictions (and possibly the
         // transient fallback) kick in, yet the tree is unchanged.
         let gov = Governor::new().with_memo_budget(full.memo_bytes / 4);
-        let (r, stats) = generated::java::parse_governed(&program, &gov);
+        let (r, stats) = governed(generated::java::run, &program, &gov);
         assert_eq!(r.unwrap().to_sexpr(), reference);
         assert!(stats.gov_evictions > 0, "{stats}");
         assert!(stats.memo_bytes <= full.memo_bytes / 4, "{stats}");
         // A budget below even the empty table's floor aborts.
         let gov = Governor::new().with_memo_budget(16);
-        let fault = generated::java::parse_governed(&program, &gov).0.unwrap_err();
+        let fault = governed(generated::java::run, &program, &gov)
+            .0
+            .unwrap_err();
         assert_eq!(fault.abort(), Some(ParseAbort::MemoBudget));
     }
 }

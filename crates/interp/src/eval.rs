@@ -6,9 +6,9 @@
 
 use modpeg_core::{ProdId, ProdKind};
 use modpeg_runtime::{
-    recover, ChunkMemo, Diagnostics, Fail, Failures, Governor, HashMemo, Input, MemoAnswer,
-    MemoTable, NodeKind, Out, ParseAbort, ParseError, ParseFault, RecoverPolicy, Recovered,
-    ScopedState, Span, Stats, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
+    engine, ChunkMemo, Engine, EventSink, Fail, Failures, Governor, HashMemo, Input, MemoAnswer,
+    MemoTable, NodeKind, Out, Outcome, ParseAbort, ParseError, ParseRequest, ParseRun,
+    RecoverPolicy, Recovered, ScopedState, Span, Stats, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
 };
 use modpeg_telemetry::{Telemetry, REP_HELPER};
 
@@ -101,19 +101,28 @@ struct Run<'g, 'i> {
 }
 
 impl<'g, 'i> Run<'g, 'i> {
-    fn new(g: &'g CompiledGrammar, text: &'i str) -> Self {
+    /// Opens a run over `text` on `memo` (a fresh table of the configured
+    /// flavour when `None`), under `gov`'s limits and reporting to `telem`
+    /// when given.
+    fn new(
+        g: &'g CompiledGrammar,
+        text: &'i str,
+        memo: Option<ChunkMemo>,
+        gov: Option<&'g Governor>,
+        telem: Option<&Telemetry>,
+    ) -> Self {
         let input = Input::new(text);
-        let memo = if g.cfg.chunks {
-            Memo::Chunk(ChunkMemo::new(g.n_slots, input.len()))
-        } else {
-            Memo::Hash(HashMemo::new())
+        let memo = match memo {
+            Some(m) => Memo::Chunk(m),
+            None if g.cfg.chunks => Memo::Chunk(ChunkMemo::new(g.n_slots, input.len())),
+            None => Memo::Hash(HashMemo::new()),
         };
         let failures = if g.cfg.errors {
             Failures::new()
         } else {
             Failures::recording()
         };
-        Run {
+        let mut run = Run {
             g,
             input,
             memo,
@@ -131,7 +140,14 @@ impl<'g, 'i> Run<'g, 'i> {
             max_depth: u32::MAX,
             memo_budget: u64::MAX,
             memo_frozen: false,
+        };
+        if let Some(gov) = gov {
+            run.install_governor(gov);
         }
+        if let Some(telem) = telem {
+            run.install_telemetry(telem);
+        }
+        run
     }
 
     /// Puts the run under `gov`'s limits. Unset governor limits fall back
@@ -152,14 +168,6 @@ impl<'g, 'i> Run<'g, 'i> {
             telem.set_input_len(self.input.len());
             self.telem = telem.clone();
         }
-    }
-
-    /// End-of-run governor accounting: copies tick/refill totals into the
-    /// run's stats and records them as a telemetry event.
-    fn finish_governed(&mut self, gov: &Governor) {
-        self.stats.gov_ticks = gov.steps();
-        self.stats.gov_stride_refills = gov.stride_refills();
-        self.telem.gov_ticks(gov.steps(), gov.stride_refills());
     }
 
     fn note(&mut self, pos: u32, desc: &str) {
@@ -389,33 +397,6 @@ impl<'g, 'i> Run<'g, 'i> {
         match &self.memo {
             Memo::Chunk(m) => m.arena().children(r).to_vec(),
             Memo::Hash(_) => unreachable!("arena values exist only with a chunked memo"),
-        }
-    }
-
-    /// Streams `value` as SAX events straight from the run's region (or
-    /// by walking the legacy tree, for hash-memo runs) — no owned tree is
-    /// materialized.
-    fn emit(&self, value: &Value, sink: &mut dyn modpeg_runtime::EventSink) {
-        match &self.memo {
-            Memo::Chunk(m) => m.arena().emit_events(value, sink),
-            Memo::Hash(_) => modpeg_runtime::Arena::new().emit_events(value, sink),
-        }
-    }
-
-    /// Detaches `value` from the run's region before it escapes into a
-    /// [`SyntaxTree`]: region-backed trees are copied out (the returned
-    /// tree shares nothing with the memo table), legacy trees pass through
-    /// as cheap clones.
-    fn materialize(&self, value: Value) -> Value {
-        match &self.memo {
-            // No whole-arena invariant check here: on incremental runs the
-            // region carries orphaned nodes from earlier parses of a
-            // *different* document, whose spans are meaningless against the
-            // current input. `copy_out` itself asserts generation validity
-            // of every handle it follows; whole-arena checks live in the
-            // dedicated invariant suites where the input is known.
-            Memo::Chunk(m) => m.arena().copy_out(&value),
-            Memo::Hash(_) => value,
         }
     }
 
@@ -1154,40 +1135,10 @@ impl<'g, 'i> Run<'g, 'i> {
         self.examined = outer_examined.max(high);
         Ok((end, out))
     }
-
-    fn finish_stats(&mut self) {
-        self.stats.memo_bytes = self.memo.retained_bytes();
-        self.stats.failure_records = self.failures.recorded_len() as u64;
-        self.stats.failure_bytes = self.failures.retained_bytes() as u64;
-    }
 }
 
 fn seq_out(values: Vec<Value>) -> Out {
     Out::from_values(values)
-}
-
-/// Interprets a governed run's top-level result. The abort check comes
-/// first and overrides the nominal outcome: once a run aborts, the
-/// unwinding value is untrustworthy (a `!p` predicate on the unwind path
-/// converts the abort-induced failure into a success it never earned).
-fn governed_outcome(
-    run: &mut Run<'_, '_>,
-    text: &str,
-    result: Result<(u32, Value), Fail>,
-) -> Result<SyntaxTree, ParseFault> {
-    if let Some(kind) = run.aborted {
-        return Err(ParseFault::Abort(kind));
-    }
-    match result {
-        Ok((end, value)) if end == run.input.len() => {
-            Ok(SyntaxTree::new(text, run.materialize(value)))
-        }
-        Ok((end, _)) => {
-            run.note(end, "end of input");
-            Err(ParseFault::Syntax(run.failures.to_error(&run.input)))
-        }
-        Err(_) => Err(ParseFault::Syntax(run.failures.to_error(&run.input))),
-    }
 }
 
 /// The name a state operation works with: the operand's first textual
@@ -1232,6 +1183,105 @@ fn decode_helper(is_unit: bool, value: Value) -> Out {
     }
 }
 
+impl ParseRun for Run<'_, '_> {
+    fn eval_root(&mut self, pos: u32) -> Result<(u32, Value), Fail> {
+        self.eval_prod(self.g.root, pos)
+    }
+
+    fn aborted(&self) -> Option<ParseAbort> {
+        self.aborted
+    }
+
+    fn failures(&mut self) -> &mut Failures {
+        &mut self.failures
+    }
+
+    fn error(&self) -> ParseError {
+        self.failures.to_error(&self.input)
+    }
+
+    /// Detaches `value` from the run's region before it escapes into a
+    /// [`SyntaxTree`]: region-backed trees are copied out (the returned
+    /// tree shares nothing with the memo table), legacy trees pass through
+    /// as cheap clones.
+    fn materialize(&self, value: Value) -> Value {
+        match &self.memo {
+            // No whole-arena invariant check here: on incremental runs the
+            // region carries orphaned nodes from earlier parses of a
+            // *different* document, whose spans are meaningless against the
+            // current input. `copy_out` itself asserts generation validity
+            // of every handle it follows; whole-arena checks live in the
+            // dedicated invariant suites where the input is known.
+            Memo::Chunk(m) => m.arena().copy_out(&value),
+            Memo::Hash(_) => value,
+        }
+    }
+
+    /// Streams `value` as SAX events straight from the run's region (or
+    /// by walking the legacy tree, for hash-memo runs) — no owned tree is
+    /// materialized.
+    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
+        match &self.memo {
+            Memo::Chunk(m) => m.arena().emit_events(value, sink),
+            Memo::Hash(_) => modpeg_runtime::Arena::new().emit_events(value, sink),
+        }
+    }
+
+    fn finish_stats(&mut self) -> Stats {
+        self.stats.memo_bytes = self.memo.retained_bytes();
+        self.stats.failure_records = self.failures.recorded_len() as u64;
+        self.stats.failure_bytes = self.failures.retained_bytes() as u64;
+        if let Memo::Chunk(m) = &mut self.memo {
+            self.stats.memo_entries_shifted += m.take_entries_shifted();
+        }
+        std::mem::take(&mut self.stats)
+    }
+}
+
+impl Engine for CompiledGrammar {
+    /// Parses `text` as `req` asks. Governed runs can never overflow the
+    /// stack (a governor without an explicit depth limit gets
+    /// [`DEFAULT_MAX_DEPTH`]), spin past their deadline or fuel, or
+    /// outgrow their memo budget — over-budget runs first evict cold memo
+    /// columns, then fall back to transient-only parsing, and only abort
+    /// as a last resort.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use modpeg_core::{CharClass, Expr, GrammarBuilder, ProdKind};
+    /// use modpeg_interp::{CompiledGrammar, OptConfig};
+    /// use modpeg_runtime::{Engine, Governor, ParseAbort, ParseRequest};
+    ///
+    /// let mut b = GrammarBuilder::new("m");
+    /// b.production("Word", ProdKind::Text, vec![(None, Expr::Capture(Box::new(
+    ///     Expr::Plus(Box::new(Expr::Class(CharClass::from_ranges(
+    ///         vec![('a', 'z')], false)))))))]);
+    /// let grammar = b.build("Word")?;
+    /// let parser = CompiledGrammar::compile(&grammar, OptConfig::all())?;
+    ///
+    /// let generous = Governor::new().with_fuel(10_000);
+    /// assert!(parser.run("hello", ParseRequest::tree().governed(&generous)).0.is_ok());
+    ///
+    /// let starved = Governor::new().with_fuel(0);
+    /// let (result, _) = parser.run("hello", ParseRequest::tree().governed(&starved));
+    /// assert_eq!(result.unwrap_err().abort(), Some(ParseAbort::FuelExhausted));
+    /// # Ok::<(), modpeg_core::Diagnostics>(())
+    /// ```
+    fn run(&self, text: &str, req: ParseRequest<'_>) -> Outcome {
+        let (gov, telem) = (req.governor, req.telemetry);
+        engine::drive(text, req, || Run::new(self, text, None, gov, telem)).0
+    }
+
+    fn recover_policy(&self) -> RecoverPolicy {
+        CompiledGrammar::recover_policy(self)
+    }
+
+    fn name(&self) -> &'static str {
+        "interp"
+    }
+}
+
 impl CompiledGrammar {
     /// Parses `text`, requiring the root production to consume all of it.
     ///
@@ -1264,475 +1314,28 @@ impl CompiledGrammar {
     /// Like [`CompiledGrammar::parse`], also returning the run's [`Stats`]
     /// (memoization traffic, allocation accounting, backtracking counts).
     pub fn parse_with_stats(&self, text: &str) -> (Result<SyntaxTree, ParseError>, Stats) {
-        self.parse_with_telemetry(text, &Telemetry::disabled())
+        engine::tree_result(self.run(text, ParseRequest::tree()))
     }
 
-    /// Like [`CompiledGrammar::parse_with_stats`], with telemetry hooks
-    /// reporting to `telem` (production spans, memo traffic, backtracks).
-    /// A disabled handle reduces every hook to a single branch, so this
-    /// *is* `parse_with_stats` — the plain entry point delegates here.
-    pub fn parse_with_telemetry(
-        &self,
-        text: &str,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseError>, Stats) {
-        if text.len() > u32::MAX as usize {
-            // Spans and memo positions are 32-bit; refuse cleanly instead
-            // of wrapping.
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return (Err(failures.to_error(&input)), Stats::default());
-        }
-        let mut run = Run::new(self, text);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                Ok(SyntaxTree::new(text, run.materialize(value)))
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        run.finish_stats();
-        (outcome, run.stats)
-    }
-
-    /// Like [`CompiledGrammar::parse_with_stats`], but parses with (and
-    /// returns) a caller-supplied [`ChunkMemo`], enabling incremental
-    /// reparsing: columns carried over from an earlier parse of the same
-    /// document — after [`ChunkMemo::apply_edit`] translated them past an
-    /// edit — are served as memo hits instead of being re-evaluated.
+    /// Parses `text` in SAX event mode (see [`Mode::Events`]).
     ///
-    /// The grammar must have been compiled with the `chunks` optimization
-    /// (e.g. [`OptConfig::incremental`]); without it the call degrades to
-    /// an ordinary full parse. A memo table whose geometry does not match
-    /// this grammar and `text` is reset rather than trusted. Grammars that
-    /// use parser state must not carry memo tables across edits at all —
-    /// check [`CompiledGrammar::uses_state`] and reparse from scratch.
-    ///
-    /// [`OptConfig::incremental`]: crate::OptConfig::incremental
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] exactly as [`CompiledGrammar::parse`]
-    /// does; the memo table is returned (and reusable) in either case.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use modpeg_core::{CharClass, Expr, GrammarBuilder, ProdKind};
-    /// use modpeg_interp::{CompiledGrammar, OptConfig};
-    /// use modpeg_runtime::ChunkMemo;
-    ///
-    /// let mut b = GrammarBuilder::new("m");
-    /// b.production("Word", ProdKind::Text, vec![(None, Expr::Capture(Box::new(
-    ///     Expr::Plus(Box::new(Expr::Class(CharClass::from_ranges(
-    ///         vec![('a', 'z')], false)))))))]);
-    /// let grammar = b.build("Word")?;
-    /// let parser = CompiledGrammar::compile(&grammar, OptConfig::incremental())?;
-    ///
-    /// // Priming parse populates the memo table.
-    /// let memo = ChunkMemo::new(parser.memo_slot_count(), 5);
-    /// let (tree, _, mut memo) = parser.parse_incremental("hello", memo);
-    /// assert!(tree.is_ok());
-    ///
-    /// // Replace bytes 1..3 ("el") with one byte, then reparse the edited
-    /// // text reusing whatever survived the edit.
-    /// memo.apply_edit(1, 2, 1);
-    /// let (tree, _, _) = parser.parse_incremental("halo", memo);
-    /// assert_eq!(tree.expect("still a word").to_sexpr(), "\"halo\"");
-    /// # Ok::<(), modpeg_core::Diagnostics>(())
-    /// ```
-    pub fn parse_incremental(
-        &self,
-        text: &str,
-        memo: ChunkMemo,
-    ) -> (Result<SyntaxTree, ParseError>, Stats, ChunkMemo) {
-        self.parse_incremental_telemetry(text, memo, &Telemetry::disabled())
-    }
-
-    /// [`CompiledGrammar::parse_incremental`] with telemetry hooks
-    /// reporting to `telem`.
-    pub fn parse_incremental_telemetry(
-        &self,
-        text: &str,
-        mut memo: ChunkMemo,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseError>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            memo.reset_for(self.n_slots, 0);
-            return (Err(failures.to_error(&input)), Stats::default(), memo);
-        }
-        if !self.cfg.chunks {
-            let (result, stats) = self.parse_with_telemetry(text, telem);
-            return (result, stats, memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                Ok(SyntaxTree::new(text, run.materialize(value)))
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (outcome, stats, memo)
-    }
-
-    /// Parses `text` under `gov`'s resource limits (deadline, fuel,
-    /// cancellation, recursion depth, memo budget).
-    ///
-    /// Governed parses are the untrusted-input entry point: they can never
-    /// overflow the stack (a governor without an explicit depth limit gets
-    /// [`DEFAULT_MAX_DEPTH`]), spin past their deadline/fuel, or outgrow
-    /// their memo budget — over-budget runs first evict cold memo columns,
-    /// then fall back to transient-only parsing, and only abort as a last
-    /// resort. The same `Governor` must not be reused for another parse
-    /// without [`Governor::reset`] (a tripped governor is sticky).
-    ///
-    /// # Errors
-    ///
-    /// [`ParseFault::Syntax`] carries an ordinary [`ParseError`];
-    /// [`ParseFault::Abort`] reports which limit stopped the run. An abort
-    /// is not a verdict on the input — retrying with a larger budget may
-    /// succeed.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use modpeg_core::{CharClass, Expr, GrammarBuilder, ProdKind};
-    /// use modpeg_interp::{CompiledGrammar, OptConfig};
-    /// use modpeg_runtime::{Governor, ParseAbort};
-    ///
-    /// let mut b = GrammarBuilder::new("m");
-    /// b.production("Word", ProdKind::Text, vec![(None, Expr::Capture(Box::new(
-    ///     Expr::Plus(Box::new(Expr::Class(CharClass::from_ranges(
-    ///         vec![('a', 'z')], false)))))))]);
-    /// let grammar = b.build("Word")?;
-    /// let parser = CompiledGrammar::compile(&grammar, OptConfig::all())?;
-    ///
-    /// let generous = Governor::new().with_fuel(10_000);
-    /// assert!(parser.parse_governed("hello", &generous).0.is_ok());
-    ///
-    /// let starved = Governor::new().with_fuel(0);
-    /// let (result, _) = parser.parse_governed("hello", &starved);
-    /// assert_eq!(result.unwrap_err().abort(), Some(ParseAbort::FuelExhausted));
-    /// # Ok::<(), modpeg_core::Diagnostics>(())
-    /// ```
-    pub fn parse_governed(
-        &self,
-        text: &str,
-        gov: &Governor,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
-        self.parse_governed_telemetry(text, gov, &Telemetry::disabled())
-    }
-
-    /// [`CompiledGrammar::parse_governed`] with telemetry hooks reporting
-    /// to `telem` (including governor tick totals and abort events).
-    pub fn parse_governed_telemetry(
-        &self,
-        text: &str,
-        gov: &Governor,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return (
-                Err(ParseFault::Syntax(failures.to_error(&input))),
-                Stats::default(),
-            );
-        }
-        // A pre-cancelled or pre-expired governor aborts before any work.
-        if let Err(kind) = gov.poll() {
-            return (Err(ParseFault::Abort(kind)), Stats::default());
-        }
-        let mut run = Run::new(self, text);
-        run.install_governor(gov);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = governed_outcome(&mut run, text, result);
-        run.finish_governed(gov);
-        run.finish_stats();
-        (outcome, run.stats)
-    }
-
-    /// The governed counterpart of [`CompiledGrammar::parse_incremental`]:
-    /// parses with (and returns) a caller-supplied [`ChunkMemo`] under
-    /// `gov`'s limits.
-    ///
-    /// The memo table comes back in a consistent state even when the parse
-    /// aborts mid-flight — entries stored before the abort are complete
-    /// answers, and nothing is stored afterwards. Reusing those entries
-    /// for a retry is sound whenever the grammar was compiled with the
-    /// `left-recursion` optimization (e.g. [`OptConfig::incremental`]);
-    /// without it, Warth-style seed growing parks provisional answers in
-    /// the table mid-evaluation, so an aborted run's memo must be reset
-    /// before reuse.
-    ///
-    /// [`OptConfig::incremental`]: crate::OptConfig::incremental
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledGrammar::parse_governed`]; the memo table is returned
-    /// in every case.
-    pub fn parse_incremental_governed(
-        &self,
-        text: &str,
-        memo: ChunkMemo,
-        gov: &Governor,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats, ChunkMemo) {
-        self.parse_incremental_governed_telemetry(text, memo, gov, &Telemetry::disabled())
-    }
-
-    /// [`CompiledGrammar::parse_incremental_governed`] with telemetry
-    /// hooks reporting to `telem`.
-    pub fn parse_incremental_governed_telemetry(
-        &self,
-        text: &str,
-        mut memo: ChunkMemo,
-        gov: &Governor,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            memo.reset_for(self.n_slots, 0);
-            return (
-                Err(ParseFault::Syntax(failures.to_error(&input))),
-                Stats::default(),
-                memo,
-            );
-        }
-        if !self.cfg.chunks {
-            let (result, stats) = self.parse_governed_telemetry(text, gov, telem);
-            return (result, stats, memo);
-        }
-        if let Err(kind) = gov.poll() {
-            return (Err(ParseFault::Abort(kind)), Stats::default(), memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        run.install_governor(gov);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = governed_outcome(&mut run, text, result);
-        run.finish_governed(gov);
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (outcome, stats, memo)
-    }
-
-    /// Like [`CompiledGrammar::parse`], additionally recording
-    /// alternative-level grammar coverage (which alternatives of which
-    /// productions matched). For directly left-recursive productions the
-    /// alternative indices cover base alternatives first, then tails.
-    ///
-    /// With the `left-recursion` optimization *disabled* (seed growing),
-    /// left-recursive productions record hits against their original
-    /// alternative list instead of the base/tail split.
-    pub fn parse_with_coverage(
-        &self,
-        text: &str,
-    ) -> (Result<SyntaxTree, ParseError>, crate::Coverage) {
-        let names = self.prods.iter().map(|p| p.name.clone()).collect();
-        let labels = self
-            .prods
-            .iter()
-            .map(|p| {
-                let alts: Vec<&CAlt> = match &p.lr {
-                    Some(lr) => lr.bases.iter().chain(lr.tails.iter()).collect(),
-                    None => p.alts.iter().collect(),
-                };
-                alts.iter()
-                    .map(|a| a.node_kind.label().map(str::to_owned))
-                    .collect()
-            })
-            .collect();
-        let mut run = Run::new(self, text);
-        run.coverage = Some(crate::Coverage::new(names, labels));
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                Ok(SyntaxTree::new(text, run.materialize(value)))
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        (outcome, run.coverage.expect("installed above"))
-    }
-
-    /// Like [`CompiledGrammar::parse`], additionally recording a bounded
-    /// chronological [`Trace`] of production evaluations (entries, exits,
-    /// memo hits) — the grammar-debugging companion to coverage. At most
-    /// `max_events` events are kept.
-    ///
-    /// [`Trace`]: crate::Trace
-    pub fn parse_with_trace(
-        &self,
-        text: &str,
-        max_events: usize,
-    ) -> (Result<SyntaxTree, ParseError>, crate::Trace) {
-        let telem =
-            Telemetry::collector(max_events).with_mask(modpeg_telemetry::mask::TRACE);
-        let (outcome, _) = self.parse_with_telemetry(text, &telem);
-        (outcome, crate::Trace::from_report(&telem.take_report()))
-    }
-
-    /// Parses a prefix of `text`: succeeds as soon as the root matches,
-    /// returning the tree and the number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] when the root does not match at offset 0.
-    pub fn parse_prefix(&self, text: &str) -> Result<(SyntaxTree, u32), ParseError> {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return Err(failures.to_error(&input));
-        }
-        let mut run = Run::new(self, text);
-        match run.eval_prod(self.root, 0) {
-            Ok((end, value)) => Ok((SyntaxTree::new(text, run.materialize(value)), end)),
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        }
-    }
-
-    /// Parses `text` in SAX event mode: the semantic value is streamed to
-    /// `sink` as [`ParseEvent`](modpeg_runtime::ParseEvent)s straight from
-    /// the parse region — no owned tree is materialized, which is the
-    /// cheapest mode for lint/grep/count workloads that only want spans.
-    /// The event stream is a balanced pre-order walk; rebuilding it with a
-    /// [`TreeBuilder`](modpeg_runtime::TreeBuilder) yields a tree
-    /// structurally identical to [`CompiledGrammar::parse`]'s (the
-    /// conformance oracle asserts this round-trip).
+    /// [`Mode::Events`]: modpeg_runtime::Mode::Events
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] exactly as [`CompiledGrammar::parse`]
     /// does; no events are emitted for a failed parse.
-    pub fn parse_events(
-        &self,
-        text: &str,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> Result<(), ParseError> {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return Err(failures.to_error(&input));
-        }
-        let mut run = Run::new(self, text);
-        let result = run.eval_prod(self.root, 0);
-        match result {
-            Ok((end, value)) if end == run.input.len() => {
-                run.emit(&value, sink);
-                Ok(())
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        }
-    }
-
-    /// The incremental counterpart of [`CompiledGrammar::parse_events`]:
-    /// streams events from a parse that reuses (and returns) a
-    /// caller-supplied [`ChunkMemo`]. This is the zero-copy steady state:
-    /// with a recycled table, the region's capacity is already there, no
-    /// owned tree is built, and a parse allocates almost nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledGrammar::parse_events`]; the memo table is returned
-    /// in every case.
-    pub fn parse_events_incremental(
-        &self,
-        text: &str,
-        mut memo: ChunkMemo,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> (Result<(), ParseError>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            memo.reset_for(self.n_slots, 0);
-            return (Err(failures.to_error(&input)), Stats::default(), memo);
-        }
-        if !self.cfg.chunks {
-            let (result, stats) = {
-                let r = self.parse_events(text, sink);
-                (r, Stats::default())
-            };
-            return (result, stats, memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                run.emit(&value, sink);
-                Ok(())
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (outcome, stats, memo)
+    pub fn parse_events(&self, text: &str, sink: &mut dyn EventSink) -> Result<(), ParseError> {
+        engine::events_result(self.run(text, ParseRequest::events(sink)))
     }
 
     /// Parses `text` resiliently: a failed region becomes a synthesized
     /// `$error` node, parsing resumes at the next synchronization byte
     /// from `policy` (see [`CompiledGrammar::recover_policy`]), and the
     /// result is always a tree spanning the whole input plus the
-    /// [`Diagnostics`] for everything recovered from — the never-die
-    /// entry point for editors and batch checkers.
+    /// [`Diagnostics`](modpeg_runtime::Diagnostics) for everything
+    /// recovered from — the never-die entry point for editors and batch
+    /// checkers.
     ///
     /// # Examples
     ///
@@ -1756,174 +1359,144 @@ impl CompiledGrammar {
     /// # Ok::<(), modpeg_core::Diagnostics>(())
     /// ```
     pub fn parse_resilient(&self, text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {
-        self.parse_resilient_with_stats(text, policy).0
+        engine::recovered_result(self.run(text, ParseRequest::resilient(policy)))
     }
 
-    /// Like [`CompiledGrammar::parse_resilient`], also returning the
-    /// run's [`Stats`]. One evaluator (and one memo table) lives across
-    /// all restart attempts, so re-attempting after an error re-derives
-    /// nothing that was already memoized.
-    pub fn parse_resilient_with_stats(
+    /// [`Engine::run`] with a caller-supplied [`ChunkMemo`], enabling
+    /// incremental reparsing: columns carried over from an earlier parse
+    /// of the same document — after [`ChunkMemo::apply_edit`] translated
+    /// them past an edit — are served as memo hits instead of being
+    /// re-evaluated. The memo table is left in `memo` for reuse whatever
+    /// the outcome.
+    ///
+    /// The grammar must have been compiled with the `chunks` optimization
+    /// (e.g. [`OptConfig::incremental`]); without it the call degrades to
+    /// an ordinary run and `memo` is untouched. A memo table whose
+    /// geometry does not match this grammar and `text` is reset rather
+    /// than trusted. Grammars that use parser state must not carry memo
+    /// tables across edits at all — check [`CompiledGrammar::uses_state`]
+    /// and reparse from scratch.
+    ///
+    /// After an abort, the table holds only complete answers when the
+    /// grammar was compiled with the `left-recursion` optimization (e.g.
+    /// [`OptConfig::incremental`]), so a retry may reuse it; without it,
+    /// Warth-style seed growing parks provisional answers in the table
+    /// mid-evaluation, and an aborted run's memo must be reset first.
+    ///
+    /// [`OptConfig::incremental`]: crate::OptConfig::incremental
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use modpeg_core::{CharClass, Expr, GrammarBuilder, ProdKind};
+    /// use modpeg_interp::{CompiledGrammar, OptConfig};
+    /// use modpeg_runtime::{ChunkMemo, ParseRequest};
+    ///
+    /// let mut b = GrammarBuilder::new("m");
+    /// b.production("Word", ProdKind::Text, vec![(None, Expr::Capture(Box::new(
+    ///     Expr::Plus(Box::new(Expr::Class(CharClass::from_ranges(
+    ///         vec![('a', 'z')], false)))))))]);
+    /// let grammar = b.build("Word")?;
+    /// let parser = CompiledGrammar::compile(&grammar, OptConfig::incremental())?;
+    ///
+    /// // Priming parse populates the memo table.
+    /// let mut memo = ChunkMemo::new(parser.memo_slot_count(), 5);
+    /// assert!(parser.run_incremental("hello", ParseRequest::tree(), &mut memo).0.is_ok());
+    ///
+    /// // Replace bytes 1..3 ("el") with one byte, then reparse the edited
+    /// // text reusing whatever survived the edit.
+    /// memo.apply_edit(1, 2, 1);
+    /// let (result, _) = parser.run_incremental("halo", ParseRequest::tree(), &mut memo);
+    /// let tree = result.expect("still a word").tree.expect("tree mode");
+    /// assert_eq!(tree.to_sexpr(), "\"halo\"");
+    /// # Ok::<(), modpeg_core::Diagnostics>(())
+    /// ```
+    pub fn run_incremental(
         &self,
         text: &str,
-        policy: &RecoverPolicy,
-    ) -> (Recovered<SyntaxTree>, Stats) {
-        if text.len() > u32::MAX as usize {
-            return (oversize_recovered(), Stats::default());
+        req: ParseRequest<'_>,
+        memo: &mut ChunkMemo,
+    ) -> Outcome {
+        if !self.cfg.chunks {
+            return self.run(text, req);
         }
-        let mut run = Run::new(self, text);
-        let input = Input::new(text);
-        let (value, diagnostics) =
-            recover::drive_infallible(&input, policy, |pos, fresh| {
-                resilient_attempt(&mut run, pos, fresh)
-            });
-        run.finish_stats();
-        (
-            Recovered {
-                tree: SyntaxTree::new(text, value),
-                diagnostics,
-            },
-            run.stats,
-        )
+        let (gov, telem) = (req.governor, req.telemetry);
+        let (outcome, run) = engine::drive(text, req, || {
+            let mut table = std::mem::replace(memo, ChunkMemo::new(0, 0));
+            if !table.fits(self.n_slots, text.len() as u32) {
+                table.reset_for(self.n_slots, text.len() as u32);
+            }
+            Run::new(self, text, Some(table), gov, telem)
+        });
+        if let Some(Run {
+            memo: Memo::Chunk(table),
+            ..
+        }) = run
+        {
+            *memo = table;
+        }
+        outcome
     }
 
-    /// The governed counterpart of [`CompiledGrammar::parse_resilient`]:
-    /// the never-die guarantee holds up to `gov`'s resource limits.
+    /// Like [`CompiledGrammar::parse`], additionally recording
+    /// alternative-level grammar coverage (which alternatives of which
+    /// productions matched). For directly left-recursive productions the
+    /// alternative indices cover base alternatives first, then tails.
+    ///
+    /// With the `left-recursion` optimization *disabled* (seed growing),
+    /// left-recursive productions record hits against their original
+    /// alternative list instead of the base/tail split.
+    pub fn parse_with_coverage(
+        &self,
+        text: &str,
+    ) -> (Result<SyntaxTree, ParseError>, crate::Coverage) {
+        let (outcome, run) = engine::drive(text, ParseRequest::tree(), || {
+            let mut run = Run::new(self, text, None, None, None);
+            run.coverage = Some(self.empty_coverage());
+            run
+        });
+        let coverage = run
+            .and_then(|r| r.coverage)
+            .unwrap_or_else(|| self.empty_coverage());
+        (engine::tree_result(outcome).0, coverage)
+    }
+
+    /// A coverage record with no hits, shaped like this grammar.
+    fn empty_coverage(&self) -> crate::Coverage {
+        let names = self.prods.iter().map(|p| p.name.clone()).collect();
+        let labels = self
+            .prods
+            .iter()
+            .map(|p| {
+                let alts: Vec<&CAlt> = match &p.lr {
+                    Some(lr) => lr.bases.iter().chain(lr.tails.iter()).collect(),
+                    None => p.alts.iter().collect(),
+                };
+                alts.iter()
+                    .map(|a| a.node_kind.label().map(str::to_owned))
+                    .collect()
+            })
+            .collect();
+        crate::Coverage::new(names, labels)
+    }
+
+    /// Parses a prefix of `text`: succeeds as soon as the root matches,
+    /// returning the tree and the number of bytes consumed. Shares the
+    /// run hooks and the size guard with [`Engine::run`], but not its
+    /// full-consumption rule.
     ///
     /// # Errors
     ///
-    /// Returns the abort kind when a limit stopped the run; syntax errors
-    /// never fail a resilient parse.
-    pub fn parse_resilient_governed(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-        gov: &Governor,
-    ) -> (Result<Recovered<SyntaxTree>, ParseAbort>, Stats) {
+    /// Returns a [`ParseError`] when the root does not match at offset 0.
+    pub fn parse_prefix(&self, text: &str) -> Result<(SyntaxTree, u32), ParseError> {
         if text.len() > u32::MAX as usize {
-            return (Ok(oversize_recovered()), Stats::default());
+            return Err(engine::oversize_error());
         }
-        if let Err(kind) = gov.poll() {
-            return (Err(kind), Stats::default());
+        let mut run = Run::new(self, text, None, None, None);
+        match run.eval_root(0) {
+            Ok((end, value)) => Ok((SyntaxTree::new(text, run.materialize(value)), end)),
+            Err(_) => Err(run.error()),
         }
-        let mut run = Run::new(self, text);
-        run.install_governor(gov);
-        let input = Input::new(text);
-        let driven = recover::drive(&input, policy, |pos, fresh| {
-            let attempt = resilient_attempt(&mut run, pos, fresh);
-            match run.aborted {
-                Some(kind) => Err(kind),
-                None => Ok(attempt),
-            }
-        });
-        run.finish_governed(gov);
-        run.finish_stats();
-        let outcome = driven.map(|(value, diagnostics)| Recovered {
-            tree: SyntaxTree::new(text, value),
-            diagnostics,
-        });
-        (outcome, run.stats)
-    }
-
-    /// The incremental counterpart of
-    /// [`CompiledGrammar::parse_resilient`]: parses with (and returns) a
-    /// caller-supplied [`ChunkMemo`], so a resilient reparse after an
-    /// edit reuses every memo column the edit (and recovery restarts)
-    /// did not invalidate.
-    pub fn parse_resilient_incremental(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-        mut memo: ChunkMemo,
-    ) -> (Recovered<SyntaxTree>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            memo.reset_for(self.n_slots, 0);
-            return (oversize_recovered(), Stats::default(), memo);
-        }
-        if !self.cfg.chunks {
-            let (rec, stats) = self.parse_resilient_with_stats(text, policy);
-            return (rec, stats, memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        let input = Input::new(text);
-        let (value, diagnostics) =
-            recover::drive_infallible(&input, policy, |pos, fresh| {
-                resilient_attempt(&mut run, pos, fresh)
-            });
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (
-            Recovered {
-                tree: SyntaxTree::new(text, value),
-                diagnostics,
-            },
-            stats,
-            memo,
-        )
-    }
-
-    /// The event-mode counterpart of
-    /// [`CompiledGrammar::parse_resilient`]: streams the recovered tree
-    /// as [`ParseEvent`]s, with skipped regions bracketed by
-    /// `ErrorStart`/`ErrorEnd`. The driver assembles the fragments first
-    /// and replays them, so every engine emits the identical stream.
-    ///
-    /// [`ParseEvent`]: modpeg_runtime::ParseEvent
-    pub fn parse_resilient_events(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> Diagnostics {
-        let rec = self.parse_resilient(text, policy);
-        recover::emit_recovered_events(rec.tree.root(), sink);
-        rec.diagnostics
-    }
-}
-
-/// One restart attempt for the resilient driver: evaluate the root at
-/// `pos` — resetting the failure accumulator first when the driver just
-/// consumed a diagnostic — and report the outcome with the semantic
-/// value detached from the arena.
-fn resilient_attempt(run: &mut Run<'_, '_>, pos: u32, fresh: bool) -> recover::Attempt {
-    if fresh {
-        run.failures.reset();
-    }
-    let end = match run.eval_prod(run.g.root, pos) {
-        Ok((end, value)) => Some((end, run.materialize(value))),
-        Err(_) => None,
-    };
-    recover::Attempt {
-        end,
-        error: run.failures.to_error(&run.input),
-    }
-}
-
-/// The resilient report for an input too large for 32-bit spans: one
-/// truncated diagnostic, an empty tree.
-fn oversize_recovered() -> Recovered<SyntaxTree> {
-    let input = Input::new("");
-    let mut failures = Failures::new();
-    failures.note(0, "input smaller than 4 GiB");
-    let diagnostics = Diagnostics {
-        errors: vec![recover::Diagnostic {
-            error: failures.to_error(&input),
-            skipped: Span::point(0),
-        }],
-        truncated: true,
-        failures_dropped: 0,
-    };
-    Recovered {
-        tree: SyntaxTree::new("", Value::Unit),
-        diagnostics,
     }
 }
 
@@ -1932,6 +1505,7 @@ mod tests {
     use super::*;
     use crate::OptConfig;
     use modpeg_core::{CharClass, Expr as E, Grammar, GrammarBuilder};
+    use modpeg_runtime::{recover, ParseFault, Parsed};
 
     fn r(name: &str) -> E<String> {
         E::Ref(name.into())
@@ -1992,6 +1566,38 @@ mod tests {
             )],
         );
         b.build("Expr").unwrap()
+    }
+
+    /// Tree-mode [`Engine::run`] under `gov`, the tree taken out of the
+    /// product.
+    fn governed(
+        c: &CompiledGrammar,
+        text: &str,
+        gov: &Governor,
+    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
+        let (r, stats) = c.run(text, ParseRequest::tree().governed(gov));
+        (r.map(Parsed::into_tree), stats)
+    }
+
+    /// Tree-mode [`CompiledGrammar::run_incremental`], optionally governed.
+    fn incremental(
+        c: &CompiledGrammar,
+        text: &str,
+        memo: &mut ChunkMemo,
+        gov: Option<&Governor>,
+    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
+        let mut req = ParseRequest::tree();
+        req.governor = gov;
+        let (r, stats) = c.run_incremental(text, req, memo);
+        (r.map(Parsed::into_tree), stats)
+    }
+
+    /// A tree-mode run reporting to a trace-masked collector of `cap`
+    /// events, as `modpeg parse --trace` runs it.
+    fn traced(c: &CompiledGrammar, text: &str, cap: usize) -> (bool, crate::Trace) {
+        let telem = Telemetry::collector(cap).with_mask(modpeg_telemetry::mask::TRACE);
+        let (r, _) = c.run(text, ParseRequest::tree().with_telemetry(&telem));
+        (r.is_ok(), crate::Trace::from_report(&telem.take_report()))
     }
 
     fn all_configs() -> Vec<OptConfig> {
@@ -2333,8 +1939,8 @@ mod tests {
     fn trace_records_entries_exits_and_memo_hits() {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
-        let (r, trace) = c.parse_with_trace("1+2", 10_000);
-        assert!(r.is_ok());
+        let (ok, trace) = traced(&c, "1+2", 10_000);
+        assert!(ok);
         assert!(!trace.is_truncated());
         let text = trace.to_string();
         assert!(text.contains("> calc.Expr @0"), "{text}");
@@ -2389,8 +1995,8 @@ mod tests {
         let mut cfg = OptConfig::all();
         cfg.set("terminal-dispatch", false); // keep both alternatives live
         let c = CompiledGrammar::compile(&g, cfg).unwrap();
-        let (r, trace) = c.parse_with_trace("aay", 10_000);
-        assert!(r.is_ok());
+        let (ok, trace) = traced(&c, "aay", 10_000);
+        assert!(ok);
         let has_memo = trace
             .events()
             .iter()
@@ -2402,7 +2008,7 @@ mod tests {
     fn trace_truncates_at_cap() {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
-        let (_, trace) = c.parse_with_trace("(1+2)*(3+4)", 8);
+        let (_, trace) = traced(&c, "(1+2)*(3+4)", 8);
         assert!(trace.is_truncated());
         assert_eq!(trace.events().len(), 8);
     }
@@ -2412,13 +2018,13 @@ mod tests {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let before = "1+2*3+(4-5)+6";
-        let memo = ChunkMemo::new(c.memo_slot_count(), before.len() as u32);
-        let (r1, _, mut memo) = c.parse_incremental(before, memo);
+        let mut memo = ChunkMemo::new(c.memo_slot_count(), before.len() as u32);
+        let (r1, _) = incremental(&c, before, &mut memo, None);
         assert!(r1.is_ok());
         // Replace the "3" at offset 4 with "33".
         let after = "1+2*33+(4-5)+6";
         memo.apply_edit(4, 1, 2);
-        let (r2, stats, _) = c.parse_incremental(after, memo);
+        let (r2, stats) = incremental(&c, after, &mut memo, None);
         assert_eq!(
             r2.unwrap().to_sexpr(),
             c.parse(after).unwrap().to_sexpr()
@@ -2435,11 +2041,11 @@ mod tests {
         // so its column must not survive an append there.
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
-        let memo = ChunkMemo::new(c.memo_slot_count(), 3);
-        let (r1, _, mut memo) = c.parse_incremental("1+2", memo);
+        let mut memo = ChunkMemo::new(c.memo_slot_count(), 3);
+        let (r1, _) = incremental(&c, "1+2", &mut memo, None);
         assert!(r1.is_ok());
         memo.apply_edit(3, 0, 1);
-        let (r2, _, _) = c.parse_incremental("1+24", memo);
+        let (r2, _) = incremental(&c, "1+24", &mut memo, None);
         assert_eq!(
             r2.unwrap().to_sexpr(),
             c.parse("1+24").unwrap().to_sexpr()
@@ -2451,13 +2057,13 @@ mod tests {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let before = "(1+2)*(3+4)*(5+6)";
-        let memo = ChunkMemo::new(c.memo_slot_count(), before.len() as u32);
-        let (r1, _, mut memo) = c.parse_incremental(before, memo);
+        let mut memo = ChunkMemo::new(c.memo_slot_count(), before.len() as u32);
+        let (r1, _) = incremental(&c, before, &mut memo, None);
         assert!(r1.is_ok());
         // Delete "*(3+4)" (offsets 5..11).
         let after = "(1+2)*(5+6)";
         memo.apply_edit(5, 6, 0);
-        let (r2, _, _) = c.parse_incremental(after, memo);
+        let (r2, _) = incremental(&c, after, &mut memo, None);
         assert_eq!(
             r2.unwrap().to_sexpr(),
             c.parse(after).unwrap().to_sexpr()
@@ -2469,8 +2075,8 @@ mod tests {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let text = "1+2*3";
-        let memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
-        let (r, _, memo) = c.parse_incremental(text, memo);
+        let mut memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
+        let (r, _) = incremental(&c, text, &mut memo, None);
         assert!(r.is_ok());
         // The root evaluation examined the whole input (and peeked EOF).
         assert!(memo.extent_at(0) >= text.len() as u32);
@@ -2480,8 +2086,8 @@ mod tests {
     fn incremental_with_mismatched_memo_resets_and_parses() {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
-        let memo = ChunkMemo::new(1, 1); // deliberately wrong geometry
-        let (r, _, memo) = c.parse_incremental("1+2*3", memo);
+        let mut memo = ChunkMemo::new(1, 1); // deliberately wrong geometry
+        let (r, _) = incremental(&c, "1+2*3", &mut memo, None);
         assert!(r.is_ok());
         assert!(memo.fits(c.memo_slot_count(), 5));
     }
@@ -2491,8 +2097,8 @@ mod tests {
         let g = calc_grammar();
         let cfg = OptConfig::all_except("chunks").unwrap();
         let c = CompiledGrammar::compile(&g, cfg).unwrap();
-        let memo = ChunkMemo::new(3, 3);
-        let (r, _, _) = c.parse_incremental("1+2", memo);
+        let mut memo = ChunkMemo::new(3, 3);
+        let (r, _) = incremental(&c, "1+2", &mut memo, None);
         assert!(r.is_ok());
     }
 
@@ -2524,7 +2130,7 @@ mod tests {
             let c = CompiledGrammar::compile(&g, cfg).unwrap();
             for input in ["7", "1+2*3-4", "(1-2)*(3+4)", "1+", ""] {
                 let gov = Governor::new();
-                let (governed, _) = c.parse_governed(input, &gov);
+                let (governed, _) = governed(&c, input, &gov);
                 match (c.parse(input), governed) {
                     (Ok(a), Ok(b)) => assert_eq!(a.to_sexpr(), b.to_sexpr(), "{cfg:?} {input}"),
                     (Err(a), Err(b)) => {
@@ -2545,19 +2151,19 @@ mod tests {
             let c = CompiledGrammar::compile(&g, cfg).unwrap();
             let input = "(1+2)*(3-4)+(5+6)*7";
             let probe = Governor::new();
-            assert!(c.parse_governed(input, &probe).0.is_ok());
+            assert!(governed(&c, input, &probe).0.is_ok());
             let total = probe.steps();
             assert!(total > 10, "expected a nontrivial step count, got {total}");
             // Starving the parse at any point aborts with FuelExhausted...
             for fuel in [0, 1, total / 2, total - 1] {
                 let gov = Governor::new().with_fuel(fuel);
-                let (r, _) = c.parse_governed(input, &gov);
+                let (r, _) = governed(&c, input, &gov);
                 assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::FuelExhausted), "{cfg:?} fuel={fuel}");
                 assert_eq!(gov.tripped(), Some(ParseAbort::FuelExhausted));
             }
             // ...exactly `total` steps suffice, and the result is identical.
             let gov = Governor::new().with_fuel(total);
-            let (r, _) = c.parse_governed(input, &gov);
+            let (r, _) = governed(&c, input, &gov);
             assert_eq!(
                 r.unwrap().to_sexpr(),
                 c.parse(input).unwrap().to_sexpr(),
@@ -2575,7 +2181,7 @@ mod tests {
         for cfg in [OptConfig::none(), OptConfig::all()] {
             let c = CompiledGrammar::compile(&g, cfg).unwrap();
             let gov = Governor::new();
-            let (r, _) = c.parse_governed(&deep, &gov);
+            let (r, _) = governed(&c, &deep, &gov);
             assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::DepthExceeded), "{cfg:?}");
         }
         // A tight explicit ceiling rejects shallow nesting a generous one
@@ -2584,11 +2190,11 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
         let tight = Governor::new().with_max_depth(40);
         assert_eq!(
-            c.parse_governed(&mild, &tight).0.unwrap_err().abort(),
+            governed(&c, &mild, &tight).0.unwrap_err().abort(),
             Some(ParseAbort::DepthExceeded)
         );
         let roomy = Governor::new().with_max_depth(1_000);
-        assert!(c.parse_governed(&mild, &roomy).0.is_ok());
+        assert!(governed(&c, &mild, &roomy).0.is_ok());
     }
 
     #[test]
@@ -2598,11 +2204,11 @@ mod tests {
         let token = modpeg_runtime::CancelToken::new();
         token.cancel();
         let gov = Governor::new().with_cancel(token);
-        let (r, stats) = c.parse_governed("1+2", &gov);
+        let (r, stats) = governed(&c, "1+2", &gov);
         assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::Cancelled));
         assert_eq!(stats.productions_evaluated, 0);
         let gov = Governor::new().with_deadline(std::time::Duration::ZERO);
-        let (r, _) = c.parse_governed("1+2", &gov);
+        let (r, _) = governed(&c, "1+2", &gov);
         assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::DeadlineExceeded));
     }
 
@@ -2612,14 +2218,14 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
         let input = vec!["(1+2)*(3-4)*(5+6)"; 80].join("+");
         let unbounded = Governor::new();
-        let (r, full_stats) = c.parse_governed(&input, &unbounded);
+        let (r, full_stats) = governed(&c, &input, &unbounded);
         assert!(r.is_ok());
         assert!(full_stats.memo_bytes > 4_096, "{full_stats:?}");
         // A budget well below the natural footprint: the ladder evicts
         // and/or goes transient, but the parse still completes correctly.
         let budget = full_stats.memo_bytes / 4;
         let gov = Governor::new().with_memo_budget(budget);
-        let (r, stats) = c.parse_governed(&input, &gov);
+        let (r, stats) = governed(&c, &input, &gov);
         assert_eq!(
             r.unwrap().to_sexpr(),
             c.parse(&input).unwrap().to_sexpr()
@@ -2631,7 +2237,7 @@ mod tests {
         assert!(stats.memo_bytes <= budget, "{stats:?}");
         // A budget below the irreducible floor aborts with MemoBudget.
         let gov = Governor::new().with_memo_budget(16);
-        let (r, _) = c.parse_governed(&input, &gov);
+        let (r, _) = governed(&c, &input, &gov);
         assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::MemoBudget));
     }
 
@@ -2644,39 +2250,37 @@ mod tests {
         // agree with a scratch parse (the `left-recursion` optimization is
         // on, so pre-abort entries are complete answers).
         let probe = Governor::new();
-        let memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
-        let (r, _, memo) = c.parse_incremental_governed(text, memo, &probe);
+        let mut memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
+        let (r, _) = incremental(&c, text, &mut memo, Some(&probe));
         assert!(r.is_ok());
         let total = probe.steps();
-        let mut memo = memo;
         memo.reset_for(c.memo_slot_count(), text.len() as u32);
         for fuel in [1, total / 3, 2 * total / 3] {
             let gov = Governor::new().with_fuel(fuel);
-            let (r, _, survived) = c.parse_incremental_governed(text, memo, &gov);
+            let (r, _) = incremental(&c, text, &mut memo, Some(&gov));
             assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::FuelExhausted));
             // Every surviving column still respects the extent invariant
             // that apply_edit relies on (extents are recorded alongside
             // the stores that happened, none after the abort).
-            for (pos, extent, _) in survived.occupied_columns() {
+            for (pos, extent, _) in memo.occupied_columns() {
                 assert!(pos.saturating_add(extent) <= text.len() as u32 + 1);
             }
             let retry = Governor::new();
-            let (r, _, m) = c.parse_incremental_governed(text, survived, &retry);
+            let (r, _) = incremental(&c, text, &mut memo, Some(&retry));
             assert_eq!(
                 r.unwrap().to_sexpr(),
                 c.parse(text).unwrap().to_sexpr(),
                 "retry after fuel={fuel} diverged"
             );
-            memo = m;
             memo.reset_for(c.memo_slot_count(), text.len() as u32);
         }
         // apply_edit after an abort stays sound: edit, then reparse.
         let gov = Governor::new().with_fuel(total / 2);
-        let (r, _, mut survived) = c.parse_incremental_governed(text, memo, &gov);
+        let (r, _) = incremental(&c, text, &mut memo, Some(&gov));
         assert!(r.is_err());
         let edited = "(1+2)*(30+4)+(5-6)*(7+8)";
-        survived.apply_edit(7, 1, 2);
-        let (r, _, _) = c.parse_incremental_governed(edited, survived, &Governor::new());
+        memo.apply_edit(7, 1, 2);
+        let (r, _) = incremental(&c, edited, &mut memo, Some(&Governor::new()));
         assert_eq!(
             r.unwrap().to_sexpr(),
             c.parse(edited).unwrap().to_sexpr()
@@ -2811,16 +2415,17 @@ mod tests {
     fn resilient_governed_still_aborts_on_fuel() {
         let g = stmts_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
+        let policy = c.recover_policy();
         let gov = Governor::new().with_fuel(3);
-        let (r, _) = c.parse_resilient_governed("ab;12;cd;", &c.recover_policy(), &gov);
-        assert_eq!(r.unwrap_err(), ParseAbort::FuelExhausted);
+        let (r, _) = c.run("ab;12;cd;", ParseRequest::resilient(&policy).governed(&gov));
+        assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::FuelExhausted));
         // With ample fuel the governed path agrees with the plain one.
         let gov = Governor::new();
-        let (r, _) = c.parse_resilient_governed("ab;12;cd;", &c.recover_policy(), &gov);
+        let (r, _) = c.run("ab;12;cd;", ParseRequest::resilient(&policy).governed(&gov));
         let rec = r.unwrap();
         assert_eq!(rec.diagnostics.error_count(), 1);
         assert_eq!(
-            rec.tree.to_sexpr(),
+            rec.tree.unwrap().to_sexpr(),
             c.parse_resilient("ab;12;cd;", &c.recover_policy()).tree.to_sexpr()
         );
     }
@@ -2831,8 +2436,12 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let text = "ab;12;cd;";
         let policy = c.recover_policy();
-        let memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
-        let (rec, _, memo) = c.parse_resilient_incremental(text, &policy, memo);
+        let mut memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
+        let resilient = |memo: &mut ChunkMemo| {
+            let (r, stats) = c.run_incremental(text, ParseRequest::resilient(&policy), memo);
+            (engine::recovered_result((r, Stats::default())), stats)
+        };
+        let (rec, _) = resilient(&mut memo);
         assert_eq!(rec.diagnostics.error_count(), 1);
         assert_eq!(
             rec.tree.to_sexpr(),
@@ -2840,7 +2449,7 @@ mod tests {
         );
         // The surviving memo is reusable: a second resilient parse over the
         // same text hits it and agrees.
-        let (again, stats, _) = c.parse_resilient_incremental(text, &policy, memo);
+        let (again, stats) = resilient(&mut memo);
         assert_eq!(again.tree.to_sexpr(), rec.tree.to_sexpr());
         assert!(stats.memo_hits >= 1, "{stats:?}");
     }
@@ -2852,8 +2461,8 @@ mod tests {
         let text = "ab;12;cd;";
         let policy = c.recover_policy();
         let mut sink = modpeg_runtime::TreeBuilder::new();
-        let diags = c.parse_resilient_events(text, &policy, &mut sink);
-        assert_eq!(diags.error_count(), 1);
+        let (r, _) = c.run(text, ParseRequest::resilient_events(&policy, &mut sink));
+        assert_eq!(r.unwrap().diagnostics.error_count(), 1);
         let rebuilt = sink.finish().expect("balanced event stream");
         let rec = c.parse_resilient(text, &policy);
         assert_eq!(rebuilt.to_sexpr(text), rec.tree.root().to_sexpr(text));

@@ -6,12 +6,12 @@
 //! mode). Traces are bounded — a packrat parse of even moderate input
 //! evaluates hundreds of thousands of productions.
 //!
-//! Since the telemetry layer landed, this module is a thin adapter: the
-//! events come from the shared `modpeg-telemetry` span collector (masked
-//! to spans + memo hits), and [`Trace`] merely re-shapes them into the
-//! stable [`TraceEvent`] API. The former bespoke bounded-ring logic lives
-//! in the collector now, and a hit cap reports how many events were
-//! dropped instead of truncating silently.
+//! This module is a thin adapter over `modpeg-telemetry`: run any engine
+//! with a collector masked to spans + memo hits
+//! (`Telemetry::collector(cap).with_mask(mask::TRACE)` in the request),
+//! then [`Trace::from_report`] re-shapes the report into the stable
+//! [`TraceEvent`] API. The collector is the bounded ring, and a hit cap
+//! reports how many events were dropped instead of truncating silently.
 
 use std::fmt;
 
@@ -58,10 +58,12 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Re-shapes a telemetry report (collected under the trace mask)
-    /// into the stable trace API. Anonymous repetition-helper memo
-    /// events are expression-level detail and are skipped.
-    pub(crate) fn from_report(report: &TelemetryReport) -> Self {
+    /// Re-shapes a telemetry report (collected under the trace mask,
+    /// [`modpeg_telemetry::mask::TRACE`]) into the stable trace API. Any
+    /// engine's report works: they all emit the same span events.
+    /// Anonymous repetition-helper memo events are expression-level
+    /// detail and are skipped.
+    pub fn from_report(report: &TelemetryReport) -> Self {
         let mut events = Vec::with_capacity(report.events.len());
         for event in &report.events {
             let mapped = match event.kind {

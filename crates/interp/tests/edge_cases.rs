@@ -139,7 +139,7 @@ fn parse_prefix_consumes_maximal_root_match() {
 
 #[test]
 fn parse_incremental_empty_input_round_trips() {
-    use modpeg_runtime::ChunkMemo;
+    use modpeg_runtime::{ChunkMemo, ParseRequest};
     let p = compile(
         "module m; public Node P = <P> \"a\"* !. ;",
         "m",
@@ -147,20 +147,20 @@ fn parse_incremental_empty_input_round_trips() {
         OptConfig::incremental(),
     );
     // Empty document: parse, grow it with an edit, shrink back to empty.
-    let memo = ChunkMemo::new(p.memo_slot_count(), 0);
-    let (r, _, mut memo) = p.parse_incremental("", memo);
+    let mut memo = ChunkMemo::new(p.memo_slot_count(), 0);
+    let (r, _) = p.run_incremental("", ParseRequest::tree(), &mut memo);
     assert!(r.is_ok(), "empty input: {r:?}");
     memo.apply_edit(0, 0, 2);
-    let (r, _, mut memo) = p.parse_incremental("aa", memo);
+    let (r, _) = p.run_incremental("aa", ParseRequest::tree(), &mut memo);
     assert!(r.is_ok(), "after insertion: {r:?}");
     memo.apply_edit(0, 2, 0);
-    let (r, _, _) = p.parse_incremental("", memo);
+    let (r, _) = p.run_incremental("", ParseRequest::tree(), &mut memo);
     assert!(r.is_ok(), "back to empty: {r:?}");
 }
 
 #[test]
 fn parse_incremental_eof_watermark_invalidates_on_append() {
-    use modpeg_runtime::ChunkMemo;
+    use modpeg_runtime::{ChunkMemo, ParseRequest};
     // The root peeks EOF via `!.`, so its memo entry at column 0 examined
     // one byte *past* the end of input. Appending at exactly the old EOF
     // must invalidate that entry — reusing it would wrongly accept the
@@ -171,12 +171,12 @@ fn parse_incremental_eof_watermark_invalidates_on_append() {
         None,
         OptConfig::incremental(),
     );
-    let memo = ChunkMemo::new(p.memo_slot_count(), 3);
-    let (r, _, mut memo) = p.parse_incremental("123", memo);
+    let mut memo = ChunkMemo::new(p.memo_slot_count(), 3);
+    let (r, _) = p.run_incremental("123", ParseRequest::tree(), &mut memo);
     assert!(r.is_ok());
     // Append one digit at EOF (offset 3).
     memo.apply_edit(3, 0, 1);
-    let (r, stats, mut memo) = p.parse_incremental("1234", memo);
+    let (r, stats) = p.run_incremental("1234", ParseRequest::tree(), &mut memo);
     assert!(r.is_ok(), "append at EOF: {r:?}");
     assert_eq!(
         stats.memo_columns_reused, 0,
@@ -185,6 +185,6 @@ fn parse_incremental_eof_watermark_invalidates_on_append() {
     // And an edit *past* the old watermark on the grown document still
     // reparses correctly to a rejection when the input turns invalid.
     memo.apply_edit(4, 0, 1);
-    let (r, _, _) = p.parse_incremental("1234x", memo);
+    let (r, _) = p.run_incremental("1234x", ParseRequest::tree(), &mut memo);
     assert!(r.is_err(), "trailing junk must reject");
 }

@@ -19,10 +19,13 @@
 //!   context-sensitive corners such as C `typedef` names),
 //! * [`ParseError`] / [`Failures`] — farthest-failure error tracking,
 //! * [`Stats`] — allocation and memoization accounting used by the
-//!   heap-utilization experiments.
+//!   heap-utilization experiments,
+//! * [`ParseRequest`] / [`Engine`] / [`engine::drive`] — the one request
+//!   shape every engine answers, and the shared driver that turns an
+//!   engine's per-run hooks into an [`Outcome`].
 //!
-//! The runtime is deliberately free of dependencies and free of panics on
-//! library paths.
+//! The runtime's only dependency is `modpeg-telemetry` (itself
+//! dependency-free), and it is free of panics on library paths.
 //!
 //! ## Example
 //!
@@ -38,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod arena;
+pub mod engine;
 mod error;
 mod governor;
 mod input;
@@ -54,6 +58,7 @@ mod value;
 pub use arena::{
     Arena, ArenaInvariants, ArenaRef, EventCounts, EventSink, ParseEvent, TreeBuilder,
 };
+pub use engine::{Engine, Mode, Outcome, ParseRequest, ParseRun, Parsed};
 pub use error::{Failures, ParseError};
 pub use governor::{
     CancelToken, Governor, GovernorLimits, ParseAbort, ParseFault, DEFAULT_MAX_DEPTH, POLL_STRIDE,

@@ -464,17 +464,6 @@ pub fn drive<E>(
     Ok((root, diags))
 }
 
-/// [`drive`] for engines whose attempts cannot abort.
-pub fn drive_infallible(
-    input: &Input<'_>,
-    policy: &RecoverPolicy,
-    mut try_at: impl FnMut(u32, bool) -> Attempt,
-) -> (Value, Diagnostics) {
-    match drive::<std::convert::Infallible>(input, policy, |pos, fresh| Ok(try_at(pos, fresh))) {
-        Ok(r) => r,
-    }
-}
-
 /// The panic-mode skip: the first character boundary `q` with
 /// `q >= max(pos + 1, at)` whose byte is in the sync set, or end of
 /// input. Starting past `pos` guarantees progress (the failed attempt
@@ -629,7 +618,11 @@ mod tests {
     fn run(text: &str, policy: &RecoverPolicy) -> (Value, Diagnostics) {
         let mut eng = DigitRuns::new(text);
         let input = Input::new(text);
-        drive_infallible(&input, policy, |pos, fresh| eng.attempt(pos, fresh))
+        match drive::<std::convert::Infallible>(&input, policy, |pos, fresh| {
+            Ok(eng.attempt(pos, fresh))
+        }) {
+            Ok(r) => r,
+        }
     }
 
     #[test]

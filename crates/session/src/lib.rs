@@ -56,10 +56,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use modpeg_interp::CompiledGrammar;
 use modpeg_runtime::{
-    ChunkMemo, Governor, GovernorLimits, ParseAbort, ParseError, ParseFault, RecoverPolicy,
-    Recovered, Stats, SyntaxTree,
+    engine, ChunkMemo, GovernorLimits, Outcome, ParseAbort, ParseError, ParseFault, ParseRequest,
+    Stats, SyntaxTree,
 };
-use modpeg_telemetry::Telemetry;
 
 /// An incremental parse session: one document, one memo table, reparsed
 /// after each batch of edits with memoized results reused where sound.
@@ -81,7 +80,6 @@ pub struct ParseSession {
     pending: Stats,
     last_stats: Stats,
     total_stats: Stats,
-    telem: Telemetry,
 }
 
 impl ParseSession {
@@ -118,15 +116,7 @@ impl ParseSession {
             pending: Stats::default(),
             last_stats: Stats::default(),
             total_stats: Stats::default(),
-            telem: Telemetry::disabled(),
         }
-    }
-
-    /// Routes every subsequent parse's telemetry (production spans, memo
-    /// traffic, per-parse memo-reuse summaries) to `telem`. A disabled
-    /// handle detaches the session again.
-    pub fn attach_telemetry(&mut self, telem: &Telemetry) {
-        self.telem = telem.clone();
     }
 
     /// The current document text.
@@ -186,9 +176,9 @@ impl ParseSession {
         self.primed = false;
     }
 
-    /// Parses the current document, reusing memoized results that
-    /// survived the edits since the previous parse (when sound — see the
-    /// [crate docs](crate)).
+    /// Parses the current document into a tree, reusing memoized results
+    /// that survived the edits since the previous parse (when sound — see
+    /// the [crate docs](crate)).
     ///
     /// # Errors
     ///
@@ -197,58 +187,42 @@ impl ParseSession {
     /// failure" detail can be coarser (those failures were never
     /// re-explored).
     pub fn parse(&mut self) -> Result<SyntaxTree, ParseError> {
+        engine::tree_result(self.run(ParseRequest::tree())).0
+    }
+
+    /// Parses the current document as `req` asks — any mode, optionally
+    /// governed and with telemetry — on the session's memo table, exactly
+    /// as [`ParseSession::parse`] does for trees. The session-reuse
+    /// summary (columns reused, invalidated and shifted) goes to the
+    /// request's telemetry handle.
+    ///
+    /// On an abort the session stays fully usable: the document is
+    /// untouched, and a later parse (or a governed retry with a fresh or
+    /// [reset] governor) picks up where the session left off. Memo entries
+    /// stored before the abort are carried into the retry when that is
+    /// sound — the grammar must be incremental-reusable *and* compiled
+    /// with the `left-recursion` optimization (Warth-style seed growing
+    /// parks provisional answers in the table mid-evaluation, so without
+    /// it an aborted run's memo is discarded instead).
+    ///
+    /// Resilient requests read and fill the session's table like any
+    /// other: restarts only ever *read* entries, and a later edit
+    /// invalidates overlapping columns the usual way. Trees and error
+    /// offsets/spans are identical to a from-scratch resilient parse of
+    /// the current text; as with [`ParseSession::parse`], the
+    /// *expected-set* detail of a diagnostic inside a reused region can be
+    /// coarser.
+    ///
+    /// [reset]: modpeg_runtime::Governor::reset
+    pub fn run(&mut self, req: ParseRequest<'_>) -> Outcome {
         if !self.reusable || !self.primed {
             // No sound reuse possible: parse against an empty table
             // (keeping its allocations).
             self.memo
                 .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
         }
-        let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
-        let (result, mut stats, memo) =
-            self.grammar
-                .parse_incremental_telemetry(&self.doc, memo, &self.telem);
-        self.memo = memo;
-        self.primed = true;
-        stats.memo_columns_reused += self.pending.memo_columns_reused;
-        stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
-        self.pending = Stats::default();
-        self.telem.session_reuse(
-            stats.memo_columns_reused,
-            stats.memo_columns_invalidated,
-            stats.memo_entries_shifted,
-        );
-        self.total_stats.merge(&stats);
-        self.last_stats = stats;
-        result
-    }
-
-    /// Like [`ParseSession::parse`], but under `gov`'s resource limits.
-    ///
-    /// On abort the session stays fully usable: the document is untouched,
-    /// and a later [`ParseSession::parse`] (or a governed retry with a
-    /// fresh or [reset] governor) picks up where the session left off.
-    /// Memo entries stored before the abort are carried into the retry
-    /// when that is sound — the grammar must be incremental-reusable *and*
-    /// compiled with the `left-recursion` optimization (Warth-style seed
-    /// growing parks provisional answers in the table mid-evaluation, so
-    /// without it an aborted run's memo is discarded instead).
-    ///
-    /// [reset]: Governor::reset
-    ///
-    /// # Errors
-    ///
-    /// [`ParseFault::Syntax`] exactly when [`ParseSession::parse`] would
-    /// fail; [`ParseFault::Abort`] when a resource budget ran out first.
-    pub fn parse_governed(&mut self, gov: &Governor) -> Result<SyntaxTree, ParseFault> {
-        if !self.reusable || !self.primed {
-            self.memo
-                .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
-        }
-        let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
-        let (result, mut stats, memo) =
-            self.grammar
-                .parse_incremental_governed_telemetry(&self.doc, memo, gov, &self.telem);
-        self.memo = memo;
+        let telem = req.telemetry;
+        let (result, mut stats) = self.grammar.run_incremental(&self.doc, req, &mut self.memo);
         // An aborted run's table holds only complete answers, but under
         // seed-growing left recursion it may also hold parked provisional
         // seeds — only fold-based left recursion makes retry reuse sound.
@@ -259,91 +233,19 @@ impl ParseSession {
         stats.memo_columns_reused += self.pending.memo_columns_reused;
         stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
         self.pending = Stats::default();
-        self.telem.session_reuse(
-            stats.memo_columns_reused,
-            stats.memo_columns_invalidated,
-            stats.memo_entries_shifted,
-        );
-        self.total_stats.merge(&stats);
-        self.last_stats = stats;
-        result
-    }
-
-    /// Like [`ParseSession::parse`], but with panic-mode error recovery:
-    /// never fails, returning a partial tree (skipped regions become
-    /// `$error` nodes) plus the diagnostics report. The session's memo
-    /// table serves the resilient parse — and survives it — exactly as
-    /// for a plain one: recovered regions cost no special invalidation
-    /// because restarts only ever *read* the table, and a later edit
-    /// invalidates overlapping columns the usual way. The tree and the
-    /// error offsets/spans are identical to a from-scratch
-    /// [`CompiledGrammar::parse_resilient`] of the current text; as with
-    /// [`ParseSession::parse`], the *expected-set* detail of a
-    /// diagnostic inside a reused region can be coarser (those failures
-    /// were never re-explored).
-    ///
-    /// [`CompiledGrammar::parse_resilient`]: modpeg_interp::CompiledGrammar::parse_resilient
-    pub fn parse_resilient(&mut self, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {
-        if !self.reusable || !self.primed {
-            self.memo
-                .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
+        if let Some(telem) = telem {
+            telem.session_reuse(
+                stats.memo_columns_reused,
+                stats.memo_columns_invalidated,
+                stats.memo_entries_shifted,
+            );
         }
-        let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
-        let (result, mut stats, memo) =
-            self.grammar.parse_resilient_incremental(&self.doc, policy, memo);
-        self.memo = memo;
-        self.primed = true;
-        stats.memo_columns_reused += self.pending.memo_columns_reused;
-        stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
-        self.pending = Stats::default();
-        self.telem.session_reuse(
-            stats.memo_columns_reused,
-            stats.memo_columns_invalidated,
-            stats.memo_entries_shifted,
-        );
         self.total_stats.merge(&stats);
-        self.last_stats = stats;
-        result
+        self.last_stats = stats.clone();
+        (result, stats)
     }
 
-    /// Like [`ParseSession::parse`], but in SAX event mode: the semantic
-    /// value is streamed to `sink` straight from the session's region and
-    /// no owned tree is materialized. This is the cheapest way to run
-    /// lint/grep/count passes over a long-lived document — in steady
-    /// state (a primed or pool-recycled session) a parse allocates almost
-    /// nothing, because the region and the memo table already have their
-    /// capacity.
-    ///
-    /// # Errors
-    ///
-    /// Fails exactly when [`ParseSession::parse`] would; no events are
-    /// emitted for a failed parse.
-    pub fn parse_events(
-        &mut self,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> Result<(), ParseError> {
-        if !self.reusable || !self.primed {
-            self.memo
-                .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
-        }
-        let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
-        let (result, mut stats, memo) = self.grammar.parse_events_incremental(&self.doc, memo, sink);
-        self.memo = memo;
-        self.primed = true;
-        stats.memo_columns_reused += self.pending.memo_columns_reused;
-        stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
-        self.pending = Stats::default();
-        self.telem.session_reuse(
-            stats.memo_columns_reused,
-            stats.memo_columns_invalidated,
-            stats.memo_entries_shifted,
-        );
-        self.total_stats.merge(&stats);
-        self.last_stats = stats;
-        result
-    }
-
-    /// Statistics of the most recent [`ParseSession::parse`], including
+    /// Statistics of the most recent parse (in any mode), including
     /// the column reuse/invalidation counts of the edits that preceded it.
     pub fn last_stats(&self) -> &Stats {
         &self.last_stats
@@ -533,8 +435,9 @@ impl BatchEngine {
     }
 
     /// Like [`BatchEngine::parse_corpus`], applying `limits` to every
-    /// document: each job gets its own [`Governor`] minted from `limits`,
-    /// so per-parse deadlines and budgets are enforced independently.
+    /// document: each job gets its own
+    /// [`Governor`](modpeg_runtime::Governor) minted from `limits`, so
+    /// per-parse deadlines and budgets are enforced independently.
     /// Aborted documents come back with [`BatchResult::aborted`] set.
     pub fn parse_corpus_governed<F, S>(
         &self,
@@ -592,18 +495,17 @@ impl BatchEngine {
         let job = catch_unwind(AssertUnwindSafe(|| {
             let text = doc.as_ref();
             let mut session = pool.session(text);
-            let parsed = if limits.is_unlimited() {
-                session.parse().map_err(ParseFault::Syntax)
-            } else {
-                session.parse_governed(&limits.governor())
-            };
+            let gov = (!limits.is_unlimited()).then(|| limits.governor());
+            let mut req = ParseRequest::tree();
+            req.governor = gov.as_ref();
+            let (parsed, stats) = session.run(req);
             let result = BatchResult {
                 index,
                 ok: parsed.is_ok(),
                 error: parsed.as_ref().err().map(|e| e.to_string()),
                 aborted: parsed.err().and_then(|f| f.abort()),
                 panicked: false,
-                stats: session.last_stats().clone(),
+                stats,
                 bytes: text.len() as u64,
             };
             pool.recycle(session);
@@ -633,7 +535,20 @@ mod tests {
     use super::*;
     use modpeg_core::{CharClass, Expr as E, Grammar, GrammarBuilder, ProdKind};
     use modpeg_interp::OptConfig;
+    use modpeg_runtime::{Engine, Governor, Parsed, RecoverPolicy, Recovered};
+    use modpeg_telemetry::Telemetry;
     use modpeg_workload::rng::StdRng;
+
+    fn governed(session: &mut ParseSession, gov: &Governor) -> Result<SyntaxTree, ParseFault> {
+        session
+            .run(ParseRequest::tree().governed(gov))
+            .0
+            .map(Parsed::into_tree)
+    }
+
+    fn resilient(session: &mut ParseSession, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {
+        engine::recovered_result(session.run(ParseRequest::resilient(policy)))
+    }
 
     fn compile(g: &Grammar) -> Rc<CompiledGrammar> {
         Rc::new(CompiledGrammar::compile(g, OptConfig::incremental()).unwrap())
@@ -691,7 +606,7 @@ mod tests {
         // must agree with a from-scratch resilient parse, before and
         // after edits (including an edit that repairs the document).
         let mut session = ParseSession::new(parser.clone(), "11+22*33+?4");
-        let rec = session.parse_resilient(&policy);
+        let rec = resilient(&mut session, &policy);
         let scratch = parser.parse_resilient(session.text(), &policy);
         assert_eq!(rec.tree.to_sexpr(), scratch.tree.to_sexpr());
         assert_eq!(rec.diagnostics, scratch.diagnostics);
@@ -699,7 +614,7 @@ mod tests {
 
         session.apply_edit(0..2, "777");
         assert_eq!(session.text(), "777+22*33+?4");
-        let rec = session.parse_resilient(&policy);
+        let rec = resilient(&mut session, &policy);
         let scratch = parser.parse_resilient(session.text(), &policy);
         assert_eq!(rec.tree.to_sexpr(), scratch.tree.to_sexpr());
         // Trees, offsets, and spans match from-scratch; the expected-set
@@ -717,7 +632,7 @@ mod tests {
         // identical to a plain session parse.
         session.apply_edit(10..11, "");
         assert_eq!(session.text(), "777+22*33+4");
-        let rec = session.parse_resilient(&policy);
+        let rec = resilient(&mut session, &policy);
         assert!(rec.diagnostics.is_clean());
         assert_eq!(
             rec.tree.to_sexpr(),
@@ -977,14 +892,14 @@ mod tests {
         ];
         for (expected, gov) in aborts {
             let mut session = ParseSession::new(parser.clone(), doc.clone());
-            let fault = session.parse_governed(&gov).unwrap_err();
+            let fault = governed(&mut session, &gov).unwrap_err();
             assert_eq!(fault.abort(), Some(expected));
             // The session recovers: an ungoverned parse succeeds...
             assert_eq!(session.parse().unwrap().to_sexpr(), scratch, "{expected:?}");
             // ...and so does editing + reparsing after a second abort
             // (zero fuel trips on the very first tick, memo hits or not).
             let gov2 = Governor::new().with_fuel(0);
-            assert!(session.parse_governed(&gov2).is_err());
+            assert!(governed(&mut session, &gov2).is_err());
             session.apply_edit(0..0, "0+");
             let edited = session.parse().unwrap().to_sexpr();
             assert_eq!(
@@ -1005,13 +920,13 @@ mod tests {
         let doc = modpeg_workload::calc_expression(3, 400);
         let mut session = ParseSession::new(parser.clone(), doc.clone());
         let probe = Governor::new();
-        let reference = session.parse_governed(&probe).unwrap().to_sexpr();
+        let reference = governed(&mut session, &probe).unwrap().to_sexpr();
         let total = probe.steps();
         let scratch_evals = session.last_stats().productions_evaluated;
         let mut session = ParseSession::new(parser.clone(), doc.clone());
         let gov = Governor::new().with_fuel(total / 2);
-        assert!(session.parse_governed(&gov).is_err());
-        let retry = session.parse_governed(&Governor::new()).unwrap();
+        assert!(governed(&mut session, &gov).is_err());
+        let retry = governed(&mut session, &Governor::new()).unwrap();
         assert_eq!(retry.to_sexpr(), reference);
         assert!(
             session.last_stats().productions_evaluated < scratch_evals,
@@ -1031,8 +946,8 @@ mod tests {
         let scratch_evals = session.last_stats().productions_evaluated;
         let mut session = ParseSession::new(seeded.clone(), doc.clone());
         let gov = Governor::new().with_fuel(total / 2);
-        assert!(session.parse_governed(&gov).is_err());
-        let retry = session.parse_governed(&Governor::new()).unwrap();
+        assert!(governed(&mut session, &gov).is_err());
+        let retry = governed(&mut session, &Governor::new()).unwrap();
         assert_eq!(retry.to_sexpr(), reference);
         assert_eq!(
             session.last_stats().productions_evaluated,
@@ -1095,7 +1010,7 @@ mod tests {
                 let g = modpeg_grammars::calc_grammar().unwrap();
                 let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
                 let gov = Governor::new();
-                c.parse_governed(d, &gov).0.unwrap();
+                c.run(d, ParseRequest::tree().governed(&gov)).0.unwrap();
                 gov.steps()
             })
             .collect();
@@ -1129,15 +1044,15 @@ mod tests {
     }
 
     #[test]
-    fn attached_telemetry_reports_session_reuse() {
+    fn request_telemetry_reports_session_reuse() {
         use modpeg_telemetry::{mask, EventKind};
         let parser = calc();
         let mut session = ParseSession::new(parser, "11+22*33+44");
         let telem = Telemetry::collector(4096).with_mask(mask::ALL);
-        session.attach_telemetry(&telem);
-        assert!(session.parse().is_ok());
+        let req = || ParseRequest::tree().with_telemetry(&telem);
+        assert!(session.run(req()).0.is_ok());
         session.apply_edit(0..2, "9");
-        assert!(session.parse().is_ok());
+        assert!(session.run(req()).0.is_ok());
         let report = telem.take_report();
         let reuse: Vec<_> = report
             .events

@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use modpeg_core::{CharClass, Expr as E, Grammar, GrammarBuilder, ProdKind};
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{ArenaInvariants, GovernorLimits, ParseAbort, ParseFault};
+use modpeg_runtime::{ArenaInvariants, GovernorLimits, ParseAbort, ParseFault, ParseRequest};
 use modpeg_session::{ParseSession, SessionPool};
 
 fn compile(g: &Grammar) -> Rc<CompiledGrammar> {
@@ -142,7 +142,7 @@ fn session_event_stream_rebuilds_the_same_tree_as_parse() {
     // identical to what `parse` materializes — including after an edit.
     let mut session = pool.session(doc.clone());
     let mut builder = modpeg_runtime::TreeBuilder::new();
-    session.parse_events(&mut builder).unwrap();
+    session.run(ParseRequest::events(&mut builder)).0.unwrap();
     let rebuilt = builder.finish().expect("balanced event stream");
     let streamed = modpeg_runtime::SyntaxTree::new(session.text(), rebuilt).to_sexpr();
     assert_eq!(streamed, parsed);
@@ -151,7 +151,7 @@ fn session_event_stream_rebuilds_the_same_tree_as_parse() {
     session.apply_edit(0..1, "9");
     let edited = session.parse().unwrap().to_sexpr();
     let mut builder = modpeg_runtime::TreeBuilder::new();
-    session.parse_events(&mut builder).unwrap();
+    session.run(ParseRequest::events(&mut builder)).0.unwrap();
     let rebuilt = builder.finish().expect("balanced event stream");
     assert_eq!(
         modpeg_runtime::SyntaxTree::new(session.text(), rebuilt).to_sexpr(),
@@ -220,7 +220,8 @@ fn edit_after_abort_parses_cleanly_from_a_sound_region() {
         fuel: Some(10),
         ..GovernorLimits::none()
     };
-    match session.parse_governed(&limits.governor()) {
+    let gov = limits.governor();
+    match session.run(ParseRequest::tree().governed(&gov)).0 {
         Err(ParseFault::Abort(ParseAbort::FuelExhausted)) => {}
         other => panic!("expected a fuel abort, got {other:?}"),
     }

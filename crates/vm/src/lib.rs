@@ -17,9 +17,10 @@
 //!
 //! The machine is observationally identical to the other engines —
 //! same trees, same accept/reject verdicts, same farthest-failure
-//! offsets, same per-production memo traffic — and supports the same
-//! governed-parsing entry points (deadlines, fuel, depth and memo-byte
-//! budgets, cancellation) with the same deterministic abort semantics.
+//! offsets, same per-production memo traffic — and answers the same
+//! [`ParseRequest`]s through the shared driver (every mode; deadlines,
+//! fuel, depth and memo-byte budgets, cancellation) with the same
+//! deterministic abort semantics.
 //!
 //! ## Example
 //!
@@ -49,10 +50,9 @@ mod ops;
 use modpeg_core::{Diagnostics, Grammar};
 use modpeg_interp::{CompiledGrammar, OptConfig};
 use modpeg_runtime::{
-    recover, Failures, Governor, Input, NodeKind, ParseAbort, ParseError, ParseFault,
-    RecoverPolicy, Recovered, Span, Stats, SyntaxTree, Value,
+    engine, Engine, EventSink, NodeKind, Outcome, ParseError, ParseRequest, RecoverPolicy,
+    Recovered, Stats, SyntaxTree,
 };
-use modpeg_telemetry::Telemetry;
 
 use crate::machine::Machine;
 use crate::ops::{ClassConst, FirstConst, LitConst, Op};
@@ -230,230 +230,29 @@ impl VmProgram {
 
     /// Like [`VmProgram::parse`], also returning the run's [`Stats`].
     pub fn parse_with_stats(&self, text: &str) -> (Result<SyntaxTree, ParseError>, Stats) {
-        self.parse_with_telemetry(text, &Telemetry::disabled())
-    }
-
-    /// Like [`VmProgram::parse_with_stats`], with telemetry hooks
-    /// reporting to `telem` (production spans, memo traffic, backtracks)
-    /// exactly as the interpreter's equivalent entry point does.
-    pub fn parse_with_telemetry(
-        &self,
-        text: &str,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseError>, Stats) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return (Err(failures.to_error(&input)), Stats::default());
-        }
-        let mut m = Machine::new(self, text);
-        m.install_telemetry(telem);
-        let result = m.run();
-        let outcome = match result {
-            Ok((end, value)) if end == m.input.len() => {
-                Ok(SyntaxTree::new(text, m.materialize(value)))
-            }
-            Ok((end, _)) => {
-                m.note(end, "end of input");
-                Err(m.failures.to_error(&m.input))
-            }
-            Err(_) => Err(m.failures.to_error(&m.input)),
-        };
-        m.finish_stats();
-        (outcome, m.stats)
+        engine::tree_result(self.run(text, ParseRequest::tree()))
     }
 
     /// Parses `text` in SAX event mode: on a full match the semantic tree
-    /// is streamed to `sink` as [`modpeg_runtime::ParseEvent`]s straight
-    /// from the machine's arena — no owned tree is ever materialized. No
-    /// events are delivered for failing parses.
+    /// is streamed to `sink` straight from the machine's arena. No events
+    /// are delivered for failing parses.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] describing the farthest failure when the
     /// input does not match (or does not match completely).
-    pub fn parse_events(
-        &self,
-        text: &str,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> Result<(), ParseError> {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return Err(failures.to_error(&input));
-        }
-        let mut m = Machine::new(self, text);
-        let result = m.run();
-        match result {
-            Ok((end, value)) if end == m.input.len() => {
-                m.emit(&value, sink);
-                Ok(())
-            }
-            Ok((end, _)) => {
-                m.note(end, "end of input");
-                Err(m.failures.to_error(&m.input))
-            }
-            Err(_) => Err(m.failures.to_error(&m.input)),
-        }
+    pub fn parse_events(&self, text: &str, sink: &mut dyn EventSink) -> Result<(), ParseError> {
+        engine::events_result(self.run(text, ParseRequest::events(sink)))
     }
 
     /// Parses `text` with panic-mode error recovery: never fails on
     /// malformed input, returning a partial tree (skipped regions become
-    /// `$error` nodes) plus the [`Diagnostics`] report. The machine —
-    /// and its packrat table — lives across all restart attempts via the
-    /// bootstrap's `Recover` prologue, so re-attempting after an error
-    /// re-derives nothing that was already memoized. Drives the same
-    /// shared [`recover`] driver as the other engines, so trees and
-    /// diagnostics are engine-identical.
-    ///
-    /// [`Diagnostics`]: modpeg_runtime::recover::Diagnostics
-    pub fn parse_resilient(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-    ) -> Recovered<SyntaxTree> {
-        self.parse_resilient_with_stats(text, policy).0
-    }
-
-    /// Like [`VmProgram::parse_resilient`], also returning the run's
-    /// [`Stats`].
-    pub fn parse_resilient_with_stats(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-    ) -> (Recovered<SyntaxTree>, Stats) {
-        if text.len() > u32::MAX as usize {
-            return (oversize_recovered(), Stats::default());
-        }
-        let mut m = Machine::new(self, text);
-        let input = Input::new(text);
-        let (value, diagnostics) = recover::drive_infallible(&input, policy, |pos, fresh| {
-            resilient_attempt(&mut m, pos, fresh)
-        });
-        m.finish_stats();
-        (
-            Recovered {
-                tree: SyntaxTree::new(text, value),
-                diagnostics,
-            },
-            m.stats,
-        )
-    }
-
-    /// The governed counterpart of [`VmProgram::parse_resilient`]: the
-    /// never-die guarantee holds up to `gov`'s resource limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns the abort kind when a limit stopped the run; syntax
-    /// errors never fail a resilient parse.
-    pub fn parse_resilient_governed(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-        gov: &Governor,
-    ) -> (Result<Recovered<SyntaxTree>, ParseAbort>, Stats) {
-        if text.len() > u32::MAX as usize {
-            return (Ok(oversize_recovered()), Stats::default());
-        }
-        if let Err(kind) = gov.poll() {
-            return (Err(kind), Stats::default());
-        }
-        let mut m = Machine::new(self, text);
-        m.install_governor(gov);
-        let input = Input::new(text);
-        let driven = recover::drive(&input, policy, |pos, fresh| {
-            let attempt = resilient_attempt(&mut m, pos, fresh);
-            match m.aborted {
-                Some(kind) => Err(kind),
-                None => Ok(attempt),
-            }
-        });
-        m.finish_governed(gov);
-        m.finish_stats();
-        let outcome = driven.map(|(value, diagnostics)| Recovered {
-            tree: SyntaxTree::new(text, value),
-            diagnostics,
-        });
-        (outcome, m.stats)
-    }
-
-    /// The event-mode counterpart of [`VmProgram::parse_resilient`]:
-    /// streams the recovered tree as [`modpeg_runtime::ParseEvent`]s,
-    /// with skipped regions bracketed by `ErrorStart`/`ErrorEnd`. The
-    /// driver assembles the fragments first and replays them, so every
-    /// engine emits the identical stream.
-    pub fn parse_resilient_events(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> modpeg_runtime::recover::Diagnostics {
-        let rec = self.parse_resilient(text, policy);
-        recover::emit_recovered_events(rec.tree.root(), sink);
-        rec.diagnostics
-    }
-
-    /// Parses under `gov`'s resource limits (deadline, fuel, recursion
-    /// depth, memo-byte budget, cancellation), with the same
-    /// deterministic abort semantics as the interpreter's governed entry
-    /// points.
-    pub fn parse_governed(
-        &self,
-        text: &str,
-        gov: &Governor,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
-        self.parse_governed_telemetry(text, gov, &Telemetry::disabled())
-    }
-
-    /// [`VmProgram::parse_governed`] with telemetry hooks reporting to
-    /// `telem` (including governor tick totals and abort events).
-    pub fn parse_governed_telemetry(
-        &self,
-        text: &str,
-        gov: &Governor,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return (
-                Err(ParseFault::Syntax(failures.to_error(&input))),
-                Stats::default(),
-            );
-        }
-        // A pre-cancelled or pre-expired governor aborts before any work.
-        if let Err(kind) = gov.poll() {
-            return (Err(ParseFault::Abort(kind)), Stats::default());
-        }
-        let mut m = Machine::new(self, text);
-        m.install_governor(gov);
-        m.install_telemetry(telem);
-        let result = m.run();
-        let outcome = if let Some(kind) = m.aborted {
-            // The abort overrides the nominal outcome: once a run aborts,
-            // the unwinding value is untrustworthy (a `!p` on the unwind
-            // path converts the abort-induced failure into a success it
-            // never earned).
-            Err(ParseFault::Abort(kind))
-        } else {
-            match result {
-                Ok((end, value)) if end == m.input.len() => {
-                    Ok(SyntaxTree::new(text, m.materialize(value)))
-                }
-                Ok((end, _)) => {
-                    m.note(end, "end of input");
-                    Err(ParseFault::Syntax(m.failures.to_error(&m.input)))
-                }
-                Err(_) => Err(ParseFault::Syntax(m.failures.to_error(&m.input))),
-            }
-        };
-        m.finish_governed(gov);
-        m.finish_stats();
-        (outcome, m.stats)
+    /// `$error` nodes) plus the diagnostics report. The machine — and its
+    /// packrat table — lives across all restart attempts via the
+    /// bootstrap's `Recover` prologue, and the restart loop is the shared
+    /// driver's, so trees and diagnostics are engine-identical.
+    pub fn parse_resilient(&self, text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {
+        engine::recovered_result(self.run(text, ParseRequest::resilient(policy)))
     }
 
     // ----- accessors for the machine and disassembler -----
@@ -487,37 +286,19 @@ impl VmProgram {
     }
 }
 
-/// One restart attempt for the resilient driver: re-enter the bootstrap
-/// at `pos` — resetting the failure accumulator first when the driver
-/// just consumed a diagnostic — and report the outcome with the semantic
-/// value detached from the machine's arena.
-fn resilient_attempt(m: &mut Machine<'_, '_>, pos: u32, fresh: bool) -> recover::Attempt {
-    let end = match m.run_attempt(pos, fresh) {
-        Ok((end, value)) => Some((end, m.materialize(value))),
-        Err(_) => None,
-    };
-    recover::Attempt {
-        end,
-        error: m.failures.to_error(&m.input),
+impl Engine for VmProgram {
+    /// Parses `text` as `req` asks, with the same deterministic abort
+    /// semantics as the interpreter under a governor.
+    fn run(&self, text: &str, req: ParseRequest<'_>) -> Outcome {
+        let (gov, telem) = (req.governor, req.telemetry);
+        engine::drive(text, req, || Machine::new(self, text, gov, telem)).0
     }
-}
 
-/// The resilient report for an input too large for 32-bit spans: one
-/// truncated diagnostic, an empty tree (mirrors the interpreter's).
-fn oversize_recovered() -> Recovered<SyntaxTree> {
-    let input = Input::new("");
-    let mut failures = Failures::new();
-    failures.note(0, "input smaller than 4 GiB");
-    let diagnostics = modpeg_runtime::recover::Diagnostics {
-        errors: vec![recover::Diagnostic {
-            error: failures.to_error(&input),
-            skipped: Span::point(0),
-        }],
-        truncated: true,
-        failures_dropped: 0,
-    };
-    Recovered {
-        tree: SyntaxTree::new("", Value::Unit),
-        diagnostics,
+    fn recover_policy(&self) -> RecoverPolicy {
+        VmProgram::recover_policy(self)
+    }
+
+    fn name(&self) -> &'static str {
+        "vm"
     }
 }

@@ -20,8 +20,9 @@
 //! failure dispatch never needs to repair the call stack.
 
 use modpeg_runtime::{
-    ChunkMemo, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind, ParseAbort,
-    ScopedState, Span, StateMark, Stats, Value, DEFAULT_MAX_DEPTH,
+    ChunkMemo, EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind,
+    ParseAbort, ParseError, ParseRun, ScopedState, Span, StateMark, Stats, Value,
+    DEFAULT_MAX_DEPTH,
 };
 use modpeg_telemetry::{SpanToken, Telemetry};
 
@@ -64,9 +65,9 @@ struct Mark {
 
 pub(crate) struct Machine<'p, 'i> {
     p: &'p VmProgram,
-    pub(crate) input: Input<'i>,
+    input: Input<'i>,
     pc: u32,
-    pub(crate) pos: u32,
+    pos: u32,
     /// The production-value register: finishers write it, `Ret` reads it.
     acc: Value,
     vstack: Vec<Value>,
@@ -77,21 +78,28 @@ pub(crate) struct Machine<'p, 'i> {
     /// Whether semantic values are built in the memo's arena (the memo is
     /// always chunked here, so this mirrors the program's toggle).
     use_arena: bool,
-    pub(crate) state: ScopedState,
-    pub(crate) failures: Failures,
-    pub(crate) stats: Stats,
+    state: ScopedState,
+    failures: Failures,
+    stats: Stats,
     suppress: u32,
     telem: Telemetry,
     prod_depth: u32,
     gov: Option<&'p Governor>,
-    pub(crate) aborted: Option<ParseAbort>,
+    aborted: Option<ParseAbort>,
     max_depth: u32,
     memo_budget: u64,
     memo_frozen: bool,
 }
 
 impl<'p, 'i> Machine<'p, 'i> {
-    pub(crate) fn new(p: &'p VmProgram, text: &'i str) -> Self {
+    /// Opens a machine over `text`, under `gov`'s limits and reporting to
+    /// `telem` when given.
+    pub(crate) fn new(
+        p: &'p VmProgram,
+        text: &'i str,
+        gov: Option<&'p Governor>,
+        telem: Option<&Telemetry>,
+    ) -> Self {
         let input = Input::new(text);
         // Always the chunked table: which table backs the memo changes
         // only constant factors, never answers, and the VM has no
@@ -102,7 +110,7 @@ impl<'p, 'i> Machine<'p, 'i> {
         } else {
             Failures::recording()
         };
-        Machine {
+        let mut m = Machine {
             p,
             input,
             pc: 0,
@@ -125,19 +133,26 @@ impl<'p, 'i> Machine<'p, 'i> {
             max_depth: u32::MAX,
             memo_budget: u64::MAX,
             memo_frozen: false,
+        };
+        if let Some(gov) = gov {
+            m.install_governor(gov);
         }
+        if let Some(telem) = telem {
+            m.install_telemetry(telem);
+        }
+        m
     }
 
     /// Puts the run under `gov`'s limits (depth falls back to
     /// [`DEFAULT_MAX_DEPTH`] — stack safety is non-negotiable once a run
     /// is governed — and the memo budget to unlimited).
-    pub(crate) fn install_governor(&mut self, gov: &'p Governor) {
+    fn install_governor(&mut self, gov: &'p Governor) {
         self.max_depth = gov.max_depth().unwrap_or(DEFAULT_MAX_DEPTH);
         self.memo_budget = gov.memo_budget().unwrap_or(u64::MAX);
         self.gov = Some(gov);
     }
 
-    pub(crate) fn install_telemetry(&mut self, telem: &Telemetry) {
+    fn install_telemetry(&mut self, telem: &Telemetry) {
         if telem.is_enabled() {
             telem.set_names(self.p.production_names());
             telem.set_input_len(self.input.len());
@@ -145,19 +160,7 @@ impl<'p, 'i> Machine<'p, 'i> {
         }
     }
 
-    pub(crate) fn finish_governed(&mut self, gov: &Governor) {
-        self.stats.gov_ticks = gov.steps();
-        self.stats.gov_stride_refills = gov.stride_refills();
-        self.telem.gov_ticks(gov.steps(), gov.stride_refills());
-    }
-
-    pub(crate) fn finish_stats(&mut self) {
-        self.stats.memo_bytes = self.memo.retained_bytes();
-        self.stats.failure_records = self.failures.recorded_len() as u64;
-        self.stats.failure_bytes = self.failures.retained_bytes() as u64;
-    }
-
-    pub(crate) fn note(&mut self, pos: u32, desc: &str) {
+    fn note(&mut self, pos: u32, desc: &str) {
         if self.suppress == 0 {
             self.failures.note(pos, desc);
         }
@@ -410,22 +413,6 @@ impl<'p, 'i> Machine<'p, 'i> {
         Value::list(items)
     }
 
-    /// Detaches `value` from the machine's arena before it escapes into a
-    /// [`modpeg_runtime::SyntaxTree`]. Legacy trees pass through as-is.
-    pub(crate) fn materialize(&self, value: Value) -> Value {
-        if self.use_arena {
-            self.memo.arena().copy_out(&value)
-        } else {
-            value
-        }
-    }
-
-    /// Streams `value` as SAX events straight from the machine's arena
-    /// (the arena walker also handles legacy heap values).
-    pub(crate) fn emit(&self, value: &Value, sink: &mut dyn modpeg_runtime::EventSink) {
-        self.memo.arena().emit_events(value, sink);
-    }
-
     /// The name a state operation works with: the operand's first textual
     /// value when it has one, otherwise the whole matched span.
     fn state_operand(&self, m: Mark) -> &str {
@@ -438,23 +425,9 @@ impl<'p, 'i> Machine<'p, 'i> {
 
     // ----- the dispatch loop -----
 
-    /// One recovery attempt: re-enters the bootstrap (whose `Recover`
-    /// prologue cleans the per-attempt registers) at `pos`. When `fresh`,
-    /// the failure accumulator is reset first — the recovery driver asks
-    /// for that exactly when the previous accumulated failures have been
-    /// consumed into a diagnostic.
-    pub(crate) fn run_attempt(&mut self, pos: u32, fresh: bool) -> Result<(u32, Value), Fail> {
-        if fresh {
-            self.failures.reset();
-        }
-        self.pc = 0;
-        self.pos = pos;
-        self.run()
-    }
-
     /// Runs the program from the bootstrap sequence to `Halt` or overall
     /// failure, returning the end position and root value on success.
-    pub(crate) fn run(&mut self) -> Result<(u32, Value), Fail> {
+    fn run(&mut self) -> Result<(u32, Value), Fail> {
         let p = self.p;
         macro_rules! dispatch_fail {
             () => {{
@@ -906,4 +879,49 @@ impl<'p, 'i> Machine<'p, 'i> {
         }
     }
 
+}
+
+impl ParseRun for Machine<'_, '_> {
+    /// Re-enters the bootstrap (whose `Recover` prologue cleans the
+    /// per-attempt registers) at `pos`.
+    fn eval_root(&mut self, pos: u32) -> Result<(u32, Value), Fail> {
+        self.pc = 0;
+        self.pos = pos;
+        self.run()
+    }
+
+    fn aborted(&self) -> Option<ParseAbort> {
+        self.aborted
+    }
+
+    fn failures(&mut self) -> &mut Failures {
+        &mut self.failures
+    }
+
+    fn error(&self) -> ParseError {
+        self.failures.to_error(&self.input)
+    }
+
+    /// Detaches `value` from the machine's arena before it escapes into a
+    /// [`modpeg_runtime::SyntaxTree`]. Legacy trees pass through as-is.
+    fn materialize(&self, value: Value) -> Value {
+        if self.use_arena {
+            self.memo.arena().copy_out(&value)
+        } else {
+            value
+        }
+    }
+
+    /// Streams `value` as SAX events straight from the machine's arena
+    /// (the arena walker also handles legacy heap values).
+    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
+        self.memo.arena().emit_events(value, sink);
+    }
+
+    fn finish_stats(&mut self) -> Stats {
+        self.stats.memo_bytes = self.memo.retained_bytes();
+        self.stats.failure_records = self.failures.recorded_len() as u64;
+        self.stats.failure_bytes = self.failures.retained_bytes() as u64;
+        std::mem::take(&mut self.stats)
+    }
 }

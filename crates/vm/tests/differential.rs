@@ -5,7 +5,9 @@
 
 use modpeg_core::Grammar;
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{CancelToken, Governor, ParseAbort, ParseFault};
+use modpeg_runtime::{
+    CancelToken, Engine, Governor, ParseAbort, ParseFault, ParseRequest, Parsed, Stats, SyntaxTree,
+};
 use modpeg_telemetry::{mask, MetricsRegistry, Telemetry};
 use modpeg_vm::{VmError, VmProgram};
 
@@ -56,6 +58,12 @@ fn inputs_for(name: &str) -> Vec<String> {
         .map(|s| s.to_string()),
     );
     docs
+}
+
+/// A tree-mode run under `gov`.
+fn governed(vm: &VmProgram, doc: &str, gov: &Governor) -> (Result<SyntaxTree, ParseFault>, Stats) {
+    let (r, stats) = vm.run(doc, ParseRequest::tree().governed(gov));
+    (r.map(Parsed::into_tree), stats)
 }
 
 fn describe(r: &Result<modpeg_runtime::SyntaxTree, modpeg_runtime::ParseError>) -> String {
@@ -121,8 +129,8 @@ fn memo_telemetry_agrees_with_interp() {
         for input in inputs_for(name).into_iter().take(4) {
             let ti = Telemetry::collector(CAP).with_mask(mask::MEMO_HITS | mask::MEMO_TRAFFIC);
             let tv = Telemetry::collector(CAP).with_mask(mask::MEMO_HITS | mask::MEMO_TRAFFIC);
-            let _ = interp.parse_with_telemetry(&input, &ti);
-            let _ = vm.parse_with_telemetry(&input, &tv);
+            let _ = interp.run(&input, ParseRequest::tree().with_telemetry(&ti));
+            let _ = vm.run(&input, ParseRequest::tree().with_telemetry(&tv));
             let ri = MetricsRegistry::from_report(&ti.take_report());
             let rv = MetricsRegistry::from_report(&tv.take_report());
             let probes = |r: &MetricsRegistry| {
@@ -152,7 +160,7 @@ fn governed_aborts_are_deterministic() {
 
     // Unlimited governor: same answer as ungoverned.
     let unlimited = Governor::new();
-    let (r, stats) = vm.parse_governed(&doc, &unlimited);
+    let (r, stats) = governed(&vm, &doc, &unlimited);
     let tree = r.expect("unlimited governed parse succeeds");
     assert_eq!(tree.to_sexpr(), vm.parse(&doc).expect("plain").to_sexpr());
     let total = stats.gov_ticks;
@@ -161,7 +169,7 @@ fn governed_aborts_are_deterministic() {
     // Cutting fuel mid-run aborts with FuelExhausted, deterministically.
     for fuel in [1, total / 2, total - 1] {
         let gov = Governor::new().with_fuel(fuel);
-        let (r, _) = vm.parse_governed(&doc, &gov);
+        let (r, _) = governed(&vm, &doc, &gov);
         match r {
             Err(ParseFault::Abort(ParseAbort::FuelExhausted)) => {}
             other => panic!("fuel {fuel}: expected FuelExhausted, got {other:?}"),
@@ -170,20 +178,20 @@ fn governed_aborts_are_deterministic() {
     }
     // Fuel >= total never aborts.
     let gov = Governor::new().with_fuel(total);
-    let (r, _) = vm.parse_governed(&doc, &gov);
+    let (r, _) = governed(&vm, &doc, &gov);
     assert!(r.is_ok(), "exact fuel budget suffices");
 
     // A pre-cancelled token aborts before any work.
     let token = CancelToken::new();
     token.cancel();
     let gov = Governor::new().with_cancel(token);
-    let (r, _) = vm.parse_governed(&doc, &gov);
+    let (r, _) = governed(&vm, &doc, &gov);
     assert!(matches!(r, Err(ParseFault::Abort(ParseAbort::Cancelled))));
     assert_eq!(gov.steps(), 0, "pre-cancelled run does no work");
 
     // A tiny depth ceiling aborts nested documents.
     let gov = Governor::new().with_max_depth(2);
-    let (r, _) = vm.parse_governed(&doc, &gov);
+    let (r, _) = governed(&vm, &doc, &gov);
     assert!(matches!(
         r,
         Err(ParseFault::Abort(ParseAbort::DepthExceeded))
@@ -201,7 +209,7 @@ fn memo_budget_ladder_degrades_then_aborts() {
     // A halved budget degrades (evicts or goes transient) but still
     // produces the identical tree.
     let gov = Governor::new().with_memo_budget((baseline.memo_bytes / 2).max(1));
-    let (r, stats) = vm.parse_governed(&doc, &gov);
+    let (r, stats) = governed(&vm, &doc, &gov);
     let tree = r.expect("degraded parse still succeeds");
     assert_eq!(tree.to_sexpr(), reference);
     assert!(

@@ -9,7 +9,9 @@
 //! cargo run --example grammar_dev
 //! ```
 
+use modpeg::interp::Trace;
 use modpeg::prelude::*;
+use modpeg::telemetry::{mask, Telemetry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deliberately flawed extension: the new alternative duplicates an
@@ -62,7 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trace: why does `x = = 1;` fail?
     println!("\n== trace of a failing parse (first 25 events) ==");
     let stmt = parser.with_root("Statement")?;
-    let (result, trace) = stmt.parse_with_trace("x = = 1;", 10_000);
+    let telem = Telemetry::collector(10_000).with_mask(mask::TRACE);
+    let (result, _) = stmt.run("x = = 1;", ParseRequest::tree().with_telemetry(&telem));
+    let trace = Trace::from_report(&telem.take_report());
     for event in trace.events().iter().take(25) {
         let indent = "  ".repeat(event.depth as usize + 1);
         println!("{indent}{} @{} {:?}", trace.name_of(event), event.pos, event.outcome);

@@ -8,9 +8,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# --workspace everywhere: the root manifest is itself a package, so bare
-# `cargo build`/`cargo test` here would cover only the root crate and
-# leave e.g. the release CLI binary stale for the smoke runs below.
+# The root manifest's `default-members` already makes bare `cargo build`
+# and `cargo test` cover every crate; `--workspace` keeps that explicit
+# (and the release CLI binary fresh for the smoke runs below).
 echo "== tier-1: cargo build --release --workspace =="
 cargo build --release --workspace
 
@@ -19,6 +19,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo test -q --workspace =="
 cargo test -q --workspace
+
+# The end-to-end benchmark is a workspace of its own, so nothing above
+# compiles it; its tests pin the API it drives.
+echo "== tier-1: cargo test --release (e2e_bench) =="
+cargo test --release --manifest-path e2e_bench/Cargo.toml
 
 echo "== tier-1: conformance fuzz smoke =="
 sh scripts/fuzz-smoke.sh

@@ -52,7 +52,8 @@
 //! |-------|----------|
 //! | [`core`] | grammar IR, module system, elaboration, analyses, grammar transforms |
 //! | [`syntax`] | the `.mpeg` grammar-module language |
-//! | [`runtime`] | packrat machinery: memoization, values, state, errors |
+//! | [`runtime`] | packrat machinery: memoization, values, state, errors; the `ParseRequest` / `Engine` surface every engine answers |
+//! | [`telemetry`] | span/event collection, metrics, profiles and their exporters |
 //! | [`interp`] | optimization-flagged interpreter ([`OptConfig`]) |
 //! | [`codegen`] | Rust parser generation (what `Rats!` does for Java) |
 //! | [`grammars`] | grammar library: calc, JSON, Java subset + extensions, SQL, C subset |
@@ -69,10 +70,11 @@ pub use modpeg_interp as interp;
 pub use modpeg_runtime as runtime;
 pub use modpeg_session as session;
 pub use modpeg_syntax as syntax;
+pub use modpeg_telemetry as telemetry;
 
 pub use modpeg_core::{Diagnostic, Diagnostics, Grammar, GrammarBuilder, ModuleSet};
 pub use modpeg_interp::{CompiledGrammar, OptConfig};
-pub use modpeg_runtime::{ParseError, SyntaxTree, Value};
+pub use modpeg_runtime::{Engine, ParseError, ParseRequest, Parsed, SyntaxTree, Value};
 pub use modpeg_session::{BatchEngine, ParseSession, SessionPool};
 
 /// One-call convenience: parse grammar-module sources, elaborate from
@@ -124,6 +126,8 @@ pub mod prelude {
     pub use crate::{compile, compile_with};
     pub use modpeg_core::{Diagnostics, Grammar, GrammarBuilder, ModuleSet, ProdKind};
     pub use modpeg_interp::{CompiledGrammar, OptConfig};
-    pub use modpeg_runtime::{Node, NodeKind, ParseError, SyntaxTree, Value};
+    pub use modpeg_runtime::{
+        Engine, Governor, Node, NodeKind, ParseError, ParseRequest, Parsed, SyntaxTree, Value,
+    };
     pub use modpeg_session::{BatchEngine, ParseSession, SessionPool};
 }

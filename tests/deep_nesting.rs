@@ -10,7 +10,7 @@
 use std::rc::Rc;
 
 use modpeg::interp::{CompiledGrammar, OptConfig};
-use modpeg::runtime::{Governor, ParseAbort, ParseFault, DEFAULT_MAX_DEPTH};
+use modpeg::runtime::{Engine, Governor, ParseAbort, ParseFault, ParseRequest, DEFAULT_MAX_DEPTH};
 use modpeg::session::ParseSession;
 use modpeg_baseline::BacktrackParser;
 
@@ -32,7 +32,7 @@ fn interpreter_aborts_gracefully_on_deep_nesting() {
     for cfg in [OptConfig::none(), OptConfig::all()] {
         let parser = CompiledGrammar::compile(&g, cfg).unwrap();
         let gov = Governor::new();
-        let (r, _) = parser.parse_governed(DEEP, &gov);
+        let (r, _) = parser.run(DEEP, ParseRequest::tree().governed(&gov));
         match r {
             Err(ParseFault::Abort(ParseAbort::DepthExceeded)) => {}
             other => panic!("expected depth abort, got {other:?}"),
@@ -44,7 +44,7 @@ fn interpreter_aborts_gracefully_on_deep_nesting() {
 #[test]
 fn generated_parser_aborts_gracefully_on_deep_nesting() {
     let gov = Governor::new();
-    let (r, _) = modpeg::grammars::generated::json::parse_governed(DEEP, &gov);
+    let (r, _) = modpeg::grammars::generated::json::run(DEEP, ParseRequest::tree().governed(&gov));
     assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::DepthExceeded));
 }
 
@@ -53,7 +53,11 @@ fn session_survives_deep_nesting_and_stays_usable() {
     let g = modpeg::grammars::json_grammar().unwrap();
     let parser = Rc::new(CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap());
     let mut session = ParseSession::new(parser, DEEP);
-    let fault = session.parse_governed(&Governor::new()).unwrap_err();
+    let gov = Governor::new();
+    let fault = session
+        .run(ParseRequest::tree().governed(&gov))
+        .0
+        .unwrap_err();
     assert_eq!(fault.abort(), Some(ParseAbort::DepthExceeded));
     // The session recovers once the document is sane again.
     session.set_text("[[1, 2], {\"a\": [3]}]");
@@ -87,10 +91,13 @@ fn wide_documents_of_the_same_size_still_parse() {
         s
     };
     let gov = Governor::new();
-    let (r, _) = modpeg::grammars::generated::json::parse_governed(&wide, &gov);
+    let (r, _) = modpeg::grammars::generated::json::run(&wide, ParseRequest::tree().governed(&gov));
     assert!(r.is_ok());
     let g = modpeg::grammars::json_grammar().unwrap();
     let parser = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
     let gov = Governor::new();
-    assert!(parser.parse_governed(&wide, &gov).0.is_ok());
+    assert!(parser
+        .run(&wide, ParseRequest::tree().governed(&gov))
+        .0
+        .is_ok());
 }
