@@ -691,9 +691,6 @@ pub struct Parser<'i> {{
     failures: Failures,
     stats: Stats,
     suppress: u32,
-    /// Whether semantic values are built in the memo's arena (default)
-    /// or as individually heap-allocated trees (the legacy entry points).
-    use_arena: bool,
     kinds: Vec<NodeKind>,
     gov: Option<&'i Governor>,
     aborted: Option<ParseAbort>,
@@ -717,7 +714,6 @@ impl<'i> Parser<'i> {{
             failures: Failures::new(),
             stats: Stats::default(),
             suppress: 0,
-            use_arena: true,
             kinds: K.iter().map(NodeKind::new).collect(),
             gov: None,
             aborted: None,
@@ -878,61 +874,12 @@ impl<'i> Parser<'i> {{
     }}
 
     fn make_node(&mut self, kind: usize, children: Vec<Value>, span: Option<Span>) -> Value {{
-        self.stats.nodes_built += 1;
         let k = self.kinds[kind].clone();
-        if self.use_arena {{
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + children.len() * std::mem::size_of::<Value>()) as u64;
-            return Value::ArenaNode(self.memo.arena_mut().alloc_node(k, children, span));
-        }}
-        self.stats.value_bytes += (std::mem::size_of::<modpeg_runtime::Node>()
-            + children.capacity() * std::mem::size_of::<Value>()) as u64;
-        match span {{
-            Some(s) => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::with_span(k, children, s))),
-            None => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::new(k, children))),
-        }}
+        self.memo.arena_mut().make_node(&mut self.stats, k, children, span)
     }}
 
     fn make_list(&mut self, items: Vec<Value>) -> Value {{
-        if self.use_arena {{
-            let items = if items
-                .iter()
-                .any(|v| matches!(v, Value::List(_) | Value::ArenaList(_)))
-            {{
-                let arena = self.memo.arena();
-                let mut flat = Vec::with_capacity(items.len());
-                for v in items {{
-                    match v {{
-                        Value::List(l) => flat.extend(l.iter().cloned()),
-                        Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
-                        other => flat.push(other),
-                    }}
-                }}
-                flat
-            }} else {{
-                items
-            }};
-            self.stats.lists_built += 1;
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + items.len() * std::mem::size_of::<Value>()) as u64;
-            return Value::ArenaList(self.memo.arena_mut().alloc_list(items));
-        }}
-        let items = if items.iter().any(|v| matches!(v, Value::List(_))) {{
-            let mut flat = Vec::with_capacity(items.len());
-            for v in items {{
-                match v {{
-                    Value::List(l) => flat.extend(l.iter().cloned()),
-                    other => flat.push(other),
-                }}
-            }}
-            flat
-        }} else {{
-            items
-        }};
-        self.stats.lists_built += 1;
-        self.stats.value_bytes += (std::mem::size_of::<Vec<Value>>()
-            + items.capacity() * std::mem::size_of::<Value>()) as u64;
-        Value::list(items)
+        self.memo.arena_mut().make_list(&mut self.stats, items)
     }}
 
     fn normalize_opt(&mut self, o: Out) -> Out {{
@@ -978,13 +925,9 @@ impl modpeg_runtime::ParseRun for Parser<'_> {{
     }}
 
     /// Detaches `value` from the parser's arena before it escapes into a
-    /// [`SyntaxTree`]. Legacy trees pass through as-is.
+    /// [`SyntaxTree`].
     fn materialize(&self, value: Value) -> Value {{
-        if self.use_arena {{
-            self.memo.arena().copy_out(&value)
-        }} else {{
-            value
-        }}
+        self.memo.arena().copy_out(&value)
     }}
 
     fn emit(&self, value: &Value, sink: &mut dyn EventSink) {{
@@ -1051,22 +994,6 @@ pub fn parse_events(text: &str, sink: &mut dyn EventSink) -> Result<(), ParseErr
 /// `$error` nodes) plus the diagnostics report.
 pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {{
     engine::recovered_result(run(text, ParseRequest::resilient(policy)))
-}}
-
-/// Like [`parse`], but building legacy heap-allocated values instead of
-/// arena-backed ones. Produces structurally identical trees — the entry
-/// exists for the equivalence tests and the heap experiments.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] describing the farthest failure.
-pub fn parse_legacy(text: &str) -> Result<SyntaxTree, ParseError> {{
-    let legacy = || {{
-        let mut parser = Parser::new(text);
-        parser.use_arena = false;
-        parser
-    }};
-    engine::tree_result(engine::drive(text, ParseRequest::tree(), legacy).0).0
 }}
 
 // ----- the recovery policy resilient parses run under -----

@@ -13,7 +13,6 @@
 //! pub fn parse_with_stats(text: &str) -> (Result<SyntaxTree, ParseError>, Stats);
 //! pub fn parse_events(text: &str, sink: &mut dyn EventSink) -> Result<(), ParseError>;
 //! pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree>;
-//! pub fn parse_legacy(text: &str) -> Result<SyntaxTree, ParseError>;
 //! pub fn recover_policy() -> RecoverPolicy;
 //! ```
 //!
@@ -22,7 +21,11 @@
 //! and with telemetry — through the runtime's shared driver; the `parse*`
 //! functions are one-line shorthands for the ungoverned modes. The
 //! generated code holds only the grammar-specific parse functions and the
-//! driver's per-run hooks ([`ParseRun`](modpeg_runtime::ParseRun)).
+//! driver's per-run hooks ([`ParseRun`](modpeg_runtime::ParseRun)); semantic
+//! values are built in the memo table's region through the runtime's
+//! shared builder ([`Arena::make_node`](modpeg_runtime::Arena::make_node) /
+//! [`Arena::make_list`](modpeg_runtime::Arena::make_list)), not by code
+//! copied into each module.
 //!
 //! Generated parsers always use the fully optimized strategy set (grammar
 //! transforms, chunked memoization, iterative repetitions, first-byte

@@ -11,7 +11,7 @@
 //! 1. [`gen`] — grammar-aware sentence generation, depth-budgeted by the
 //!    shortest-derivation-height analysis and biased toward grammar
 //!    alternatives the corpus has not covered yet;
-//! 2. [`mutate`] — corruption of valid sentences to probe the
+//! 2. [`mutate`](mod@mutate) — corruption of valid sentences to probe the
 //!    almost-valid boundary where error paths diverge first;
 //! 3. [`oracle`] — the cross-engine differential check itself, including
 //!    random edit-script replay with memo-table invariant checking;
@@ -35,7 +35,7 @@ pub use shrink::ddmin;
 
 use modpeg_core::Grammar;
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{recover, Engine, ParseError, ParseRequest, Stats, SyntaxTree};
+use modpeg_runtime::{recover, Engine, ParseError, ParseRequest, Stats};
 use modpeg_telemetry::{mask, MetricsRegistry, Telemetry};
 use modpeg_workload::rng::StdRng;
 
@@ -100,20 +100,6 @@ impl GrammarId {
             GrammarId::Json => &g::json::Generated,
             GrammarId::Java => &g::java::Generated,
             GrammarId::C => &g::c::Generated,
-        }
-    }
-
-    /// Runs the build-time generated parser with arena-backed values
-    /// disabled (legacy heap-allocated trees) — the old-representation
-    /// leg of the equivalence tests, outside [`Engine`] like the arena
-    /// toggle it exercises.
-    pub fn codegen_parse_legacy(self, input: &str) -> Result<SyntaxTree, ParseError> {
-        use modpeg_grammars::generated as g;
-        match self {
-            GrammarId::Calc => g::calc::parse_legacy(input),
-            GrammarId::Json => g::json::parse_legacy(input),
-            GrammarId::Java => g::java::parse_legacy(input),
-            GrammarId::C => g::c::parse_legacy(input),
         }
     }
 
@@ -596,7 +582,8 @@ pub fn assert_memo_telemetry_agrees(grammar: &str, input: &str) {
 }
 
 /// Records `input` through the `modpeg profile --record` path — the
-/// full-event collector snapshotted into a [`WorkloadProfile`] under the
+/// full-event collector snapshotted into a
+/// [`WorkloadProfile`](modpeg_telemetry::WorkloadProfile) under the
 /// observable [`OptConfig::incremental`] configuration — on both engines
 /// that can record (interp and vm), and asserts the deterministic
 /// per-production counters are identical.

@@ -365,13 +365,8 @@ pub struct Oracle<'g> {
     /// The fully optimized interpreter — the arena-active engine whose
     /// SAX event stream the event legs round-trip.
     full: CompiledGrammar,
-    /// `full` with the arena disabled: the old heap-allocated value
-    /// representation, which must yield byte-identical trees.
-    legacy: CompiledGrammar,
     /// The bytecode machine, compiled at full optimization.
     vm: Option<VmProgram>,
-    /// The bytecode machine with the arena disabled.
-    vm_legacy: Option<VmProgram>,
     /// SAX event streams round-tripped so far (see [`Oracle::check`]).
     event_checks: Cell<u64>,
     /// Resilient-parse legs run so far (see [`Oracle::check_recovery`]).
@@ -420,15 +415,10 @@ impl<'g> Oracle<'g> {
         );
         let full =
             CompiledGrammar::compile(grammar, OptConfig::all()).map_err(|e| e.to_string())?;
-        let mut legacy = full.clone();
-        legacy.set_arena_enabled(false);
-        let (vm, vm_legacy) = if engines.vm {
-            let vm = VmProgram::from_compiled(&full).map_err(|e| e.to_string())?;
-            let mut vm_legacy = VmProgram::from_compiled(&full).map_err(|e| e.to_string())?;
-            vm_legacy.set_arena_enabled(false);
-            (Some(vm), Some(vm_legacy))
+        let vm = if engines.vm {
+            Some(VmProgram::from_compiled(&full).map_err(|e| e.to_string())?)
         } else {
-            (None, None)
+            None
         };
         Ok(Oracle {
             grammar,
@@ -438,9 +428,7 @@ impl<'g> Oracle<'g> {
             incremental,
             baseline: BacktrackParser::new(grammar),
             full,
-            legacy,
             vm,
-            vm_legacy,
             event_checks: Cell::new(0),
             recovery_checks: Cell::new(0),
             scan_checks: Cell::new(0),
@@ -538,41 +526,6 @@ impl<'g> Oracle<'g> {
                     got.describe(),
                     reference.describe()
                 ));
-            }
-        }
-
-        // Old-representation legs: the same engines with the arena
-        // disabled build legacy heap-allocated trees, which must be
-        // structurally identical to both the reference and the
-        // arena-backed copies compared above.
-        let got = Outcome::of(self.legacy.parse(input));
-        if got != reference {
-            return Some(format!(
-                "engine `opt-levels` (arena disabled) disagrees with `cumulative(0)`: {} vs {}",
-                got.describe(),
-                reference.describe()
-            ));
-        }
-        if let Some(vm) = &self.vm_legacy {
-            let got = Outcome::of(vm.parse(input));
-            if got != reference {
-                return Some(format!(
-                    "engine `vm` (arena disabled) disagrees with `cumulative(0)`: {} vs {}",
-                    got.describe(),
-                    reference.describe()
-                ));
-            }
-        }
-        if self.engines.codegen {
-            if let Some(result) = self.id.map(|id| id.codegen_parse_legacy(input)) {
-                let got = Outcome::of(result);
-                if got != reference {
-                    return Some(format!(
-                        "engine `codegen` (arena disabled) disagrees with `cumulative(0)`: {} vs {}",
-                        got.describe(),
-                        reference.describe()
-                    ));
-                }
             }
         }
 
@@ -746,15 +699,6 @@ impl<'g> Oracle<'g> {
             }
             None
         };
-        let got = self.legacy.parse_resilient(input, &policy);
-        if let Some(d) = compare("opt-levels (arena disabled)", &got) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm_legacy {
-            if let Some(d) = compare("vm (arena disabled)", &vm.parse_resilient(input, &policy)) {
-                return Some(d);
-            }
-        }
         for engine in &self.compiled()[1..] {
             let label = engine.name();
             if engine.recover_policy() != policy {

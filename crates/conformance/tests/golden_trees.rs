@@ -5,9 +5,9 @@
 //! elided), so any change to grammar elaboration, optimization passes, or
 //! code generation that silently alters tree construction shows up as a
 //! readable diff. Each input is parsed by the build-time generated parser
-//! and by the interpreter at full optimization — arena-backed and with
-//! the arena disabled (the old heap representation) — plus an event-mode
-//! round-trip; every leg must match the committed snapshot.
+//! and by the interpreter at full optimization — arena-backed, and
+//! without chunked memoization (the `Rc` reference representation) — plus
+//! an event-mode round-trip; every leg must match the committed snapshot.
 //!
 //! Snapshots are compared *structurally* (kind, arity, leaf text), not as
 //! formatted strings: a divergence reports the path to the first
@@ -172,7 +172,7 @@ fn check_golden(id: GrammarId, input: &str, golden_file: &str) {
 
     // The interpreter at full optimization must build the same tree,
     // both out of the arena (the copied-out tree `parse` returns) and
-    // with the arena disabled (the old heap representation).
+    // without chunked memoization (the `Rc` reference representation).
     let grammar = id.elaborate().expect("grammar elaborates");
     let compiled =
         modpeg_interp::CompiledGrammar::compile(&grammar, modpeg_interp::OptConfig::all())
@@ -186,16 +186,19 @@ fn check_golden(id: GrammarId, input: &str, golden_file: &str) {
         &generated,
         &interpreted,
     );
-    let mut legacy = compiled.clone();
-    legacy.set_arena_enabled(false);
-    let old_repr = legacy
+    let unchunked = modpeg_interp::CompiledGrammar::compile(
+        &grammar,
+        modpeg_interp::OptConfig::all_except("chunks").expect("known flag"),
+    )
+    .expect("grammar compiles");
+    let rc_tree = unchunked
         .parse(input)
-        .unwrap_or_else(|e| panic!("{} sample must parse sans arena: {e}", id.name()))
+        .unwrap_or_else(|e| panic!("{} sample must parse without chunks: {e}", id.name()))
         .to_sexpr();
     assert_same_tree(
-        &format!("arena vs legacy representation ({})", id.name()),
+        &format!("arena vs `Rc` representation ({})", id.name()),
         &interpreted,
-        &old_repr,
+        &rc_tree,
     );
 
     // The SAX event stream must rebuild the same tree too.

@@ -8,8 +8,11 @@
 //! streams must rebuild those same trees. A run's statistics must not
 //! depend on the governor or telemetry setting, apart from the governor's
 //! own tick counters — nor on whether the product is a tree or an event
-//! stream. Most of these combinations (events under a governor, resilient
-//! parses with telemetry, ...) had no entry point before requests.
+//! stream — and the arena-backed engines (interpreter, VM, generated
+//! parser) must count the same value work (`nodes_built`, `lists_built`,
+//! `strings_built`, `value_bytes`) on every input. Most of these
+//! combinations (events under a governor, resilient parses with
+//! telemetry, ...) had no entry point before requests.
 
 use std::rc::Rc;
 
@@ -159,6 +162,20 @@ fn every_request_agrees_with_the_interpreter() {
             assert!(
                 resilient.diagnostics.is_clean(),
                 "{name}: clean input, diagnostics"
+            );
+        }
+
+        // One value builder: the arena-backed engines count identical
+        // value work for identical trees.
+        let values = |engine: &dyn Engine| {
+            let s = run(engine, &text, Mode::Tree, &policy, None, None).stats;
+            (s.nodes_built, s.lists_built, s.strings_built, s.value_bytes)
+        };
+        for (label, engine) in [("vm", &vm as &dyn Engine), ("codegen", id.codegen())] {
+            assert_eq!(
+                values(engine),
+                values(&interp),
+                "{name}: {label} value counters (nodes, lists, strings, bytes) vs interp"
             );
         }
 

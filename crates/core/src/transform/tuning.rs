@@ -31,7 +31,7 @@ pub const PLAN_VERSION: u32 = 1;
 /// Per-production optimization decisions derived from a workload profile.
 ///
 /// Productions not named in any set fall back to the static heuristics of
-/// the [`OptConfig`]-equivalent base configuration, so a plan composes
+/// the base configuration (the interpreter's `OptConfig`), so a plan composes
 /// with, rather than replaces, the rest of the optimization battery.
 /// Structural overrides still win over the plan: left-recursive
 /// productions and `memo`-annotated productions are always memoized, and

@@ -158,10 +158,6 @@ pub struct CompiledGrammar {
     pub(crate) root: ProdId,
     /// Total memoization slots (productions + repetition helpers).
     pub(crate) n_slots: u32,
-    /// Whether runs with a chunked memo build semantic values in the
-    /// table's bump region (`true` by default). Disabled only by the
-    /// equivalence tests and the arena benchmark's legacy leg.
-    pub(crate) arena_enabled: bool,
     /// The grammar as supplied (pre-transform) — what `with_root` and
     /// `grammar()` expose.
     source: Grammar,
@@ -513,26 +509,11 @@ impl CompiledGrammar {
             reads_state,
             root: g.root(),
             n_slots,
-            arena_enabled: true,
             source: grammar.clone(),
             restart,
             consume,
             plan: plan.cloned(),
         })
-    }
-
-    /// Toggles arena-backed value construction for runs that use the
-    /// chunked memo table (it is on by default). With the arena disabled
-    /// such runs build the legacy `Rc`-tree representation — the knob the
-    /// tree-equivalence tests and the `fig_arena` benchmark use to compare
-    /// the two representations on otherwise identical configurations.
-    pub fn set_arena_enabled(&mut self, enabled: bool) {
-        self.arena_enabled = enabled;
-    }
-
-    /// Whether runs with a chunked memo build values in the bump region.
-    pub fn arena_enabled(&self) -> bool {
-        self.arena_enabled
     }
 
     /// The optimization configuration this grammar was compiled under.

@@ -308,77 +308,42 @@ impl<'g, 'i> Run<'g, 'i> {
         }
     }
 
-    /// Whether composite values are built in the memo table's bump
-    /// region: runs backed by the chunked table, unless the grammar's
-    /// arena toggle turned the region off (legacy-representation legs of
-    /// the equivalence tests and benchmarks).
-    fn use_arena(&self) -> bool {
-        self.g.arena_enabled && matches!(self.memo, Memo::Chunk(_))
-    }
+    // Composite values come from one of two builders, picked by the memo
+    // flavour (hence by the `chunks` flag). Chunked runs — the default,
+    // and what sessions, the VM and generated parsers all use — build in
+    // the table's region through the runtime's shared builder. Unchunked
+    // (`HashMemo`) runs build individually heap-allocated `Rc` trees:
+    // that path is the reference every other engine is checked against
+    // (`OptConfig::cumulative(0)`), and the naive value path the E2/E3
+    // ablation measures below `chunks`, so it stays on purpose.
 
     fn make_node(&mut self, kind: &NodeKind, children: Vec<Value>, span: Option<Span>) -> Value {
-        self.stats.nodes_built += 1;
-        if self.use_arena() {
-            if let Memo::Chunk(m) = &mut self.memo {
-                self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                    + children.len() * std::mem::size_of::<Value>())
-                    as u64;
-                return Value::ArenaNode(m.arena_mut().alloc_node(kind.clone(), children, span));
-            }
+        if let Memo::Chunk(m) = &mut self.memo {
+            return m
+                .arena_mut()
+                .make_node(&mut self.stats, kind.clone(), children, span);
         }
+        self.stats.nodes_built += 1;
         self.stats.value_bytes += (std::mem::size_of::<modpeg_runtime::Node>()
             + children.capacity() * std::mem::size_of::<Value>())
             as u64;
-        match span {
-            Some(s) => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::with_span(
-                kind.clone(),
-                children,
-                s,
-            ))),
-            None => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::new(
-                kind.clone(),
-                children,
-            ))),
-        }
+        let node = match span {
+            Some(s) => modpeg_runtime::Node::with_span(kind.clone(), children, s),
+            None => modpeg_runtime::Node::new(kind.clone(), children),
+        };
+        Value::Node(std::rc::Rc::new(node))
     }
 
-    /// Builds a list value. Values that are themselves lists are spliced
-    /// in (one level): `x ("," x)*` and `(x ("," x)*)?` both yield one
-    /// flat list of `x`s, matching how grammar authors read the idiom.
+    /// Builds a list value, splicing list-valued items in one level (see
+    /// [`modpeg_runtime::Arena::make_list`], which the `Rc` branch mirrors).
     fn make_list(&mut self, items: Vec<Value>) -> Value {
-        if self.use_arena() {
-            if let Memo::Chunk(m) = &mut self.memo {
-                let arena = m.arena_mut();
-                let items = if items
-                    .iter()
-                    .any(|v| matches!(v, Value::List(_) | Value::ArenaList(_)))
-                {
-                    let mut flat = Vec::with_capacity(items.len());
-                    for v in items {
-                        match v {
-                            Value::List(l) => flat.extend(l.iter().cloned()),
-                            Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
-                            other => flat.push(other),
-                        }
-                    }
-                    flat
-                } else {
-                    items
-                };
-                self.stats.lists_built += 1;
-                self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                    + items.len() * std::mem::size_of::<Value>())
-                    as u64;
-                return Value::ArenaList(arena.alloc_list(items));
-            }
+        if let Memo::Chunk(m) = &mut self.memo {
+            return m.arena_mut().make_list(&mut self.stats, items);
         }
         let items = if items.iter().any(|v| matches!(v, Value::List(_))) {
             let mut flat = Vec::with_capacity(items.len());
             for v in items {
-                match v {
-                    Value::List(l) => flat.extend(l.iter().cloned()),
-                    other => flat.push(other),
-                }
+                self.push_spliced(&mut flat, v);
             }
             flat
         } else {
@@ -391,12 +356,12 @@ impl<'g, 'i> Run<'g, 'i> {
         Value::list(items)
     }
 
-    /// Clones out an arena list's items (the splice sites of `e+` and the
-    /// memoized repetition helper, where the rest-list may be region-backed).
-    fn arena_items(&self, r: modpeg_runtime::ArenaRef) -> Vec<Value> {
-        match &self.memo {
-            Memo::Chunk(m) => m.arena().children(r).to_vec(),
-            Memo::Hash(_) => unreachable!("arena values exist only with a chunked memo"),
+    /// Appends `v` to `items`, splicing a list in as its items.
+    fn push_spliced(&self, items: &mut Vec<Value>, v: Value) {
+        match (&self.memo, v) {
+            (Memo::Chunk(m), v) => m.arena().push_spliced(items, v),
+            (Memo::Hash(_), Value::List(l)) => items.extend(l.iter().cloned()),
+            (Memo::Hash(_), other) => items.push(other),
         }
     }
 
@@ -779,26 +744,31 @@ impl<'g, 'i> Run<'g, 'i> {
                 if let Some(slot) = *slot {
                     return self.eval_rep_memo(eid, *inner, slot, yields, pos, want);
                 }
-                self.eval_star_loop(*inner, yields, pos, want)
+                self.eval_star_loop(*inner, yields, pos, want, Vec::new())
             }
             CExpr::Plus { inner, slot } => {
                 let yields = g.yields[eid as usize];
                 let (p1, first_out) = self.eval(*inner, pos, want)?;
-                let rest = if let Some(slot) = *slot {
-                    self.eval_rep_memo(eid, *inner, slot, yields, p1, want)
-                } else {
-                    self.eval_star_loop(*inner, yields, p1, want)
-                }?;
-                let (end, rest_out) = rest;
-                if !want || !yields {
+                let collect = want && yields;
+                let Some(slot) = *slot else {
+                    // One list for first + rest: the loop keeps collecting
+                    // into the first match's values.
+                    let first = if collect {
+                        first_out.into_values()
+                    } else {
+                        Vec::new()
+                    };
+                    return self.eval_star_loop(*inner, yields, p1, want, first);
+                };
+                // A memoized rest is a list of its own (it is shared with
+                // the memo table), spliced behind the first match.
+                let (end, rest_out) = self.eval_rep_memo(eid, *inner, slot, yields, p1, want)?;
+                if !collect {
                     return Ok((end, Out::None));
                 }
                 let mut items = first_out.into_values();
-                match rest_out {
-                    Out::One(Value::List(l)) => items.extend(l.iter().cloned()),
-                    Out::One(Value::ArenaList(r)) => items.extend(self.arena_items(r)),
-                    Out::None => {}
-                    other => other.push_into(&mut items),
+                if let Out::One(rest) = rest_out {
+                    self.push_spliced(&mut items, rest);
                 }
                 let list = self.make_list(items);
                 Ok((end, Out::One(list)))
@@ -882,8 +852,16 @@ impl<'g, 'i> Run<'g, 'i> {
         }
     }
 
-    /// Iterative `e*` (the `iterative-repetition` optimization).
-    fn eval_star_loop(&mut self, inner: EId, yields: bool, pos: u32, want: bool) -> EvalResult {
+    /// Iterative `e*` (the `iterative-repetition` optimization). Collected
+    /// items are appended to `items` (an `e+`'s first match, or empty).
+    fn eval_star_loop(
+        &mut self,
+        inner: EId,
+        yields: bool,
+        pos: u32,
+        want: bool,
+        mut items: Vec<Value>,
+    ) -> EvalResult {
         // Repetition over a bare class — the lexical hot shape — takes the
         // bulk scanner unless the scalar reference path is forced. A class
         // never yields values, so the collecting arm below can't apply.
@@ -894,7 +872,6 @@ impl<'g, 'i> Run<'g, 'i> {
             }
         }
         let mut p = pos;
-        let mut items: Vec<Value> = Vec::new();
         loop {
             // A repetition over bare terminals never reaches `eval_prod`,
             // so it must tick on its own to stay interruptible.
@@ -1038,10 +1015,8 @@ impl<'g, 'i> Run<'g, 'i> {
                 };
                 if want && yields {
                     let mut items = out.into_values();
-                    match &rest {
-                        Out::One(Value::List(l)) => items.extend(l.iter().cloned()),
-                        Out::One(Value::ArenaList(r)) => items.extend(self.arena_items(*r)),
-                        _ => {}
+                    if let Out::One(rest) = rest {
+                        self.push_spliced(&mut items, rest);
                     }
                     let list = self.make_list(items);
                     (end, Out::One(list))
@@ -1202,8 +1177,8 @@ impl ParseRun for Run<'_, '_> {
 
     /// Detaches `value` from the run's region before it escapes into a
     /// [`SyntaxTree`]: region-backed trees are copied out (the returned
-    /// tree shares nothing with the memo table), legacy trees pass through
-    /// as cheap clones.
+    /// tree shares nothing with the memo table); the unchunked path's `Rc`
+    /// trees are already detached and pass through.
     fn materialize(&self, value: Value) -> Value {
         match &self.memo {
             // No whole-arena invariant check here: on incremental runs the
@@ -1218,7 +1193,7 @@ impl ParseRun for Run<'_, '_> {
     }
 
     /// Streams `value` as SAX events straight from the run's region (or
-    /// by walking the legacy tree, for hash-memo runs) — no owned tree is
+    /// by walking the `Rc` tree, for unchunked runs) — no owned tree is
     /// materialized.
     fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
         match &self.memo {
@@ -1668,6 +1643,47 @@ mod tests {
             );
             assert_eq!(c.parse("").unwrap().to_sexpr(), "(S.List [])");
         }
+    }
+
+    /// `S = (W ";")+` with text leaves: one `e+` list per match.
+    fn plus_grammar() -> Grammar {
+        let mut b = GrammarBuilder::new("m");
+        b.production(
+            "S",
+            ProdKind::Node,
+            vec![(Some("List".into()), E::Plus(Box::new(r("W"))))],
+        );
+        b.production(
+            "W",
+            ProdKind::Text,
+            vec![(None, E::Capture(Box::new(E::seq(vec![lc(), E::literal(";")]))))],
+        );
+        b.build("S").unwrap()
+    }
+
+    #[test]
+    fn plus_builds_one_list_for_first_and_rest() {
+        let g = plus_grammar();
+        for cfg in [OptConfig::all(), OptConfig::all_except("chunks").unwrap()] {
+            let c = CompiledGrammar::compile(&g, cfg).unwrap();
+            let (tree, stats) = c.parse_with_stats("a;b;c;");
+            assert_eq!(tree.unwrap().to_sexpr(), "(S.List [\"a;\" \"b;\" \"c;\"])");
+            assert_eq!((stats.nodes_built, stats.lists_built), (1, 1), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn unchunked_rc_tree_streams_through_emit_events() {
+        // Without chunked memoization the run builds `Rc` trees, and event
+        // mode walks that owned tree instead of an arena region.
+        let g = plus_grammar();
+        let c = CompiledGrammar::compile(&g, OptConfig::all_except("chunks").unwrap()).unwrap();
+        let text = "a;b;c;";
+        let tree = c.parse(text).unwrap();
+        assert!(matches!(tree.root(), Value::Node(_)), "an owned tree");
+        let mut sink = modpeg_runtime::TreeBuilder::new();
+        c.parse_events(text, &mut sink).unwrap();
+        assert_eq!(&sink.finish().expect("balanced event stream"), tree.root());
     }
 
     #[test]

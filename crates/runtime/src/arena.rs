@@ -17,8 +17,16 @@
 //! and the region die together) is detectable instead of silently
 //! resolving to an unrelated node. [`ArenaInvariants::check`] audits a
 //! region: no dangling child handles, child-before-parent allocation
-//! order (hence acyclicity), spans within the input, and a node count
-//! that matches the allocation counter.
+//! order (hence acyclicity), spans within the input, no owned composite
+//! in the pool, and a node count that matches the allocation counter.
+//!
+//! [`Arena::make_node`] and [`Arena::make_list`] are the one value
+//! builder every engine calls — the interpreter, the bytecode machine and
+//! every generated parser — so the tree shape (including the one-level
+//! list splice) and the value counters in [`Stats`] are defined here
+//! once. The only composites built anywhere else at parse time are the
+//! unchunked interpreter's `Rc` trees, the reference the other engines
+//! are checked against.
 //!
 //! The same machinery powers the SAX-style event mode: walking a value
 //! through [`Arena::emit_events`] streams [`ParseEvent`]s to an
@@ -29,6 +37,7 @@
 use std::rc::Rc;
 
 use crate::span::Span;
+use crate::stats::Stats;
 use crate::value::{Node, NodeKind, Value};
 
 /// A handle to a node allocated in an [`Arena`]: an index plus the
@@ -121,7 +130,7 @@ impl Arena {
     fn alloc(&mut self, kind: Option<NodeKind>, children: Vec<Value>, span: Option<Span>) -> ArenaRef {
         debug_assert!(
             children.iter().all(|c| self.owns_composites_of(c)),
-            "arena node allocated with children from another region/generation"
+            "arena node allocated with an owned composite or a handle from another region/generation"
         );
         let lo = self.pool.len() as u32;
         let len = children.len() as u32;
@@ -141,15 +150,78 @@ impl Arena {
         }
     }
 
-    /// Whether `v`'s composite parts (if any) are handles into *this*
-    /// arena at its current generation. Leaves and legacy `Rc` values
-    /// trivially qualify.
+    // ----- the engines' value builder -----
+    //
+    // Every engine builds its parse-time composites through these two
+    // calls (the unchunked interpreter's `Rc` reference path aside), so
+    // the tree shape and the value counters in `Stats` are defined once.
+
+    /// The value bytes one region composite with `len` children costs:
+    /// its node record plus its slots in the shared pool.
+    #[inline]
+    fn value_bytes(len: usize) -> u64 {
+        (Self::NODE_BYTES + len * std::mem::size_of::<Value>()) as u64
+    }
+
+    /// Builds a node in the region and charges it to `stats`
+    /// (`nodes_built`, `value_bytes`).
+    #[inline]
+    pub fn make_node(
+        &mut self,
+        stats: &mut Stats,
+        kind: NodeKind,
+        children: Vec<Value>,
+        span: Option<Span>,
+    ) -> Value {
+        stats.nodes_built += 1;
+        stats.value_bytes += Self::value_bytes(children.len());
+        Value::ArenaNode(self.alloc_node(kind, children, span))
+    }
+
+    /// Builds a list in the region and charges it to `stats`
+    /// (`lists_built`, `value_bytes`). Items that are themselves lists
+    /// are spliced in, one level: `x ("," x)*` and `(x ("," x)*)?` both
+    /// yield one flat list of `x`s, matching how grammar authors read the
+    /// idiom — and since every list is built here, no list ever holds a
+    /// list directly.
+    #[inline]
+    pub fn make_list(&mut self, stats: &mut Stats, items: Vec<Value>) -> Value {
+        let items = if items.iter().any(|v| matches!(v, Value::ArenaList(_))) {
+            let mut flat = Vec::with_capacity(items.len());
+            for v in items {
+                self.push_spliced(&mut flat, v);
+            }
+            flat
+        } else {
+            items
+        };
+        stats.lists_built += 1;
+        stats.value_bytes += Self::value_bytes(items.len());
+        Value::ArenaList(self.alloc_list(items))
+    }
+
+    /// Appends `v` to `items`, splicing a region list in as its items —
+    /// the one-level splice of [`Arena::make_list`], and how `e+` joins
+    /// its first match to a memoized rest list.
+    #[inline]
+    pub fn push_spliced(&self, items: &mut Vec<Value>, v: Value) {
+        match v {
+            Value::ArenaList(r) => items.extend_from_slice(self.children(r)),
+            other => items.push(other),
+        }
+    }
+
+    /// Whether `v` may be stored in this region: a leaf, or a handle into
+    /// *this* arena at its current generation. Owned (`Rc`) composites
+    /// never qualify — every composite a region-backed parse builds lives
+    /// in the region.
     pub fn owns_composites_of(&self, v: &Value) -> bool {
         match v {
             Value::ArenaNode(r) | Value::ArenaList(r) => {
                 r.generation == self.generation && (r.index as usize) < self.nodes.len()
             }
-            _ => true,
+            Value::Node(_) | Value::List(_) => false,
+            Value::Unit | Value::Absent | Value::Text(_) | Value::OwnedText(_) => true,
         }
     }
 
@@ -251,22 +323,21 @@ impl Arena {
                     self.children(*r).iter().map(|c| self.copy_out(c)).collect();
                 Value::List(Rc::new(items))
             }
-            other => {
+            leaf => {
                 debug_assert!(
-                    !has_arena_ref(other),
-                    "legacy composite value contains arena handles"
+                    !matches!(leaf, Value::Node(_) | Value::List(_)),
+                    "owned composite reached a region-backed tree"
                 );
-                other.clone()
+                leaf.clone()
             }
         }
     }
 
-    /// A copy of `v` with every span translated by `delta` bytes,
-    /// arena-aware: arena subtrees are *deep-copied* into fresh region
-    /// nodes (memo entries share subtrees, so shifting in place would
-    /// double-shift), exactly mirroring the legacy [`Value::shifted`]
-    /// copy semantics. The region grows across edits and is reclaimed
-    /// wholesale at the next reset.
+    /// A copy of `v` with every span translated by `delta` bytes: region
+    /// subtrees are *deep-copied* into fresh region nodes (memo entries
+    /// share subtrees, so shifting in place would double-shift). The
+    /// region grows across edits and is reclaimed wholesale at the next
+    /// reset.
     pub fn shifted(&mut self, v: &Value, delta: i64) -> Value {
         if delta == 0 {
             return v.clone();
@@ -291,7 +362,14 @@ impl Arena {
                     None => Value::ArenaList(self.alloc_list(children)),
                 }
             }
-            other => other.shifted(delta),
+            Value::Text(span) => Value::Text(span.shifted(delta)),
+            leaf => {
+                debug_assert!(
+                    !matches!(leaf, Value::Node(_) | Value::List(_)),
+                    "owned composite reached a region-backed memo entry"
+                );
+                leaf.clone()
+            }
         }
     }
 
@@ -334,8 +412,8 @@ impl Arena {
     }
 
     /// Streams `v` as [`ParseEvent`]s without materializing any owned
-    /// tree: arena nodes are resolved in place, legacy values are walked
-    /// structurally, text leaves arrive as borrowed spans whenever the
+    /// tree: arena nodes are resolved in place, owned trees (the
+    /// unchunked interpreter's) are walked structurally, text leaves arrive as borrowed spans whenever the
     /// parse produced spans.
     pub fn emit_events(&self, v: &Value, sink: &mut dyn EventSink) {
         match v {
@@ -385,7 +463,7 @@ impl Arena {
     }
 
     /// Structural equality of two values, either of which may be
-    /// region-backed (resolved against *this* arena) or legacy:
+    /// region-backed (resolved against *this* arena) or owned:
     /// text leaves compare by the characters they denote in `input`,
     /// node spans are ignored — the arena-aware analogue of
     /// [`Value::same_shape`].
@@ -429,25 +507,16 @@ impl Arena {
     }
 }
 
-/// Whether a legacy composite value transitively contains arena handles
-/// (an invariant violation: arena-mode parsers build *all* composite
-/// values in the region, so legacy `Rc` composites never hold handles).
-fn has_arena_ref(v: &Value) -> bool {
-    match v {
-        Value::ArenaNode(_) | Value::ArenaList(_) => true,
-        Value::Node(n) => n.children().iter().any(has_arena_ref),
-        Value::List(l) => l.iter().any(has_arena_ref),
-        _ => false,
-    }
-}
-
 /// The structural-invariant audit over an [`Arena`]:
 ///
 /// 1. every child range lies within the shared pool,
 /// 2. every child handle resolves (current generation, in-bounds index)
 ///    and was allocated *before* its parent — acyclicity by construction,
 /// 3. every span (node spans and text leaves) lies within the input,
-/// 4. the live node count matches the allocation counter.
+/// 4. the pool holds only leaves and region handles — never an owned
+///    (`Rc`) composite, since region-backed parses build every composite
+///    in the region,
+/// 5. the live node count matches the allocation counter.
 ///
 /// Engines run this as a debug assertion at the end of arena parses;
 /// the `arena_invariants` test suite drives it across session recycling.
@@ -515,13 +584,12 @@ impl ArenaInvariants {
                             ));
                         }
                     }
-                    other => {
-                        if has_arena_ref(other) {
-                            return Err(format!(
-                                "node {i} child {j}: legacy composite holds arena handles"
-                            ));
-                        }
+                    Value::Node(_) | Value::List(_) => {
+                        return Err(format!(
+                            "node {i} child {j}: owned composite in the region's pool"
+                        ));
                     }
+                    Value::Unit | Value::Absent | Value::OwnedText(_) => {}
                 }
             }
         }
@@ -789,19 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn events_roundtrip_legacy_values_too() {
-        let arena = Arena::new();
-        let legacy = Value::node(
-            "Top",
-            vec![Value::list(vec![Value::Text(Span::new(0, 1))]), Value::Unit],
-        );
-        let mut builder = TreeBuilder::new();
-        arena.emit_events(&legacy, &mut builder);
-        let rebuilt = builder.finish().expect("balanced stream");
-        assert_eq!(rebuilt, legacy);
-    }
-
-    #[test]
     fn event_counts_count_without_building() {
         let mut arena = Arena::new();
         let v = sample(&mut arena);
@@ -839,6 +894,46 @@ mod tests {
         arena.pool[0] = Value::ArenaList(foreign);
         let err = ArenaInvariants::check(&arena, 10).unwrap_err();
         assert!(err.contains("stale"), "{err}");
+    }
+
+    #[test]
+    fn invariants_reject_owned_composites_in_the_pool() {
+        let mut arena = Arena::new();
+        sample(&mut arena);
+        ArenaInvariants::check(&arena, 2).unwrap();
+        // Plant an owned node where a region handle belongs.
+        arena.pool[0] = Value::node("Owned", vec![]);
+        let err = ArenaInvariants::check(&arena, 2).unwrap_err();
+        assert!(err.contains("owned composite"), "{err}");
+        arena.pool[0] = Value::list(vec![]);
+        let err = ArenaInvariants::check(&arena, 2).unwrap_err();
+        assert!(err.contains("owned composite"), "{err}");
+    }
+
+    #[test]
+    fn builder_splices_one_level_and_charges_stats() {
+        let mut arena = Arena::new();
+        let mut stats = Stats::default();
+        let x = Value::Text(Span::new(0, 1));
+        let inner = arena.make_list(&mut stats, vec![x.clone(), x.clone()]);
+        let node = arena.make_node(&mut stats, NodeKind::new("N"), vec![inner.clone()], None);
+        let outer = arena.make_list(&mut stats, vec![x.clone(), inner, node]);
+        assert_eq!(
+            arena.to_sexpr(&outer, "x"),
+            "[\"x\" \"x\" \"x\" (N [\"x\" \"x\"])]"
+        );
+        assert_eq!((stats.nodes_built, stats.lists_built), (1, 2));
+        let slot = std::mem::size_of::<Value>();
+        assert_eq!(
+            stats.value_bytes as usize,
+            3 * Arena::NODE_BYTES + (2 + 1 + 4) * slot,
+            "each composite charges its record plus its spliced children"
+        );
+        let mut items = vec![Value::Unit];
+        arena.push_spliced(&mut items, outer);
+        arena.push_spliced(&mut items, Value::Absent);
+        assert_eq!(items.len(), 6);
+        ArenaInvariants::check(&arena, 1).unwrap();
     }
 
     #[test]

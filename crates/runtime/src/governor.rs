@@ -362,7 +362,7 @@ impl Governor {
     /// Records one evaluation step; aborts if any budget is exhausted.
     ///
     /// The hot path is a single countdown decrement; all budget accounting
-    /// is batched into [`Governor::refill`], which runs at most every
+    /// is batched into the private `Governor::refill`, which runs at most every
     /// [`POLL_STRIDE`] calls (exactly at the configured fuel boundary when
     /// fuel runs lower than a stride).
     ///

@@ -91,7 +91,6 @@ pub struct VmProgram {
     chunk: compile::Chunk,
     cfg: OptConfig,
     n_slots: u32,
-    arena_enabled: bool,
     /// The recovery policy derived from the *source* grammar's
     /// FIRST/FOLLOW analysis and `@recover` annotations — computed
     /// before any transform, so it is byte-identical across engines.
@@ -161,7 +160,6 @@ impl VmProgram {
             chunk,
             cfg: cg.config(),
             n_slots: cg.memo_slot_count(),
-            arena_enabled: cg.arena_enabled(),
             policy: cg.recover_policy(),
         })
     }
@@ -178,19 +176,6 @@ impl VmProgram {
     /// The optimization configuration the program was compiled under.
     pub fn config(&self) -> OptConfig {
         self.cfg
-    }
-
-    /// Whether runs build semantic values in the per-parse arena
-    /// (default) or as individually heap-allocated trees.
-    pub fn arena_enabled(&self) -> bool {
-        self.arena_enabled
-    }
-
-    /// Switches between arena-backed (default) and legacy heap-allocated
-    /// semantic values. Both produce structurally identical trees; the
-    /// toggle exists for the equivalence tests and the heap experiments.
-    pub fn set_arena_enabled(&mut self, enabled: bool) {
-        self.arena_enabled = enabled;
     }
 
     /// Number of instructions in the program (bootstrap included).

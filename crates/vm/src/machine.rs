@@ -75,9 +75,6 @@ pub(crate) struct Machine<'p, 'i> {
     bts: Vec<BtFrame>,
     calls: Vec<CallFrame>,
     memo: ChunkMemo,
-    /// Whether semantic values are built in the memo's arena (the memo is
-    /// always chunked here, so this mirrors the program's toggle).
-    use_arena: bool,
     state: ScopedState,
     failures: Failures,
     stats: Stats,
@@ -121,7 +118,6 @@ impl<'p, 'i> Machine<'p, 'i> {
             bts: Vec::with_capacity(64),
             calls: Vec::with_capacity(64),
             memo,
-            use_arena: p.arena_enabled(),
             state: ScopedState::new(),
             failures,
             stats: Stats::default(),
@@ -332,7 +328,7 @@ impl<'p, 'i> Machine<'p, 'i> {
         self.abort(ParseAbort::MemoBudget);
     }
 
-    // ----- value construction (identical accounting to the interpreter) -----
+    // ----- value construction (the runtime's shared arena builder) -----
 
     fn make_text(&mut self, lo: u32, hi: u32) -> Value {
         if self.p.config().text_only {
@@ -346,71 +342,13 @@ impl<'p, 'i> Machine<'p, 'i> {
     }
 
     fn make_node(&mut self, kind: &NodeKind, children: Vec<Value>, span: Option<Span>) -> Value {
-        self.stats.nodes_built += 1;
-        if self.use_arena {
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + children.len() * std::mem::size_of::<Value>())
-                as u64;
-            return Value::ArenaNode(self.memo.arena_mut().alloc_node(kind.clone(), children, span));
-        }
-        self.stats.value_bytes += (std::mem::size_of::<modpeg_runtime::Node>()
-            + children.capacity() * std::mem::size_of::<Value>())
-            as u64;
-        match span {
-            Some(s) => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::with_span(
-                kind.clone(),
-                children,
-                s,
-            ))),
-            None => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::new(
-                kind.clone(),
-                children,
-            ))),
-        }
+        self.memo
+            .arena_mut()
+            .make_node(&mut self.stats, kind.clone(), children, span)
     }
 
     fn make_list(&mut self, items: Vec<Value>) -> Value {
-        if self.use_arena {
-            let items = if items
-                .iter()
-                .any(|v| matches!(v, Value::List(_) | Value::ArenaList(_)))
-            {
-                let arena = self.memo.arena();
-                let mut flat = Vec::with_capacity(items.len());
-                for v in items {
-                    match v {
-                        Value::List(l) => flat.extend(l.iter().cloned()),
-                        Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
-                        other => flat.push(other),
-                    }
-                }
-                flat
-            } else {
-                items
-            };
-            self.stats.lists_built += 1;
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + items.len() * std::mem::size_of::<Value>())
-                as u64;
-            return Value::ArenaList(self.memo.arena_mut().alloc_list(items));
-        }
-        let items = if items.iter().any(|v| matches!(v, Value::List(_))) {
-            let mut flat = Vec::with_capacity(items.len());
-            for v in items {
-                match v {
-                    Value::List(l) => flat.extend(l.iter().cloned()),
-                    other => flat.push(other),
-                }
-            }
-            flat
-        } else {
-            items
-        };
-        self.stats.lists_built += 1;
-        self.stats.value_bytes +=
-            (std::mem::size_of::<Vec<Value>>() + items.capacity() * std::mem::size_of::<Value>())
-                as u64;
-        Value::list(items)
+        self.memo.arena_mut().make_list(&mut self.stats, items)
     }
 
     /// The name a state operation works with: the operand's first textual
@@ -755,18 +693,10 @@ impl<'p, 'i> Machine<'p, 'i> {
                     let m1 = self.marks.pop().expect("plus rest mark");
                     let m0 = self.marks.pop().expect("plus first mark");
                     if collect {
-                        // Two list constructions with one splice level each
-                        // — byte-for-byte the interpreter's `e+` shape.
-                        let rest = self.vstack.split_off(m1.vlen as usize);
-                        let rest_list = self.make_list(rest);
-                        let mut items = self.vstack.split_off(m0.vlen as usize);
-                        match &rest_list {
-                            Value::List(l) => items.extend(l.iter().cloned()),
-                            Value::ArenaList(r) => {
-                                items.extend(self.memo.arena().children(*r).iter().cloned())
-                            }
-                            _ => {}
-                        }
+                        // First match and rest together make one list —
+                        // the interpreter's unmemoized `e+` shape.
+                        debug_assert!(m0.vlen <= m1.vlen);
+                        let items = self.vstack.split_off(m0.vlen as usize);
                         let list = self.make_list(items);
                         self.vstack.push(list);
                     } else {
@@ -903,17 +833,12 @@ impl ParseRun for Machine<'_, '_> {
     }
 
     /// Detaches `value` from the machine's arena before it escapes into a
-    /// [`modpeg_runtime::SyntaxTree`]. Legacy trees pass through as-is.
+    /// [`modpeg_runtime::SyntaxTree`].
     fn materialize(&self, value: Value) -> Value {
-        if self.use_arena {
-            self.memo.arena().copy_out(&value)
-        } else {
-            value
-        }
+        self.memo.arena().copy_out(&value)
     }
 
-    /// Streams `value` as SAX events straight from the machine's arena
-    /// (the arena walker also handles legacy heap values).
+    /// Streams `value` as SAX events straight from the machine's arena.
     fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
         self.memo.arena().emit_events(value, sink);
     }

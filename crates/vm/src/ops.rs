@@ -131,9 +131,9 @@ pub enum Op {
     /// loop pushed into one list value.
     StarFinish { make: bool },
     /// Plus exit: pop the rest-mark and first-mark; when collecting,
-    /// build the rest list, splice it after the first iteration's
-    /// values, and push the combined list (two list constructions —
-    /// exactly the interpreter's shape).
+    /// push one list of the first iteration's values followed by the
+    /// rest's (the interpreter's unmemoized `e+` shape). The rest-mark
+    /// only brackets the loop.
     PlusFinish { collect: bool },
     /// `$p` exit: pop the mark, drop the body's values, and (when the
     /// context wants a value) push the matched text.

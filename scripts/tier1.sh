@@ -17,6 +17,12 @@ cargo build --release --workspace
 echo "== tier-1: cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc links must resolve (a link to a deleted or private item fails).
+# `--lib` skips the `modpeg` binary, whose doc output would collide
+# with the library of the same name.
+echo "== tier-1: cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "== tier-1: cargo test -q --workspace =="
 cargo test -q --workspace
 
