@@ -1,47 +1,53 @@
 //! Benchmarks for the *generator* itself: module parsing, elaboration,
 //! optimization/compilation, and Rust-code emission for the Java-subset
 //! grammar — the toolchain-latency numbers a Rats! user experiences at
-//! build time. Plain `std::time` harness (`harness = false`), so no
-//! external benchmarking dependency is needed.
+//! build time, timed through `modpeg_bench::paired`. Plain `std::time`
+//! harness (`harness = false`), so no external benchmarking dependency is
+//! needed.
 
-use modpeg_bench::{median_time, ms, print_table};
+use std::hint::black_box;
+
+use modpeg_bench::{ms, paired, print_table};
 use modpeg_interp::{CompiledGrammar, OptConfig};
 
 const RUNS: usize = 20;
 
 fn main() {
     let src = modpeg_grammars::sources::JAVA;
-    let mut rows = Vec::new();
-
-    rows.push(vec![
-        "parse_modules".to_owned(),
-        ms(median_time(RUNS, || {
-            modpeg_syntax::parse_modules(src).expect("parses")
-        })),
-    ]);
-
     let set = modpeg_syntax::parse_module_set([src]).unwrap();
-    rows.push(vec![
-        "elaborate".to_owned(),
-        ms(median_time(RUNS, || {
-            set.elaborate("java.Program", Some("Program")).expect("elaborates")
-        })),
-    ]);
-
     let grammar = modpeg_grammars::java_grammar().unwrap();
-    rows.push(vec![
-        "compile_all_opts".to_owned(),
-        ms(median_time(RUNS, || {
-            CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles")
-        })),
-    ]);
-    rows.push(vec![
-        "codegen_emit".to_owned(),
-        ms(median_time(RUNS, || {
-            modpeg_codegen::generate(&grammar, "bench").expect("emits")
-        })),
-    ]);
 
+    let legs = paired(
+        RUNS,
+        1,
+        &mut [
+            &mut || {
+                black_box(modpeg_syntax::parse_modules(src).expect("parses"));
+            },
+            &mut || {
+                black_box(
+                    set.elaborate("java.Program", Some("Program"))
+                        .expect("elaborates"),
+                );
+            },
+            &mut || {
+                black_box(CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles"));
+            },
+            &mut || {
+                black_box(modpeg_codegen::generate(&grammar, "bench").expect("emits"));
+            },
+        ],
+    );
+    let rows: Vec<Vec<String>> = [
+        "parse_modules",
+        "elaborate",
+        "compile_all_opts",
+        "codegen_emit",
+    ]
+    .iter()
+    .zip(&legs)
+    .map(|(stage, leg)| vec![(*stage).to_owned(), ms(leg.median)])
+    .collect();
     println!("generation/java");
     print_table(&["stage", "median ms"], &rows);
 }

@@ -1,9 +1,12 @@
 //! Micro-benchmarks for runtime primitives: memo-table probe/store
 //! strategies and state transactions — the building blocks whose costs
-//! the optimization study aggregates. Plain `std::time` harness
-//! (`harness = false`), so no external benchmarking dependency is needed.
+//! the optimization study aggregates, timed through `modpeg_bench::paired`.
+//! Plain `std::time` harness (`harness = false`), so no external
+//! benchmarking dependency is needed.
 
-use modpeg_bench::{median_time, ms, print_table};
+use std::hint::black_box;
+
+use modpeg_bench::{ms, paired, print_table};
 use modpeg_runtime::{ChunkMemo, HashMemo, MemoAnswer, MemoTable, ScopedState, Value};
 
 const RUNS: usize = 20;
@@ -49,19 +52,30 @@ fn define_rollback() -> usize {
 }
 
 fn main() {
-    let rows = vec![
-        vec![
-            "memo/chunk_store_probe".to_owned(),
-            ms(median_time(RUNS, || std::hint::black_box(chunk_store_probe()))),
+    let legs = paired(
+        RUNS,
+        1,
+        &mut [
+            &mut || {
+                black_box(chunk_store_probe());
+            },
+            &mut || {
+                black_box(hash_store_probe());
+            },
+            &mut || {
+                black_box(define_rollback());
+            },
         ],
-        vec![
-            "memo/hash_store_probe".to_owned(),
-            ms(median_time(RUNS, || std::hint::black_box(hash_store_probe()))),
-        ],
-        vec![
-            "state/define_rollback".to_owned(),
-            ms(median_time(RUNS, || std::hint::black_box(define_rollback()))),
-        ],
+    );
+    let names = [
+        "memo/chunk_store_probe",
+        "memo/hash_store_probe",
+        "state/define_rollback",
     ];
+    let rows: Vec<Vec<String>> = names
+        .iter()
+        .zip(&legs)
+        .map(|(name, leg)| vec![(*name).to_owned(), ms(leg.median)])
+        .collect();
     print_table(&["benchmark", "median ms"], &rows);
 }

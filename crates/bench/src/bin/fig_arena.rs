@@ -2,12 +2,12 @@
 //! costs over streaming it, in throughput and peak heap per parse, on
 //! every grammar and every engine.
 //!
-//! Methodology: **paired-interleaved rounds** (as in E2/E12). Each timed
-//! round runs both legs back-to-back per engine — `events` (zero-copy:
-//! the tree is streamed straight out of the region) and `tree` (the same
-//! arena build plus `copy_out` into a detached owned tree) — so allocator
-//! state and frequency scaling bias both legs equally. The event stream
-//! is verified to rebuild the `tree` leg's tree first.
+//! Two legs per engine: `events` (zero-copy: the tree is streamed
+//! straight out of the region) and `tree` (the same arena build plus
+//! `copy_out` into a detached owned tree). All six legs of a grammar are
+//! the legs of one `modpeg_bench::paired` call (the crate docs describe
+//! the runner). Each event stream is verified to rebuild the `tree` leg's
+//! tree first.
 //!
 //! Peak heap is tracked by a counting global allocator: before each
 //! measured parse the high-water mark is rewound to the current live
@@ -29,14 +29,14 @@
 //! the heap (a leak would mean reset/recycle drops regions on the floor).
 //!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 24000), `MODPEG_BENCH_SEEDS` (3),
-//! `MODPEG_BENCH_RUNS` (5).
+//! `MODPEG_BENCH_RUNS` (6).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::time::Duration;
 
-use modpeg_bench::{ms, time_once, Knobs};
+use modpeg_bench::{middle, ms, paired, pct, Knobs};
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
 use modpeg_runtime::{Engine, EventCounts, EventSink, ParseRequest, SyntaxTree, TreeBuilder};
 use modpeg_session::SessionPool;
@@ -94,40 +94,6 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (PEAK.load(Relaxed).saturating_sub(base), r)
 }
 
-struct Family {
-    name: &'static str,
-    grammar: fn() -> Result<modpeg_core::Grammar, modpeg_core::Diagnostics>,
-    workload: fn(u64, usize) -> String,
-    generated: &'static dyn Engine,
-}
-
-const FAMILIES: &[Family] = &[
-    Family {
-        name: "calc",
-        grammar: modpeg_grammars::calc_grammar,
-        workload: modpeg_workload::calc_expression,
-        generated: &modpeg_grammars::generated::calc::Generated,
-    },
-    Family {
-        name: "json",
-        grammar: modpeg_grammars::json_grammar,
-        workload: modpeg_workload::json_document,
-        generated: &modpeg_grammars::generated::json::Generated,
-    },
-    Family {
-        name: "java",
-        grammar: modpeg_grammars::java_grammar,
-        workload: modpeg_workload::java_program,
-        generated: &modpeg_grammars::generated::java::Generated,
-    },
-    Family {
-        name: "c",
-        grammar: modpeg_grammars::c_grammar,
-        workload: modpeg_workload::c_program,
-        generated: &modpeg_grammars::generated::c::Generated,
-    },
-];
-
 /// The `events` leg: arena build, events streamed from the region, no tree.
 fn events(engine: &dyn Engine, input: &str, sink: &mut dyn EventSink) {
     engine
@@ -151,50 +117,29 @@ fn tree(engine: &dyn Engine, input: &str) -> SyntaxTree {
         .into_tree()
 }
 
-fn engines<'a>(
-    family: &Family,
-    interp: &'a CompiledGrammar,
-    vm: &'a VmProgram,
-) -> [&'a dyn Engine; 3] {
-    [interp, vm, family.generated]
-}
-
-fn median(mut times: Vec<Duration>) -> Duration {
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-fn delta(leg: Duration, base: Duration) -> String {
-    format!(
-        "{:+.1}%",
-        (leg.as_secs_f64() / base.as_secs_f64().max(1e-9) - 1.0) * 100.0
-    )
-}
-
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         smoke();
         return;
     }
-    let knobs = Knobs::from_env(24_000, 3, 5);
+    let knobs = Knobs::from_env(24_000, 3, 6);
     println!(
         "E13 — arena-backed values: events vs detached tree\n\
          ({} inputs x {} bytes per grammar, all engines at full optimization,\n\
-         median of {} paired-interleaved rounds; event streams verified to rebuild the tree)\n",
+         median of {} paired runs; event streams verified to rebuild the tree)\n",
         knobs.seeds, knobs.bytes, knobs.runs
     );
 
     let mut rows = Vec::new();
-    for family in FAMILIES {
-        let grammar = (family.grammar)().expect("grammar elaborates");
+    for g in GrammarId::ALL {
+        let grammar = g.elaborate().expect("grammar elaborates");
         let interp = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
         let vm = VmProgram::from_compiled(&interp).expect("bytecode assembles");
-        let inputs: Vec<String> = (0..knobs.seeds)
-            .map(|s| (family.workload)(s, knobs.bytes))
-            .collect();
+        let inputs = knobs.inputs(|seed, bytes| g.workload(seed, bytes));
+        let engines: [&dyn Engine; 3] = [&interp, &vm, g.codegen()];
 
-        for engine in engines(family, &interp, &vm) {
-            // Identical trees first; a leaner wrong parser is no parser.
+        // Identical trees first; a leaner wrong parser is no parser.
+        for engine in engines {
             for input in &inputs {
                 let mut builder = TreeBuilder::new();
                 events(engine, input, &mut builder);
@@ -203,38 +148,43 @@ fn main() {
                     SyntaxTree::new(input.as_str(), rebuilt).to_sexpr(),
                     tree(engine, input).to_sexpr(),
                     "{}/{}: event stream and copied-out tree diverged",
-                    family.name,
+                    g.name(),
                     engine.name()
                 );
             }
+        }
 
-            // Paired-interleaved timing: warmup round, then `runs` rounds
-            // of events → tree over the whole input set.
-            let mut t_events = Vec::with_capacity(knobs.runs);
-            let mut t_tree = Vec::with_capacity(knobs.runs);
-            for round in 0..=knobs.runs {
-                let (de, _) = time_once(|| {
-                    for i in &inputs {
-                        std::hint::black_box(count_events(engine, i));
-                    }
-                });
-                let (dt, _) = time_once(|| {
-                    for i in &inputs {
-                        std::hint::black_box(tree(engine, i));
-                    }
-                });
-                if round > 0 {
-                    t_events.push(de);
-                    t_tree.push(dt);
-                }
+        let events_leg = |engine: &dyn Engine| {
+            for i in &inputs {
+                std::hint::black_box(count_events(engine, i));
             }
-            let (me, mt) = (median(t_events), median(t_tree));
+        };
+        let tree_leg = |engine: &dyn Engine| {
+            for i in &inputs {
+                std::hint::black_box(tree(engine, i));
+            }
+        };
+        let [e0, e1, e2] = engines;
+        let legs = paired(
+            knobs.runs,
+            1,
+            &mut [
+                &mut || events_leg(e0),
+                &mut || tree_leg(e0),
+                &mut || events_leg(e1),
+                &mut || tree_leg(e1),
+                &mut || events_leg(e2),
+                &mut || tree_leg(e2),
+            ],
+        );
+        for (engine, pair) in engines.iter().zip(legs.chunks(2)) {
+            let (me, mt) = (pair[0].median, pair[1].median);
             rows.push(vec![
-                family.name.to_owned(),
+                g.name().to_owned(),
                 engine.name().to_owned(),
                 ms(me),
                 ms(mt),
-                delta(mt, me),
+                pct(mt.as_secs_f64() / me.as_secs_f64().max(1e-9)),
             ]);
         }
     }
@@ -287,7 +237,7 @@ fn main() {
 /// tables as rows of the unified JSON grid (see `main`).
 fn heap_section() -> Vec<Vec<String>> {
     let mut json_rows = Vec::new();
-    let java = modpeg_grammars::java_grammar().expect("java elaborates");
+    let java = GrammarId::Java.elaborate().expect("java elaborates");
     let doc = modpeg_workload::java_program(1, 128 * 1024);
     println!(
         "\npeak additional heap per parse, {} KiB java document",
@@ -300,7 +250,7 @@ fn heap_section() -> Vec<Vec<String>> {
     let vm = VmProgram::from_compiled(&interp).expect("bytecode assembles");
     println!("\none-shot (cold memo table; memo dominates both legs):");
     let mut rows = Vec::new();
-    for engine in engines(&FAMILIES[2], &interp, &vm) {
+    for engine in [&interp as &dyn Engine, &vm, GrammarId::Java.codegen()] {
         let (peak_events, _) = peak_during(|| std::hint::black_box(count_events(engine, &doc)));
         let (peak_tree, _) = peak_during(|| std::hint::black_box(tree(engine, &doc)));
         rows.push(vec![
@@ -352,9 +302,7 @@ fn heap_section() -> Vec<Vec<String>> {
         for _ in 0..3 {
             cycle(false); // warm capacities to steady state
         }
-        let mut peaks: Vec<usize> = (0..5).map(|_| cycle(true)).collect();
-        peaks.sort_unstable();
-        let peak = peaks[peaks.len() / 2];
+        let peak = middle((0..5).map(|_| cycle(true)).collect(), usize::cmp);
         if events {
             headline.0 = peak;
         } else {
@@ -390,7 +338,11 @@ fn smoke() {
         let mut session = pool.session(doc.clone());
         session.parse().expect("workload parses");
         pool.recycle(session);
-        assert_eq!(pool.pooled(), 1, "the pool must hold exactly the recycled memo");
+        assert_eq!(
+            pool.pooled(),
+            1,
+            "the pool must hold exactly the recycled memo"
+        );
         if round == 3 {
             // Vec capacities have reached their high-water mark by now;
             // from here on, recycling must keep live bytes flat.

@@ -8,11 +8,15 @@
 //! Knobs: `MODPEG_BENCH_BYTES` (default 24000), `MODPEG_BENCH_SEEDS` (3).
 
 use modpeg_bench::Knobs;
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig, OPT_COUNT, OPT_NAMES};
 use modpeg_runtime::Stats;
 
 fn sweep(label: &str, grammar: &modpeg_core::Grammar, inputs: &[String]) -> Vec<Vec<String>> {
-    println!("\n[{label}] heap bytes per parse (averaged over {} inputs)", inputs.len());
+    println!(
+        "\n[{label}] heap bytes per parse (averaged over {} inputs)",
+        inputs.len()
+    );
     let mut rows = Vec::new();
     let mut full_total = 1.0f64;
     let mut collected: Vec<(usize, Stats)> = Vec::new();
@@ -76,17 +80,12 @@ fn main() {
     let knobs = Knobs::from_env(24_000, 3, 1);
     println!("E3 — heap utilization vs cumulative optimizations");
 
-    let java = modpeg_grammars::java_grammar().expect("java elaborates");
-    let java_inputs: Vec<String> = (0..knobs.seeds)
-        .map(|s| modpeg_workload::java_program(s, knobs.bytes))
-        .collect();
-    let mut all = sweep("java", &java, &java_inputs);
-
-    let c = modpeg_grammars::c_grammar().expect("c elaborates");
-    let c_inputs: Vec<String> = (0..knobs.seeds)
-        .map(|s| modpeg_workload::c_program(s, knobs.bytes))
-        .collect();
-    all.extend(sweep("c", &c, &c_inputs));
+    let mut all = Vec::new();
+    for g in [GrammarId::Java, GrammarId::C] {
+        let grammar = g.elaborate().expect("grammar elaborates");
+        let inputs = knobs.inputs(|seed, bytes| g.workload(seed, bytes));
+        all.extend(sweep(g.name(), &grammar, &inputs));
+    }
 
     modpeg_bench::emit_results_json(
         "fig_heap",

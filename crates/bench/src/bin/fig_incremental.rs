@@ -1,4 +1,4 @@
-//! E7 — incremental reparse via `ParseSession`.
+//! E8 — incremental reparse via `ParseSession`.
 //!
 //! Two series:
 //!
@@ -18,17 +18,26 @@
 //!    series demonstrates that the fallback stays correct and reuses
 //!    nothing.
 //!
+//! Every number is timed through `modpeg_bench::paired` (the crate docs
+//! describe the runner). A reparse mutates the memo it measures, so each
+//! call of an incremental leg flips its edit: it applies the edit or
+//! undoes it, then reparses. Every call thus reparses after the same
+//! one-literal change, and its time includes `apply_edit` (shifting the
+//! memo columns), as an editor's edit-to-tree latency does. Per edit,
+//! the full and the incremental reparse are the two legs of one call.
+//!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 128 KiB), `MODPEG_BENCH_RUNS`
-//! (default 5, full-reparse baseline only — each incremental reparse is
-//! timed once because reparsing mutates the memo it measures).
+//! (default 5).
 
 use std::hint::black_box;
 use std::ops::Range;
 use std::rc::Rc;
 use std::time::Duration;
 
-use modpeg_bench::{median_time, ms, print_table, time_once, Knobs};
+use modpeg_bench::{middle, ms, paired, print_table, Knobs};
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
+use modpeg_runtime::{ParseError, SyntaxTree};
 use modpeg_session::ParseSession;
 
 const EDITS: usize = 10;
@@ -64,8 +73,8 @@ fn digit_runs(doc: &str) -> Vec<(usize, usize)> {
             while i < bytes.len() && bytes[i].is_ascii_digit() {
                 i += 1;
             }
-            let standalone = (start == 0 || !ident(bytes[start - 1]))
-                && (i == bytes.len() || !ident(bytes[i]));
+            let standalone =
+                (start == 0 || !ident(bytes[start - 1])) && (i == bytes.len() || !ident(bytes[i]));
             if standalone {
                 runs.push((start, i - start));
             }
@@ -88,20 +97,57 @@ fn random_digit_edit(doc: &str, rng: &mut Lcg) -> (Range<usize>, String) {
     (start..start + len, replacement)
 }
 
-fn median(mut times: Vec<Duration>) -> Duration {
-    times.sort_unstable();
-    times[times.len() / 2]
+/// One edit that a session can apply and undo in turn.
+struct Flip {
+    at: usize,
+    old: String,
+    new: String,
+    applied: bool,
+}
+
+impl Flip {
+    /// Replaces `range` of `shadow` by `new`; the session still has the
+    /// old text.
+    fn new(shadow: &mut String, range: Range<usize>, new: String) -> Flip {
+        let old = shadow[range.clone()].to_owned();
+        shadow.replace_range(range.clone(), &new);
+        Flip {
+            at: range.start,
+            old,
+            new,
+            applied: false,
+        }
+    }
+
+    /// Applies the edit to `session` if it is undone there, undoes it
+    /// otherwise, and reparses.
+    fn flip(&mut self, session: &mut ParseSession) -> Result<SyntaxTree, ParseError> {
+        let (from, to) = if self.applied {
+            (&self.new, &self.old)
+        } else {
+            (&self.old, &self.new)
+        };
+        session.apply_edit(self.at..self.at + from.len(), to);
+        self.applied = !self.applied;
+        session.parse()
+    }
+
+    /// Leaves the edit applied, its reparse the session's last.
+    fn settle(&mut self, session: &mut ParseSession) {
+        if !self.applied {
+            self.flip(session).expect("reparse succeeds");
+        }
+    }
 }
 
 fn main() {
     let knobs = Knobs::from_env(128 * 1024, 1, 5);
-    println!("E7 — incremental reparse\n");
+    println!("E8 — incremental reparse\n");
 
     // Series 1: memo reuse across edits on a pure (stateless) grammar.
-    let grammar = modpeg_grammars::java_grammar().expect("java elaborates");
-    let inc = Rc::new(
-        CompiledGrammar::compile(&grammar, OptConfig::incremental()).expect("compiles"),
-    );
+    let grammar = GrammarId::Java.elaborate().expect("java elaborates");
+    let inc =
+        Rc::new(CompiledGrammar::compile(&grammar, OptConfig::incremental()).expect("compiles"));
     let full = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
     assert!(!inc.uses_state(), "the Java subset is a pure grammar");
 
@@ -111,10 +157,19 @@ fn main() {
         doc.len() / 1024
     );
 
+    // A fresh session's first parse builds the whole memo table.
+    let t_prime = paired(
+        knobs.runs,
+        1,
+        &mut [&mut || {
+            let mut fresh = ParseSession::new(Rc::clone(&inc), doc.clone());
+            black_box(fresh.parse().expect("priming parse succeeds"));
+        }],
+    )[0]
+    .median;
     let mut session = ParseSession::new(Rc::clone(&inc), doc.clone());
-    let (t_prime, primed) = time_once(|| session.parse().expect("priming parse succeeds"));
     assert_eq!(
-        primed.to_sexpr(),
+        session.parse().expect("priming parse succeeds").to_sexpr(),
         full.parse(&doc).expect("parses").to_sexpr(),
         "priming parse agrees with the fully optimized configuration"
     );
@@ -127,28 +182,41 @@ fn main() {
     let mut rows = Vec::new();
     for i in 0..EDITS {
         let (range, replacement) = random_digit_edit(&shadow, &mut rng);
-        let at = range.start;
-        shadow.replace_range(range.clone(), &replacement);
-        session.apply_edit(range, &replacement);
-
-        let (t_inc, tree) = time_once(|| session.parse().expect("incremental reparse succeeds"));
+        let mut edit = Flip::new(&mut shadow, range, replacement);
+        let legs = paired(
+            knobs.runs,
+            1,
+            &mut [
+                &mut || {
+                    black_box(full.parse(&shadow).expect("parses"));
+                },
+                &mut || {
+                    black_box(
+                        edit.flip(&mut session)
+                            .expect("incremental reparse succeeds"),
+                    );
+                },
+            ],
+        );
+        edit.settle(&mut session);
         let reused = session.last_stats().memo_columns_reused;
         let dropped = session.last_stats().memo_columns_invalidated;
-        let t_full = median_time(knobs.runs, || {
-            black_box(full.parse(&shadow).expect("parses"));
-        });
         assert_eq!(
-            tree.to_sexpr(),
+            session.parse().expect("reparse succeeds").to_sexpr(),
             full.parse(&shadow).expect("parses").to_sexpr(),
             "edit {i}: incremental and from-scratch trees diverge"
         );
 
+        let (t_full, t_inc) = (legs[0].median, legs[1].median);
         rows.push(vec![
             format!("{}", i + 1),
-            format!("{at}"),
+            format!("{}", edit.at),
             ms(t_inc),
             ms(t_full),
-            format!("{:.1}", t_full.as_secs_f64() / t_inc.as_secs_f64().max(1e-9)),
+            format!(
+                "{:.1}",
+                t_full.as_secs_f64() / t_inc.as_secs_f64().max(1e-9)
+            ),
             format!("{reused}"),
             format!("{dropped}"),
         ]);
@@ -156,13 +224,21 @@ fn main() {
         full_times.push(t_full);
     }
     print_table(
-        &["edit", "at byte", "incr ms", "full ms", "x", "cols reused", "cols dropped"],
+        &[
+            "edit",
+            "at byte",
+            "incr ms",
+            "full ms",
+            "x",
+            "cols reused",
+            "cols dropped",
+        ],
         &rows,
     );
     let edit_rows = rows;
 
-    let m_inc = median(inc_times);
-    let m_full = median(full_times);
+    let m_inc = middle(inc_times, Duration::cmp);
+    let m_full = middle(full_times, Duration::cmp);
     println!("\nmedian incremental reparse: {} ms", ms(m_inc));
     println!("median full reparse:        {} ms", ms(m_full));
     println!(
@@ -172,9 +248,8 @@ fn main() {
 
     // Series 2: stateful grammars fall back to full reparses.
     println!("\nstateful fallback (C grammar with typedef state):");
-    let cg = modpeg_grammars::c_grammar().expect("c elaborates");
-    let cinc =
-        Rc::new(CompiledGrammar::compile(&cg, OptConfig::incremental()).expect("compiles"));
+    let cg = GrammarId::C.elaborate().expect("c elaborates");
+    let cinc = Rc::new(CompiledGrammar::compile(&cg, OptConfig::incremental()).expect("compiles"));
     assert!(cinc.uses_state(), "the C subset threads typedef state");
 
     let cdoc = modpeg_workload::c_program(7, 32 * 1024);
@@ -188,22 +263,28 @@ fn main() {
     let mut ctimes = Vec::new();
     for i in 0..EDITS {
         let (range, replacement) = random_digit_edit(&cshadow, &mut rng);
-        cshadow.replace_range(range.clone(), &replacement);
-        csession.apply_edit(range, &replacement);
-        let (t, tree) = time_once(|| csession.parse().expect("C reparse succeeds"));
+        let mut edit = Flip::new(&mut cshadow, range, replacement);
+        let leg = paired(
+            knobs.runs,
+            1,
+            &mut [&mut || {
+                black_box(edit.flip(&mut csession).expect("C reparse succeeds"));
+            }],
+        )[0];
+        edit.settle(&mut csession);
         assert_eq!(
-            tree.to_sexpr(),
+            csession.parse().expect("C reparse succeeds").to_sexpr(),
             cinc.parse(&cshadow).expect("parses").to_sexpr(),
             "edit {i}: fallback tree diverges from a scratch parse"
         );
-        ctimes.push(t);
+        ctimes.push(leg.median);
     }
     assert_eq!(
         csession.stats().memo_columns_reused,
         0,
         "a stateful session must not carry memo entries across edits"
     );
-    let median_c = median(ctimes);
+    let median_c = middle(ctimes, Duration::cmp);
     println!(
         "  {EDITS} edits, median full reparse: {} ms, memo columns reused: 0, trees verified \
          identical",
@@ -212,7 +293,7 @@ fn main() {
     modpeg_bench::emit_results_json(
         "fig_incremental",
         &[
-            ("experiment", "E7".into()),
+            ("experiment", "E8".into()),
             ("bytes", knobs.bytes.to_string()),
             ("runs", knobs.runs.to_string()),
             ("priming ms", ms(t_prime)),
@@ -220,7 +301,15 @@ fn main() {
             ("median full ms", ms(m_full)),
             ("stateful fallback median ms", ms(median_c)),
         ],
-        &["edit", "at byte", "incr ms", "full ms", "x", "cols reused", "cols dropped"],
+        &[
+            "edit",
+            "at byte",
+            "incr ms",
+            "full ms",
+            "x",
+            "cols reused",
+            "cols dropped",
+        ],
         &edit_rows,
     );
 }

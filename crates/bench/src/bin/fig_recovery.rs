@@ -9,22 +9,20 @@
 //! seeded into the document (1, 10, and 100 corrupted positions), where
 //! each error pays a failing prefix parse, a sync-set scan, and a restart.
 //!
-//! Methodology (same as E10): the two variants are timed *interleaved*
-//! within each iteration, with the execution order rotated every
-//! iteration, and each engine is measured over several independent
-//! campaigns with the heap layout perturbed in between. The reported
-//! overhead is the median over campaigns of the per-campaign median
-//! paired ratio; a best-time ratio (min resilient / min plain across all
-//! campaigns) is reported alongside as a cross-check, since interference
-//! is strictly additive and the minima converge on the true costs.
+//! Both parts time through `modpeg_bench::paired` (the crate docs
+//! describe the runner). The overhead part makes plain and resilient the
+//! two legs of one call per engine over 5 heap-perturbed campaigns; the
+//! overhead is the median paired ratio, and the best-ratio column (min
+//! resilient / min plain) cross-checks it. The malformed part makes the
+//! two engines the legs of one call per error count.
 //!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 131072), `MODPEG_BENCH_SEEDS` (1),
-//! `MODPEG_BENCH_RUNS` (21, per campaign).
+//! `MODPEG_BENCH_RUNS` (24 per campaign).
 
-use std::time::{Duration, Instant};
-
-use modpeg_bench::{kib_per_s, ms, Knobs};
+use modpeg_bench::{kib_per_s, ms, paired, parse_all, pct, Knobs};
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
+use modpeg_runtime::{Engine, ParseRequest, RecoverPolicy};
 
 /// Replaces the characters at `k` evenly spaced char positions with
 /// `'\u{1}'` — a scalar no grammar in the suite accepts — seeding `k`
@@ -44,97 +42,25 @@ fn seed_errors(doc: &str, k: usize) -> String {
         .collect()
 }
 
-/// Per-variant summary of one interleaved measurement campaign.
-struct Measurement {
-    /// Median times: [plain, resilient].
-    medians: [Duration; 2],
-    /// Minimum times: [plain, resilient].
-    mins: [Duration; 2],
-    /// Median paired ratio resilient/plain.
-    paired: f64,
-}
-
-impl Measurement {
-    /// Best-time ratio of resilient vs plain.
-    fn best(&self) -> f64 {
-        self.mins[1].as_secs_f64() / self.mins[0].as_secs_f64()
-    }
-}
-
-/// Times the two variants interleaved, rotating the execution order every
-/// iteration.
-fn measure(runs: usize, mut plain: impl FnMut(), mut resilient: impl FnMut()) -> Measurement {
-    plain();
-    resilient();
-    let mut times: [Vec<Duration>; 2] = [Vec::with_capacity(runs), Vec::with_capacity(runs)];
-    let mut ratios: Vec<f64> = Vec::with_capacity(runs);
-    for i in 0..runs {
-        let mut iter_time = [Duration::ZERO; 2];
-        for k in 0..2 {
-            let which = (i + k) % 2;
-            let start = Instant::now();
-            match which {
-                0 => plain(),
-                _ => resilient(),
-            }
-            iter_time[which] = start.elapsed();
-        }
-        for (v, t) in times.iter_mut().zip(iter_time) {
-            v.push(t);
-        }
-        ratios.push(iter_time[1].as_secs_f64() / iter_time[0].as_secs_f64());
-    }
-    let med = |v: &mut Vec<Duration>| {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let mins = [
-        *times[0].iter().min().expect("runs > 0"),
-        *times[1].iter().min().expect("runs > 0"),
-    ];
-    ratios.sort_by(f64::total_cmp);
-    Measurement {
-        medians: [med(&mut times[0]), med(&mut times[1])],
-        mins,
-        paired: ratios[ratios.len() / 2],
-    }
-}
-
 const CAMPAIGNS: usize = 5;
 
-fn campaign(runs: usize, mut plain: impl FnMut(), mut resilient: impl FnMut()) -> Measurement {
-    let mut all: Vec<Measurement> = Vec::with_capacity(CAMPAIGNS);
-    for i in 0..CAMPAIGNS {
-        // Leaking an odd-sized block shifts every allocation the next
-        // campaign makes, so a branch-alias or cache-placement accident in
-        // one layout cannot dominate the verdict.
-        std::mem::forget(vec![0u8; 4096 * i + 1361]);
-        all.push(measure(runs, &mut plain, &mut resilient));
+/// Parses every input resiliently on `engine`; returns the number of
+/// errors recovered. The budgets here are large enough that nothing is
+/// truncated.
+fn parse_resilient(engine: &dyn Engine, inputs: &[String], policy: &RecoverPolicy) -> usize {
+    let mut errors = 0;
+    for input in inputs {
+        let (r, _) = engine.run(input, ParseRequest::resilient(policy));
+        let diagnostics = std::hint::black_box(r.expect("resilient parses never fail")).diagnostics;
+        assert!(!diagnostics.truncated, "error budget truncated a parse");
+        errors += diagnostics.error_count();
     }
-    let med_dur = |pick: &dyn Fn(&Measurement) -> Duration| {
-        let mut v: Vec<Duration> = all.iter().map(pick).collect();
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let mut paired: Vec<f64> = all.iter().map(|m| m.paired).collect();
-    paired.sort_by(f64::total_cmp);
-    let min_dur = |i: usize| all.iter().map(|m| m.mins[i]).min().expect("campaigns");
-    Measurement {
-        medians: [med_dur(&|m| m.medians[0]), med_dur(&|m| m.medians[1])],
-        mins: [min_dur(0), min_dur(1)],
-        paired: paired[paired.len() / 2],
-    }
-}
-
-fn pct(ratio: f64) -> String {
-    format!("{:+.2}%", (ratio - 1.0) * 100.0)
+    errors
 }
 
 fn main() {
-    let knobs = Knobs::from_env(131_072, 1, 21);
-    let inputs: Vec<String> = (0..knobs.seeds)
-        .map(|seed| modpeg_workload::java_program(seed, knobs.bytes))
-        .collect();
+    let knobs = Knobs::from_env(131_072, 1, 24);
+    let inputs = knobs.inputs(modpeg_workload::java_program);
     let total: usize = inputs.iter().map(String::len).sum();
     println!(
         "[recovery overhead] java x {} inputs, {} bytes total, {} campaigns x {} paired runs",
@@ -144,65 +70,44 @@ fn main() {
         knobs.runs
     );
 
-    let grammar = modpeg_grammars::java_grammar().expect("java grammar elaborates");
+    let grammar = GrammarId::Java
+        .elaborate()
+        .expect("java grammar elaborates");
     let interp = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
-    let interp_policy = interp.recover_policy();
-    let codegen_policy = modpeg_grammars::generated::java::recover_policy();
+    let engines: [&dyn Engine; 2] = [&interp, GrammarId::Java.codegen()];
 
-    // Part 1 — valid-input overhead: plain `parse` vs `parse_resilient`
-    // on the same clean workload. The resilient result must be clean, so
-    // any difference is pure machinery.
+    // Part 1 — valid-input overhead: plain vs resilient parses of the same
+    // clean workload. The resilient result must be clean, so any
+    // difference is pure machinery.
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let row = |name: &str, m: &Measurement| {
-        vec![
+    for (name, engine) in ["interp (all opts)", "codegen"].into_iter().zip(engines) {
+        let policy = engine.recover_policy();
+        let legs = paired(
+            knobs.runs,
+            CAMPAIGNS,
+            &mut [&mut || parse_all(engine, &inputs), &mut || {
+                let errors = parse_resilient(engine, &inputs, &policy);
+                assert_eq!(errors, 0, "valid workload must recover cleanly");
+            }],
+        );
+        rows.push(vec![
             name.to_owned(),
-            ms(m.medians[0]),
-            ms(m.medians[1]),
-            pct(m.paired),
-            pct(m.best()),
-        ]
-    };
-
-    let m = campaign(
-        knobs.runs,
-        || {
-            for input in &inputs {
-                std::hint::black_box(interp.parse(input).expect("workload parses"));
-            }
-        },
-        || {
-            for input in &inputs {
-                let rec = interp.parse_resilient(input, &interp_policy);
-                assert!(rec.diagnostics.is_clean(), "valid workload must recover cleanly");
-                std::hint::black_box(rec);
-            }
-        },
-    );
-    rows.push(row("interp (all opts)", &m));
-
-    let m = campaign(
-        knobs.runs,
-        || {
-            for input in &inputs {
-                std::hint::black_box(
-                    modpeg_grammars::generated::java::parse(input).expect("workload parses"),
-                );
-            }
-        },
-        || {
-            for input in &inputs {
-                let rec =
-                    modpeg_grammars::generated::java::parse_resilient(input, &codegen_policy);
-                assert!(rec.diagnostics.is_clean(), "valid workload must recover cleanly");
-                std::hint::black_box(rec);
-            }
-        },
-    );
-    rows.push(row("codegen", &m));
+            ms(legs[0].median),
+            ms(legs[1].median),
+            pct(legs[1].paired),
+            pct(legs[1].min.as_secs_f64() / legs[0].min.as_secs_f64()),
+        ]);
+    }
 
     println!();
     modpeg_bench::print_table(
-        &["engine", "plain ms", "resilient ms", "overhead", "best-ratio"],
+        &[
+            "engine",
+            "plain ms",
+            "resilient ms",
+            "overhead",
+            "best-ratio",
+        ],
         &rows,
     );
     // Unified grid for the JSON companion: a `section` column splits the
@@ -223,52 +128,31 @@ fn main() {
     // per engine: median wall time, throughput, and the diagnostic count
     // (a corruption can cascade into several restarts, so the recovered
     // count is what the driver actually reported, not the seed count).
-    let interp_deep = interp_policy.clone().with_max_errors(100_000);
-    let codegen_deep = codegen_policy.clone().with_max_errors(100_000);
+    let deep = engines.map(|engine| engine.recover_policy().with_max_errors(100_000));
     let mut rows: Vec<Vec<String>> = Vec::new();
     for k in [1usize, 10, 100] {
         let corrupted: Vec<String> = inputs.iter().map(|doc| seed_errors(doc, k)).collect();
         let bytes: usize = corrupted.iter().map(String::len).sum();
-
-        let errors = corrupted
-            .iter()
-            .map(|input| interp.parse_resilient(input, &interp_deep).diagnostics.error_count())
-            .sum::<usize>();
-
-        let time = |f: &mut dyn FnMut()| {
-            f();
-            let mut v: Vec<Duration> = (0..knobs.runs)
-                .map(|_| {
-                    let start = Instant::now();
-                    f();
-                    start.elapsed()
-                })
-                .collect();
-            v.sort_unstable();
-            v[v.len() / 2]
-        };
-
-        let interp_med = time(&mut || {
-            for input in &corrupted {
-                std::hint::black_box(interp.parse_resilient(input, &interp_deep));
-            }
-        });
-        let codegen_med = time(&mut || {
-            for input in &corrupted {
-                std::hint::black_box(modpeg_grammars::generated::java::parse_resilient(
-                    input,
-                    &codegen_deep,
-                ));
-            }
-        });
-
+        let errors = parse_resilient(engines[0], &corrupted, &deep[0]);
+        let legs = paired(
+            knobs.runs,
+            1,
+            &mut [
+                &mut || {
+                    parse_resilient(engines[0], &corrupted, &deep[0]);
+                },
+                &mut || {
+                    parse_resilient(engines[1], &corrupted, &deep[1]);
+                },
+            ],
+        );
         rows.push(vec![
             format!("{k}"),
             format!("{errors}"),
-            ms(interp_med),
-            kib_per_s(bytes, interp_med),
-            ms(codegen_med),
-            kib_per_s(bytes, codegen_med),
+            ms(legs[0].median),
+            kib_per_s(bytes, legs[0].median),
+            ms(legs[1].median),
+            kib_per_s(bytes, legs[1].median),
         ]);
     }
 

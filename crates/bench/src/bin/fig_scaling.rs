@@ -10,10 +10,14 @@
 //!    time while the memoization-free recognizer's work doubles per
 //!    character.
 //!
+//! Every time is one leg of its own `modpeg_bench::paired` call (the
+//! crate docs describe the runner): each size is a different input.
+//!
 //! Knobs: `MODPEG_BENCH_RUNS` (default 3).
 
 use modpeg_baseline::BacktrackParser;
-use modpeg_bench::{ms, Knobs};
+use modpeg_bench::{ms, paired, Knobs};
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
 
 fn main() {
@@ -21,24 +25,27 @@ fn main() {
     println!("E5 — scaling\n");
 
     // Series 1: linear scaling on Java.
-    let grammar = modpeg_grammars::java_grammar().expect("java elaborates");
+    let grammar = GrammarId::Java.elaborate().expect("java elaborates");
     let full = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     let mut prev: Option<f64> = None;
     for kb in [8usize, 16, 32, 64, 128, 256] {
         let input = modpeg_workload::java_program(11, kb * 1024);
-        let t = modpeg_bench::median_time(knobs.runs, || {
-            std::hint::black_box(full.parse(&input).expect("parses"));
-        });
+        let t = paired(
+            knobs.runs,
+            1,
+            &mut [&mut || {
+                std::hint::black_box(full.parse(&input).expect("parses"));
+            }],
+        )[0]
+        .median;
         let secs = t.as_secs_f64();
-        let ratio = prev.map(|p| format!("{:.2}", secs / p)).unwrap_or_else(|| "-".into());
+        let ratio = prev
+            .map(|p| format!("{:.2}", secs / p))
+            .unwrap_or_else(|| "-".into());
         prev = Some(secs);
-        rows.push(vec![
-            format!("{} KiB", input.len() / 1024),
-            ms(t),
-            ratio,
-        ]);
+        rows.push(vec![format!("{} KiB", input.len() / 1024), ms(t), ratio]);
         json_rows.push(vec![
             "linear".to_owned(),
             format!("{} KiB", input.len() / 1024),
@@ -63,15 +70,27 @@ fn main() {
         let input = modpeg_workload::pathological_input(n);
         let (r, steps) = naive.recognize_counting(&input);
         assert!(r.is_err(), "pathological input is rejected");
-        let tn = modpeg_bench::median_time(knobs.runs, || {
-            let (_, s) = naive.recognize_counting(&input);
-            std::hint::black_box(s);
-        });
         let (rp, pstats) = packrat.parse_with_stats(&input);
         assert!(rp.is_err());
-        let tp = modpeg_bench::median_time(knobs.runs, || {
-            std::hint::black_box(packrat.parse(&input).is_err());
-        });
+        // Timed apart: next to a leg of seconds, a paired call would time
+        // the microsecond packrat parse in the cache the naive leg leaves.
+        let tn = paired(
+            knobs.runs,
+            1,
+            &mut [&mut || {
+                let (_, steps) = naive.recognize_counting(&input);
+                std::hint::black_box(steps);
+            }],
+        )[0]
+        .median;
+        let tp = paired(
+            knobs.runs,
+            1,
+            &mut [&mut || {
+                std::hint::black_box(packrat.parse(&input).is_err());
+            }],
+        )[0]
+        .median;
         rows.push(vec![
             n.to_string(),
             steps.to_string(),
@@ -91,12 +110,21 @@ fn main() {
     }
     println!("\npathological grammar, rejecting inputs (naive work doubles per char):");
     modpeg_bench::print_table(
-        &["n", "naive steps", "naive ms", "packrat evals", "packrat ms"],
+        &[
+            "n",
+            "naive steps",
+            "naive ms",
+            "packrat evals",
+            "packrat ms",
+        ],
         &rows,
     );
     modpeg_bench::emit_results_json(
         "fig_scaling",
-        &[("experiment", "E5".into()), ("runs", knobs.runs.to_string())],
+        &[
+            ("experiment", "E5".into()),
+            ("runs", knobs.runs.to_string()),
+        ],
         &[
             "series",
             "size",

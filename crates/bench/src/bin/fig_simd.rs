@@ -10,161 +10,90 @@
 //! token-dense standard workloads spend most of their time in choice
 //! dispatch, not class runs, and sit near 1.0x on every engine.
 //!
-//! Methodology: **paired-interleaved rounds**, as in E12. Each timed
-//! round runs every (engine, scan mode) cell back-to-back over the whole
-//! input set — interp scalar, interp vectorized, vm scalar, vm
-//! vectorized, codegen scalar, codegen vectorized — so thermal drift,
-//! frequency scaling, and allocator state bias all cells equally.
-//! Medians are taken per cell across rounds. Before timing, both modes'
-//! trees are checked byte-identical on every input for every engine — a
-//! speedup from a scanner that consumes a different run length would be
-//! meaningless.
+//! The six (engine, scan mode) cells of a grammar are the legs of one
+//! `modpeg_bench::paired` call (the crate docs describe the runner).
+//! Before timing, every cell's tree is checked byte-identical on every
+//! input — a speedup from a scanner that consumes a different run length
+//! would be meaningless.
 //!
 //! Scan modes are switched with the runtime's thread-local override
-//! (`scan::force_scalar`), the same switch `scripts/simd-smoke.sh` and
+//! (`scan::force_scalar`, set at the start of every parse of a cell), the
+//! same switch `scripts/simd-smoke.sh` and
 //! the conformance scan-parity legs use.
 //!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 24000), `MODPEG_BENCH_SEEDS` (3),
-//! `MODPEG_BENCH_RUNS` (5).
+//! `MODPEG_BENCH_RUNS` (6).
 
-use std::time::Duration;
-
-use modpeg_bench::{kib_per_s, ms, time_once, Knobs};
+use modpeg_bench::{assert_same_trees, kib_per_s, ms, paired_trees, Knobs};
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{scan, ParseError, SyntaxTree};
+use modpeg_runtime::{scan, Engine, Outcome, ParseRequest, RecoverPolicy};
 use modpeg_vm::VmProgram;
 
-type GenParse = fn(&str) -> Result<SyntaxTree, ParseError>;
-
-/// One engine's timed cell: input in, verified tree out.
-type EngineParse<'a> = Box<dyn Fn(&str) -> SyntaxTree + 'a>;
-
-struct Family {
-    name: &'static str,
-    grammar: fn() -> Result<modpeg_core::Grammar, modpeg_core::Diagnostics>,
-    workload: fn(u64, usize) -> String,
-    generated: GenParse,
+/// The lexical-heavy workload of `g`.
+fn lexical(g: GrammarId, seed: u64, bytes: usize) -> String {
+    match g {
+        GrammarId::Calc => modpeg_workload::calc_lexical(seed, bytes),
+        GrammarId::Json => modpeg_workload::json_lexical(seed, bytes),
+        GrammarId::Java => modpeg_workload::java_lexical(seed, bytes),
+        GrammarId::C => modpeg_workload::c_lexical(seed, bytes),
+    }
 }
 
-const FAMILIES: &[Family] = &[
-    Family {
-        name: "calc",
-        grammar: modpeg_grammars::calc_grammar,
-        workload: modpeg_workload::calc_lexical,
-        generated: modpeg_grammars::generated::calc::parse,
-    },
-    Family {
-        name: "json",
-        grammar: modpeg_grammars::json_grammar,
-        workload: modpeg_workload::json_lexical,
-        generated: modpeg_grammars::generated::json::parse,
-    },
-    Family {
-        name: "java",
-        grammar: modpeg_grammars::java_grammar,
-        workload: modpeg_workload::java_lexical,
-        generated: modpeg_grammars::generated::java::parse,
-    },
-    Family {
-        name: "c",
-        grammar: modpeg_grammars::c_grammar,
-        workload: modpeg_workload::c_lexical,
-        generated: modpeg_grammars::generated::c::parse,
-    },
-];
+/// An engine whose every parse runs in one scan mode.
+struct Cell<'a> {
+    engine: &'a dyn Engine,
+    scalar: bool,
+}
 
-fn median(mut times: Vec<Duration>) -> Duration {
-    times.sort_unstable();
-    times[times.len() / 2]
+impl Engine for Cell<'_> {
+    fn run(&self, text: &str, req: ParseRequest<'_>) -> Outcome {
+        scan::force_scalar(self.scalar);
+        self.engine.run(text, req)
+    }
+
+    fn recover_policy(&self) -> RecoverPolicy {
+        self.engine.recover_policy()
+    }
+
+    fn name(&self) -> &'static str {
+        self.engine.name()
+    }
 }
 
 fn main() {
-    let knobs = Knobs::from_env(24_000, 3, 5);
+    let knobs = Knobs::from_env(24_000, 3, 6);
     println!(
         "E16 — bulk class scanning (SWAR/SIMD) vs the scalar reference path\n\
          ({} lexical-heavy inputs x {} bytes per grammar, all engines at full\n\
-         optimization, median of {} paired-interleaved rounds; trees verified\n\
+         optimization, median of {} paired runs; trees verified\n\
          identical between scan modes on every engine)\n",
         knobs.seeds, knobs.bytes, knobs.runs
     );
 
     let mut rows = Vec::new();
-    for family in FAMILIES {
-        let grammar = (family.grammar)().expect("grammar elaborates");
+    for g in GrammarId::ALL {
+        let grammar = g.elaborate().expect("grammar elaborates");
         let interp = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
         let vm = VmProgram::from_compiled(&interp).expect("bytecode assembles");
-        let inputs: Vec<String> = (0..knobs.seeds)
-            .map(|s| (family.workload)(s, knobs.bytes))
-            .collect();
+        let inputs = knobs.inputs(|seed, bytes| lexical(g, seed, bytes));
         let total_bytes: usize = inputs.iter().map(String::len).sum();
 
-        // One closure per engine; scan mode is toggled around each call.
-        let engines: Vec<(&str, EngineParse<'_>)> = vec![
-            (
-                "interp",
-                Box::new(|i: &str| interp.parse(i).expect("interp parses")),
-            ),
-            ("vm", Box::new(|i: &str| vm.parse(i).expect("vm parses"))),
-            (
-                "codegen",
-                Box::new(|i: &str| (family.generated)(i).expect("codegen parses")),
-            ),
-        ];
-
-        // Identical trees in both scan modes first.
-        for input in &inputs {
-            scan::force_scalar(true);
-            let reference = interp.parse(input).expect("interp parses").to_sexpr();
-            for (name, parse) in &engines {
-                scan::force_scalar(true);
-                let scalar = parse(input).to_sexpr();
-                scan::force_scalar(false);
-                let vectorized = parse(input).to_sexpr();
-                assert_eq!(
-                    scalar, reference,
-                    "{}/{name}: scalar tree diverged",
-                    family.name
-                );
-                assert_eq!(
-                    vectorized, reference,
-                    "{}/{name}: vectorized tree diverged",
-                    family.name
-                );
-            }
-        }
-
-        // Paired-interleaved timing: one warmup round, then `runs`
-        // rounds of (engine x mode) over the whole input set.
-        let mut scalar_times: Vec<Vec<Duration>> = vec![Vec::new(); engines.len()];
-        let mut vector_times: Vec<Vec<Duration>> = vec![Vec::new(); engines.len()];
-        for round in 0..=knobs.runs {
-            for (e, (_, parse)) in engines.iter().enumerate() {
-                scan::force_scalar(true);
-                let (ds, _) = time_once(|| {
-                    for i in &inputs {
-                        std::hint::black_box(parse(i));
-                    }
-                });
-                scan::force_scalar(false);
-                let (dv, _) = time_once(|| {
-                    for i in &inputs {
-                        std::hint::black_box(parse(i));
-                    }
-                });
-                if round > 0 {
-                    scalar_times[e].push(ds);
-                    vector_times[e].push(dv);
-                }
-            }
-        }
+        // Scalar then vectorized, per engine; scalar interp is the reference.
+        let cells: Vec<Cell<'_>> = [&interp as &dyn Engine, &vm, g.codegen()]
+            .into_iter()
+            .flat_map(|engine| [true, false].map(|scalar| Cell { engine, scalar }))
+            .collect();
+        let cells: Vec<&dyn Engine> = cells.iter().map(|c| c as &dyn Engine).collect();
+        assert_same_trees(g.name(), &cells, &inputs);
+        let legs = paired_trees(knobs.runs, &cells, &inputs);
         scan::reset_forced();
 
-        for (e, (name, _)) in engines.iter().enumerate() {
-            let s = median(scalar_times[e].clone());
-            let v = median(vector_times[e].clone());
+        for (cell, pair) in cells.iter().step_by(2).zip(legs.chunks(2)) {
+            let (s, v) = (pair[0].median, pair[1].median);
             rows.push(vec![
-                family.name.to_owned(),
-                (*name).to_owned(),
+                g.name().to_owned(),
+                cell.name().to_owned(),
                 ms(s),
                 ms(v),
                 kib_per_s(total_bytes, v),

@@ -2,131 +2,42 @@
 //! interpreter and the generated parser, at the same optimization level
 //! (`OptConfig::all()`) on the same inputs.
 //!
-//! Methodology: **paired-interleaved rounds**. Each timed round runs every
-//! engine back-to-back over the whole input set (interp, then vm, then
-//! generated), so thermal drift, frequency scaling, and allocator state
-//! bias all engines equally instead of whichever ran last. Medians are
-//! taken per engine across rounds. Before timing, every engine's tree is
-//! checked byte-identical on every input — a throughput number for a
-//! parser that builds a different tree would be meaningless.
+//! The three engines are the legs of one `modpeg_bench::paired` call per
+//! grammar (the crate docs describe the runner). Before timing, every
+//! engine's tree is checked byte-identical on every input.
 //!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 24000), `MODPEG_BENCH_SEEDS` (3),
-//! `MODPEG_BENCH_RUNS` (5).
+//! `MODPEG_BENCH_RUNS` (6).
 
-use std::time::Duration;
-
-use modpeg_bench::{kib_per_s, ms, time_once, Knobs};
+use modpeg_bench::{assert_same_trees, kib_per_s, ms, paired_trees, Knobs};
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{ParseError, SyntaxTree};
+use modpeg_runtime::Engine;
 use modpeg_vm::VmProgram;
 
-type GenParse = fn(&str) -> Result<SyntaxTree, ParseError>;
-
-struct Family {
-    name: &'static str,
-    grammar: fn() -> Result<modpeg_core::Grammar, modpeg_core::Diagnostics>,
-    workload: fn(u64, usize) -> String,
-    generated: GenParse,
-}
-
-const FAMILIES: &[Family] = &[
-    Family {
-        name: "calc",
-        grammar: modpeg_grammars::calc_grammar,
-        workload: modpeg_workload::calc_expression,
-        generated: modpeg_grammars::generated::calc::parse,
-    },
-    Family {
-        name: "json",
-        grammar: modpeg_grammars::json_grammar,
-        workload: modpeg_workload::json_document,
-        generated: modpeg_grammars::generated::json::parse,
-    },
-    Family {
-        name: "java",
-        grammar: modpeg_grammars::java_grammar,
-        workload: modpeg_workload::java_program,
-        generated: modpeg_grammars::generated::java::parse,
-    },
-    Family {
-        name: "c",
-        grammar: modpeg_grammars::c_grammar,
-        workload: modpeg_workload::c_program,
-        generated: modpeg_grammars::generated::c::parse,
-    },
-];
-
-fn median(mut times: Vec<Duration>) -> Duration {
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 fn main() {
-    let knobs = Knobs::from_env(24_000, 3, 5);
+    let knobs = Knobs::from_env(24_000, 3, 6);
     println!(
         "E12 — bytecode machine vs interpreter vs generated parser\n\
          ({} inputs x {} bytes per grammar, all engines at full optimization,\n\
-         median of {} paired-interleaved rounds; trees verified identical)\n",
+         median of {} paired runs; trees verified identical)\n",
         knobs.seeds, knobs.bytes, knobs.runs
     );
 
     let mut rows = Vec::new();
-    for family in FAMILIES {
-        let grammar = (family.grammar)().expect("grammar elaborates");
+    for g in GrammarId::ALL {
+        let grammar = g.elaborate().expect("grammar elaborates");
         let interp = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
         let vm = VmProgram::from_compiled(&interp).expect("bytecode assembles");
-        let inputs: Vec<String> = (0..knobs.seeds)
-            .map(|s| (family.workload)(s, knobs.bytes))
-            .collect();
+        let inputs = knobs.inputs(|seed, bytes| g.workload(seed, bytes));
         let total_bytes: usize = inputs.iter().map(String::len).sum();
+        let engines: [&dyn Engine; 3] = [&interp, &vm, g.codegen()];
 
-        // Identical trees first; a faster wrong parser is no parser.
-        for input in &inputs {
-            let reference = interp.parse(input).expect("interp parses").to_sexpr();
-            assert_eq!(
-                vm.parse(input).expect("vm parses").to_sexpr(),
-                reference,
-                "{}: vm tree diverged",
-                family.name
-            );
-            assert_eq!(
-                (family.generated)(input).expect("codegen parses").to_sexpr(),
-                reference,
-                "{}: generated tree diverged",
-                family.name
-            );
-        }
-
-        // Paired-interleaved timing: one warmup round, then `runs` rounds
-        // of interp → vm → generated over the whole input set.
-        let mut t_interp = Vec::with_capacity(knobs.runs);
-        let mut t_vm = Vec::with_capacity(knobs.runs);
-        let mut t_gen = Vec::with_capacity(knobs.runs);
-        for round in 0..=knobs.runs {
-            let (di, _) = time_once(|| {
-                for i in &inputs {
-                    std::hint::black_box(interp.parse(i).expect("parses"));
-                }
-            });
-            let (dv, _) = time_once(|| {
-                for i in &inputs {
-                    std::hint::black_box(vm.parse(i).expect("parses"));
-                }
-            });
-            let (dg, _) = time_once(|| {
-                for i in &inputs {
-                    std::hint::black_box((family.generated)(i).expect("parses"));
-                }
-            });
-            if round > 0 {
-                t_interp.push(di);
-                t_vm.push(dv);
-                t_gen.push(dg);
-            }
-        }
-        let (mi, mv, mg) = (median(t_interp), median(t_vm), median(t_gen));
+        assert_same_trees(g.name(), &engines, &inputs);
+        let legs = paired_trees(knobs.runs, &engines, &inputs);
+        let [mi, mv, mg] = [0, 1, 2].map(|i| legs[i].median);
         rows.push(vec![
-            family.name.to_owned(),
+            g.name().to_owned(),
             ms(mi),
             ms(mv),
             ms(mg),

@@ -10,82 +10,75 @@
 //! * `handwritten` — the hand-coded lexer + recursive-descent parser
 //!   (stand-in for the conventional generated parsers).
 //!
+//! The three fast parsers are the legs of one `modpeg_bench::paired`
+//! call (the crate docs describe the runner); the two slow ones are timed
+//! alone, with at most 2 runs each.
+//!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 32000), `MODPEG_BENCH_SEEDS` (4),
-//! `MODPEG_BENCH_RUNS` (5).
+//! `MODPEG_BENCH_RUNS` (6).
 
 use modpeg_baseline::BacktrackParser;
-use modpeg_bench::{kib_per_s, ms, Knobs};
+use modpeg_bench::{kib_per_s, ms, paired, parse_all, Knobs};
+use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
 
 fn main() {
-    let knobs = Knobs::from_env(32_000, 4, 5);
+    let knobs = Knobs::from_env(32_000, 4, 6);
     println!(
         "E4 — Java-subset parser comparison ({} inputs x {} bytes, median of {} runs)\n",
         knobs.seeds, knobs.bytes, knobs.runs
     );
-    let inputs: Vec<String> = (0..knobs.seeds)
-        .map(|s| modpeg_workload::java_program(s, knobs.bytes))
-        .collect();
+    let inputs = knobs.inputs(modpeg_workload::java_program);
     let total_bytes: usize = inputs.iter().map(String::len).sum();
 
-    let grammar = modpeg_grammars::java_grammar().expect("java elaborates");
+    let grammar = GrammarId::Java.elaborate().expect("java elaborates");
     let full = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
     let naive = CompiledGrammar::compile(&grammar, OptConfig::none()).expect("compiles");
     let backtrack = BacktrackParser::new(&grammar);
 
-    let mut rows = Vec::new();
-    let mut add = |name: &str, t: std::time::Duration| {
-        rows.push(vec![
-            name.to_owned(),
-            ms(t),
-            kib_per_s(total_bytes, t),
-        ]);
-    };
-
-    add(
-        "handwritten (lexer+RD)",
-        modpeg_bench::median_time(knobs.runs, || {
-            for i in &inputs {
-                std::hint::black_box(
-                    modpeg_baseline::handwritten::parse_java(i).expect("parses"),
-                );
-            }
-        }),
+    let fast = paired(
+        knobs.runs,
+        1,
+        &mut [
+            &mut || {
+                for i in &inputs {
+                    std::hint::black_box(
+                        modpeg_baseline::handwritten::parse_java(i).expect("parses"),
+                    );
+                }
+            },
+            &mut || parse_all(GrammarId::Java.codegen(), &inputs),
+            &mut || parse_all(&full, &inputs),
+        ],
     );
-    add(
-        "generated (modpeg-codegen)",
-        modpeg_bench::median_time(knobs.runs, || {
-            for i in &inputs {
-                std::hint::black_box(
-                    modpeg_grammars::generated::java::parse(i).expect("parses"),
-                );
-            }
-        }),
-    );
-    add(
-        "interp, all optimizations",
-        modpeg_bench::median_time(knobs.runs, || {
-            for i in &inputs {
-                std::hint::black_box(full.parse(i).expect("parses"));
-            }
-        }),
-    );
-    add(
-        "interp, no optimizations",
-        modpeg_bench::median_time(knobs.runs.min(2), || {
-            for i in &inputs {
-                std::hint::black_box(naive.parse(i).expect("parses"));
-            }
-        }),
-    );
-    add(
-        "backtrack recognizer (no memo)",
-        modpeg_bench::median_time(knobs.runs.min(2), || {
+    let slow_runs = knobs.runs.min(2);
+    let naive_leg = paired(slow_runs, 1, &mut [&mut || parse_all(&naive, &inputs)])[0];
+    let backtrack_leg = paired(
+        slow_runs,
+        1,
+        &mut [&mut || {
             for i in &inputs {
                 backtrack.recognize(i).expect("parses");
             }
-        }),
-    );
+        }],
+    )[0];
+
+    let rows: Vec<Vec<String>> = [
+        ("handwritten (lexer+RD)", fast[0]),
+        ("generated (modpeg-codegen)", fast[1]),
+        ("interp, all optimizations", fast[2]),
+        ("interp, no optimizations", naive_leg),
+        ("backtrack recognizer (no memo)", backtrack_leg),
+    ]
+    .into_iter()
+    .map(|(name, leg)| {
+        vec![
+            name.to_owned(),
+            ms(leg.median),
+            kib_per_s(total_bytes, leg.median),
+        ]
+    })
+    .collect();
 
     modpeg_bench::print_table(&["parser", "ms", "KiB/s"], &rows);
     println!(

@@ -5,9 +5,11 @@
 //! size of each extension, (b) that the base grammar is untouched (zero
 //! edited lines — the extensions are separate modules), (c) that extended
 //! programs parse under the composed grammar and are rejected by the base,
-//! and (d) the throughput cost of carrying the extensions.
+//! and (d) the throughput cost of carrying the extensions, with both
+//! grammars the two legs of one `modpeg_bench::paired` call (the crate
+//! docs describe the runner).
 
-use modpeg_bench::{kib_per_s, ms};
+use modpeg_bench::{kib_per_s, ms, paired, parse_all};
 use modpeg_interp::{CompiledGrammar, OptConfig};
 
 fn main() {
@@ -23,7 +25,12 @@ fn main() {
                 m.name.clone(),
                 m.productions.to_string(),
                 m.lines.to_string(),
-                if m.is_modification { "modification" } else { "composition" }.to_owned(),
+                if m.is_modification {
+                    "modification"
+                } else {
+                    "composition"
+                }
+                .to_owned(),
             ]
         })
         .collect();
@@ -82,20 +89,26 @@ fn main() {
     let base_c = CompiledGrammar::compile(&base_g, OptConfig::all()).expect("compiles");
     let ext_c = CompiledGrammar::compile(&ext_g, OptConfig::all()).expect("compiles");
     let total: usize = base_inputs.iter().map(String::len).sum();
-    let t_base = modpeg_bench::median_time(5, || {
-        for i in &base_inputs {
-            std::hint::black_box(base_c.parse(i).expect("parses"));
-        }
-    });
-    let t_ext = modpeg_bench::median_time(5, || {
-        for i in &base_inputs {
-            std::hint::black_box(ext_c.parse(i).expect("parses"));
-        }
-    });
+    let legs = paired(
+        6,
+        1,
+        &mut [&mut || parse_all(&base_c, &base_inputs), &mut || {
+            parse_all(&ext_c, &base_inputs)
+        }],
+    );
+    let (t_base, t_ext) = (legs[0].median, legs[1].median);
     println!("\nThroughput on base programs:");
     let tp_rows = [
-        vec!["java (base)".to_owned(), ms(t_base), kib_per_s(total, t_base)],
-        vec!["java + 3 extensions".to_owned(), ms(t_ext), kib_per_s(total, t_ext)],
+        vec![
+            "java (base)".to_owned(),
+            ms(t_base),
+            kib_per_s(total, t_base),
+        ],
+        vec![
+            "java + 3 extensions".to_owned(),
+            ms(t_ext),
+            kib_per_s(total, t_ext),
+        ],
     ];
     modpeg_bench::print_table(&["grammar", "ms", "KiB/s"], &tp_rows);
 
@@ -122,11 +135,25 @@ fn main() {
             ("base modules", base_stats.len().to_string()),
             ("base lines", base_lines.to_string()),
             ("base lines edited", "0".into()),
-            ("extended inputs accepted by base", base_accepts_ext.to_string()),
-            ("extended inputs accepted by extended", ext_accepts_ext.to_string()),
+            (
+                "extended inputs accepted by base",
+                base_accepts_ext.to_string(),
+            ),
+            (
+                "extended inputs accepted by extended",
+                ext_accepts_ext.to_string(),
+            ),
             ("base inputs accepted by both", both_accept_base.to_string()),
         ],
-        &["section", "module/grammar", "clauses", "lines", "kind", "ms", "KiB/s"],
+        &[
+            "section",
+            "module/grammar",
+            "clauses",
+            "lines",
+            "kind",
+            "ms",
+            "KiB/s",
+        ],
         &json_rows,
     );
 }

@@ -55,4 +55,7 @@ sh scripts/pgo-smoke.sh
 echo "== tier-1: bulk-scanning smoke =="
 sh scripts/simd-smoke.sh
 
+echo "== tier-1: bench-figure smoke =="
+sh scripts/bench-smoke.sh
+
 echo "== tier-1: OK =="
