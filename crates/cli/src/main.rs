@@ -8,12 +8,11 @@
 //!               [--events] [--stats] [--telemetry] [--deadline-ms <n>] [--fuel <n>] [--max-depth <n>] [--memo-budget <bytes>]
 //! modpeg compile <grammar.mpeg>... --root <module> [--start <prod>] [--dump-bytecode] [--out <file>]
 //! modpeg profile <grammar.mpeg>... --root <module> [--start <prod>] --input <file> [--engine interp|vm]
-//!               [--format chrome|folded|prom|heatmap|heatmap-csv|json|summary] [--sample <n>] [--out <file>]
+//!               [--format chrome|folded|heatmap|heatmap-csv|json|summary] [--sample <n>] [--out <file>]
 //!               [--record <out.mprof>] [--optimize <prof.mprof>]
 //! modpeg profile diff <a.mprof> <b.mprof> [--threshold <frac>] [--json] [--out <file>]
 //! modpeg profile merge <a.mprof> <b.mprof>... --out <merged.mprof>
 //! modpeg gen    <grammar.mpeg>... --root <module> [--start <prod>] [--out <file.rs>] [--plan <plan.json>]
-//! modpeg session-bench <grammar.mpeg>... --root <module> --input <file> [--edits <n>] [--telemetry]
 //! modpeg fuzz  [--grammar calc|json|java|c|all] [--seeds <n>] [--engines <list>] [--smoke] [--telemetry] [--json [--out <file>]]
 //! modpeg fault [--grammar calc|json|java|c|all] [--seeds <n>] [--engines <list>] [--smoke]
 //! ```
@@ -34,7 +33,6 @@
 //! not a verdict on the input — retrying with a larger budget may succeed.
 
 use std::process::ExitCode;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use modpeg_conformance::{
@@ -42,11 +40,8 @@ use modpeg_conformance::{
 };
 use modpeg_core::transform::TuningPlan;
 use modpeg_core::Grammar;
-use modpeg_interp::{CompiledGrammar, OptConfig, Trace};
-use modpeg_runtime::{
-    engine, Engine, EventCounts, Governor, GovernorLimits, ParseFault, ParseRequest,
-};
-use modpeg_session::ParseSession;
+use modpeg_interp::{CompiledGrammar, OptConfig};
+use modpeg_runtime::{Engine, EventCounts, Governor, GovernorLimits, ParseFault, ParseRequest};
 use modpeg_telemetry::{export, mask, MetricsRegistry, ProfileDiff, Telemetry, WorkloadProfile};
 use modpeg_vm::VmProgram;
 
@@ -96,7 +91,6 @@ struct Args {
     start: Option<String>,
     input: Option<String>,
     out: Option<String>,
-    edits: usize,
     seeds: Option<u64>,
     grammar: Option<String>,
     engine: Option<String>,
@@ -133,13 +127,12 @@ fn usage() -> &'static str {
      [--events] [--stats] [--trace] [--telemetry] [--deadline-ms <n>] [--fuel <n>] [--max-depth <n>] [--memo-budget <bytes>]\n  \
      modpeg compile <grammar.mpeg>... --root <module> [--start <prod>] [--dump-bytecode] [--out <file>]\n  \
      modpeg profile <grammar.mpeg>... --root <module> [--start <prod>] --input <file> [--engine interp|vm]\n               \
-     [--format chrome|folded|prom|heatmap|heatmap-csv|json|summary] [--sample <n>] [--out <file>]\n               \
+     [--format chrome|folded|heatmap|heatmap-csv|json|summary] [--sample <n>] [--out <file>]\n               \
      [--record <out.mprof>] [--optimize <prof.mprof>]\n  \
      modpeg profile diff <a.mprof> <b.mprof> [--threshold <frac>] [--json] [--out <file>]\n  \
      modpeg profile merge <a.mprof> <b.mprof>... --out <merged.mprof>\n  \
      modpeg coverage <grammar.mpeg>... --root <module> [--start <prod>] --input <file>\n  \
      modpeg gen   <grammar.mpeg>... --root <module> [--start <prod>] [--out <file.rs>] [--plan <plan.json>]\n  \
-     modpeg session-bench <grammar.mpeg>... --root <module> [--start <prod>] --input <file> [--edits <n>] [--telemetry] [--plan <plan.json>]\n  \
      modpeg fuzz  [--grammar calc|json|java|c|all] [--seeds <n>] [--engines opt-levels,baseline,codegen,incremental,vm] [--smoke] [--telemetry] [--json [--out <file>]]\n  \
      modpeg fault [--grammar calc|json|java|c|all] [--seeds <n>] [--engines <list>] [--smoke]\n\
      exit codes: 0 ok, 1 check failed, 2 usage, 3 I/O, 4 resource abort, 5 internal"
@@ -155,7 +148,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
         start: None,
         input: None,
         out: None,
-        edits: 10,
         seeds: None,
         grammar: None,
         engine: None,
@@ -194,7 +186,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
             "--start" => args.start = Some(it.next().ok_or("--start needs a value")?),
             "--input" => args.input = Some(it.next().ok_or("--input needs a value")?),
             "--out" => args.out = Some(it.next().ok_or("--out needs a value")?),
-            "--edits" => args.edits = num("--edits", it.next())?,
             "--seeds" => args.seeds = Some(num("--seeds", it.next())?),
             "--deadline-ms" => args.deadline_ms = Some(num("--deadline-ms", it.next())?),
             "--fuel" => args.fuel = Some(num("--fuel", it.next())?),
@@ -493,7 +484,7 @@ fn cmd_parse(args: &Args) -> Result<(), CliError> {
     let (result, stats) = engine.run(&input, req);
     let elapsed = t.elapsed();
     if args.trace {
-        eprint!("{}", Trace::from_report(&telem.take_report()));
+        eprint!("{}", export::trace_text(&telem.take_report()));
     } else if args.telemetry {
         eprintln!("{}", MetricsRegistry::from_report(&telem.take_report()));
     }
@@ -566,13 +557,12 @@ fn render_profile(args: &Args, report: &modpeg_telemetry::TelemetryReport) -> Re
         "summary" => MetricsRegistry::from_report(report).to_string(),
         "chrome" => export::chrome_trace(report),
         "folded" => export::folded_stacks(report),
-        "prom" => MetricsRegistry::from_report(report).to_prometheus(),
         "json" => MetricsRegistry::from_report(report).to_json(),
         "heatmap" => export::MemoHeatmap::from_report(report, 64).to_text(),
         "heatmap-csv" => export::MemoHeatmap::from_report(report, 64).to_csv(),
         other => {
             return Err(CliError::Usage(format!(
-                "unknown profile format `{other}` (expected chrome, folded, prom, heatmap, heatmap-csv, json, or summary)"
+                "unknown profile format `{other}` (expected chrome, folded, heatmap, heatmap-csv, json, or summary)"
             )))
         }
     })
@@ -735,7 +725,7 @@ fn cmd_profile_merge(args: &Args) -> Result<(), CliError> {
 
 /// `modpeg profile <grammar> --optimize <prof.mprof>`: derive a
 /// [`TuningPlan`] from a recorded profile and emit it as JSON (for
-/// `--plan` on `parse`, `gen`, and `session-bench`).
+/// `--plan` on `parse` and `gen`).
 fn cmd_profile_optimize(args: &Args) -> Result<(), CliError> {
     let prof_path = args.optimize.as_deref().expect("caller checked --optimize");
     let profile = read_profile(prof_path)?;
@@ -776,138 +766,6 @@ fn cmd_coverage(args: &Args) -> Result<(), CliError> {
         eprintln!("note: input did not fully parse: {e}");
     }
     print!("{coverage}");
-    Ok(())
-}
-
-/// Builds a deterministic script of `n` digit-run edits against `text`,
-/// each expressed in the coordinates of the document *after* the previous
-/// edits (the shape an editor produces). Returns `None` when the input has
-/// no digit runs to rewrite.
-fn digit_edit_script(text: &str, n: usize) -> Option<Vec<(std::ops::Range<usize>, String)>> {
-    let mut doc = text.to_owned();
-    let mut script = Vec::with_capacity(n);
-    let mut state = 0x9E3779B97F4A7C15u64; // fixed-seed SplitMix-style stream
-    for _ in 0..n {
-        let runs: Vec<(usize, usize)> = {
-            let bytes = doc.as_bytes();
-            let mut runs = Vec::new();
-            let mut i = 0;
-            while i < bytes.len() {
-                if bytes[i].is_ascii_digit() {
-                    let start = i;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    runs.push((start, i));
-                } else {
-                    i += 1;
-                }
-            }
-            runs
-        };
-        if runs.is_empty() {
-            return None;
-        }
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let (lo, hi) = runs[(state >> 33) as usize % runs.len()];
-        let new_len = 1 + (state % 6) as usize;
-        let replacement: String = (0..new_len)
-            .map(|k| char::from(b'1' + ((state >> (k * 7)) % 9) as u8))
-            .collect();
-        doc.replace_range(lo..hi, &replacement);
-        script.push((lo..hi, replacement));
-    }
-    Some(script)
-}
-
-fn median(times: &mut [Duration]) -> Duration {
-    times.sort();
-    times[times.len() / 2]
-}
-
-fn cmd_session_bench(args: &Args) -> Result<(), CliError> {
-    let grammar = load_grammar(args)?;
-    let input_path = args
-        .input
-        .as_ref()
-        .ok_or_else(|| CliError::Usage("--input <file> is required".into()))?;
-    let input = std::fs::read_to_string(input_path)
-        .map_err(|e| CliError::Io(format!("{input_path}: {e}")))?;
-    // Sessions reuse memo state across edits, so a plan's transient set
-    // must not apply (unmemoized results cannot be reused); project the
-    // plan onto its incremental-safe subset.
-    let plan = load_plan(args)?.map(|p| p.for_incremental());
-    let compiled = Rc::new(compile_planned(
-        &grammar,
-        OptConfig::incremental(),
-        plan.as_ref(),
-    )?);
-    if args.edits == 0 {
-        return Err(CliError::Usage("--edits must be at least 1".into()));
-    }
-    let script = digit_edit_script(&input, args.edits).ok_or_else(|| {
-        CliError::Usage(
-            "input has no digit runs to edit; session-bench rewrites numeric literals".into(),
-        )
-    })?;
-
-    // Incremental: one priming parse, then reparse after each edit.
-    let mut session = ParseSession::new(compiled.clone(), input.clone());
-    let telem = if args.telemetry {
-        Telemetry::collector(TELEMETRY_CAP).with_mask(mask::ALL)
-    } else {
-        Telemetry::disabled()
-    };
-    let reparse = |session: &mut ParseSession| {
-        engine::tree_result(session.run(ParseRequest::tree().with_telemetry(&telem))).0
-    };
-    let t0 = Instant::now();
-    let tree =
-        reparse(&mut session).map_err(|e| CliError::Failure(format!("priming parse: {e}")))?;
-    let prime = t0.elapsed();
-    drop(tree);
-    let mut incremental_times = Vec::with_capacity(script.len());
-    let mut incremental_trees = Vec::with_capacity(script.len());
-    for (range, replacement) in &script {
-        session.apply_edit(range.clone(), replacement);
-        let t = Instant::now();
-        let tree = reparse(&mut session)
-            .map_err(|e| CliError::Failure(format!("incremental reparse: {e}")))?;
-        incremental_times.push(t.elapsed());
-        incremental_trees.push(tree.to_sexpr());
-    }
-
-    // Baseline: full reparse of each edited document.
-    let mut doc = input;
-    let mut full_times = Vec::with_capacity(script.len());
-    for ((range, replacement), incremental_sexpr) in script.iter().zip(&incremental_trees) {
-        doc.replace_range(range.clone(), replacement.as_str());
-        let t = Instant::now();
-        let tree = compiled
-            .parse(&doc)
-            .map_err(|e| CliError::Failure(format!("full reparse: {e}")))?;
-        full_times.push(t.elapsed());
-        if tree.to_sexpr() != *incremental_sexpr {
-            return Err(CliError::Internal(format!(
-                "tree mismatch after edit {range:?}: incremental and full reparses disagree"
-            )));
-        }
-    }
-
-    let inc = median(&mut incremental_times);
-    let full = median(&mut full_times);
-    let speedup = full.as_secs_f64() / inc.as_secs_f64().max(1e-9);
-    println!("document: {} bytes, {} edits", doc.len(), script.len());
-    println!("priming parse: {:.3} ms", prime.as_secs_f64() * 1e3);
-    println!("median incremental reparse: {:.3} ms", inc.as_secs_f64() * 1e3);
-    println!("median full reparse:        {:.3} ms", full.as_secs_f64() * 1e3);
-    println!("speedup: {speedup:.1}x (trees verified identical)");
-    if args.stats {
-        println!("{}", session.stats());
-    }
-    if args.telemetry {
-        eprintln!("{}", MetricsRegistry::from_report(&telem.take_report()));
-    }
     Ok(())
 }
 
@@ -1100,7 +958,6 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&args),
         "coverage" => cmd_coverage(&args),
         "gen" => cmd_gen(&args),
-        "session-bench" => cmd_session_bench(&args),
         "fuzz" => cmd_fuzz(&args),
         "fault" => cmd_fault(&args),
         other => Err(CliError::Usage(format!(
@@ -1137,14 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_edits_flag() {
-        let a = parse_args(argv("session-bench g.mpeg --input x.calc --edits 25")).unwrap();
-        assert_eq!(a.command, "session-bench");
-        assert_eq!(a.edits, 25);
-        assert!(parse_args(argv("session-bench g.mpeg --edits nope")).is_err());
-    }
-
-    #[test]
     fn parses_governor_flags() {
         let a = parse_args(argv(
             "parse g.mpeg --input x --deadline-ms 250 --fuel 100000 --max-depth 512 --memo-budget 4194304",
@@ -1161,23 +1010,6 @@ mod tests {
         let b = parse_args(argv("parse g.mpeg --input x")).unwrap();
         assert!(governor_limits(&b).is_unlimited());
         assert!(parse_args(argv("parse g.mpeg --fuel lots")).is_err());
-    }
-
-    #[test]
-    fn digit_edit_script_is_deterministic_and_applies_cleanly() {
-        let text = "x = 12 + 345; y = 6;";
-        let a = digit_edit_script(text, 8).unwrap();
-        let b = digit_edit_script(text, 8).unwrap();
-        assert_eq!(a.len(), 8);
-        for ((ra, sa), (rb, sb)) in a.iter().zip(&b) {
-            assert_eq!((ra.start, ra.end, sa), (rb.start, rb.end, sb));
-        }
-        let mut doc = text.to_owned();
-        for (range, replacement) in &a {
-            doc.replace_range(range.clone(), replacement);
-        }
-        assert!(doc.bytes().any(|c| c.is_ascii_digit()));
-        assert!(digit_edit_script("no numbers here", 3).is_none());
     }
 
     #[test]
@@ -1242,7 +1074,7 @@ mod tests {
         assert_eq!(err.exit_code(), 2);
         assert!(err.message().contains("svg"), "{}", err.message());
         // Every documented format renders something for an empty report.
-        for fmt in ["chrome", "folded", "prom", "heatmap", "heatmap-csv", "json", "summary"] {
+        for fmt in ["chrome", "folded", "heatmap", "heatmap-csv", "json", "summary"] {
             let mut a = parse_args(argv("profile g.mpeg --input x")).unwrap();
             a.format = Some(fmt.to_owned());
             assert!(render_profile(&a, &report).is_ok(), "{fmt}");

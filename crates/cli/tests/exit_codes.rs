@@ -121,6 +121,31 @@ fn trace_and_events_compose_with_engine_and_governor_flags() {
     assert_eq!(exit_code(&traced), 0, "stderr: {stderr}");
     assert!(stderr.contains("> calc."), "stderr: {stderr}");
 
+    // The complete `--trace` rendering of a small interpreter parse.
+    let small = temp_input("trace.calc", "1+2");
+    let traced = run(&["parse", grammar.as_str(), "--input", &small, "--trace"]);
+    assert_eq!(exit_code(&traced), 0);
+    assert_eq!(
+        String::from_utf8_lossy(&traced.stderr),
+        "> calc.Program @0
+  > calc.Expr @0
+    > calc.Term @0
+      > calc.Atom @0
+        > calc.Number @0
+        < calc.Number @0 ok ..1
+      < calc.Atom @0 ok ..1
+    < calc.Term @0 ok ..1
+    > calc.Term @2
+      > calc.Atom @2
+        > calc.Number @2
+        < calc.Number @2 ok ..3
+      < calc.Atom @2 ok ..3
+    < calc.Term @2 ok ..3
+  < calc.Expr @0 ok ..3
+< calc.Program @0 ok ..3
+"
+    );
+
     let starved = parse(&["--events", "--fuel", "0"]);
     let stderr = String::from_utf8_lossy(&starved.stderr);
     assert_eq!(exit_code(&starved), 4, "stderr: {stderr}");

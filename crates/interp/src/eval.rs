@@ -1481,6 +1481,8 @@ mod tests {
     use crate::OptConfig;
     use modpeg_core::{CharClass, Expr as E, Grammar, GrammarBuilder};
     use modpeg_runtime::{recover, ParseFault, Parsed};
+    use modpeg_telemetry::export::trace_text;
+    use modpeg_telemetry::{EventKind, TelemetryReport};
 
     fn r(name: &str) -> E<String> {
         E::Ref(name.into())
@@ -1569,10 +1571,10 @@ mod tests {
 
     /// A tree-mode run reporting to a trace-masked collector of `cap`
     /// events, as `modpeg parse --trace` runs it.
-    fn traced(c: &CompiledGrammar, text: &str, cap: usize) -> (bool, crate::Trace) {
+    fn traced(c: &CompiledGrammar, text: &str, cap: usize) -> (bool, TelemetryReport) {
         let telem = Telemetry::collector(cap).with_mask(modpeg_telemetry::mask::TRACE);
         let (r, _) = c.run(text, ParseRequest::tree().with_telemetry(&telem));
-        (r.is_ok(), crate::Trace::from_report(&telem.take_report()))
+        (r.is_ok(), telem.take_report())
     }
 
     fn all_configs() -> Vec<OptConfig> {
@@ -1955,28 +1957,18 @@ mod tests {
     fn trace_records_entries_exits_and_memo_hits() {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
-        let (ok, trace) = traced(&c, "1+2", 10_000);
+        let (ok, report) = traced(&c, "1+2", 10_000);
         assert!(ok);
-        assert!(!trace.is_truncated());
-        let text = trace.to_string();
+        assert_eq!(report.dropped, 0);
+        let text = trace_text(&report);
         assert!(text.contains("> calc.Expr @0"), "{text}");
         assert!(text.contains("ok"), "{text}");
         // Entries and exits balance.
-        let enters = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.outcome, crate::TraceOutcome::Enter))
-            .count();
-        let exits = trace
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.outcome,
-                    crate::TraceOutcome::Matched { .. } | crate::TraceOutcome::Failed
-                )
-            })
-            .count();
+        let count = |is_kind: fn(&EventKind) -> bool| {
+            report.events.iter().filter(|e| is_kind(&e.kind)).count()
+        };
+        let enters = count(|k| matches!(k, EventKind::Enter { .. }));
+        let exits = count(|k| matches!(k, EventKind::Exit { .. }));
         assert_eq!(enters, exits);
     }
 
@@ -2011,22 +2003,23 @@ mod tests {
         let mut cfg = OptConfig::all();
         cfg.set("terminal-dispatch", false); // keep both alternatives live
         let c = CompiledGrammar::compile(&g, cfg).unwrap();
-        let (ok, trace) = traced(&c, "aay", 10_000);
+        let (ok, report) = traced(&c, "aay", 10_000);
         assert!(ok);
-        let has_memo = trace
-            .events()
+        let has_memo = report
+            .events
             .iter()
-            .any(|e| matches!(e.outcome, crate::TraceOutcome::MemoHit { .. }));
-        assert!(has_memo, "{trace}");
+            .any(|e| matches!(e.kind, EventKind::MemoHit { prod, .. } if prod != REP_HELPER));
+        assert!(has_memo, "{}", trace_text(&report));
     }
 
     #[test]
     fn trace_truncates_at_cap() {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
-        let (_, trace) = traced(&c, "(1+2)*(3+4)", 8);
-        assert!(trace.is_truncated());
-        assert_eq!(trace.events().len(), 8);
+        let (_, report) = traced(&c, "(1+2)*(3+4)", 8);
+        assert!(report.dropped > 0);
+        assert_eq!(report.events.len(), 8);
+        assert!(trace_text(&report).ends_with(&format!("… {} events dropped\n", report.dropped)));
     }
 
     #[test]

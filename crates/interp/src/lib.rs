@@ -32,13 +32,11 @@ mod compile;
 mod config;
 mod coverage;
 mod eval;
-mod trace;
 mod tuner;
 
 pub use compile::CompiledGrammar;
 pub use config::{OptConfig, OPT_COUNT, OPT_NAMES};
 pub use coverage::Coverage;
-pub use trace::{Trace, TraceEvent, TraceOutcome};
 pub use tuner::derive_plan;
 
 /// Internal compiled-grammar IR, exposed for `modpeg-codegen` only.

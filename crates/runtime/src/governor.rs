@@ -179,8 +179,8 @@ impl CancelToken {
 /// Plain-data resource limits, from which per-parse [`Governor`]s are
 /// minted. `Default` is fully unlimited.
 ///
-/// This is the form that crosses threads (e.g. one `Limits` for a whole
-/// batch) and the form the CLI flags populate.
+/// This is the form the CLI flags populate; [`GovernorLimits::governor`]
+/// mints a fresh governor from it for each parse.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GovernorLimits {
     /// Wall-clock budget per parse.

@@ -96,8 +96,8 @@ impl Stats {
     }
 
     /// Adds every counter of `other` into `self` — the aggregation
-    /// primitive batch engines and fuzz campaigns use to report totals
-    /// across jobs.
+    /// primitive sessions and fuzz campaigns use to report totals across
+    /// parses.
     pub fn merge(&mut self, other: &Stats) {
         self.productions_evaluated += other.productions_evaluated;
         self.memo_probes += other.memo_probes;

@@ -16,8 +16,6 @@
 //!   reuses everything that survived.
 //! * [`SessionPool`] — recycles memo-table allocations across documents,
 //!   for callers that parse many inputs one after another.
-//! * [`BatchEngine`] — fans a corpus of documents across worker threads,
-//!   each with its own compiled grammar and session pool.
 //!
 //! Reuse is sound only for pure PEGs: a memoized result of a grammar that
 //! consults parser state (`^=`, `^?`, `^!`) can depend on text far from
@@ -50,14 +48,11 @@
 #![warn(missing_docs)]
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use modpeg_interp::CompiledGrammar;
 use modpeg_runtime::{
-    engine, ChunkMemo, GovernorLimits, Outcome, ParseAbort, ParseError, ParseFault, ParseRequest,
-    Stats, SyntaxTree,
+    engine, ChunkMemo, Outcome, ParseError, ParseFault, ParseRequest, Stats, SyntaxTree,
 };
 
 /// An incremental parse session: one document, one memo table, reparsed
@@ -335,207 +330,12 @@ impl SessionPool {
     }
 }
 
-/// Outcome of parsing one document of a [`BatchEngine`] corpus.
-#[derive(Debug, Clone)]
-pub struct BatchResult {
-    /// Index of the document in the submitted corpus.
-    pub index: usize,
-    /// Whether the document parsed.
-    pub ok: bool,
-    /// The rendered parse error, when it did not.
-    pub error: Option<String>,
-    /// The resource budget that ran out, when the parse aborted rather
-    /// than failed.
-    pub aborted: Option<ParseAbort>,
-    /// Whether the job panicked. The panic was contained: the worker kept
-    /// going, and the session it was using was quarantined (dropped, not
-    /// recycled into the pool).
-    pub panicked: bool,
-    /// The parse's statistics.
-    pub stats: Stats,
-    /// Document size in bytes.
-    pub bytes: u64,
-}
-
-/// Parses a corpus of documents across worker threads.
-///
-/// Compiled grammars hold shared (non-atomically counted) internals, so
-/// they cannot cross threads; the engine instead takes a *factory* and
-/// compiles one grammar per worker. Each worker draws documents from a
-/// shared queue and parses them through its own [`SessionPool`], so memo
-/// allocations are reused within a thread.
-///
-/// # Examples
-///
-/// ```
-/// use modpeg_interp::{CompiledGrammar, OptConfig};
-/// use modpeg_session::BatchEngine;
-///
-/// let engine = BatchEngine::new(2);
-/// let docs = ["1+2", "3*(4-5)", "not math"];
-/// let results = engine.parse_corpus(
-///     || {
-///         let grammar = modpeg_grammars::calc_grammar().expect("elaborates");
-///         CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles")
-///     },
-///     &docs,
-/// );
-/// assert_eq!(results.len(), 3);
-/// assert!(results[0].ok && results[1].ok && !results[2].ok);
-/// # Ok::<(), modpeg_core::Diagnostics>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchEngine {
-    threads: usize,
-}
-
-impl BatchEngine {
-    /// Creates an engine with `threads` workers; `0` means one per
-    /// available CPU.
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        BatchEngine { threads }
-    }
-
-    /// The number of worker threads the engine will spawn.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sums the per-document statistics of a corpus run into one
-    /// [`Stats`] (via [`Stats::merge`]) — what a batch-level `--stats`
-    /// report prints. Panicked jobs contribute their default (zero)
-    /// stats.
-    pub fn aggregate_stats(results: &[BatchResult]) -> Stats {
-        let mut total = Stats::default();
-        for r in results {
-            total.merge(&r.stats);
-        }
-        total
-    }
-
-    /// Parses every document of `docs`, returning one [`BatchResult`] per
-    /// document in corpus order. `factory` is called once per worker to
-    /// build its grammar.
-    ///
-    /// Each job runs behind a panic barrier: a panic anywhere in one
-    /// document's parse is contained to that document (reported via
-    /// [`BatchResult::panicked`]), its session is quarantined instead of
-    /// recycled, and the worker moves on to the next document.
-    pub fn parse_corpus<F, S>(&self, factory: F, docs: &[S]) -> Vec<BatchResult>
-    where
-        F: Fn() -> CompiledGrammar + Send + Sync,
-        S: AsRef<str> + Sync,
-    {
-        self.parse_corpus_governed(factory, docs, &GovernorLimits::none())
-    }
-
-    /// Like [`BatchEngine::parse_corpus`], applying `limits` to every
-    /// document: each job gets its own
-    /// [`Governor`](modpeg_runtime::Governor) minted from `limits`, so
-    /// per-parse deadlines and budgets are enforced independently.
-    /// Aborted documents come back with [`BatchResult::aborted`] set.
-    pub fn parse_corpus_governed<F, S>(
-        &self,
-        factory: F,
-        docs: &[S],
-        limits: &GovernorLimits,
-    ) -> Vec<BatchResult>
-    where
-        F: Fn() -> CompiledGrammar + Send + Sync,
-        S: AsRef<str> + Sync,
-    {
-        if docs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(docs.len());
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<BatchResult> = Vec::with_capacity(docs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let grammar = Rc::new(factory());
-                        let mut pool = SessionPool::new(grammar);
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(doc) = docs.get(i) else { break };
-                            out.push(Self::run_job(&mut pool, i, doc, limits));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.extend(handle.join().expect("batch worker panicked"));
-            }
-        });
-        results.sort_by_key(|r| r.index);
-        results
-    }
-
-    /// One corpus job behind its panic barrier.
-    ///
-    /// `AssertUnwindSafe` is justified by quarantine: if the closure
-    /// panics, the session it was mutating (and the memo table inside it)
-    /// is dropped rather than recycled, so no poisoned state re-enters the
-    /// pool — `pool.free` itself is only touched by `Vec::pop`/`push`,
-    /// which leave it valid at every panic point.
-    fn run_job<S: AsRef<str>>(
-        pool: &mut SessionPool,
-        index: usize,
-        doc: &S,
-        limits: &GovernorLimits,
-    ) -> BatchResult {
-        let job = catch_unwind(AssertUnwindSafe(|| {
-            let text = doc.as_ref();
-            let mut session = pool.session(text);
-            let gov = (!limits.is_unlimited()).then(|| limits.governor());
-            let mut req = ParseRequest::tree();
-            req.governor = gov.as_ref();
-            let (parsed, stats) = session.run(req);
-            let result = BatchResult {
-                index,
-                ok: parsed.is_ok(),
-                error: parsed.as_ref().err().map(|e| e.to_string()),
-                aborted: parsed.err().and_then(|f| f.abort()),
-                panicked: false,
-                stats,
-                bytes: text.len() as u64,
-            };
-            pool.recycle(session);
-            result
-        }));
-        job.unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            BatchResult {
-                index,
-                ok: false,
-                error: Some(format!("parser panicked: {msg}")),
-                aborted: None,
-                panicked: true,
-                stats: Stats::default(),
-                bytes: 0,
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use modpeg_core::{CharClass, Expr as E, Grammar, GrammarBuilder, ProdKind};
     use modpeg_interp::OptConfig;
-    use modpeg_runtime::{Engine, Governor, Parsed, RecoverPolicy, Recovered};
+    use modpeg_runtime::{Governor, ParseAbort, Parsed, RecoverPolicy, Recovered};
     use modpeg_telemetry::Telemetry;
     use modpeg_workload::rng::StdRng;
 
@@ -838,38 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_engine_parses_corpus_in_order() {
-        let docs: Vec<String> = (0..17)
-            .map(|i| {
-                if i % 5 == 4 {
-                    format!("{i}+") // deliberately malformed
-                } else {
-                    modpeg_workload::calc_expression(i as u64, 120)
-                }
-            })
-            .collect();
-        for threads in [1, 3] {
-            let engine = BatchEngine::new(threads);
-            assert_eq!(engine.threads(), threads);
-            let results = engine.parse_corpus(
-                || {
-                    let g = modpeg_grammars::calc_grammar().unwrap();
-                    CompiledGrammar::compile(&g, OptConfig::all()).expect("compiles")
-                },
-                &docs,
-            );
-            assert_eq!(results.len(), docs.len());
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(r.index, i);
-                assert_eq!(r.ok, i % 5 != 4, "doc {i}");
-                assert_eq!(r.error.is_some(), !r.ok);
-                assert_eq!(r.bytes, docs[i].len() as u64);
-                assert!(r.stats.productions_evaluated > 0);
-            }
-        }
-    }
-
-    #[test]
     fn session_stays_usable_after_every_abort_variant() {
         use modpeg_runtime::CancelToken;
         use std::time::Duration;
@@ -957,93 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_engine_quarantines_panicking_jobs() {
-        /// A corpus item whose text access panics: stands in for any panic
-        /// inside one job (the barrier wraps the whole per-document parse).
-        struct Doc(&'static str, bool);
-        impl AsRef<str> for Doc {
-            fn as_ref(&self) -> &str {
-                assert!(!self.1, "injected corpus panic");
-                self.0
-            }
-        }
-        let docs = [
-            Doc("1+2", false),
-            Doc("poison", true),
-            Doc("3*(4-5)", false),
-            Doc("poison", true),
-            Doc("6/3", false),
-        ];
-        // Run everything on one worker so the panicking jobs and their
-        // healthy successors share a pool: the quarantine (not thread
-        // death) is what keeps the later documents parsing.
-        let results = BatchEngine::new(1).parse_corpus(
-            || {
-                let g = modpeg_grammars::calc_grammar().unwrap();
-                CompiledGrammar::compile(&g, OptConfig::all()).unwrap()
-            },
-            &docs,
-        );
-        assert_eq!(results.len(), docs.len());
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.index, i);
-            let poisoned = docs[i].1;
-            assert_eq!(r.panicked, poisoned, "doc {i}");
-            assert_eq!(r.ok, !poisoned, "doc {i}");
-            if poisoned {
-                let err = r.error.as_deref().unwrap();
-                assert!(err.contains("panicked"), "{err}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_engine_applies_limits_per_document() {
-        let docs: Vec<String> = (0..6)
-            .map(|i| modpeg_workload::calc_expression(i as u64, 60 + 200 * i))
-            .collect();
-        // Probe the per-document step counts so the fuel limit can be set
-        // between the cheapest and the most expensive document.
-        let steps: Vec<u64> = docs
-            .iter()
-            .map(|d| {
-                let g = modpeg_grammars::calc_grammar().unwrap();
-                let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
-                let gov = Governor::new();
-                c.run(d, ParseRequest::tree().governed(&gov)).0.unwrap();
-                gov.steps()
-            })
-            .collect();
-        let fuel = (steps.iter().copied().min().unwrap() + steps.iter().copied().max().unwrap()) / 2;
-        let limits = GovernorLimits {
-            fuel: Some(fuel),
-            ..GovernorLimits::default()
-        };
-        let results = BatchEngine::new(2).parse_corpus_governed(
-            || {
-                let g = modpeg_grammars::calc_grammar().unwrap();
-                CompiledGrammar::compile(&g, OptConfig::all()).unwrap()
-            },
-            &docs,
-            &limits,
-        );
-        for (i, r) in results.iter().enumerate() {
-            let expect_abort = steps[i] > fuel;
-            assert_eq!(
-                r.aborted,
-                expect_abort.then_some(ParseAbort::FuelExhausted),
-                "doc {i}: {} steps vs fuel {fuel}",
-                steps[i]
-            );
-            assert_eq!(r.ok, !expect_abort, "doc {i}");
-            assert!(!r.panicked);
-        }
-        // The budgets are per document, not shared: every document under
-        // the limit parsed even though the corpus total exceeds it.
-        assert!(results.iter().any(|r| r.ok) && results.iter().any(|r| !r.ok));
-    }
-
-    #[test]
     fn request_telemetry_reports_session_reuse() {
         use modpeg_telemetry::{mask, EventKind};
         let parser = calc();
@@ -1074,42 +755,5 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, EventKind::Enter { .. })));
-    }
-
-    #[test]
-    fn batch_engine_aggregates_stats_across_jobs() {
-        let docs: Vec<String> = (0..8)
-            .map(|i| modpeg_workload::calc_expression(i as u64, 80))
-            .collect();
-        let results = BatchEngine::new(3).parse_corpus(
-            || {
-                let g = modpeg_grammars::calc_grammar().unwrap();
-                CompiledGrammar::compile(&g, OptConfig::all()).unwrap()
-            },
-            &docs,
-        );
-        let total = BatchEngine::aggregate_stats(&results);
-        let by_hand: u64 = results.iter().map(|r| r.stats.productions_evaluated).sum();
-        assert_eq!(total.productions_evaluated, by_hand);
-        assert!(total.productions_evaluated > 0);
-        assert!(total.memo_probes >= results[0].stats.memo_probes);
-    }
-
-    #[test]
-    fn batch_engine_zero_threads_uses_available_parallelism() {
-        let engine = BatchEngine::new(0);
-        assert!(engine.threads() >= 1);
-        assert!(engine
-            .parse_corpus(
-                || {
-                    CompiledGrammar::compile(
-                        &modpeg_grammars::calc_grammar().unwrap(),
-                        OptConfig::all(),
-                    )
-                    .unwrap()
-                },
-                &Vec::<String>::new(),
-            )
-            .is_empty());
     }
 }

@@ -1,5 +1,6 @@
 //! Renderers over a [`TelemetryReport`]: Chrome `trace_event` JSON,
-//! collapsed-stack flamegraph input, and memo-table heatmaps.
+//! collapsed-stack flamegraph input, an indented text trace, and
+//! memo-table heatmaps.
 //!
 //! All exporters are pure functions of the report — collection and
 //! rendering never overlap, so rendering cost is off the parse path.
@@ -153,6 +154,58 @@ pub fn folded_stacks(report: &TelemetryReport) -> String {
         if ns > 0 {
             let _ = writeln!(out, "{path} {ns}");
         }
+    }
+    out
+}
+
+/// Renders the report as an indented chronological trace, one line per
+/// production entry (`> Name @pos`), exit (`< Name @pos ok ..end` or
+/// `< Name @pos fail`) and memo hit (`= Name @pos memo ok|fail`),
+/// indented two spaces per nesting level — the grammar author's view of
+/// which productions were tried where (Rats!' verbose mode). Collect
+/// under [`mask::TRACE`](crate::mask::TRACE); any engine's report works.
+///
+/// Repetition-helper memo hits are expression-level detail and are
+/// skipped. A report whose collector hit its cap ends with an
+/// `… N events dropped` line instead of stopping silently.
+pub fn trace_text(report: &TelemetryReport) -> String {
+    let head = |depth: u32, marker: char, prod: u32, pos: u32| {
+        let indent = "  ".repeat(depth as usize);
+        format!("{indent}{marker} {} @{pos}", report.name_of(prod))
+    };
+    let mut out = String::new();
+    for event in &report.events {
+        let line = match event.kind {
+            EventKind::Enter { prod, pos, depth } => head(depth, '>', prod, pos),
+            EventKind::Exit {
+                prod,
+                pos,
+                depth,
+                end,
+                matched: true,
+            } => {
+                format!("{} ok ..{end}", head(depth, '<', prod, pos))
+            }
+            EventKind::Exit {
+                prod, pos, depth, ..
+            } => {
+                format!("{} fail", head(depth, '<', prod, pos))
+            }
+            EventKind::MemoHit {
+                prod,
+                pos,
+                depth,
+                matched,
+            } if prod != crate::REP_HELPER => {
+                let verdict = if matched { "ok" } else { "fail" };
+                format!("{} memo {verdict}", head(depth, '=', prod, pos))
+            }
+            _ => continue,
+        };
+        let _ = writeln!(out, "{line}");
+    }
+    if report.dropped > 0 {
+        let _ = writeln!(out, "… {} events dropped", report.dropped);
     }
     out
 }
@@ -357,6 +410,42 @@ mod tests {
         }
         // The nested Leaf span appears under Root.
         assert!(folded.contains("modpeg;Root;Leaf"), "{folded}");
+    }
+
+    #[test]
+    fn trace_text_renders_spans_and_memo_hits() {
+        let t = Telemetry::collector(16).with_mask(crate::mask::TRACE);
+        t.set_names(vec!["P".into()]);
+        let outer = t.enter(0, 0, 0);
+        t.memo_hit(0, 0, 1, false);
+        t.exit(outer, 0, 0, 0, 2, true);
+        let second = t.enter(0, 2, 0);
+        t.exit(second, 0, 2, 0, 2, false);
+        // Repetition-helper hits are expression-level noise.
+        t.memo_hit(REP_HELPER, 0, 0, true);
+        let report = t.take_report();
+        assert_eq!(report.events.len(), 6);
+        assert_eq!(
+            trace_text(&report),
+            "> P @0\n  = P @0 memo fail\n< P @0 ok ..2\n> P @2\n< P @2 fail\n"
+        );
+    }
+
+    #[test]
+    fn dropped_events_are_reported_not_silent() {
+        let t = Telemetry::collector(2).with_mask(crate::mask::TRACE);
+        t.set_names(vec!["P".into()]);
+        for i in 0..4 {
+            let tok = t.enter(0, i, 0);
+            t.exit(tok, 0, i, 0, i, false);
+        }
+        let report = t.take_report();
+        assert_eq!(report.events.len(), 2);
+        assert_eq!(report.dropped, 6);
+        assert_eq!(
+            trace_text(&report),
+            "> P @0\n< P @0 fail\n… 6 events dropped\n"
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! A minimal JSON well-formedness checker.
+//! A minimal JSON reader: one recursive-descent parser over the RFC 8259
+//! grammar.
 //!
 //! The workspace is deliberately dependency-free, so the exporter tests
-//! cannot lean on serde; this hand-rolled recursive-descent validator
-//! (RFC 8259 grammar, no value materialization) is what asserts that
-//! every JSON exporter emits something a real consumer will load.
+//! cannot lean on serde; this hand-rolled parser is what asserts that
+//! every JSON exporter emits something a real consumer will load, and
+//! what the profile reader uses to load `.mprof` files.
 
 /// Validates that `text` is exactly one well-formed JSON value.
 ///
@@ -12,210 +13,7 @@
 /// A human-readable description of the first violation, with its byte
 /// offset.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut v = Validator {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    v.skip_ws();
-    v.value()?;
-    v.skip_ws();
-    if v.pos != v.bytes.len() {
-        return Err(format!("trailing data at byte {}", v.pos));
-    }
-    Ok(())
-}
-
-/// Nesting ceiling: the validator recurses per container, so hostile
-/// depth must fail cleanly instead of overflowing the stack.
-const MAX_DEPTH: u32 = 512;
-
-struct Validator<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: u32,
-}
-
-impl Validator<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                char::from(b),
-                self.pos
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        if self.depth >= MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!("unexpected byte {b:#04x} at {}", self.pos)),
-            None => Err(format!("unexpected end of input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.depth += 1;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.depth += 1;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(b) if b.is_ascii_hexdigit() => self.pos += 1,
-                                    _ => {
-                                        return Err(format!(
-                                            "bad \\u escape at byte {}",
-                                            self.pos
-                                        ))
-                                    }
-                                }
-                            }
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("unescaped control byte {b:#04x} at {}", self.pos))
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(format!("expected digit at byte {}", self.pos)),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(format!("expected fraction digit at byte {}", self.pos));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(format!("expected exponent digit at byte {}", self.pos));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
+    parse_json(text).map(|_| ())
 }
 
 /// A materialized JSON value, as read back by [`parse_json`].
@@ -283,151 +81,172 @@ impl JsonValue {
     }
 }
 
-/// Parses `text` as exactly one JSON value.
-///
-/// Built on the same RFC 8259 grammar as [`validate_json`] (including the
-/// nesting ceiling), but materializes the value; this is what the profile
-/// reader uses to load `.mprof` files without adding a dependency.
+/// Parses `text` as exactly one JSON value (RFC 8259), materializing it.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation, with its byte
 /// offset.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    validate_json(text)?;
     let mut r = Reader {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
+        depth: 0,
     };
     r.skip_ws();
-    let v = r.value();
-    // validate_json already established well-formedness; the reader
-    // cannot fail after it.
+    let v = r.value()?;
+    r.skip_ws();
+    if r.pos != text.len() {
+        return Err(format!("trailing data at byte {}", r.pos));
+    }
     Ok(v)
 }
 
-/// Materializing reader over input `validate_json` has already accepted;
-/// infallible by construction.
+/// Nesting ceiling: the reader recurses per container, so hostile depth
+/// must fail cleanly instead of overflowing the stack.
+const MAX_DEPTH: u32 = 512;
+
 struct Reader<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: u32,
 }
 
 impl Reader<'_> {
-    fn peek(&self) -> u8 {
-        self.bytes[self.pos]
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn value(&mut self) -> JsonValue {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => JsonValue::Str(self.string()),
-            b't' => {
-                self.pos += 4;
-                JsonValue::Bool(true)
-            }
-            b'f' => {
-                self.pos += 5;
-                JsonValue::Bool(false)
-            }
-            b'n' => {
-                self.pos += 4;
-                JsonValue::Null
-            }
-            _ => self.number(),
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
         }
     }
 
-    fn object(&mut self) -> JsonValue {
-        self.pos += 1; // '{'
+    fn value(&mut self) -> Result<JsonValue, String> {
+        if self.depth >= MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b) => Err(format!("unexpected byte {b:#04x} at {}", self.pos)),
+            None => Err(format!("unexpected end of input at byte {}", self.pos)),
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'{')?;
+        self.depth += 1;
         let mut pairs = Vec::new();
         self.skip_ws();
-        if self.peek() == b'}' {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
-            return JsonValue::Obj(pairs);
+            self.depth -= 1;
+            return Ok(JsonValue::Obj(pairs));
         }
         loop {
             self.skip_ws();
-            let key = self.string();
+            let key = self.string()?;
             self.skip_ws();
-            self.pos += 1; // ':'
+            self.expect(b':')?;
             self.skip_ws();
-            pairs.push((key, self.value()));
+            pairs.push((key, self.value()?));
             self.skip_ws();
-            let b = self.peek();
-            self.pos += 1; // ',' or '}'
-            if b == b'}' {
-                return JsonValue::Obj(pairs);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(JsonValue::Obj(pairs));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
     }
 
-    fn array(&mut self) -> JsonValue {
-        self.pos += 1; // '['
+    fn array(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'[')?;
+        self.depth += 1;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == b']' {
+        if self.peek() == Some(b']') {
             self.pos += 1;
-            return JsonValue::Arr(items);
+            self.depth -= 1;
+            return Ok(JsonValue::Arr(items));
         }
         loop {
             self.skip_ws();
-            items.push(self.value());
+            items.push(self.value()?);
             self.skip_ws();
-            let b = self.peek();
-            self.pos += 1; // ',' or ']'
-            if b == b']' {
-                return JsonValue::Arr(items);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(JsonValue::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
 
-    fn string(&mut self) -> String {
-        self.pos += 1; // '"'
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                b'"' => {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
                     self.pos += 1;
-                    return out;
+                    return Ok(out);
                 }
-                b'\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek();
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        _ => {
-                            // \uXXXX — validated to be 4 hex digits.
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4]).unwrap();
-                            let code = u32::from_str_radix(hex, 16).unwrap();
-                            self.pos += 4;
-                            // Surrogates cannot appear in the writers here;
-                            // map unpaired ones to U+FFFD rather than panic.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    let decoded = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => {
+                            self.pos += 1;
+                            out.push(self.unicode_escape()?);
+                            continue;
                         }
-                    }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    };
+                    self.pos += 1;
+                    out.push(decoded);
                 }
-                _ => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
+                Some(b) if b < 0x20 => {
+                    return Err(format!("unescaped control byte {b:#04x} at {}", self.pos))
+                }
+                Some(_) => {
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("not at the end");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -435,18 +254,81 @@ impl Reader<'_> {
         }
     }
 
-    fn number(&mut self) -> JsonValue {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        {
+    /// Decodes the code unit after a `\u`. A high surrogate directly
+    /// followed by a `\u`-escaped low surrogate is one character; an
+    /// unpaired surrogate becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self.hex4()?;
+        if (0xD800..0xDC00).contains(&unit) && self.text[self.pos..].starts_with("\\u") {
+            let high_end = self.pos;
+            self.pos += 2;
+            if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4() {
+                let c = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(c).expect("a surrogate pair is a scalar value"));
+            }
+            // Not a low surrogate: the next escape is decoded on its own.
+            self.pos = high_end;
+        }
+        Ok(char::from_u32(unit).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut unit = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|b| char::from(b).to_digit(16))
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            unit = unit * 16 + digit;
             self.pos += 1;
         }
-        JsonValue::Num(
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .unwrap()
-                .to_string(),
-        )
+        Ok(unit)
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(format!("expected digit at byte {}", self.pos)),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(format!("expected fraction digit at byte {}", self.pos));
+            }
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(format!("expected exponent digit at byte {}", self.pos));
+            }
+            self.digits();
+        }
+        Ok(JsonValue::Num(self.text[start..self.pos].to_string()))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
     }
 }
 
@@ -541,13 +423,26 @@ mod tests {
     fn parse_preserves_u64_precision() {
         // 2^63 + 3 is not representable as f64; the lexeme keeps it exact.
         let v = parse_json("{\"fp\": 9223372036854775811}").unwrap();
-        assert_eq!(v.get("fp").and_then(JsonValue::as_u64), Some(9223372036854775811));
+        assert_eq!(
+            v.get("fp").and_then(JsonValue::as_u64),
+            Some(9223372036854775811)
+        );
     }
 
     #[test]
     fn parse_decodes_unicode_escapes() {
         let v = parse_json("\"caf\\u00e9 \\u0041\"").unwrap();
         assert_eq!(v.as_str(), Some("café A"));
+    }
+
+    #[test]
+    fn parse_joins_surrogate_pairs() {
+        let v = parse_json("\"\\ud83d\\ude00\"").unwrap();
+        assert_eq!(v.as_str(), Some("\u{1f600}"));
+        // Unpaired halves still decode, as U+FFFD.
+        let v = parse_json("\"\\ud83d x \\ude00 \\ud83d\\u0041\"").unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd} x \u{fffd} \u{fffd}A"));
+        assert!(parse_json("\"\\ud83d\\uzzzz\"").is_err());
     }
 
     #[test]

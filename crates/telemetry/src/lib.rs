@@ -3,8 +3,8 @@
 //! Structured parse telemetry for every modpeg engine: a bounded
 //! span/event collector behind a cheap [`Telemetry`] handle, a
 //! per-production [`MetricsRegistry`], and exporters for Chrome
-//! `trace_event` JSON, collapsed-stack flamegraphs, Prometheus-style
-//! text, and memo-table heatmaps.
+//! `trace_event` JSON, collapsed-stack flamegraphs, indented trace text,
+//! and memo-table heatmaps.
 //!
 //! The design splits into two phases so the parser hot path stays hot:
 //!
@@ -317,8 +317,8 @@ impl SpanToken {
 /// Cloning shares the underlying collector (it is reference-counted), so
 /// the handle an engine keeps and the handle the caller extracts the
 /// report from observe the same events. Handles are single-threaded by
-/// design — a parse run is; cross-thread aggregation (the batch engine)
-/// merges `Stats` instead.
+/// design — a parse run is; cross-thread aggregation merges `Stats`
+/// instead.
 ///
 /// The disabled handle is `const`-constructible and therefore provably
 /// allocation-free; every hook on it is a single branch on the cached

@@ -2,8 +2,8 @@
 //!
 //! The [`MetricsRegistry`] is the quantitative companion to the
 //! chronological exporters: histograms of evaluation time and backtrack
-//! depth, memo hit-rates, and run-level totals, with Prometheus-style
-//! text and JSON exposition.
+//! depth, memo hit-rates, and run-level totals, with a human summary
+//! and JSON exposition.
 
 use std::fmt;
 
@@ -276,167 +276,6 @@ impl MetricsRegistry {
         MetricsRegistry { prods, totals }
     }
 
-    /// Prometheus text exposition (counters and cumulative histograms,
-    /// one `production` label per grammar production).
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let counter = |out: &mut String, name: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-        };
-        let label = |name: &str| escape_prom_label(name);
-
-        counter(
-            &mut out,
-            "modpeg_production_evaluations_total",
-            "Production applications evaluated (memo misses and unmemoized)",
-        );
-        for p in self.active() {
-            let _ = writeln!(
-                out,
-                "modpeg_production_evaluations_total{{production=\"{}\"}} {}",
-                label(&p.name),
-                p.evals
-            );
-        }
-        counter(
-            &mut out,
-            "modpeg_production_matched_total",
-            "Evaluations that matched",
-        );
-        for p in self.active() {
-            let _ = writeln!(
-                out,
-                "modpeg_production_matched_total{{production=\"{}\"}} {}",
-                label(&p.name),
-                p.matched
-            );
-        }
-        counter(
-            &mut out,
-            "modpeg_production_memo_probes_total",
-            "Memo-table lookups",
-        );
-        for p in self.active() {
-            let _ = writeln!(
-                out,
-                "modpeg_production_memo_probes_total{{production=\"{}\"}} {}",
-                label(&p.name),
-                p.memo_probes
-            );
-        }
-        counter(
-            &mut out,
-            "modpeg_production_memo_hits_total",
-            "Memo-table lookups that served a stored answer",
-        );
-        for p in self.active() {
-            let _ = writeln!(
-                out,
-                "modpeg_production_memo_hits_total{{production=\"{}\"}} {}",
-                label(&p.name),
-                p.memo_hits
-            );
-        }
-        counter(
-            &mut out,
-            "modpeg_production_backtracks_total",
-            "Alternatives that failed after consuming input",
-        );
-        for p in self.active() {
-            let _ = writeln!(
-                out,
-                "modpeg_production_backtracks_total{{production=\"{}\"}} {}",
-                label(&p.name),
-                p.backtracks
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP modpeg_production_time_ns Evaluation time per application, nanoseconds"
-        );
-        let _ = writeln!(out, "# TYPE modpeg_production_time_ns histogram");
-        for p in self.active() {
-            let mut cumulative = 0u64;
-            for (i, &count) in p.time_hist.iter().enumerate() {
-                cumulative += count;
-                let le = if TIME_BUCKET_NS[i] == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    TIME_BUCKET_NS[i].to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "modpeg_production_time_ns_bucket{{production=\"{}\",le=\"{le}\"}} {cumulative}",
-                    label(&p.name)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "modpeg_production_time_ns_sum{{production=\"{}\"}} {}",
-                label(&p.name),
-                p.total_ns
-            );
-            let _ = writeln!(
-                out,
-                "modpeg_production_time_ns_count{{production=\"{}\"}} {cumulative}",
-                label(&p.name)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP modpeg_production_backtrack_depth Backtrack nesting depth"
-        );
-        let _ = writeln!(out, "# TYPE modpeg_production_backtrack_depth histogram");
-        for p in self.active().filter(|p| p.backtracks > 0) {
-            let mut cumulative = 0u64;
-            for (i, &count) in p.backtrack_hist.iter().enumerate() {
-                cumulative += count;
-                let le = if BACKTRACK_BUCKET[i] == u32::MAX {
-                    "+Inf".to_string()
-                } else {
-                    BACKTRACK_BUCKET[i].to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "modpeg_production_backtrack_depth_bucket{{production=\"{}\",le=\"{le}\"}} {cumulative}",
-                    label(&p.name)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "modpeg_production_backtrack_depth_count{{production=\"{}\"}} {cumulative}",
-                label(&p.name)
-            );
-        }
-        counter(&mut out, "modpeg_events_total", "Telemetry events collected");
-        let _ = writeln!(out, "modpeg_events_total {}", self.totals.events);
-        counter(
-            &mut out,
-            "modpeg_events_dropped_total",
-            "Telemetry events discarded by the buffer cap",
-        );
-        let _ = writeln!(out, "modpeg_events_dropped_total {}", self.totals.dropped);
-        counter(
-            &mut out,
-            "modpeg_memo_evictions_total",
-            "Memo-budget eviction passes",
-        );
-        let _ = writeln!(out, "modpeg_memo_evictions_total {}", self.totals.evictions);
-        counter(
-            &mut out,
-            "modpeg_governor_ticks_total",
-            "Governor evaluation steps ticked",
-        );
-        let _ = writeln!(out, "modpeg_governor_ticks_total {}", self.totals.gov_ticks);
-        counter(&mut out, "modpeg_aborts_total", "Governed parse aborts");
-        for (reason, count) in &self.totals.aborts {
-            let _ = writeln!(out, "modpeg_aborts_total{{reason=\"{reason}\"}} {count}");
-        }
-        out
-    }
-
     /// JSON exposition of the same aggregates (an object with a
     /// `productions` array and a `totals` object).
     pub fn to_json(&self) -> String {
@@ -495,10 +334,6 @@ impl MetricsRegistry {
             p.evals > 0 || p.memo_probes > 0 || p.memo_stores > 0 || p.backtracks > 0
         })
     }
-}
-
-fn escape_prom_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
 /// Compact human-readable summary: run totals plus the top productions
@@ -629,28 +464,10 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_is_well_shaped() {
-        let text = MetricsRegistry::from_report(&sample_report()).to_prometheus();
-        assert!(text.contains("# TYPE modpeg_production_evaluations_total counter"));
-        assert!(text.contains("modpeg_production_evaluations_total{production=\"Root\"} 1"));
-        assert!(text.contains("modpeg_production_time_ns_bucket{production=\"Root\",le=\"+Inf\"}"));
-        assert!(text.contains("modpeg_governor_ticks_total 100"));
-        // Every non-comment line is `name{labels} value` or `name value`.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let mut parts = line.rsplitn(2, ' ');
-            let value = parts.next().unwrap();
-            assert!(
-                value.parse::<f64>().is_ok(),
-                "unparseable value in line: {line}"
-            );
-        }
-    }
-
-    #[test]
     fn forced_drops_surface_in_both_expositions() {
         // A 2-event buffer under a 3-span load must drop events — and the
-        // drop count must be visible to machine consumers, not just the
-        // human summary.
+        // drop count must be visible to machine consumers as well as in
+        // the human summary.
         let t = Telemetry::collector(2);
         t.set_names(vec!["Root".into()]);
         for _ in 0..3 {
@@ -660,10 +477,10 @@ mod tests {
         let report = t.take_report();
         assert!(report.dropped > 0, "tiny buffer must force drops");
         let r = MetricsRegistry::from_report(&report);
-        let prom = r.to_prometheus();
+        let summary = r.to_string();
         assert!(
-            prom.contains(&format!("modpeg_events_dropped_total {}", report.dropped)),
-            "prometheus missing drop count:\n{prom}"
+            summary.contains(&format!("({} dropped)", report.dropped)),
+            "summary missing drop count:\n{summary}"
         );
         let json = r.to_json();
         crate::validate_json(&json).unwrap();

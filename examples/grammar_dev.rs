@@ -9,8 +9,8 @@
 //! cargo run --example grammar_dev
 //! ```
 
-use modpeg::interp::Trace;
 use modpeg::prelude::*;
+use modpeg::telemetry::export::trace_text;
 use modpeg::telemetry::{mask, Telemetry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -66,10 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stmt = parser.with_root("Statement")?;
     let telem = Telemetry::collector(10_000).with_mask(mask::TRACE);
     let (result, _) = stmt.run("x = = 1;", ParseRequest::tree().with_telemetry(&telem));
-    let trace = Trace::from_report(&telem.take_report());
-    for event in trace.events().iter().take(25) {
-        let indent = "  ".repeat(event.depth as usize + 1);
-        println!("{indent}{} @{} {:?}", trace.name_of(event), event.pos, event.outcome);
+    for line in trace_text(&telem.take_report()).lines().take(25) {
+        println!("  {line}");
     }
     if let Err(e) = result {
         println!("  => {e}");

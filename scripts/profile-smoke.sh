@@ -25,7 +25,7 @@ INPUT=tests/data/profile.java
 OUT_DIR="${TMPDIR:-/tmp}/modpeg-profile-smoke"
 mkdir -p "$OUT_DIR"
 
-for fmt in summary chrome folded prom heatmap heatmap-csv json; do
+for fmt in summary chrome folded heatmap heatmap-csv json; do
     out="$OUT_DIR/profile.$fmt"
     echo "== profile-smoke: modpeg profile --format $fmt =="
     # shellcheck disable=SC2086 # JAVA_ARGS is a deliberate word list
