@@ -23,10 +23,13 @@
 //!   starts). This is the per-parse marginal cost once capacities are
 //!   warm, where the detached tree is the whole difference.
 //!
-//! `fig_arena --smoke` instead runs the recycle-leak check used by
+//! `fig_arena --smoke` instead runs the two leak checks used by
 //! `scripts/arena-smoke.sh`: parse/recycle through a [`SessionPool`]
 //! until live bytes plateau, then assert further recycling does not grow
-//! the heap (a leak would mean reset/recycle drops regions on the floor).
+//! the heap (a leak would mean reset/recycle drops regions on the floor);
+//! and edit a Java [`ParseSession`] for 50 edits, then assert 200 more
+//! keep live bytes within 1.5x (a session that kept every reparse's
+//! region nodes would grow with the edit history, not the document).
 //!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 24000), `MODPEG_BENCH_SEEDS` (3),
 //! `MODPEG_BENCH_RUNS` (6).
@@ -39,7 +42,8 @@ use modpeg_bench::{middle, ms, paired, pct, Knobs};
 use modpeg_conformance::GrammarId;
 use modpeg_interp::{CompiledGrammar, OptConfig};
 use modpeg_runtime::{Engine, EventCounts, EventSink, ParseRequest, SyntaxTree, TreeBuilder};
-use modpeg_session::SessionPool;
+use modpeg_session::{ParseSession, SessionPool};
+use modpeg_workload::rng::StdRng;
 use modpeg_vm::VmProgram;
 
 /// Live and peak heap bytes, maintained by the wrapping allocator.
@@ -326,8 +330,15 @@ fn heap_section() -> Vec<Vec<String>> {
     json_rows
 }
 
-/// The `scripts/arena-smoke.sh` leg: recycled sessions must not leak.
+/// The `scripts/arena-smoke.sh` legs: recycled sessions must not leak,
+/// and neither may a long-lived edited one.
 fn smoke() {
+    recycle_smoke();
+    session_edit_smoke();
+}
+
+/// Recycled sessions must not leak.
+fn recycle_smoke() {
     let grammar = modpeg_grammars::calc_grammar().expect("calc elaborates");
     let parser =
         Rc::new(CompiledGrammar::compile(&grammar, OptConfig::incremental()).expect("compiles"));
@@ -357,5 +368,56 @@ fn smoke() {
     println!(
         "arena-smoke: recycle-leak check OK ({} KiB live after 24 parse/recycle cycles)",
         after / 1024
+    );
+}
+
+/// An edited session's live heap is bounded by its document: after 50
+/// warm-up edits, 200 more must keep it within 1.5x.
+fn session_edit_smoke() {
+    let grammar = GrammarId::Java.elaborate().expect("java elaborates");
+    let parser =
+        Rc::new(CompiledGrammar::compile(&grammar, OptConfig::incremental()).expect("compiles"));
+    let mut session = ParseSession::new(parser, modpeg_workload::java_program(3, 16 * 1024));
+    session.parse().expect("workload parses");
+    let mut rng = StdRng::seed_from_u64(0xA7E7A);
+    let mut edit = |session: &mut ParseSession| {
+        // Replace a number literal by one of another length.
+        let text = session.text().as_bytes();
+        let mut at = rng.gen_range(0..text.len());
+        let ident = |i: usize| text[i].is_ascii_alphanumeric() || text[i] == b'_';
+        while !(text[at].is_ascii_digit() && (at == 0 || !ident(at - 1))) {
+            at = (at + 1) % text.len();
+        }
+        let end = (at..text.len()).find(|&i| !text[i].is_ascii_digit()).unwrap_or(text.len());
+        let mut len = rng.gen_range(1..=5usize);
+        if len == end - at {
+            len += 1;
+        }
+        let literal: String = (0..len)
+            .map(|k| char::from(if k == 0 { b'1' } else { b'0' } + rng.gen_range(0..9u8)))
+            .collect();
+        session.apply_edit(at..end, &literal);
+        std::hint::black_box(session.parse().expect("edited workload parses"));
+    };
+    for _ in 0..50 {
+        edit(&mut session);
+    }
+    let warm = live_bytes();
+    let mut most = warm;
+    for _ in 0..200 {
+        edit(&mut session);
+        most = most.max(live_bytes());
+    }
+    assert!(
+        2 * most <= 3 * warm,
+        "an edited session grows with its edits: {warm} live bytes after 50 edits, \
+         up to {most} over 200 more"
+    );
+    println!(
+        "arena-smoke: session-edit check OK ({} KiB live after 50 edits, at most {} KiB over 200 \
+         more, {} compactions)",
+        warm / 1024,
+        most / 1024,
+        session.stats().arena_compactions
     );
 }

@@ -11,6 +11,10 @@
 //!    the same document with the fully optimized configuration. The
 //!    headline number is the median-over-edits speedup of incremental
 //!    reparse over full reparse.
+//!    After the script the figure reports what the session's value region
+//!    holds (nodes and retained bytes) and how many compactions ran: a
+//!    session compacts its region once it has doubled, so the region is
+//!    bounded by the document, not by the number of reparses.
 //! 2. **Stateful fallback.** The C grammar threads typedef state, so memo
 //!    entries are not position-independent facts and carrying them across
 //!    an edit would be unsound. `CompiledGrammar::uses_state()` detects
@@ -245,6 +249,14 @@ fn main() {
         "speedup: {:.1}x (trees verified identical on every edit)",
         m_full.as_secs_f64() / m_inc.as_secs_f64().max(1e-9)
     );
+    let region = session.memo().arena();
+    let totals = session.stats();
+    let (region_nodes, region_kib) = (region.len(), region.retained_bytes() / 1024);
+    println!(
+        "session region after the script: {region_nodes} nodes, {region_kib} KiB retained, \
+         {} compactions ({} nodes reclaimed)",
+        totals.arena_compactions, totals.arena_nodes_reclaimed
+    );
 
     // Series 2: stateful grammars fall back to full reparses.
     println!("\nstateful fallback (C grammar with typedef state):");
@@ -300,6 +312,10 @@ fn main() {
             ("median incr ms", ms(m_inc)),
             ("median full ms", ms(m_full)),
             ("stateful fallback median ms", ms(median_c)),
+            ("region nodes", region_nodes.to_string()),
+            ("region KiB", region_kib.to_string()),
+            ("compactions", totals.arena_compactions.to_string()),
+            ("nodes reclaimed", totals.arena_nodes_reclaimed.to_string()),
         ],
         &[
             "edit",

@@ -16,7 +16,7 @@
 //!   actually memoized get a dense slot index; probing is two array
 //!   indexings and storing allocates at chunk granularity.
 
-use crate::arena::Arena;
+use crate::arena::{Arena, ArenaInvariants, Compaction};
 use crate::value::Value;
 
 /// Number of memo slots per chunk in [`ChunkMemo`] (the paper groups
@@ -158,9 +158,9 @@ impl Column {
     }
 
     /// Applies the pending bias to every entry, returning how many entries
-    /// were rewritten. Region-backed values are shifted through `arena`
-    /// (a deep copy into fresh region nodes; see [`Arena::shifted`]).
-    fn settle(&mut self, arena: &mut Arena) -> u64 {
+    /// were rewritten. Region-backed values are shifted through `arena`,
+    /// which only retranslates their handles (see [`Arena::shifted`]).
+    fn settle(&mut self, arena: &Arena) -> u64 {
         if self.bias == 0 {
             return 0;
         }
@@ -191,6 +191,23 @@ pub struct EvictReport {
     pub bytes_freed: u64,
 }
 
+/// Outcome of [`ChunkMemo::compact`]: the value region's size before and
+/// after the pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompactReport {
+    /// Region nodes before the pass.
+    pub nodes_before: u64,
+    /// Region nodes after it: the distinct nodes reachable from the memo.
+    pub nodes_after: u64,
+}
+
+impl CompactReport {
+    /// Nodes the pass dropped: garbage plus merged duplicates.
+    pub fn reclaimed(&self) -> u64 {
+        self.nodes_before - self.nodes_after
+    }
+}
+
 /// Outcome of [`ChunkMemo::apply_edit`]: how much memoized work survived.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EditReport {
@@ -209,6 +226,12 @@ pub struct EditReport {
 /// Memory is proportional to the positions actually visited and, within a
 /// column, to the chunks actually written — not to
 /// `|productions| × |input|`.
+///
+/// The table owns the region its entries' values live in (see
+/// [`ChunkMemo::arena`]). Carried across edits, the region also collects
+/// the values of dropped entries; [`ChunkMemo::compact`] replaces it with
+/// a generation holding only what the entries reach, which is how an
+/// incremental session stays bounded by its document.
 ///
 /// # Examples
 ///
@@ -240,7 +263,8 @@ pub struct ChunkMemo {
     /// The bump region for this table's semantic values. Memo entries hold
     /// [`Value::ArenaNode`]/[`Value::ArenaList`] handles into it, so the
     /// entries and the region live and die together:
-    /// [`ChunkMemo::reset_for`] resets both, which is what makes stale
+    /// [`ChunkMemo::reset_for`] resets both and [`ChunkMemo::compact`]
+    /// moves both to the next generation, which is what makes stale
     /// handles unreachable across session recycling by construction.
     arena: Arena,
 }
@@ -265,7 +289,9 @@ impl ChunkMemo {
         }
     }
 
-    /// The bump region backing this table's semantic values.
+    /// The bump region backing this table's semantic values. It dies with
+    /// the entries at [`ChunkMemo::reset_for`] and moves with them to the
+    /// next generation at [`ChunkMemo::compact`].
     pub fn arena(&self) -> &Arena {
         &self.arena
     }
@@ -352,7 +378,7 @@ impl ChunkMemo {
     /// `probe` assumes (and debug-asserts) no translation is pending.
     pub fn probe_settled(&mut self, slot: u32, pos: u32) -> Option<&MemoAnswer> {
         if let Some(Some(col)) = self.columns.get_mut(pos as usize) {
-            self.entries_shifted += col.settle(&mut self.arena);
+            self.entries_shifted += col.settle(&self.arena);
         }
         self.probe(slot, pos)
     }
@@ -470,6 +496,71 @@ impl ChunkMemo {
         self.entries_shifted = 0;
         self.arena.reset();
     }
+
+    /// Replaces the value region by its next generation, holding only what
+    /// the memo entries reach, in one pass:
+    ///
+    /// * every reachable node is copied once, so shared subtrees stay
+    ///   shared;
+    /// * each column's pending edit translation is applied on the way
+    ///   (entry ends and values alike) and then cleared, so the pass also
+    ///   settles every column;
+    /// * structurally equal nodes (same kind, span and copied children)
+    ///   are merged bottom-up, so equal subtrees built twice (an
+    ///   unmemoized production re-evaluated at one position by two
+    ///   memoized callers) come out as one;
+    /// * the new region is sized to its survivors, the old one dropped,
+    ///   and the generation bumped, so a handle kept from before the pass
+    ///   is detectably stale.
+    ///
+    /// Entries, columns and extents are unchanged, so every probe answers
+    /// as before. The caller must hold no region handle outside the table:
+    /// trees must already be copied out and events emitted.
+    pub fn compact(&mut self) -> CompactReport {
+        let nodes_before = self.arena.len() as u64;
+        let mut pass = Compaction::new(std::mem::take(&mut self.arena));
+        for col in self.columns.iter_mut().flatten() {
+            let bias = std::mem::take(&mut col.bias);
+            for answer in col.chunks.iter_mut().flatten().flat_map(|c| c.iter_mut()).flatten() {
+                if let Some((end, value)) = &mut answer.outcome {
+                    *end = (*end as i64 + bias) as u32;
+                    *value = pass.copy(value, bias);
+                }
+            }
+        }
+        self.arena = pass.finish();
+        CompactReport {
+            nodes_before,
+            nodes_after: self.arena.len() as u64,
+        }
+    }
+}
+
+impl ArenaInvariants {
+    /// Checks that every memo entry's value is a leaf or a handle into
+    /// `memo`'s arena at the current generation: after a reset or a
+    /// [`ChunkMemo::compact`] no entry may still point into a dead
+    /// region. The handles below an entry's value are region children,
+    /// which [`ArenaInvariants::check`] audits.
+    pub fn check_entries(memo: &ChunkMemo) -> Result<(), String> {
+        let arena = &memo.arena;
+        for (pos, col) in memo.columns.iter().enumerate() {
+            let Some(col) = col else { continue };
+            let cells = col.chunks.iter().flatten().flat_map(|c| c.iter()).flatten();
+            for (i, answer) in cells.enumerate() {
+                if let Some((_, v)) = &answer.outcome {
+                    if !arena.owns_composites_of(v) {
+                        return Err(format!(
+                            "column {pos} entry {i}: value {v:?} is not a handle into the \
+                             region at generation {}",
+                            arena.generation()
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl MemoTable for ChunkMemo {
@@ -510,7 +601,7 @@ impl MemoTable for ChunkMemo {
         // A store into a column still carrying an edit translation must
         // settle it first, or settling later would corrupt this entry.
         if col.bias != 0 {
-            self.entries_shifted += col.settle(&mut self.arena);
+            self.entries_shifted += col.settle(&self.arena);
         }
         let chunk_idx = slot as usize / CHUNK_SIZE;
         let Some(chunk_slot) = col.chunks.get_mut(chunk_idx) else {
@@ -555,6 +646,7 @@ impl MemoTable for ChunkMemo {
 mod tests {
     use super::*;
     use crate::span::Span;
+    use crate::value::NodeKind;
 
     fn success(end: u32) -> MemoAnswer {
         MemoAnswer::success(0, end, Value::Text(Span::new(0, end)))
@@ -874,6 +966,128 @@ mod tests {
         assert_eq!(m.entries(), 0);
         assert_eq!(m.retained_bytes(), 0);
         assert_eq!(m.probe(0, 5), None);
+    }
+
+    /// The value stored for `slot` at `pos` (settled, no pending shift).
+    fn value_at(m: &ChunkMemo, slot: u32, pos: u32) -> Value {
+        m.probe(slot, pos)
+            .and_then(|a| a.outcome.as_ref())
+            .map(|(_, v)| v.clone())
+            .expect("a success entry")
+    }
+
+    #[test]
+    fn compact_copies_shared_subtrees_once_and_drops_garbage() {
+        let mut m = ChunkMemo::new(5, 20);
+        let arena = m.arena_mut();
+        let shared = Value::ArenaList(arena.alloc_list(vec![Value::Text(Span::new(4, 6))]));
+        arena.alloc_list(vec![Value::Unit]); // garbage: no entry reaches it
+        let parent = arena.alloc_node(NodeKind::new("P"), vec![shared.clone()], Some(Span::new(2, 6)));
+        m.store(0, 4, MemoAnswer::success(0, 6, shared));
+        m.store(1, 2, MemoAnswer::success(0, 6, Value::ArenaNode(parent)));
+        m.store(2, 2, fail());
+        let entries = m.entries();
+        let report = m.compact();
+        assert_eq!((report.nodes_before, report.nodes_after, report.reclaimed()), (3, 2, 1));
+        assert_eq!(m.entries(), entries, "compaction keeps every entry");
+        assert_eq!(m.probe(2, 2), Some(&fail()));
+        // The list entry and the parent's child are still one node.
+        let Value::ArenaNode(p) = value_at(&m, 1, 2) else { panic!() };
+        assert_eq!(m.arena().children(p).next(), Some(value_at(&m, 0, 4)));
+        assert_eq!(m.arena().to_sexpr(&Value::ArenaNode(p), "abcdefgh"), "(P [\"ef\"])");
+        ArenaInvariants::check(m.arena(), 20).unwrap();
+        ArenaInvariants::check_entries(&m).unwrap();
+    }
+
+    #[test]
+    fn compact_applies_pending_translations_then_clears_them() {
+        let mut m = ChunkMemo::new(5, 20);
+        let arena = m.arena_mut();
+        let node = arena.alloc_node(
+            NodeKind::new("N"),
+            vec![Value::Text(Span::new(15, 18))],
+            Some(Span::new(15, 18)),
+        );
+        m.store(1, 15, MemoAnswer::success(0, 18, Value::ArenaNode(node)));
+        m.record_extent(15, 3);
+        m.apply_edit(5, 3, 1); // delta -2: column 15 moves to 13, unsettled
+        m.compact();
+        // A plain probe debug-asserts that no translation is pending.
+        let Some((end, Value::ArenaNode(r))) = m.probe(1, 13).and_then(|a| a.outcome.clone()) else {
+            panic!()
+        };
+        assert_eq!((end, r.shift()), (16, 0));
+        assert_eq!(m.arena().span(r), Some(Span::new(13, 16)));
+        assert_eq!(m.arena().children(r).next(), Some(Value::Text(Span::new(13, 16))));
+        assert_eq!(m.take_entries_shifted(), 0, "no lazy settling was needed");
+        ArenaInvariants::check(m.arena(), 18).unwrap();
+    }
+
+    #[test]
+    fn compact_merges_equal_subtrees_and_translated_handles() {
+        let mut m = ChunkMemo::new(5, 20);
+        let kind = NodeKind::new("N");
+        let arena = m.arena_mut();
+        // Two equal subtrees built separately...
+        let mut build = |at: u32| {
+            let leaf = arena.alloc_list(vec![Value::Text(Span::new(at, at + 1)), Value::Unit]);
+            arena.alloc_node(kind.clone(), vec![Value::ArenaList(leaf)], Some(Span::new(at, at + 1)))
+        };
+        let (a, b, moved) = (build(3), build(3), build(1));
+        // ...and one built two bytes earlier, reached through a +2 handle.
+        let moved = arena.shifted(&Value::ArenaNode(moved), 2);
+        m.store(0, 3, MemoAnswer::success(0, 4, Value::ArenaNode(a)));
+        m.store(1, 3, MemoAnswer::success(0, 4, Value::ArenaNode(b)));
+        m.store(2, 3, MemoAnswer::success(0, 4, moved));
+        assert_eq!(m.compact().nodes_after, 2, "one list and one node survive");
+        assert_eq!(value_at(&m, 0, 3), value_at(&m, 1, 3));
+        assert_eq!(value_at(&m, 0, 3), value_at(&m, 2, 3));
+    }
+
+    #[test]
+    fn compact_copies_a_node_once_per_translation() {
+        // An empty-span leaf reached both in place and through a +3 handle
+        // (an empty match at an edit point) needs one copy per position,
+        // however often either is reached.
+        let mut m = ChunkMemo::new(5, 20);
+        let node = m.arena_mut().alloc_list(vec![Value::Text(Span::new(5, 5))]);
+        let moved = m.arena().shifted(&Value::ArenaList(node), 3);
+        m.store(0, 5, MemoAnswer::success(0, 5, Value::ArenaList(node)));
+        m.store(0, 8, MemoAnswer::success(0, 8, moved.clone()));
+        m.store(1, 8, MemoAnswer::success(0, 8, Value::ArenaList(node)));
+        m.store(2, 8, MemoAnswer::success(0, 8, moved));
+        assert_eq!(m.compact().nodes_after, 2);
+        let text = |v: Value| {
+            let Value::ArenaList(r) = v else { panic!() };
+            m.arena().children(r).next()
+        };
+        assert_eq!(text(value_at(&m, 0, 5)), Some(Value::Text(Span::new(5, 5))));
+        assert_eq!(text(value_at(&m, 0, 8)), Some(Value::Text(Span::new(8, 8))));
+        assert_eq!(value_at(&m, 1, 8), value_at(&m, 0, 5));
+        assert_eq!(value_at(&m, 2, 8), value_at(&m, 0, 8));
+    }
+
+    #[test]
+    fn compact_bumps_the_generation_and_sizes_the_region_to_survivors() {
+        let mut m = ChunkMemo::new(5, 20);
+        for _ in 0..100 {
+            m.arena_mut().alloc_list(vec![Value::Unit; 4]); // all garbage
+        }
+        let kept = m.arena_mut().alloc_list(vec![Value::Absent]);
+        let stale = Value::ArenaList(kept);
+        m.store(0, 0, MemoAnswer::success(0, 0, stale.clone()));
+        let (generation, bytes) = (m.arena().generation(), m.arena().retained_bytes());
+        m.compact();
+        assert_eq!(m.arena().generation(), generation.wrapping_add(1));
+        assert!(!m.arena().owns_composites_of(&stale), "pre-pass handles are detectably stale");
+        assert!(m.arena().owns_composites_of(&value_at(&m, 0, 0)));
+        assert_eq!(m.arena().len(), 1);
+        assert_eq!(m.arena().retained_bytes(), m.arena().used_bytes());
+        assert!(m.arena().retained_bytes() < bytes);
+        // An entry still holding a pre-pass handle is caught.
+        m.store(1, 0, MemoAnswer::success(0, 0, stale));
+        let err = ArenaInvariants::check_entries(&m).unwrap_err();
+        assert!(err.contains("column 0"), "{err}");
     }
 
     #[test]

@@ -63,6 +63,12 @@ pub struct Stats {
     /// Incremental reparse: carried-over memo entries whose spans were
     /// translated to post-edit coordinates.
     pub memo_entries_shifted: u64,
+    /// Incremental session: passes that compacted the memo's value region
+    /// after a reparse (always 0 on fresh parses).
+    pub arena_compactions: u64,
+    /// Incremental session: region nodes those passes dropped, garbage and
+    /// merged duplicates together.
+    pub arena_nodes_reclaimed: u64,
     /// Governed parse: eviction passes run because the memo-byte budget
     /// was exceeded (first rung of the degradation ladder).
     pub gov_evictions: u64,
@@ -116,6 +122,8 @@ impl Stats {
         self.memo_columns_reused += other.memo_columns_reused;
         self.memo_columns_invalidated += other.memo_columns_invalidated;
         self.memo_entries_shifted += other.memo_entries_shifted;
+        self.arena_compactions += other.arena_compactions;
+        self.arena_nodes_reclaimed += other.arena_nodes_reclaimed;
         self.gov_evictions += other.gov_evictions;
         self.gov_columns_evicted += other.gov_columns_evicted;
         self.gov_transient_fallbacks += other.gov_transient_fallbacks;
@@ -168,14 +176,18 @@ impl fmt::Display for Stats {
         if self.memo_columns_reused > 0
             || self.memo_columns_invalidated > 0
             || self.memo_entries_shifted > 0
+            || self.arena_compactions > 0
         {
             write!(
                 f,
-                "\n{:<LABEL$}{} columns reused, {} invalidated, {} entries shifted",
+                "\n{:<LABEL$}{} columns reused, {} invalidated, {} entries shifted, \
+                 {} compactions ({} nodes reclaimed)",
                 "incremental:",
                 self.memo_columns_reused,
                 self.memo_columns_invalidated,
-                self.memo_entries_shifted
+                self.memo_entries_shifted,
+                self.arena_compactions,
+                self.arena_nodes_reclaimed
             )?;
         }
         if self.gov_ticks > 0 || self.gov_evictions > 0 || self.gov_transient_fallbacks > 0 {
@@ -256,6 +268,28 @@ mod tests {
         assert_eq!(a.gov_ticks, 15);
         assert_eq!(a.gov_stride_refills, 3);
         assert_eq!(a.gov_evictions, 1);
+    }
+
+    #[test]
+    fn merge_sums_and_display_prints_compaction_counters() {
+        let mut a = Stats {
+            arena_compactions: 1,
+            arena_nodes_reclaimed: 40,
+            ..Stats::default()
+        };
+        a.merge(&Stats {
+            arena_compactions: 2,
+            arena_nodes_reclaimed: 60,
+            ..Stats::default()
+        });
+        assert_eq!((a.arena_compactions, a.arena_nodes_reclaimed), (3, 100));
+        let text = a.to_string();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("incremental:"))
+            .unwrap_or_else(|| panic!("no incremental line in {text}"));
+        assert!(line.ends_with("3 compactions (100 nodes reclaimed)"), "{line}");
+        assert!(!Stats::default().to_string().contains("incremental:"));
     }
 
     #[test]

@@ -41,6 +41,13 @@ impl NodeKind {
         let dot = self.0.find('.')?;
         Some(&self.0[dot + 1..])
     }
+
+    /// The address of the shared tag string: equal addresses mean the
+    /// same tag (engines clone one tag per alternative, so this is how
+    /// compaction tells kinds apart without comparing strings).
+    pub(crate) fn addr(&self) -> usize {
+        Rc::as_ptr(&self.0) as *const u8 as usize
+    }
 }
 
 impl fmt::Display for NodeKind {

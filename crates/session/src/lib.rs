@@ -17,6 +17,11 @@
 //! * [`SessionPool`] — recycles memo-table allocations across documents,
 //!   for callers that parse many inputs one after another.
 //!
+//! A session's memory is bounded by its document, not by its edit
+//! history: edits translate carried values without copying them, and a
+//! reparse compacts the memo's value region once it has doubled (see
+//! [`ParseSession::memo`]).
+//!
 //! Reuse is sound only for pure PEGs: a memoized result of a grammar that
 //! consults parser state (`^=`, `^?`, `^!`) can depend on text far from
 //! the bytes it examined. Sessions detect this via
@@ -73,6 +78,9 @@ pub struct ParseSession {
     /// Edit-report counters accumulated since the last parse; folded into
     /// that parse's stats.
     pending: Stats,
+    /// Region bytes past which the next parse compacts the memo's region
+    /// (twice its size after the last compaction or from-scratch parse).
+    compact_at: u64,
     last_stats: Stats,
     total_stats: Stats,
 }
@@ -109,6 +117,7 @@ impl ParseSession {
             reusable,
             primed: false,
             pending: Stats::default(),
+            compact_at: 0,
             last_stats: Stats::default(),
             total_stats: Stats::default(),
         }
@@ -210,7 +219,8 @@ impl ParseSession {
     ///
     /// [reset]: modpeg_runtime::Governor::reset
     pub fn run(&mut self, req: ParseRequest<'_>) -> Outcome {
-        if !self.reusable || !self.primed {
+        let from_scratch = !self.reusable || !self.primed;
+        if from_scratch {
             // No sound reuse possible: parse against an empty table
             // (keeping its allocations).
             self.memo
@@ -228,6 +238,22 @@ impl ParseSession {
         stats.memo_columns_reused += self.pending.memo_columns_reused;
         stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
         self.pending = Stats::default();
+        // The run's trees are copied out and its events emitted, so the
+        // memo holds the only region handles left. Compact once the region
+        // has doubled since the last compaction or from-scratch parse: a
+        // pass scans the table and copies the live values once, so its
+        // cost is paid for by the many reparses it takes the region to
+        // double, and the region stays within about twice what the
+        // document needs.
+        let used = self.memo.arena().used_bytes();
+        if from_scratch {
+            self.compact_at = 2 * used;
+        } else if self.primed && used > self.compact_at {
+            let report = self.memo.compact();
+            stats.arena_compactions += 1;
+            stats.arena_nodes_reclaimed += report.reclaimed();
+            self.compact_at = 2 * self.memo.arena().used_bytes();
+        }
         if let Some(telem) = telem {
             telem.session_reuse(
                 stats.memo_columns_reused,
@@ -251,10 +277,15 @@ impl ParseSession {
         &self.total_stats
     }
 
-    /// The session's memo table. The per-parse value arena lives inside
-    /// it (see [`ChunkMemo::arena`]), which is what makes recycling
-    /// sound: entries and the region they point into are dropped
-    /// together, so a recycled table can never resurrect stale handles.
+    /// The session's memo table. The value region lives inside it (see
+    /// [`ChunkMemo::arena`]), which is what makes recycling and
+    /// compaction sound: entries and the region they point into are
+    /// reset together, or moved together to the next generation, so no
+    /// entry can hold a stale handle. Between edits the region holds the
+    /// values the entries reach plus the garbage of dropped entries; a
+    /// reparse compacts it once it has doubled since the last compaction
+    /// or from-scratch parse, so it stays within about twice what the
+    /// document needs.
     pub fn memo(&self) -> &ChunkMemo {
         &self.memo
     }

@@ -10,7 +10,9 @@
 #      diverging second parse);
 #   3. `fig_arena --smoke` — parse/recycle cycles through a SessionPool
 #      hold live heap flat once capacities warm up (allocation counters
-#      catch regions leaked by reset/recycle).
+#      catch regions leaked by reset/recycle), and 200 edits of a warmed
+#      Java session keep live heap within 1.5x (a session whose region
+#      grew with its edit history would fail).
 #
 # Usage: scripts/arena-smoke.sh
 set -eu
