@@ -170,18 +170,18 @@ impl<'g> Emitter<'g> {
         let want = self.want[eid as usize];
         match &self.g.ir_exprs()[eid as usize] {
             CExpr::Empty => format!("Ok::<(u32, Out), Fail>(({pos}, Out::None))"),
-            CExpr::Any => format!("self.any({pos}).map(|np| (np, Out::None))"),
+            CExpr::Any => format!("self.cx.any({pos}).map(|np| (np, Out::None))"),
             CExpr::Lit { text, desc } => {
                 let d = self.descs.get(desc);
                 format!(
-                    "self.lit({pos}, {}, D[{d}]).map(|np| (np, Out::None))",
+                    "self.cx.lit({pos}, {}, D[{d}]).map(|np| (np, Out::None))",
                     rust_str(text)
                 )
             }
             CExpr::Class { class, desc, .. } => {
                 let d = self.descs.get(desc);
                 let t = self.table(class);
-                format!("self.cls({pos}, D[{d}], &CT[{t}]).map(|np| (np, Out::None))")
+                format!("self.cx.cls({pos}, &CT[{t}], D[{d}]).map(|np| (np, Out::None))")
             }
             CExpr::Ref(id) => {
                 let kind = self.g.ir_prods()[id.index()].kind;
@@ -258,12 +258,12 @@ impl<'g> Emitter<'g> {
             }
             CExpr::Choice { arms, first } => {
                 if first.is_some() {
-                    let _ = writeln!(body, "        let b = self.input.byte_at(pos);");
+                    let _ = writeln!(body, "        let b = self.cx.input.byte_at(pos);");
                 }
                 for (i, arm) in arms.iter().enumerate() {
                     let snip = self.snippet(*arm, "pos");
                     let attempt = format!(
-                        "        {{ let m = self.state.mark();\n          match {snip} {{\n            Ok(r) => return Ok(r),\n            Err(_) => {{ self.state.rollback(m); self.stats.backtracks += 1; }}\n          }} }}"
+                        "        {{ let m = self.cx.state.mark();\n          match {snip} {{\n            Ok(r) => return Ok(r),\n            Err(_) => {{ self.cx.state.rollback(m); self.cx.stats.backtracks += 1; }}\n          }} }}"
                     );
                     match first.as_ref().and_then(|f| {
                         let (set, desc) = &f[i];
@@ -273,7 +273,7 @@ impl<'g> Emitter<'g> {
                             let d = self.descs.get(&desc);
                             let _ = writeln!(
                                 body,
-                                "        if {guard} {{\n{attempt}\n        }} else {{ self.note(pos, D[{d}]); }}"
+                                "        if {guard} {{\n{attempt}\n        }} else {{ self.cx.note(pos, D[{d}]); }}"
                             );
                         }
                         None => {
@@ -292,27 +292,27 @@ impl<'g> Emitter<'g> {
                 };
                 let _ = writeln!(
                     body,
-                    "        let m = self.state.mark();\n        match {snip} {{\n            Ok((np, o)) => Ok((np, self.normalize_opt(o))),\n            Err(_) => {{ self.state.rollback(m); Ok((pos, {absent})) }}\n        }}"
+                    "        let m = self.cx.state.mark();\n        match {snip} {{\n            Ok((np, o)) => Ok((np, self.cx.normalize_opt(o))),\n            Err(_) => {{ self.cx.state.rollback(m); Ok((pos, {absent})) }}\n        }}"
                 );
             }
             CExpr::Star { inner, .. } if !(want && yields) && self.is_class(inner) => {
-                // Lexical hot shape: `class*` takes the bulk scanner
-                // (scalar fallback inside `class_star`). Classes never
-                // yield values, so the collecting loop below can't apply.
+                // Lexical hot shape: `class*` takes the runtime's class run.
+                // Classes never yield values, so the collecting loop below
+                // can't apply.
                 let (t, d) = self.class_args(inner).expect("guard checked");
                 let _ = writeln!(
                     body,
-                    "        self.class_star(pos, &CT[{t}], D[{d}]).map(|np| (np, Out::None))"
+                    "        self.cx.class_run(pos, &CT[{t}], D[{d}]).map_err(|_| Fail).map(|np| (np, Out::None))"
                 );
             }
             CExpr::Plus { inner, .. } if !(want && yields) && self.is_class(inner) => {
                 let (t, d) = self.class_args(inner).expect("guard checked");
                 // The mandatory first match carries no guard tick, like
                 // every other first `Plus` iteration.
-                let _ = writeln!(body, "        let p = self.cls(pos, D[{d}], &CT[{t}])?;");
+                let _ = writeln!(body, "        let p = self.cx.cls(pos, &CT[{t}], D[{d}])?;");
                 let _ = writeln!(
                     body,
-                    "        self.class_star(p, &CT[{t}], D[{d}]).map(|np| (np, Out::None))"
+                    "        self.cx.class_run(p, &CT[{t}], D[{d}]).map_err(|_| Fail).map(|np| (np, Out::None))"
                 );
             }
             CExpr::Star { inner, .. } => {
@@ -329,10 +329,10 @@ impl<'g> Emitter<'g> {
                 };
                 let _ = writeln!(
                     body,
-                    "        loop {{\n            self.guard()?;\n            let m = self.state.mark();\n            match {snip} {{\n                Ok((np, o)) => {{ if np == p {{ break; }} p = np; {push} }}\n                Err(_) => {{ self.state.rollback(m); break; }}\n            }}\n        }}"
+                    "        loop {{\n            self.cx.guard()?;\n            let m = self.cx.state.mark();\n            match {snip} {{\n                Ok((np, o)) => {{ if np == p {{ break; }} p = np; {push} }}\n                Err(_) => {{ self.cx.state.rollback(m); break; }}\n            }}\n        }}"
                 );
                 if collect {
-                    let _ = writeln!(body, "        let list = self.make_list(items);");
+                    let _ = writeln!(body, "        let list = self.cx.make_list(items);");
                     let _ = writeln!(body, "        Ok((p, Out::One(list)))");
                 } else {
                     let _ = writeln!(body, "        Ok((p, Out::None))");
@@ -355,10 +355,10 @@ impl<'g> Emitter<'g> {
                 };
                 let _ = writeln!(
                     body,
-                    "        loop {{\n            self.guard()?;\n            let m = self.state.mark();\n            match {snip} {{\n                Ok((np, o)) => {{ if np == p {{ break; }} p = np; {push} }}\n                Err(_) => {{ self.state.rollback(m); break; }}\n            }}\n        }}"
+                    "        loop {{\n            self.cx.guard()?;\n            let m = self.cx.state.mark();\n            match {snip} {{\n                Ok((np, o)) => {{ if np == p {{ break; }} p = np; {push} }}\n                Err(_) => {{ self.cx.state.rollback(m); break; }}\n            }}\n        }}"
                 );
                 if collect {
-                    let _ = writeln!(body, "        let list = self.make_list(items);");
+                    let _ = writeln!(body, "        let list = self.cx.make_list(items);");
                     let _ = writeln!(body, "        Ok((p, Out::One(list)))");
                 } else {
                     let _ = writeln!(body, "        Ok((p, Out::None))");
@@ -368,14 +368,14 @@ impl<'g> Emitter<'g> {
                 let snip = self.snippet(inner, "pos");
                 let _ = writeln!(
                     body,
-                    "        let m = self.state.mark();\n        self.suppress += 1;\n        let r = {snip};\n        self.suppress -= 1;\n        self.state.rollback(m);\n        r.map(|_| (pos, Out::None))"
+                    "        let m = self.cx.state.mark();\n        self.cx.suppress += 1;\n        let r = {snip};\n        self.cx.suppress -= 1;\n        self.cx.state.rollback(m);\n        r.map(|_| (pos, Out::None))"
                 );
             }
             CExpr::Not(inner) => {
                 let snip = self.snippet(inner, "pos");
                 let _ = writeln!(
                     body,
-                    "        let m = self.state.mark();\n        self.suppress += 1;\n        let r = {snip};\n        self.suppress -= 1;\n        self.state.rollback(m);\n        match r {{ Ok(_) => Err(Fail), Err(_) => Ok((pos, Out::None)) }}"
+                    "        let m = self.cx.state.mark();\n        self.cx.suppress += 1;\n        let r = {snip};\n        self.cx.suppress -= 1;\n        self.cx.state.rollback(m);\n        match r {{ Ok(_) => Err(Fail), Err(_) => Ok((pos, Out::None)) }}"
                 );
             }
             CExpr::Capture(inner) => {
@@ -397,7 +397,7 @@ impl<'g> Emitter<'g> {
                 let snip = self.snippet(inner, "pos");
                 let _ = writeln!(
                     body,
-                    "        let (end, o) = {snip}?;\n        let name = state_name(&o, self.input.text(), pos, end).to_owned();\n        self.state.define(&name);\n        Ok((end, o))"
+                    "        let (end, o) = {snip}?;\n        let name = self.cx.state_name(o.first(), pos, end).to_owned();\n        self.cx.state.define(&name);\n        Ok((end, o))"
                 );
             }
             CExpr::SIsDef(inner) => {
@@ -405,7 +405,7 @@ impl<'g> Emitter<'g> {
                 let d = self.descs.get("defined name");
                 let _ = writeln!(
                     body,
-                    "        let (end, o) = {snip}?;\n        let name = state_name(&o, self.input.text(), pos, end);\n        if self.state.is_defined(name) {{ Ok((end, o)) }} else {{ self.note(pos, D[{d}]); Err(Fail) }}"
+                    "        let (end, o) = {snip}?;\n        let name = self.cx.state_name(o.first(), pos, end);\n        if self.cx.state.is_defined(name) {{ Ok((end, o)) }} else {{ self.cx.note(pos, D[{d}]); Err(Fail) }}"
                 );
             }
             CExpr::SIsNotDef(inner) => {
@@ -413,14 +413,14 @@ impl<'g> Emitter<'g> {
                 let d = self.descs.get("undefined name");
                 let _ = writeln!(
                     body,
-                    "        let (end, o) = {snip}?;\n        let name = state_name(&o, self.input.text(), pos, end);\n        if self.state.is_defined(name) {{ self.note(pos, D[{d}]); Err(Fail) }} else {{ Ok((end, o)) }}"
+                    "        let (end, o) = {snip}?;\n        let name = self.cx.state_name(o.first(), pos, end);\n        if self.cx.state.is_defined(name) {{ self.cx.note(pos, D[{d}]); Err(Fail) }} else {{ Ok((end, o)) }}"
                 );
             }
             CExpr::SScope(inner) => {
                 let snip = self.snippet(inner, "pos");
                 let _ = writeln!(
                     body,
-                    "        let m = self.state.mark();\n        self.state.push_scope();\n        match {snip} {{\n            Ok(r) => {{ self.state.pop_scope(); Ok(r) }}\n            Err(e) => {{ self.state.rollback(m); Err(e) }}\n        }}"
+                    "        let m = self.cx.state.mark();\n        self.cx.state.push_scope();\n        match {snip} {{\n            Ok(r) => {{ self.cx.state.pop_scope(); Ok(r) }}\n            Err(e) => {{ self.cx.state.rollback(m); Err(e) }}\n        }}"
                 );
             }
             CExpr::Empty | CExpr::Any | CExpr::Lit { .. } | CExpr::Class { .. } | CExpr::Ref(_) => {
@@ -432,7 +432,7 @@ impl<'g> Emitter<'g> {
         // composite-expression frames, not to production applications).
         let _ = writeln!(
             self.out,
-            "    fn e{eid}(&mut self, pos: u32) -> Result<(u32, Out), Fail> {{\n        if self.depth >= self.max_depth {{\n            return Err(self.abort(ParseAbort::DepthExceeded));\n        }}\n        self.depth += 1;\n        let r = self.e{eid}_body(pos);\n        self.depth -= 1;\n        r\n    }}\n\n    fn e{eid}_body(&mut self, pos: u32) -> Result<(u32, Out), Fail> {{\n{body}    }}\n"
+            "    fn e{eid}(&mut self, pos: u32) -> Result<(u32, Out), Fail> {{\n        self.cx.check_depth(self.depth)?;\n        self.depth += 1;\n        let r = self.e{eid}_body(pos);\n        self.depth -= 1;\n        r\n    }}\n\n    fn e{eid}_body(&mut self, pos: u32) -> Result<(u32, Out), Fail> {{\n{body}    }}\n"
         );
     }
 
@@ -476,14 +476,14 @@ impl<'g> Emitter<'g> {
                 };
                 if lr_tail {
                     format!(
-                        "let mut ch = vec![seed.clone()]; o.push_into(&mut ch); let value = self.make_node({k}, ch, {span_expr});"
+                        "let mut ch = vec![seed.clone()]; o.push_into(&mut ch); let value = self.cx.make_node(&self.kinds[{k}], ch, {span_expr});"
                     )
                 } else if alt.passthrough {
                     format!(
-                        "let mut ch = o.into_values(); let value = if ch.len() == 1 {{ ch.pop().expect(\"len checked\") }} else {{ self.make_node({k}, ch, {span_expr}) }};"
+                        "let mut ch = o.into_values(); let value = if ch.len() == 1 {{ ch.pop().expect(\"len checked\") }} else {{ self.cx.make_node(&self.kinds[{k}], ch, {span_expr}) }};"
                     )
                 } else {
-                    format!("let ch = o.into_values(); let value = self.make_node({k}, ch, {span_expr});")
+                    format!("let ch = o.into_values(); let value = self.cx.make_node(&self.kinds[{k}], ch, {span_expr});")
                 }
             }
         };
@@ -498,7 +498,7 @@ impl<'g> Emitter<'g> {
             "_o"
         };
         let attempt = format!(
-            "        {{ let m = self.state.mark();\n          match {snip} {{\n            Ok((e2, {o_pat})) => {success}\n            Err(_) => {{ self.state.rollback(m); self.stats.backtracks += 1; self.telem.backtrack({p_idx}, {pos_var}, self.prod_depth); }}\n          }} }}"
+            "        {{ let m = self.cx.state.mark();\n          match {snip} {{\n            Ok((e2, {o_pat})) => {success}\n            Err(_) => {{ self.cx.state.rollback(m); self.cx.backtrack({p_idx}, {pos_var}); }}\n          }} }}"
         );
         match alt.first.as_ref().and_then(|(set, desc)| {
             first_guard(set).map(|g| (g, desc.clone()))
@@ -506,7 +506,7 @@ impl<'g> Emitter<'g> {
             Some((guard, desc)) => {
                 let d = self.descs.get(&desc);
                 format!(
-                    "        if {guard} {{\n{attempt}\n        }} else {{ self.note({pos_var}, D[{d}]); }}"
+                    "        if {guard} {{\n{attempt}\n        }} else {{ self.cx.note({pos_var}, D[{d}]); }}"
                 )
             }
             None => attempt,
@@ -520,31 +520,28 @@ impl<'g> Emitter<'g> {
             self.out,
             "    fn p{p_idx}(&mut self, pos: u32) -> Result<(u32, Value), Fail> {{"
         );
-        // The span bracket around the production body: enter/exit are
-        // single-branch no-ops when telemetry is disabled, so this is the
-        // whole per-production telemetry cost on the fast path.
-        let span_open = format!(
-            "        let span = self.telem.enter({p_idx}, pos, self.prod_depth);\n        self.prod_depth += 1;\n        let r = self.p{p_idx}_impl(pos);\n        self.prod_depth -= 1;\n        let (s_end, s_matched) = match &r {{ Ok((end, _)) => (*end, true), Err(_) => (pos, false) }};\n        self.telem.exit(span, {p_idx}, pos, self.prod_depth, s_end, s_matched);"
-        );
+        // The guard ticks *before* the probe so memo hits and misses cost
+        // the same fuel; `RunCtx` keeps the rest of the memo protocol.
+        let _ = writeln!(self.out, "        self.cx.guard()?;");
         if let Some(slot) = p.memo_slot {
-            let (valid, epoch_expr) = if p.epoch_check {
-                ("ans.epoch == self.state.epoch()", "self.state.epoch()")
-            } else {
-                ("true", "0")
-            };
-            // The guard ticks *before* the probe so memo hits and misses
-            // cost the same fuel — fault injection relies on step counts
-            // being deterministic across cache states.
             let _ = writeln!(
                 self.out,
-                "        self.guard()?;\n        self.stats.memo_probes += 1;\n        self.telem.memo_probe({p_idx}, pos);\n        if let Some(ans) = self.memo.probe({slot}, pos) {{\n            if {valid} {{\n                self.stats.memo_hits += 1;\n                self.telem.memo_hit({p_idx}, pos, self.prod_depth, ans.outcome.is_some());\n                return match &ans.outcome {{\n                    None => Err(Fail),\n                    Some((end, value)) => Ok((*end, value.clone())),\n                }};\n            }}\n        }}\n        self.stats.productions_evaluated += 1;\n{span_open}\n        if self.aborted.is_none() && !self.memo_frozen {{\n            self.stats.memo_stores += 1;\n            self.telem.memo_store({p_idx}, pos, r.is_ok());\n            let epoch = {epoch_expr};\n            let ans = match &r {{\n                Ok((end, v)) => MemoAnswer::success(epoch, *end, v.clone()),\n                Err(_) => MemoAnswer::fail(epoch),\n            }};\n            self.memo.store({slot}, pos, ans);\n            if self.memo_budget != u64::MAX && self.memo.retained_bytes() > self.memo_budget {{\n                self.enforce_memo_budget(pos);\n            }}\n        }}\n        r\n    }}\n"
-            );
-        } else {
-            let _ = writeln!(
-                self.out,
-                "        self.guard()?;\n        self.stats.productions_evaluated += 1;\n{span_open}\n        r\n    }}\n"
+                "        if let Some(hit) = self.cx.lookup({p_idx}, {slot}, pos, {}) {{\n            return hit;\n        }}",
+                p.epoch_check
             );
         }
+        let _ = writeln!(
+            self.out,
+            "        let span = self.cx.enter({p_idx}, pos);\n        let r = self.p{p_idx}_impl(pos);\n        self.cx.exit(span, {p_idx}, pos, r.as_ref().ok().map(|&(end, _)| end));"
+        );
+        if let Some(slot) = p.memo_slot {
+            let _ = writeln!(
+                self.out,
+                "        self.cx.store_answer({p_idx}, {slot}, pos, {}, r.clone());",
+                p.epoch_check
+            );
+        }
+        let _ = writeln!(self.out, "        r\n    }}\n");
         let _ = writeln!(
             self.out,
             "    fn p{p_idx}_impl(&mut self, pos: u32) -> Result<(u32, Value), Fail> {{"
@@ -556,10 +553,10 @@ impl<'g> Emitter<'g> {
                 let _ = writeln!(self.out, "        'grow: loop {{");
                 // One guard tick per growth round: unbounded growth is
                 // otherwise invisible to fuel and deadline accounting.
-                let _ = writeln!(self.out, "            self.guard()?;");
+                let _ = writeln!(self.out, "            self.cx.guard()?;");
                 let has_dispatch = lr.tails.iter().any(|t| t.first.is_some());
                 if has_dispatch {
-                    let _ = writeln!(self.out, "            let b = self.input.byte_at(end);");
+                    let _ = writeln!(self.out, "            let b = self.cx.input.byte_at(end);");
                 }
                 for tail in lr.tails.clone() {
                     let attempt = self.emit_alt_attempt(p_idx, &tail, true);
@@ -575,7 +572,7 @@ impl<'g> Emitter<'g> {
                 );
                 let has_dispatch = lr.bases.iter().any(|a| a.first.is_some());
                 if has_dispatch {
-                    let _ = writeln!(self.out, "        let b = self.input.byte_at(pos);");
+                    let _ = writeln!(self.out, "        let b = self.cx.input.byte_at(pos);");
                 }
                 for alt in lr.bases.clone() {
                     let attempt = self.emit_alt_attempt(p_idx, &alt, false);
@@ -587,7 +584,7 @@ impl<'g> Emitter<'g> {
             None => {
                 let has_dispatch = p.alts.iter().any(|a| a.first.is_some());
                 if has_dispatch {
-                    let _ = writeln!(self.out, "        let b = self.input.byte_at(pos);");
+                    let _ = writeln!(self.out, "        let b = self.cx.input.byte_at(pos);");
                 }
                 for alt in p.alts.clone() {
                     let attempt = self.emit_alt_attempt(p_idx, &alt, false);
@@ -654,6 +651,8 @@ impl<'g> Emitter<'g> {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
+        // Only grammars with spanned nodes or text values name `Span`.
+        let span = if fns.contains("Span::") { "Span, " } else { "" };
         let restart = byte_list(policy.sync.bytes());
         let consume = byte_list(policy.consume.bytes());
         format!(
@@ -665,9 +664,9 @@ impl<'g> Emitter<'g> {
 // `pub mod parser {{ include!(concat!(env!("OUT_DIR"), "/x_parser.rs")); }}`.
 
 use modpeg_runtime::{{
-    engine, scan, ChunkMemo, EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable,
-    NodeKind, Out, Outcome, ParseAbort, ParseError, ParseRequest, RecoverPolicy, Recovered,
-    ScopedState, Span, Stats, SyncSet, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
+    engine, scan, ChunkMemo, EventSink, Fail, Failures, Governor, NodeKind, Out, Outcome,
+    ParseError, ParseRequest, ParseRun, RecoverPolicy, Recovered, RunCtx, {span}Stats, SyncSet,
+    SyntaxTree, Value,
 }};
 use modpeg_telemetry::Telemetry;
 
@@ -683,260 +682,39 @@ const PN: &[&str] = &[{prod_names}];
 /// Memoization slots.
 const N_SLOTS: u32 = {n_slots};
 
-/// The generated packrat parser over one input.
-pub struct Parser<'i> {{
-    input: Input<'i>,
-    memo: ChunkMemo,
-    state: ScopedState,
-    failures: Failures,
-    stats: Stats,
-    suppress: u32,
+/// The generated packrat parser over one input: the grammar's functions
+/// over the runtime's run context.
+struct Parser<'i> {{
+    cx: RunCtx<'i, ChunkMemo>,
     kinds: Vec<NodeKind>,
-    gov: Option<&'i Governor>,
-    aborted: Option<ParseAbort>,
+    /// Expression frames on the call stack.
     depth: u32,
-    max_depth: u32,
-    memo_budget: u64,
-    memo_frozen: bool,
-    telem: Telemetry,
-    prod_depth: u32,
 }}
 
 impl<'i> Parser<'i> {{
-    /// Creates a parser over `text`.
-    pub fn new(text: &'i str) -> Self {{
-        let input = Input::new(text);
-        let len = input.len();
-        Parser {{
-            input,
-            memo: ChunkMemo::new(N_SLOTS, len),
-            state: ScopedState::new(),
-            failures: Failures::new(),
-            stats: Stats::default(),
-            suppress: 0,
-            kinds: K.iter().map(NodeKind::new).collect(),
-            gov: None,
-            aborted: None,
-            depth: 0,
-            max_depth: u32::MAX,
-            memo_budget: u64::MAX,
-            memo_frozen: false,
-            telem: Telemetry::disabled(),
-            prod_depth: 0,
-        }}
-    }}
-
-    /// Creates a parser over `text` under `gov`'s limits and reporting to
+    /// Opens a parser over `text` under `gov`'s limits and reporting to
     /// `telem`, when given.
     fn open(text: &'i str, gov: Option<&'i Governor>, telem: Option<&Telemetry>) -> Self {{
-        let mut parser = Parser::new(text);
-        if let Some(gov) = gov {{
-            parser.max_depth = gov.max_depth().unwrap_or(DEFAULT_MAX_DEPTH);
-            parser.memo_budget = gov.memo_budget().unwrap_or(u64::MAX);
-            parser.gov = Some(gov);
-        }}
-        if let Some(telem) = telem.filter(|t| t.is_enabled()) {{
-            telem.set_names(PN.iter().map(|s| (*s).to_owned()).collect());
-            telem.set_input_len(parser.input.len());
-            parser.telem = telem.clone();
-        }}
-        parser
-    }}
-
-    #[inline]
-    fn guard(&mut self) -> Result<(), Fail> {{
-        if self.aborted.is_some() {{
-            return Err(Fail);
-        }}
-        if let Some(gov) = self.gov {{
-            if let Err(kind) = gov.tick() {{
-                self.aborted = Some(kind);
-                return Err(Fail);
-            }}
-        }}
-        Ok(())
-    }}
-
-    #[cold]
-    fn abort(&mut self, kind: ParseAbort) -> Fail {{
-        if let Some(gov) = self.gov {{
-            gov.trip(kind);
-        }}
-        if self.aborted.is_none() {{
-            self.aborted = Some(kind);
-            self.telem.gov_abort(kind.name());
-        }}
-        Fail
-    }}
-
-    /// Graceful degradation when retained memo bytes exceed the budget:
-    /// evict cold columns first, then fall back to transient-only parsing,
-    /// and only abort when even an empty table is over budget.
-    #[cold]
-    fn enforce_memo_budget(&mut self, hot_from: u32) {{
-        if self.memo.retained_bytes() <= self.memo_budget {{
-            return;
-        }}
-        self.stats.gov_evictions += 1;
-        let freed = self.memo.evict_cold(hot_from).columns_freed;
-        self.stats.gov_columns_evicted += freed;
-        self.telem.memo_evict(hot_from, freed.min(u64::from(u32::MAX)) as u32);
-        if self.memo.retained_bytes() <= self.memo_budget {{
-            return;
-        }}
-        self.memo_frozen = true;
-        self.stats.gov_transient_fallbacks += 1;
-        self.memo.evict_all();
-        if self.memo.retained_bytes() <= self.memo_budget {{
-            return;
-        }}
-        let _ = self.abort(ParseAbort::MemoBudget);
-    }}
-
-    fn note(&mut self, pos: u32, desc: &str) {{
-        if self.suppress == 0 {{
-            self.failures.note(pos, desc);
-        }}
-    }}
-
-    fn lit(&mut self, pos: u32, text: &str, desc: &'static str) -> Result<u32, Fail> {{
-        self.stats.terminal_comparisons += text.len() as u64;
-        if self.input.starts_with(pos, text) {{
-            Ok(pos + text.len() as u32)
-        }} else {{
-            self.note(pos, desc);
-            Err(Fail)
-        }}
-    }}
-
-    fn cls(&mut self, pos: u32, desc: &'static str, t: &scan::ClassTable) -> Result<u32, Fail> {{
-        self.stats.terminal_comparisons += 1;
-        match self.input.char_at(pos) {{
-            Some((c, len)) if t.matches_char(c) => Ok(pos + len),
-            _ => {{
-                self.note(pos, desc);
-                Err(Fail)
-            }}
-        }}
-    }}
-
-    /// The guarded tail of a class repetition (`class*`, or `class+`
-    /// after its mandatory first match): one bulk scan, then the
-    /// governor charged per consumed character plus the final failing
-    /// probe in a single batched call. When the scalar path is forced,
-    /// the original per-character loop runs instead; observables (guard
-    /// ticks, `terminal_comparisons`, the farthest-failure note, the
-    /// abort point) are identical either way.
-    fn class_star(
-        &mut self,
-        pos: u32,
-        t: &scan::ClassTable,
-        desc: &'static str,
-    ) -> Result<u32, Fail> {{
-        if scan::scalar_forced() {{
-            let mut p = pos;
-            loop {{
-                // A repetition over a bare terminal never reaches a
-                // production's guard, so it ticks on its own (the final
-                // failing probe included).
-                self.guard()?;
-                match self.cls(p, desc, t) {{
-                    Ok(np) => p = np,
-                    Err(_) => return Ok(p),
-                }}
-            }}
-        }}
-        if self.aborted.is_some() {{
-            return Err(Fail);
-        }}
-        let run = scan::scan_class_run(self.input.text(), pos, t);
-        let need = u64::from(run.chars) + 1;
-        if let Some(gov) = self.gov {{
-            if let Err((done, kind)) = gov.tick_many(need) {{
-                self.stats.terminal_comparisons += done;
-                self.aborted = Some(kind);
-                return Err(Fail);
-            }}
-        }}
-        self.stats.terminal_comparisons += need;
-        self.note(run.end, desc);
-        Ok(run.end)
-    }}
-
-    fn any(&mut self, pos: u32) -> Result<u32, Fail> {{
-        match self.input.char_at(pos) {{
-            Some((_, len)) => Ok(pos + len),
-            None => {{
-                self.note(pos, "any character");
-                Err(Fail)
-            }}
-        }}
-    }}
-
-    fn make_node(&mut self, kind: usize, children: Vec<Value>, span: Option<Span>) -> Value {{
-        let k = self.kinds[kind].clone();
-        self.memo.arena_mut().make_node(&mut self.stats, k, children, span)
-    }}
-
-    fn make_list(&mut self, items: Vec<Value>) -> Value {{
-        self.memo.arena_mut().make_list(&mut self.stats, items)
-    }}
-
-    fn normalize_opt(&mut self, o: Out) -> Out {{
-        match o {{
-            Out::Many(vs) => {{
-                let list = self.make_list(vs);
-                Out::One(list)
-            }}
-            other => other,
+        let memo = ChunkMemo::new(N_SLOTS, text.len() as u32);
+        let names = || PN.iter().map(|s| (*s).to_owned()).collect();
+        Parser {{
+            cx: RunCtx::open(text, memo, Failures::new(), gov, telem, names),
+            kinds: K.iter().map(NodeKind::new).collect(),
+            depth: 0,
         }}
     }}
 
 {fns}}}
 
-/// The name a state operation works with: the operand's first textual
-/// value when it has one, otherwise the whole matched span.
-fn state_name<'a>(o: &'a Out, input: &'a str, pos: u32, end: u32) -> &'a str {{
-    let first = match o {{
-        Out::One(v) => Some(v),
-        Out::Many(vs) => vs.first(),
-        Out::None => None,
-    }};
-    first
-        .and_then(|v| v.as_text(input))
-        .unwrap_or(&input[pos as usize..end as usize])
-}}
+impl<'i> ParseRun<'i> for Parser<'i> {{
+    type Memo = ChunkMemo;
 
-impl modpeg_runtime::ParseRun for Parser<'_> {{
     fn eval_root(&mut self, pos: u32) -> Result<(u32, Value), Fail> {{
         self.p{root}(pos)
     }}
 
-    fn aborted(&self) -> Option<ParseAbort> {{
-        self.aborted
-    }}
-
-    fn failures(&mut self) -> &mut Failures {{
-        &mut self.failures
-    }}
-
-    fn error(&self) -> ParseError {{
-        self.failures.to_error(&self.input)
-    }}
-
-    /// Detaches `value` from the parser's arena before it escapes into a
-    /// [`SyntaxTree`].
-    fn materialize(&self, value: Value) -> Value {{
-        self.memo.arena().copy_out(&value)
-    }}
-
-    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {{
-        self.memo.arena().emit_events(value, sink);
-    }}
-
-    fn finish_stats(&mut self) -> Stats {{
-        self.stats.memo_bytes = self.memo.retained_bytes();
-        std::mem::take(&mut self.stats)
+    fn cx(&mut self) -> &mut RunCtx<'i, ChunkMemo> {{
+        &mut self.cx
     }}
 }}
 
@@ -1047,6 +825,48 @@ mod tests {
         let srcw = table_literal(&tw);
         assert!(srcw.contains("Cow::Borrowed(&[(128, 233)])"), "{srcw}");
         assert!(srcw.contains("negated: false"), "{srcw}");
+    }
+
+    /// The run protocol lives in `modpeg_runtime::RunCtx`, not in the
+    /// generated module: every function of the parser is one of the
+    /// grammar's production or expression functions, plus `open`.
+    #[test]
+    fn generated_modules_hold_only_grammar_code() {
+        let java = include_str!("../../grammars/grammars/java.mpeg");
+        let grammar = modpeg_syntax::parse_module_set([java])
+            .and_then(|set| set.elaborate("java.Program", Some("Program")))
+            .expect("the Java grammar elaborates");
+        let src = crate::generate(&grammar, "java").expect("the Java grammar generates");
+        let numbered = |name: &str, prefix: char, suffixes: &[&str]| {
+            suffixes.iter().any(|sfx| {
+                name.strip_suffix(sfx)
+                    .and_then(|n| n.strip_prefix(prefix))
+                    .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+            })
+        };
+        let start = src
+            .find("impl<'i> Parser<'i> {")
+            .expect("the parser's impl");
+        let body = &src[start..];
+        let body = &body[..body.find("\n}\n").expect("the impl's end")];
+        let names: Vec<&str> = body
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("fn "))
+            .map(|rest| &rest[..rest.find(['(', '<']).expect("a signature")])
+            .collect();
+        assert!(names.len() > 500, "{} functions", names.len());
+        for name in names {
+            assert!(
+                name == "open"
+                    || numbered(name, 'p', &["", "_impl", "_base"])
+                    || numbered(name, 'e', &["", "_body"]),
+                "`{name}` is not a grammar function"
+            );
+        }
+        for protocol in ["tick_many", "evict_cold", "memo_budget", "gov.trip"] {
+            assert!(!src.contains(protocol), "the module names `{protocol}`");
+        }
+        assert!(!src.contains("pub struct Parser") && !src.contains("pub fn new"));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! `modpeg-runtime` and `modpeg-telemetry` and exposes:
 //!
 //! ```text
-//! pub struct Parser<'i>;
 //! pub fn run(text: &str, req: ParseRequest<'_>) -> Outcome;
 //! pub struct Generated;  // impl modpeg_runtime::Engine, forwarding to `run`
 //! pub fn parse(text: &str) -> Result<SyntaxTree, ParseError>;
@@ -20,12 +19,12 @@
 //! tree, events, resilient or resilient events, each optionally governed
 //! and with telemetry — through the runtime's shared driver; the `parse*`
 //! functions are one-line shorthands for the ungoverned modes. The
-//! generated code holds only the grammar-specific parse functions and the
-//! driver's per-run hooks ([`ParseRun`](modpeg_runtime::ParseRun)); semantic
-//! values are built in the memo table's region through the runtime's
-//! shared builder ([`Arena::make_node`](modpeg_runtime::Arena::make_node) /
-//! [`Arena::make_list`](modpeg_runtime::Arena::make_list)), not by code
-//! copied into each module.
+//! module's private `Parser` holds only the grammar-specific production
+//! and expression functions over a
+//! [`RunCtx`](modpeg_runtime::RunCtx): the governor guard, the memo
+//! protocol and its budget ladder, the terminals, class runs and value
+//! building all run in `modpeg-runtime`, not in code copied into each
+//! module.
 //!
 //! Generated parsers always use the fully optimized strategy set (grammar
 //! transforms, chunked memoization, iterative repetitions, first-byte
@@ -140,7 +139,7 @@ mod tests {
     #[test]
     fn generates_complete_module() {
         let src = generate(&calc(), "calc").unwrap();
-        assert!(src.contains("pub struct Parser"));
+        assert!(src.contains("struct Parser<'i>"));
         assert!(src.contains("pub fn parse("));
         assert!(src.contains("pub fn parse_with_stats"));
         assert!(src.contains("fn p0"), "production functions present");
@@ -187,8 +186,8 @@ mod tests {
         );
         let g = b.build("P").unwrap();
         let src = generate(&g, "state").unwrap();
-        assert!(src.contains("self.state.define"));
-        assert!(src.contains("self.state.is_defined"));
-        assert!(src.contains("self.state.push_scope"));
+        assert!(src.contains("self.cx.state.define"));
+        assert!(src.contains("self.cx.state.is_defined"));
+        assert!(src.contains("self.cx.state.push_scope"));
     }
 }

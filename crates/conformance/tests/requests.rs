@@ -8,9 +8,9 @@
 //! streams must rebuild those same trees. A run's statistics must not
 //! depend on the governor or telemetry setting, apart from the governor's
 //! own tick counters — nor on whether the product is a tree or an event
-//! stream — and the arena-backed engines (interpreter, VM, generated
-//! parser) must count the same value work (`nodes_built`, `lists_built`,
-//! `strings_built`, `value_bytes`) on every input. Most of these
+//! stream — and the engines over the chunked memo table (interpreter,
+//! VM, generated parser) must report identical statistics on every input,
+//! in the strict and the resilient tree modes. Most of these
 //! combinations (events under a governor, resilient parses with
 //! telemetry, ...) had no entry point before requests.
 
@@ -165,18 +165,18 @@ fn every_request_agrees_with_the_interpreter() {
             );
         }
 
-        // One value builder: the arena-backed engines count identical
-        // value work for identical trees.
-        let values = |engine: &dyn Engine| {
-            let s = run(engine, &text, Mode::Tree, &policy, None, None).stats;
-            (s.nodes_built, s.lists_built, s.strings_built, s.value_bytes)
-        };
-        for (label, engine) in [("vm", &vm as &dyn Engine), ("codegen", id.codegen())] {
-            assert_eq!(
-                values(engine),
-                values(&interp),
-                "{name}: {label} value counters (nodes, lists, strings, bytes) vs interp"
-            );
+        // One run protocol: the engines over the chunked table count the
+        // same work (memo traffic, values, comparisons, backtracks), strict
+        // or resilient.
+        for mode in [Mode::Tree, Mode::Resilient] {
+            let stats = |engine: &dyn Engine| run(engine, &text, mode, &policy, None, None).stats;
+            for (label, engine) in [("vm", &vm as &dyn Engine), ("codegen", id.codegen())] {
+                assert_eq!(
+                    stats(engine),
+                    stats(&interp),
+                    "{name}: {label} {mode:?} stats vs interp"
+                );
+            }
         }
 
         for (label, engine) in engines {

@@ -6,276 +6,88 @@
 
 use modpeg_core::{ProdId, ProdKind};
 use modpeg_runtime::{
-    engine, ChunkMemo, Engine, EventSink, Fail, Failures, Governor, HashMemo, Input, MemoAnswer,
-    MemoTable, NodeKind, Out, Outcome, ParseAbort, ParseError, ParseRequest, ParseRun,
-    RecoverPolicy, Recovered, ScopedState, Span, Stats, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
+    engine, ChunkMemo, Engine, EventSink, Fail, Failures, Governor, HashMemo, MemoAnswer,
+    MemoTable, Out, Outcome, PResult, ParseAbort, ParseError, ParseRequest, ParseRun,
+    RecoverPolicy, Recovered, RunCtx, Span, Stats, SyntaxTree, Value,
 };
 use modpeg_telemetry::{Telemetry, REP_HELPER};
 
 use crate::compile::{CAlt, CExpr, CompiledGrammar, EId};
 
-enum Memo {
-    Hash(HashMemo),
-    Chunk(ChunkMemo),
-}
-
-impl Memo {
-    fn probe(&mut self, slot: u32, pos: u32) -> Option<&MemoAnswer> {
-        match self {
-            Memo::Hash(m) => m.probe(slot, pos),
-            // Settling is a no-op outside incremental sessions (bias 0),
-            // and mandatory inside them — so always probe through it.
-            Memo::Chunk(m) => m.probe_settled(slot, pos),
-        }
-    }
-
-    fn record_extent(&mut self, pos: u32, len: u32) {
-        if let Memo::Chunk(m) = self {
-            m.record_extent(pos, len);
-        }
-    }
-
-    fn extent_at(&self, pos: u32) -> u32 {
-        match self {
-            Memo::Hash(_) => 0,
-            Memo::Chunk(m) => m.extent_at(pos),
-        }
-    }
-
-    fn store(&mut self, slot: u32, pos: u32, ans: MemoAnswer) {
-        match self {
-            Memo::Hash(m) => m.store(slot, pos, ans),
-            Memo::Chunk(m) => m.store(slot, pos, ans),
-        }
-    }
-
-    fn retained_bytes(&self) -> u64 {
-        match self {
-            Memo::Hash(m) => m.retained_bytes(),
-            Memo::Chunk(m) => m.retained_bytes(),
-        }
-    }
-}
-
 type EvalResult = Result<(u32, Out), Fail>;
 
-struct Run<'g, 'i> {
-    g: &'g CompiledGrammar,
-    input: Input<'i>,
-    memo: Memo,
-    state: ScopedState,
-    failures: Failures,
-    stats: Stats,
+/// One interpreter run on a memo table of either flavour: the chunked one,
+/// or the hash map the `chunks` ablation measures (each compiles its own
+/// copy of the walk).
+struct Run<'r, M> {
+    g: &'r CompiledGrammar,
+    cx: RunCtx<'r, M>,
     /// High-water mark of input offsets examined since the innermost
     /// memoized evaluation began: the basis of the per-column lookahead
     /// extents that incremental sessions use to invalidate soundly. A peek
     /// past the end of input counts as examining one byte beyond it.
     examined: u32,
-    /// Failure recording is suppressed inside predicates.
-    suppress: u32,
     /// Alternative-coverage recording, when requested.
     coverage: Option<crate::Coverage>,
-    /// Telemetry hooks. Disabled by default; every hook is then a single
-    /// branch on the handle's cached flag, which the E11 bench holds
-    /// under 1% of parse time.
-    telem: Telemetry,
-    /// Production-nesting depth (for telemetry spans; distinct from
-    /// `depth`, which counts expression frames for the stack ceiling).
-    prod_depth: u32,
-    /// Resource governor for this run, when the parse is governed.
-    gov: Option<&'g Governor>,
-    /// First abort observed. Once set, every memo store is suppressed and
-    /// every guard fails, so the run unwinds without corrupting the table;
-    /// the top level trusts this field over the unwind's nominal outcome
-    /// (a `!p` predicate can invert an abort-induced failure).
-    aborted: Option<ParseAbort>,
-    /// Production applications currently on the call stack.
+    /// Expression frames currently on the call stack.
     depth: u32,
-    /// Recursion ceiling ([`u32::MAX`] for ungoverned runs).
-    max_depth: u32,
-    /// Memo-byte budget ([`u64::MAX`] for ungoverned runs).
-    memo_budget: u64,
-    /// Set when the memo-budget ladder reached transient-only parsing:
-    /// existing entries are still served, but nothing new is stored.
-    memo_frozen: bool,
 }
 
-impl<'g, 'i> Run<'g, 'i> {
-    /// Opens a run over `text` on `memo` (a fresh table of the configured
-    /// flavour when `None`), under `gov`'s limits and reporting to `telem`
-    /// when given.
-    fn new(
-        g: &'g CompiledGrammar,
-        text: &'i str,
-        memo: Option<ChunkMemo>,
-        gov: Option<&'g Governor>,
+/// Evaluates `$body` with `$memo` bound to a constructor of an empty memo
+/// table of `$g`'s flavour for `$text`.
+macro_rules! with_fresh_memo {
+    ($g:expr, $text:expr, |$memo:ident| $body:expr) => {
+        if $g.cfg.chunks {
+            let $memo = || ChunkMemo::new($g.n_slots, $text.len() as u32);
+            $body
+        } else {
+            let $memo = HashMemo::new;
+            $body
+        }
+    };
+}
+
+impl CompiledGrammar {
+    /// Opens a run over `text` on `memo`, under `gov`'s limits and
+    /// reporting to `telem` when given.
+    fn open<'r, M: MemoTable>(
+        &'r self,
+        text: &'r str,
+        memo: M,
+        gov: Option<&'r Governor>,
         telem: Option<&Telemetry>,
-    ) -> Self {
-        let input = Input::new(text);
-        let memo = match memo {
-            Some(m) => Memo::Chunk(m),
-            None if g.cfg.chunks => Memo::Chunk(ChunkMemo::new(g.n_slots, input.len())),
-            None => Memo::Hash(HashMemo::new()),
-        };
-        let failures = if g.cfg.errors {
+    ) -> Run<'r, M> {
+        let failures = if self.cfg.errors {
             Failures::new()
         } else {
             Failures::recording()
         };
-        let mut run = Run {
-            g,
-            input,
-            memo,
-            state: ScopedState::new(),
-            failures,
-            stats: Stats::default(),
+        let names = || self.prods.iter().map(|p| p.name.clone()).collect();
+        Run {
+            g: self,
+            cx: RunCtx::open(text, memo, failures, gov, telem, names),
             examined: 0,
-            suppress: 0,
             coverage: None,
-            telem: Telemetry::disabled(),
-            prod_depth: 0,
-            gov: None,
-            aborted: None,
             depth: 0,
-            max_depth: u32::MAX,
-            memo_budget: u64::MAX,
-            memo_frozen: false,
-        };
-        if let Some(gov) = gov {
-            run.install_governor(gov);
-        }
-        if let Some(telem) = telem {
-            run.install_telemetry(telem);
-        }
-        run
-    }
-
-    /// Puts the run under `gov`'s limits. Unset governor limits fall back
-    /// to [`DEFAULT_MAX_DEPTH`] (stack safety is non-negotiable once a run
-    /// is governed) and an unlimited memo budget.
-    fn install_governor(&mut self, gov: &'g Governor) {
-        self.max_depth = gov.max_depth().unwrap_or(DEFAULT_MAX_DEPTH);
-        self.memo_budget = gov.memo_budget().unwrap_or(u64::MAX);
-        self.gov = Some(gov);
-    }
-
-    /// Attaches a telemetry handle; production names and the input length
-    /// are installed on the collector so its reports are self-describing.
-    /// A disabled handle is a no-op (the run keeps its inert default).
-    fn install_telemetry(&mut self, telem: &Telemetry) {
-        if telem.is_enabled() {
-            telem.set_names(self.g.prods.iter().map(|p| p.name.clone()).collect());
-            telem.set_input_len(self.input.len());
-            self.telem = telem.clone();
         }
     }
+}
 
-    fn note(&mut self, pos: u32, desc: &str) {
-        if self.suppress == 0 {
-            self.failures.note(pos, desc);
-        }
-    }
-
-    // ----- resource governance -----
-
-    /// One evaluation step: fails when the run has already aborted or the
-    /// governor's fuel/deadline/cancellation trips. Ungoverned runs pay one
-    /// branch on `aborted` and one on `gov`.
-    #[inline]
-    fn guard(&mut self) -> Result<(), Fail> {
-        if self.aborted.is_some() {
-            return Err(Fail);
-        }
-        if let Some(gov) = self.gov {
-            if let Err(kind) = gov.tick() {
-                self.aborted = Some(kind);
-                return Err(Fail);
-            }
-        }
-        Ok(())
-    }
-
-    /// Records the run's first abort (and trips the governor so concurrent
-    /// observers see it), returning the `Fail` to unwind with.
-    #[cold]
-    fn abort(&mut self, kind: ParseAbort) -> Fail {
-        if let Some(gov) = self.gov {
-            gov.trip(kind);
-        }
-        if self.aborted.is_none() {
-            self.aborted = Some(kind);
-            self.telem.gov_abort(kind.name());
-        }
-        Fail
-    }
-
-    /// Stores a memo answer unless the run has aborted (in-flight results
-    /// may be tainted) or fell back to transient-only parsing, then
-    /// enforces the memo budget (`retained_bytes` is O(1) counter
-    /// arithmetic for both table flavours, so budgeted runs can afford the
-    /// check on every store).
-    fn store_answer(&mut self, prod: u32, slot: u32, pos: u32, ans: MemoAnswer) {
-        if self.aborted.is_some() || self.memo_frozen {
-            return;
-        }
-        self.telem.memo_store(prod, pos, ans.outcome.is_some());
-        self.memo.store(slot, pos, ans);
-        self.stats.memo_stores += 1;
-        if self.memo_budget != u64::MAX && self.memo.retained_bytes() > self.memo_budget {
-            self.enforce_memo_budget(pos);
-        }
-    }
-
-    /// The memo-budget degradation ladder: evict cold columns first, fall
-    /// back to transient-only parsing second, abort only when even the
-    /// empty table exceeds the budget.
-    #[cold]
-    fn enforce_memo_budget(&mut self, hot_from: u32) {
-        if self.memo.retained_bytes() <= self.memo_budget {
-            return;
-        }
-        // Rung 1: memo entries are a pure cache, so dropping the cold ones
-        // (strictly left of the current position) can never change the
-        // result — only cost re-evaluation on a far-left backtrack.
-        self.stats.gov_evictions += 1;
-        let freed = match &mut self.memo {
-            Memo::Hash(m) => m.purge(),
-            Memo::Chunk(m) => m.evict_cold(hot_from).columns_freed,
-        };
-        self.stats.gov_columns_evicted += freed;
-        self.telem.memo_evict(hot_from, freed.min(u64::from(u32::MAX)) as u32);
-        if self.memo.retained_bytes() <= self.memo_budget {
-            return;
-        }
-        // Rung 2: stop memoizing entirely and release everything; parsing
-        // continues correctly (memoization is transparent), just slower.
-        self.memo_frozen = true;
-        self.stats.gov_transient_fallbacks += 1;
-        if let Memo::Chunk(m) = &mut self.memo {
-            m.evict_all();
-        }
-        if self.memo.retained_bytes() <= self.memo_budget {
-            return;
-        }
-        // Rung 3: the irreducible floor (the chunk table's column pointer
-        // array) is itself over budget.
-        self.abort(ParseAbort::MemoBudget);
-    }
-
+impl<M: MemoTable> Run<'_, M> {
     // ----- input access (with lookahead accounting) -----
     //
-    // Every read of the source text goes through one of these wrappers so
-    // that `examined` soundly over-approximates the bytes a memoized
-    // result depends on. Reads that fail at end of input still count one
-    // byte past the end: appending text there must invalidate the result.
+    // Every read of the source text charges `examined`, so that it soundly
+    // over-approximates the bytes a memoized result depends on. Reads that
+    // fail at end of input still count one byte past the end: appending
+    // text there must invalidate the result.
 
     fn peek_byte(&mut self, pos: u32) -> Option<u8> {
         self.examined = self.examined.max(pos.saturating_add(1));
-        self.input.byte_at(pos)
+        self.cx.input.byte_at(pos)
     }
 
     fn peek_char(&mut self, pos: u32) -> Option<(char, u32)> {
-        match self.input.char_at(pos) {
+        match self.cx.input.char_at(pos) {
             Some((c, len)) => {
                 self.examined = self.examined.max(pos + len);
                 Some((c, len))
@@ -287,122 +99,58 @@ impl<'g, 'i> Run<'g, 'i> {
         }
     }
 
-    fn match_lit(&mut self, pos: u32, literal: &str) -> bool {
-        self.examined = self
-            .examined
-            .max(pos.saturating_add(literal.len() as u32));
-        self.input.starts_with(pos, literal)
-    }
-
-    // ----- value construction (with allocation accounting) -----
-
-    fn make_text(&mut self, lo: u32, hi: u32) -> Value {
-        if self.g.cfg.text_only {
-            Value::Text(Span::new(lo, hi))
-        } else {
-            let s: std::rc::Rc<str> =
-                std::rc::Rc::from(self.input.slice(Span::new(lo, hi)));
-            self.stats.strings_built += 1;
-            self.stats.value_bytes += (hi - lo) as u64 + 16;
-            Value::OwnedText(s)
-        }
-    }
-
-    // Composite values come from one of two builders, picked by the memo
-    // flavour (hence by the `chunks` flag). Chunked runs — the default,
-    // and what sessions, the VM and generated parsers all use — build in
-    // the table's region through the runtime's shared builder. Unchunked
-    // (`HashMemo`) runs build individually heap-allocated `Rc` trees:
-    // that path is the reference every other engine is checked against
-    // (`OptConfig::cumulative(0)`), and the naive value path the E2/E3
-    // ablation measures below `chunks`, so it stays on purpose.
-
-    fn make_node(&mut self, kind: &NodeKind, children: Vec<Value>, span: Option<Span>) -> Value {
-        if let Memo::Chunk(m) = &mut self.memo {
-            return m
-                .arena_mut()
-                .make_node(&mut self.stats, kind.clone(), children, span);
-        }
-        self.stats.nodes_built += 1;
-        self.stats.value_bytes += (std::mem::size_of::<modpeg_runtime::Node>()
-            + children.capacity() * std::mem::size_of::<Value>())
-            as u64;
-        let node = match span {
-            Some(s) => modpeg_runtime::Node::with_span(kind.clone(), children, s),
-            None => modpeg_runtime::Node::new(kind.clone(), children),
-        };
-        Value::Node(std::rc::Rc::new(node))
-    }
-
-    /// Builds a list value, splicing list-valued items in one level (see
-    /// [`modpeg_runtime::Arena::make_list`], which the `Rc` branch mirrors).
-    fn make_list(&mut self, items: Vec<Value>) -> Value {
-        if let Memo::Chunk(m) = &mut self.memo {
-            return m.arena_mut().make_list(&mut self.stats, items);
-        }
-        let items = if items.iter().any(|v| matches!(v, Value::List(_))) {
-            let mut flat = Vec::with_capacity(items.len());
-            for v in items {
-                self.push_spliced(&mut flat, v);
+    /// Charges what a one-character terminal at `pos` examined: the
+    /// character it matched, or the one it rejected (one past EOF).
+    fn charge_char(&mut self, pos: u32, matched: Result<u32, Fail>) -> EvalResult {
+        match matched {
+            Ok(end) => {
+                self.examined = self.examined.max(end);
+                Ok((end, Out::None))
             }
-            flat
-        } else {
-            items
-        };
-        self.stats.lists_built += 1;
-        self.stats.value_bytes +=
-            (std::mem::size_of::<Vec<Value>>() + items.capacity() * std::mem::size_of::<Value>())
-                as u64;
-        Value::list(items)
+            Err(Fail) => {
+                let _ = self.peek_char(pos);
+                Err(Fail)
+            }
+        }
     }
 
-    /// Appends `v` to `items`, splicing a list in as its items.
-    fn push_spliced(&self, items: &mut Vec<Value>, v: Value) {
-        match (&self.memo, v) {
-            (Memo::Chunk(m), v) => m.arena().push_spliced(items, v),
-            (Memo::Hash(_), Value::List(l)) => items.extend(l.iter().cloned()),
-            (Memo::Hash(_), other) => items.push(other),
+    /// A memo hit at `pos` depends on the bytes its original evaluation
+    /// examined: charges them to the enclosing memoized evaluation.
+    fn charge_extent(&mut self, pos: u32) {
+        let extent = self.cx.memo.chunks().map_or(0, |m| m.extent_at(pos));
+        self.examined = self.examined.max(pos.saturating_add(extent));
+    }
+
+    /// Closes the memoized evaluation at `pos` that began with the
+    /// watermark at `outer`: records its lookahead extent and folds it
+    /// back into the enclosing evaluation's.
+    fn close_extent(&mut self, pos: u32, outer: u32) {
+        let high = self.examined;
+        if let Some(m) = self.cx.memo.chunks_mut() {
+            m.record_extent(pos, high.saturating_sub(pos));
         }
+        self.examined = outer.max(high);
     }
 
     // ----- productions -----
 
-    fn eval_prod(&mut self, id: ProdId, pos: u32) -> Result<(u32, Value), Fail> {
+    fn eval_prod(&mut self, id: ProdId, pos: u32) -> PResult {
         // Ticking before the memo probe keeps the fuel cost of a position
         // uniform across hits and misses, which is what makes fuel-based
         // fault injection deterministic.
-        self.guard()?;
+        self.cx.guard()?;
         let g = self.g;
         let p = &g.prods[id.index()];
         if let Some(slot) = p.memo_slot {
-            self.stats.memo_probes += 1;
-            self.telem.memo_probe(id.0, pos);
-            if let Some(ans) = self.memo.probe(slot, pos) {
-                if p.epoch_check && ans.epoch != self.state.epoch() {
-                    self.stats.memo_stale += 1;
-                } else {
-                    self.stats.memo_hits += 1;
-                    let hit = match &ans.outcome {
-                        None => Err(Fail),
-                        Some((end, value)) => Ok((*end, value.clone())),
-                    };
-                    // The stored result depends on the bytes its original
-                    // evaluation examined; charge them to the enclosing
-                    // memoized evaluation's extent.
-                    let ext = self.memo.extent_at(pos);
-                    self.examined = self.examined.max(pos.saturating_add(ext));
-                    self.telem.memo_hit(id.0, pos, self.prod_depth, hit.is_ok());
-                    return hit;
-                }
+            if let Some(hit) = self.cx.lookup(id.0, slot, pos, p.epoch_check) {
+                self.charge_extent(pos);
+                return hit;
             }
         }
-        self.stats.productions_evaluated += 1;
-        let span = self.telem.enter(id.0, pos, self.prod_depth);
-        self.prod_depth += 1;
+        let span = self.cx.enter(id.0, pos);
         // Bracket memoized evaluations: reset the examined watermark to the
         // start position, so that afterwards `examined - pos` is exactly
-        // this evaluation's lookahead extent, then fold it back into the
-        // enclosing bracket.
+        // this evaluation's lookahead extent.
         let outer_examined = self.examined;
         if p.memo_slot.is_some() {
             self.examined = pos;
@@ -416,26 +164,15 @@ impl<'g, 'i> Run<'g, 'i> {
         } else {
             self.eval_alts(id, false, pos)
         };
-        self.prod_depth -= 1;
-        let (span_end, span_matched) = match &result {
-            Ok((end, _)) => (*end, true),
-            Err(_) => (pos, false),
-        };
-        self.telem
-            .exit(span, id.0, pos, self.prod_depth, span_end, span_matched);
+        self.cx
+            .exit(span, id.0, pos, result.as_ref().ok().map(|&(end, _)| end));
         if let Some(slot) = p.memo_slot {
             // The seed-growing strategy stores its own final answer.
             if p.lr.is_none() || g.cfg.left_recursion_iter {
-                let epoch = if p.epoch_check { self.state.epoch() } else { 0 };
-                let ans = match &result {
-                    Ok((end, v)) => MemoAnswer::success(epoch, *end, v.clone()),
-                    Err(_) => MemoAnswer::fail(epoch),
-                };
-                self.store_answer(id.0, slot, pos, ans);
+                self.cx
+                    .store_answer(id.0, slot, pos, p.epoch_check, result.clone());
             }
-            let high = self.examined;
-            self.memo.record_extent(pos, high.saturating_sub(pos));
-            self.examined = outer_examined.max(high);
+            self.close_extent(pos, outer_examined);
         }
         result
     }
@@ -454,7 +191,7 @@ impl<'g, 'i> Run<'g, 'i> {
     /// Evaluates a production's alternatives (either the original list or,
     /// for `lr_bases`, the base alternatives of a split production) and
     /// builds the production-level value.
-    fn eval_alts(&mut self, id: ProdId, lr_bases: bool, pos: u32) -> Result<(u32, Value), Fail> {
+    fn eval_alts(&mut self, id: ProdId, lr_bases: bool, pos: u32) -> PResult {
         let g = self.g;
         let p = &g.prods[id.index()];
         let alts: &[CAlt] = if lr_bases {
@@ -469,11 +206,11 @@ impl<'g, 'i> Run<'g, 'i> {
                 if !first.admits(byte) {
                     // Dispatch skips the alternative, but the farthest-
                     // failure record must still reflect what was expected.
-                    self.note(pos, &desc.clone());
+                    self.cx.note(pos, desc);
                     continue;
                 }
             }
-            let mark = self.state.mark();
+            let mark = self.cx.state.mark();
             match self.eval(alt.expr, pos, want) {
                 Ok((end, out)) => {
                     if let Some(cov) = &mut self.coverage {
@@ -484,9 +221,8 @@ impl<'g, 'i> Run<'g, 'i> {
                     return Ok((end, value));
                 }
                 Err(_) => {
-                    self.state.rollback(mark);
-                    self.stats.backtracks += 1;
-                    self.telem.backtrack(id.0, pos, self.prod_depth);
+                    self.cx.state.rollback(mark);
+                    self.cx.backtrack(id.0, pos);
                 }
             }
         }
@@ -516,7 +252,7 @@ impl<'g, 'i> Run<'g, 'i> {
                         return values.swap_remove(0);
                     }
                 }
-                self.make_text(pos, end)
+                self.cx.make_text(pos, end, self.g.cfg.text_only)
             }
             ProdKind::Node => {
                 let mut children = out.into_values();
@@ -524,28 +260,28 @@ impl<'g, 'i> Run<'g, 'i> {
                     return children.pop().expect("len checked");
                 }
                 let span = with_span.then(|| Span::new(pos, end));
-                self.make_node(&alt.node_kind.clone(), std::mem::take(&mut children), span)
+                self.cx.make_node(&alt.node_kind, children, span)
             }
         }
     }
 
     /// Optimized left recursion: match a base once, then fold tails.
-    fn eval_lr_fold(&mut self, id: ProdId, pos: u32) -> Result<(u32, Value), Fail> {
+    fn eval_lr_fold(&mut self, id: ProdId, pos: u32) -> PResult {
         let g = self.g;
         let p = &g.prods[id.index()];
         let (mut end, mut seed) = self.eval_alts(id, true, pos)?;
         let tails = &p.lr.as_ref().expect("caller checked").tails;
         'grow: loop {
-            self.guard()?;
+            self.cx.guard()?;
             let byte = self.peek_byte(end);
             for tail in tails {
                 if let Some((first, desc)) = &tail.first {
                     if !first.admits(byte) {
-                        self.note(end, &desc.clone());
+                        self.cx.note(end, desc);
                         continue;
                     }
                 }
-                let mark = self.state.mark();
+                let mark = self.cx.state.mark();
                 match self.eval(tail.expr, end, true) {
                     Ok((e2, out)) => {
                         if let Some(cov) = &mut self.coverage {
@@ -563,13 +299,13 @@ impl<'g, 'i> Run<'g, 'i> {
                         let mut children = vec![seed];
                         out.push_into(&mut children);
                         let span = p.with_span.then(|| Span::new(pos, e2));
-                        seed = self.make_node(&tail.node_kind.clone(), children, span);
+                        seed = self.cx.make_node(&tail.node_kind, children, span);
                         end = e2;
                         continue 'grow;
                     }
                     Err(_) => {
-                        self.state.rollback(mark);
-                        self.stats.backtracks += 1;
+                        self.cx.state.rollback(mark);
+                        self.cx.stats.backtracks += 1;
                     }
                 }
             }
@@ -579,7 +315,7 @@ impl<'g, 'i> Run<'g, 'i> {
 
     /// Unoptimized left recursion: Warth-style seed growing over the
     /// original alternatives, re-parsing from scratch each round.
-    fn eval_lr_seed(&mut self, id: ProdId, pos: u32) -> Result<(u32, Value), Fail> {
+    fn eval_lr_seed(&mut self, id: ProdId, pos: u32) -> PResult {
         let g = self.g;
         let p = &g.prods[id.index()];
         let slot = p
@@ -587,36 +323,43 @@ impl<'g, 'i> Run<'g, 'i> {
             .expect("left-recursive productions always have a slot");
         // Seed stores are part of the left-recursion protocol, not a cache:
         // the nested self-application must find them or recurse forever
-        // (until the depth ceiling). They therefore bypass the transient-
-        // only `memo_frozen` fallback — but not an abort, whose in-flight
-        // results may be tainted.
-        let epoch = if p.epoch_check { self.state.epoch() } else { 0 };
-        if self.aborted.is_none() {
-            self.telem.memo_store(id.0, pos, false);
-            self.memo.store(slot, pos, MemoAnswer::fail(epoch));
-            self.stats.memo_stores += 1;
+        // (until the depth ceiling). They therefore bypass the budget
+        // ladder's transient-only fallback — but not an abort, whose
+        // in-flight results may be tainted.
+        let epoch = if p.epoch_check {
+            self.cx.state.epoch()
+        } else {
+            0
+        };
+        if self.cx.aborted().is_none() {
+            self.seed_store(id, slot, pos, MemoAnswer::fail(epoch));
         }
         let mut best: Option<(u32, Value)> = None;
         loop {
-            if self.aborted.is_some() {
+            if self.cx.aborted().is_some() {
                 break;
             }
             let r = self.eval_alts(id, false, pos);
             match r {
                 Ok((end, v)) if best.as_ref().is_none_or(|(b, _)| end > *b) => {
-                    if self.aborted.is_some() {
+                    if self.cx.aborted().is_some() {
                         break;
                     }
-                    self.telem.memo_store(id.0, pos, true);
-                    self.memo
-                        .store(slot, pos, MemoAnswer::success(epoch, end, v.clone()));
-                    self.stats.memo_stores += 1;
+                    self.seed_store(id, slot, pos, MemoAnswer::success(epoch, end, v.clone()));
                     best = Some((end, v));
                 }
                 _ => break,
             }
         }
         best.ok_or(Fail)
+    }
+
+    fn seed_store(&mut self, id: ProdId, slot: u32, pos: u32, answer: MemoAnswer) {
+        self.cx
+            .telem
+            .memo_store(id.0, pos, answer.outcome.is_some());
+        self.cx.memo.store(slot, pos, answer);
+        self.cx.stats.memo_stores += 1;
     }
 
     // ----- expressions -----
@@ -627,9 +370,7 @@ impl<'g, 'i> Run<'g, 'i> {
     /// per-`eval` count tracks actual machine-stack consumption closely
     /// enough to make a ceiling meaningful across grammars.
     fn eval(&mut self, eid: EId, pos: u32, want: bool) -> EvalResult {
-        if self.depth >= self.max_depth {
-            return Err(self.abort(ParseAbort::DepthExceeded));
-        }
+        self.cx.check_depth(self.depth)?;
         self.depth += 1;
         let r = self.eval_expr(eid, pos, want);
         self.depth -= 1;
@@ -640,47 +381,25 @@ impl<'g, 'i> Run<'g, 'i> {
         let g = self.g;
         match &g.exprs[eid as usize] {
             CExpr::Empty => Ok((pos, Out::None)),
-            CExpr::Any => match self.peek_char(pos) {
-                Some((_, len)) => Ok((pos + len, Out::None)),
-                None => {
-                    self.note(pos, "any character");
-                    Err(Fail)
-                }
-            },
+            CExpr::Any => {
+                let matched = self.cx.any(pos);
+                self.charge_char(pos, matched)
+            }
             CExpr::Lit { text, desc } => {
-                let bytes = text.as_bytes();
-                if g.cfg.string_match {
-                    self.stats.terminal_comparisons += bytes.len() as u64;
-                    if self.match_lit(pos, text) {
-                        Ok((pos + bytes.len() as u32, Out::None))
-                    } else {
-                        self.note(pos, desc);
-                        Err(Fail)
-                    }
+                // Both strategies are charged the literal's whole length,
+                // however early a byte-wise comparison stops: a sound
+                // over-approximation of what the match depends on.
+                self.examined = self.examined.max(pos.saturating_add(text.len() as u32));
+                let matched = if g.cfg.string_match {
+                    self.cx.lit(pos, text, desc)
                 } else {
-                    let mut p = pos;
-                    for &b in bytes {
-                        self.stats.terminal_comparisons += 1;
-                        match self.peek_byte(p) {
-                            Some(x) if x == b => p += 1,
-                            _ => {
-                                self.note(pos, &desc.clone());
-                                return Err(Fail);
-                            }
-                        }
-                    }
-                    Ok((p, Out::None))
-                }
+                    self.cx.lit_bytes(pos, text, desc)
+                };
+                matched.map(|end| (end, Out::None))
             }
             CExpr::Class { table, desc, .. } => {
-                self.stats.terminal_comparisons += 1;
-                match self.peek_char(pos) {
-                    Some((c, len)) if table.matches_char(c) => Ok((pos + len, Out::None)),
-                    _ => {
-                        self.note(pos, &desc.clone());
-                        Err(Fail)
-                    }
-                }
+                let matched = self.cx.cls(pos, table, desc);
+                self.charge_char(pos, matched)
             }
             CExpr::Ref(id) => {
                 let kind = g.prods[id.index()].kind;
@@ -710,16 +429,16 @@ impl<'g, 'i> Run<'g, 'i> {
                     if let Some(sets) = first {
                         let (set, desc) = &sets[i];
                         if !set.admits(byte) {
-                            self.note(pos, &desc.clone());
+                            self.cx.note(pos, desc);
                             continue;
                         }
                     }
-                    let mark = self.state.mark();
+                    let mark = self.cx.state.mark();
                     match self.eval(arm, pos, want) {
                         Ok(r) => return Ok(r),
                         Err(_) => {
-                            self.state.rollback(mark);
-                            self.stats.backtracks += 1;
+                            self.cx.state.rollback(mark);
+                            self.cx.stats.backtracks += 1;
                         }
                     }
                 }
@@ -730,11 +449,11 @@ impl<'g, 'i> Run<'g, 'i> {
                 if let Some(slot) = *slot {
                     return self.eval_opt_memo(eid, *inner, slot, yields, pos, want);
                 }
-                let mark = self.state.mark();
+                let mark = self.cx.state.mark();
                 match self.eval(*inner, pos, want) {
-                    Ok((end, out)) => Ok((end, normalize_opt(self, out))),
+                    Ok((end, out)) => Ok((end, self.cx.normalize_opt(out))),
                     Err(_) => {
-                        self.state.rollback(mark);
+                        self.cx.state.rollback(mark);
                         Ok((pos, absent(yields, want)))
                     }
                 }
@@ -768,25 +487,25 @@ impl<'g, 'i> Run<'g, 'i> {
                 }
                 let mut items = first_out.into_values();
                 if let Out::One(rest) = rest_out {
-                    self.push_spliced(&mut items, rest);
+                    self.cx.push_spliced(&mut items, rest);
                 }
-                let list = self.make_list(items);
+                let list = self.cx.make_list(items);
                 Ok((end, Out::One(list)))
             }
             CExpr::And(inner) => {
-                let mark = self.state.mark();
-                self.suppress += 1;
+                let mark = self.cx.state.mark();
+                self.cx.suppress += 1;
                 let r = self.eval(*inner, pos, false);
-                self.suppress -= 1;
-                self.state.rollback(mark);
+                self.cx.suppress -= 1;
+                self.cx.state.rollback(mark);
                 r.map(|_| (pos, Out::None))
             }
             CExpr::Not(inner) => {
-                let mark = self.state.mark();
-                self.suppress += 1;
+                let mark = self.cx.state.mark();
+                self.cx.suppress += 1;
                 let r = self.eval(*inner, pos, false);
-                self.suppress -= 1;
-                self.state.rollback(mark);
+                self.cx.suppress -= 1;
+                self.cx.state.rollback(mark);
                 match r {
                     Ok(_) => Err(Fail),
                     Err(_) => Ok((pos, Out::None)),
@@ -796,7 +515,7 @@ impl<'g, 'i> Run<'g, 'i> {
                 let inner_want = !g.cfg.value_elision;
                 let (end, _) = self.eval(*inner, pos, inner_want)?;
                 if want {
-                    let text = self.make_text(pos, end);
+                    let text = self.cx.make_text(pos, end, g.cfg.text_only);
                     Ok((end, Out::One(text)))
                 } else {
                     Ok((end, Out::None))
@@ -811,40 +530,40 @@ impl<'g, 'i> Run<'g, 'i> {
                 // The inner value is the name (always built, even under
                 // value elision — the state operation needs it).
                 let (end, out) = self.eval(*inner, pos, true)?;
-                let name = state_name(&out, self.input.text(), pos, end).to_owned();
-                self.state.define(&name);
+                let name = self.cx.state_name(out.first(), pos, end).to_owned();
+                self.cx.state.define(&name);
                 Ok((end, out))
             }
             CExpr::SIsDef(inner) => {
                 let (end, out) = self.eval(*inner, pos, true)?;
-                let name = state_name(&out, self.input.text(), pos, end);
-                if self.state.is_defined(name) {
+                let name = self.cx.state_name(out.first(), pos, end);
+                if self.cx.state.is_defined(name) {
                     Ok((end, out))
                 } else {
-                    self.note(pos, "defined name");
+                    self.cx.note(pos, "defined name");
                     Err(Fail)
                 }
             }
             CExpr::SIsNotDef(inner) => {
                 let (end, out) = self.eval(*inner, pos, true)?;
-                let name = state_name(&out, self.input.text(), pos, end);
-                if self.state.is_defined(name) {
-                    self.note(pos, "undefined name");
+                let name = self.cx.state_name(out.first(), pos, end);
+                if self.cx.state.is_defined(name) {
+                    self.cx.note(pos, "undefined name");
                     Err(Fail)
                 } else {
                     Ok((end, out))
                 }
             }
             CExpr::SScope(inner) => {
-                let mark = self.state.mark();
-                self.state.push_scope();
+                let mark = self.cx.state.mark();
+                self.cx.state.push_scope();
                 match self.eval(*inner, pos, want) {
                     Ok(r) => {
-                        self.state.pop_scope();
+                        self.cx.state.pop_scope();
                         Ok(r)
                     }
                     Err(e) => {
-                        self.state.rollback(mark);
+                        self.cx.state.rollback(mark);
                         Err(e)
                     }
                 }
@@ -875,8 +594,8 @@ impl<'g, 'i> Run<'g, 'i> {
         loop {
             // A repetition over bare terminals never reaches `eval_prod`,
             // so it must tick on its own to stay interruptible.
-            self.guard()?;
-            let mark = self.state.mark();
+            self.cx.guard()?;
+            let mark = self.cx.state.mark();
             match self.eval(inner, p, want) {
                 Ok((np, out)) => {
                     if np == p {
@@ -888,30 +607,25 @@ impl<'g, 'i> Run<'g, 'i> {
                     }
                 }
                 Err(_) => {
-                    self.state.rollback(mark);
+                    self.cx.state.rollback(mark);
                     break;
                 }
             }
         }
         if want && yields {
-            let list = self.make_list(items);
+            let list = self.cx.make_list(items);
             Ok((p, Out::One(list)))
         } else {
             Ok((p, Out::None))
         }
     }
 
-    /// Bulk-scanned `class*`: one [`modpeg_runtime::scan::scan_class_run`]
-    /// finds the whole run, then the governor is charged for every
-    /// consumed character plus the final failing probe in a single
-    /// batched call. Observables are tick-for-tick identical to the
-    /// scalar loop in [`Run::eval_star_loop`]: same guard-tick count and
-    /// abort point, same `terminal_comparisons`, same `examined`
+    /// Bulk-scanned `class*` through [`RunCtx::class_run`], which keeps
+    /// the observables tick for tick those of the scalar loop in
+    /// [`Run::eval_star_loop`]; this adds that loop's `examined`
     /// watermark (each matched character's end, plus the failing probe's
-    /// decode — or one past EOF), and the same farthest-failure note at
-    /// the run's end. On a governor abort, no note is recorded and the
-    /// watermark stops at the last successfully probed character, exactly
-    /// as the scalar loop leaves them.
+    /// decode, or one past EOF) — on an abort, up to the last character
+    /// probed.
     fn eval_class_run(
         &mut self,
         table: &modpeg_runtime::ClassTable,
@@ -922,37 +636,23 @@ impl<'g, 'i> Run<'g, 'i> {
         // short-circuit, then (`depth` is loop-invariant) the per-`eval`
         // depth ceiling — which in the scalar loop fails *after* that
         // iteration's guard tick.
-        if self.aborted.is_some() {
+        if self.cx.aborted().is_some() {
             return Err(Fail);
         }
-        if self.depth >= self.max_depth {
-            self.guard()?;
-            return Err(self.abort(ParseAbort::DepthExceeded));
+        if self.depth >= self.cx.max_depth() {
+            self.cx.guard()?;
+            return Err(self.cx.abort(ParseAbort::DepthExceeded));
         }
-        let text = self.input.text();
-        let run = modpeg_runtime::scan::scan_class_run(text, pos, table);
-        // One tick per matched character + one for the failing probe.
-        let need = u64::from(run.chars) + 1;
-        if let Some(gov) = self.gov {
-            if let Err((done, kind)) = gov.tick_many(need) {
-                self.stats.terminal_comparisons += done;
-                if done > 0 {
-                    let end = modpeg_runtime::scan::advance_chars(text, pos, done as u32);
-                    self.examined = self.examined.max(end);
-                }
-                self.aborted = Some(kind);
-                return Err(Fail);
+        match self.cx.class_run(pos, table, desc) {
+            Ok(end) => {
+                let _ = self.peek_char(end);
+                Ok((end, Out::None))
+            }
+            Err(parked) => {
+                self.examined = self.examined.max(parked);
+                Err(Fail)
             }
         }
-        self.stats.terminal_comparisons += need;
-        if run.end > pos {
-            self.examined = self.examined.max(run.end);
-        }
-        // The final failing probe: `peek_char` reproduces the scalar
-        // loop's watermark for the rejected character (or one past EOF).
-        let _ = self.peek_char(run.end);
-        self.note(run.end, desc);
-        Ok((run.end, Out::None))
     }
 
     /// Memoized recursive `e*` — the unoptimized desugaring into an
@@ -967,41 +667,23 @@ impl<'g, 'i> Run<'g, 'i> {
         pos: u32,
         want: bool,
     ) -> EvalResult {
-        self.guard()?;
+        self.cx.guard()?;
         let epoch_check = self.g.reads_state[eid as usize];
-        self.stats.memo_probes += 1;
-        self.telem.memo_probe(REP_HELPER, pos);
-        if let Some(ans) = self.memo.probe(slot, pos) {
-            if epoch_check && ans.epoch != self.state.epoch() {
-                self.stats.memo_stale += 1;
-            } else {
-                self.stats.memo_hits += 1;
-                // Star always succeeds, so a failure entry (`None`) is
-                // impossible; the arm below maps it to failure anyway.
-                let hit = ans.outcome.as_ref().map(|(end, value)| (*end, value.clone()));
-                let ext = self.memo.extent_at(pos);
-                self.examined = self.examined.max(pos.saturating_add(ext));
-                self.telem
-                    .memo_hit(REP_HELPER, pos, self.prod_depth, hit.is_some());
-                return match hit {
-                    None => Err(Fail),
-                    Some((end, value)) => {
-                        Ok((end, decode_helper(value == Value::Unit, value)))
-                    }
-                };
-            }
+        if let Some(hit) = self.cx.lookup(REP_HELPER, slot, pos, epoch_check) {
+            self.charge_extent(pos);
+            // A repetition always succeeds, so a stored failure is
+            // impossible; it would map to failure anyway.
+            return hit.map(|(end, value)| (end, decode_helper(value == Value::Unit, value)));
         }
-        self.stats.productions_evaluated += 1;
+        self.cx.stats.productions_evaluated += 1;
         // The desugared helper recurses once per repetition item, so it
         // consumes call stack like any production chain and must respect
         // the same ceiling.
-        if self.depth >= self.max_depth {
-            return Err(self.abort(ParseAbort::DepthExceeded));
-        }
+        self.cx.check_depth(self.depth)?;
         self.depth += 1;
         let outer_examined = self.examined;
         self.examined = pos;
-        let mark = self.state.mark();
+        let mark = self.cx.state.mark();
         let result: (u32, Out) = match self.eval(inner, pos, want) {
             Ok((np, out)) if np > pos => {
                 let rest = self.eval_rep_memo(eid, inner, slot, yields, np, want);
@@ -1016,18 +698,18 @@ impl<'g, 'i> Run<'g, 'i> {
                 if want && yields {
                     let mut items = out.into_values();
                     if let Out::One(rest) = rest {
-                        self.push_spliced(&mut items, rest);
+                        self.cx.push_spliced(&mut items, rest);
                     }
-                    let list = self.make_list(items);
+                    let list = self.cx.make_list(items);
                     (end, Out::One(list))
                 } else {
                     (end, Out::None)
                 }
             }
             Ok((_, _)) | Err(_) => {
-                self.state.rollback(mark);
+                self.cx.state.rollback(mark);
                 if want && yields {
-                    let list = self.make_list(Vec::new());
+                    let list = self.cx.make_list(Vec::new());
                     (pos, Out::One(list))
                 } else {
                     (pos, Out::None)
@@ -1040,16 +722,9 @@ impl<'g, 'i> Run<'g, 'i> {
             Out::One(v) => v.clone(),
             Out::Many(_) => unreachable!("repetitions produce lists"),
         };
-        let epoch = if epoch_check { self.state.epoch() } else { 0 };
-        self.store_answer(
-            REP_HELPER,
-            slot,
-            pos,
-            MemoAnswer::success(epoch, result.0, encoded),
-        );
-        let high = self.examined;
-        self.memo.record_extent(pos, high.saturating_sub(pos));
-        self.examined = outer_examined.max(high);
+        self.cx
+            .store_answer(REP_HELPER, slot, pos, epoch_check, Ok((result.0, encoded)));
+        self.close_extent(pos, outer_examined);
         Ok(result)
     }
 
@@ -1063,33 +738,20 @@ impl<'g, 'i> Run<'g, 'i> {
         pos: u32,
         want: bool,
     ) -> EvalResult {
-        self.guard()?;
+        self.cx.guard()?;
         let epoch_check = self.g.reads_state[eid as usize];
-        self.stats.memo_probes += 1;
-        self.telem.memo_probe(REP_HELPER, pos);
-        let mut hit: Option<(u32, Value)> = None;
-        if let Some(ans) = self.memo.probe(slot, pos) {
-            if !epoch_check || ans.epoch == self.state.epoch() {
-                if let Some((end, value)) = &ans.outcome {
-                    hit = Some((*end, value.clone()));
-                }
-            }
+        if let Some(hit) = self.cx.lookup(REP_HELPER, slot, pos, epoch_check) {
+            self.charge_extent(pos);
+            return hit.map(|(end, value)| (end, decode_helper(value == Value::Unit, value)));
         }
-        if let Some((end, value)) = hit {
-            self.stats.memo_hits += 1;
-            let ext = self.memo.extent_at(pos);
-            self.examined = self.examined.max(pos.saturating_add(ext));
-            self.telem.memo_hit(REP_HELPER, pos, self.prod_depth, true);
-            return Ok((end, decode_helper(value == Value::Unit, value)));
-        }
-        self.stats.productions_evaluated += 1;
+        self.cx.stats.productions_evaluated += 1;
         let outer_examined = self.examined;
         self.examined = pos;
-        let mark = self.state.mark();
+        let mark = self.cx.state.mark();
         let (end, out) = match self.eval(inner, pos, want) {
-            Ok((end, out)) => (end, normalize_opt(self, out)),
+            Ok((end, out)) => (end, self.cx.normalize_opt(out)),
             Err(_) => {
-                self.state.rollback(mark);
+                self.cx.state.rollback(mark);
                 (pos, absent(yields, want))
             }
         };
@@ -1098,48 +760,15 @@ impl<'g, 'i> Run<'g, 'i> {
             Out::One(v) => v.clone(),
             Out::Many(_) => unreachable!("normalize_opt removed Many"),
         };
-        let epoch = if epoch_check { self.state.epoch() } else { 0 };
-        self.store_answer(
-            REP_HELPER,
-            slot,
-            pos,
-            MemoAnswer::success(epoch, end, encoded),
-        );
-        let high = self.examined;
-        self.memo.record_extent(pos, high.saturating_sub(pos));
-        self.examined = outer_examined.max(high);
+        self.cx
+            .store_answer(REP_HELPER, slot, pos, epoch_check, Ok((end, encoded)));
+        self.close_extent(pos, outer_examined);
         Ok((end, out))
     }
 }
 
 fn seq_out(values: Vec<Value>) -> Out {
     Out::from_values(values)
-}
-
-/// The name a state operation works with: the operand's first textual
-/// value when it has one (an `Identifier` reference or a `$` capture —
-/// excluding its trailing spacing), otherwise the whole matched span.
-fn state_name<'a>(out: &'a Out, input: &'a str, pos: u32, end: u32) -> &'a str {
-    let first = match out {
-        Out::One(v) => Some(v),
-        Out::Many(vs) => vs.first(),
-        Out::None => None,
-    };
-    first
-        .and_then(|v| v.as_text(input))
-        .unwrap_or(&input[pos as usize..end as usize])
-}
-
-/// A matched optional passes its contribution through, except that several
-/// values collapse into one list (so the contribution stays memoizable).
-fn normalize_opt(run: &mut Run<'_, '_>, out: Out) -> Out {
-    match out {
-        Out::Many(vs) => {
-            let list = run.make_list(vs);
-            Out::One(list)
-        }
-        other => other,
-    }
 }
 
 fn absent(yields: bool, want: bool) -> Out {
@@ -1158,68 +787,25 @@ fn decode_helper(is_unit: bool, value: Value) -> Out {
     }
 }
 
-impl ParseRun for Run<'_, '_> {
-    fn eval_root(&mut self, pos: u32) -> Result<(u32, Value), Fail> {
+impl<'r, M: MemoTable> ParseRun<'r> for Run<'r, M> {
+    type Memo = M;
+
+    fn eval_root(&mut self, pos: u32) -> PResult {
         self.eval_prod(self.g.root, pos)
     }
 
-    fn aborted(&self) -> Option<ParseAbort> {
-        self.aborted
-    }
-
-    fn failures(&mut self) -> &mut Failures {
-        &mut self.failures
-    }
-
-    fn error(&self) -> ParseError {
-        self.failures.to_error(&self.input)
-    }
-
-    /// Detaches `value` from the run's region before it escapes into a
-    /// [`SyntaxTree`]: region-backed trees are copied out (the returned
-    /// tree shares nothing with the memo table); the unchunked path's `Rc`
-    /// trees are already detached and pass through.
-    fn materialize(&self, value: Value) -> Value {
-        match &self.memo {
-            // No whole-arena invariant check here: on incremental runs the
-            // region carries orphaned nodes from earlier parses of a
-            // *different* document, whose spans are meaningless against the
-            // current input. `copy_out` itself asserts generation validity
-            // of every handle it follows; whole-arena checks live in the
-            // dedicated invariant suites where the input is known.
-            Memo::Chunk(m) => m.arena().copy_out(&value),
-            Memo::Hash(_) => value,
-        }
-    }
-
-    /// Streams `value` as SAX events straight from the run's region (or
-    /// by walking the `Rc` tree, for unchunked runs) — no owned tree is
-    /// materialized.
-    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
-        match &self.memo {
-            Memo::Chunk(m) => m.arena().emit_events(value, sink),
-            Memo::Hash(_) => modpeg_runtime::Arena::new().emit_events(value, sink),
-        }
-    }
-
-    fn finish_stats(&mut self) -> Stats {
-        self.stats.memo_bytes = self.memo.retained_bytes();
-        self.stats.failure_records = self.failures.recorded_len() as u64;
-        self.stats.failure_bytes = self.failures.retained_bytes() as u64;
-        if let Memo::Chunk(m) = &mut self.memo {
-            self.stats.memo_entries_shifted += m.take_entries_shifted();
-        }
-        std::mem::take(&mut self.stats)
+    fn cx(&mut self) -> &mut RunCtx<'r, M> {
+        &mut self.cx
     }
 }
 
 impl Engine for CompiledGrammar {
     /// Parses `text` as `req` asks. Governed runs can never overflow the
     /// stack (a governor without an explicit depth limit gets
-    /// [`DEFAULT_MAX_DEPTH`]), spin past their deadline or fuel, or
-    /// outgrow their memo budget — over-budget runs first evict cold memo
-    /// columns, then fall back to transient-only parsing, and only abort
-    /// as a last resort.
+    /// [`DEFAULT_MAX_DEPTH`](modpeg_runtime::DEFAULT_MAX_DEPTH)), spin
+    /// past their deadline or fuel, or outgrow their memo budget —
+    /// over-budget runs first evict cold memo columns, then fall back to
+    /// transient-only parsing, and only abort as a last resort.
     ///
     /// # Examples
     ///
@@ -1245,7 +831,9 @@ impl Engine for CompiledGrammar {
     /// ```
     fn run(&self, text: &str, req: ParseRequest<'_>) -> Outcome {
         let (gov, telem) = (req.governor, req.telemetry);
-        engine::drive(text, req, || Run::new(self, text, None, gov, telem)).0
+        with_fresh_memo!(self, text, |memo| {
+            engine::drive(text, req, || self.open(text, memo(), gov, telem)).0
+        })
     }
 
     fn recover_policy(&self) -> RecoverPolicy {
@@ -1401,14 +989,10 @@ impl CompiledGrammar {
             if !table.fits(self.n_slots, text.len() as u32) {
                 table.reset_for(self.n_slots, text.len() as u32);
             }
-            Run::new(self, text, Some(table), gov, telem)
+            self.open(text, table, gov, telem)
         });
-        if let Some(Run {
-            memo: Memo::Chunk(table),
-            ..
-        }) = run
-        {
-            *memo = table;
+        if let Some(run) = run {
+            *memo = run.cx.memo;
         }
         outcome
     }
@@ -1425,14 +1009,15 @@ impl CompiledGrammar {
         &self,
         text: &str,
     ) -> (Result<SyntaxTree, ParseError>, crate::Coverage) {
-        let (outcome, run) = engine::drive(text, ParseRequest::tree(), || {
-            let mut run = Run::new(self, text, None, None, None);
-            run.coverage = Some(self.empty_coverage());
-            run
+        let (outcome, coverage) = with_fresh_memo!(self, text, |memo| {
+            let (outcome, run) = engine::drive(text, ParseRequest::tree(), || {
+                let mut run = self.open(text, memo(), None, None);
+                run.coverage = Some(self.empty_coverage());
+                run
+            });
+            (outcome, run.and_then(|r| r.coverage))
         });
-        let coverage = run
-            .and_then(|r| r.coverage)
-            .unwrap_or_else(|| self.empty_coverage());
+        let coverage = coverage.unwrap_or_else(|| self.empty_coverage());
         (engine::tree_result(outcome).0, coverage)
     }
 
@@ -1457,7 +1042,7 @@ impl CompiledGrammar {
 
     /// Parses a prefix of `text`: succeeds as soon as the root matches,
     /// returning the tree and the number of bytes consumed. Shares the
-    /// run hooks and the size guard with [`Engine::run`], but not its
+    /// run context and the size guard with [`Engine::run`], but not its
     /// full-consumption rule.
     ///
     /// # Errors
@@ -1467,11 +1052,13 @@ impl CompiledGrammar {
         if text.len() > u32::MAX as usize {
             return Err(engine::oversize_error());
         }
-        let mut run = Run::new(self, text, None, None, None);
-        match run.eval_root(0) {
-            Ok((end, value)) => Ok((SyntaxTree::new(text, run.materialize(value)), end)),
-            Err(_) => Err(run.error()),
-        }
+        with_fresh_memo!(self, text, |memo| {
+            let mut run = self.open(text, memo(), None, None);
+            match run.eval_root(0) {
+                Ok((end, value)) => Ok((SyntaxTree::new(text, run.cx.materialize(value)), end)),
+                Err(_) => Err(run.cx.error()),
+            }
+        })
     }
 }
 

@@ -18,8 +18,8 @@ use modpeg_telemetry::Telemetry;
 
 use crate::recover::{self, Attempt, Diagnostic, Diagnostics, RecoverPolicy, Recovered};
 use crate::{
-    EventSink, Fail, Failures, Governor, Input, ParseAbort, ParseError, ParseFault, Span, Stats,
-    SyntaxTree, Value,
+    EventSink, Fail, Failures, Governor, Input, MemoTable, PResult, ParseError, ParseFault, RunCtx,
+    Span, Stats, SyntaxTree, Value,
 };
 
 /// What a parse produces.
@@ -153,47 +153,30 @@ pub trait Engine {
     fn name(&self) -> &'static str;
 }
 
-/// The per-run hooks [`drive`] shapes an outcome from: one engine's state
-/// over one input, already under the request's governor and telemetry.
-pub trait ParseRun {
+/// One engine's run over one input, already under the request's governor
+/// and telemetry: the walk that evaluates the root, and the [`RunCtx`]
+/// [`drive`] shapes the outcome from.
+pub trait ParseRun<'a> {
+    /// The run's memo table.
+    type Memo: MemoTable;
+
     /// Evaluates the root production at `pos`.
-    fn eval_root(&mut self, pos: u32) -> Result<(u32, Value), Fail>;
+    fn eval_root(&mut self, pos: u32) -> PResult;
 
-    /// The first abort the run observed. Once set, the nominal result of
-    /// the unwind is untrustworthy (a `!p` predicate on the unwind path
-    /// turns the abort-induced failure into a success it never earned).
-    fn aborted(&self) -> Option<ParseAbort>;
-
-    /// The run's farthest-failure accumulator.
-    fn failures(&mut self) -> &mut Failures;
-
-    /// The accumulated failures as an error against the run's input.
-    fn error(&self) -> ParseError;
-
-    /// Detaches `value` from the run's region so it can outlive the run.
-    fn materialize(&self, value: Value) -> Value;
-
-    /// Streams `value` to `sink` straight from the run's region.
-    fn emit(&self, value: &Value, sink: &mut dyn EventSink);
-
-    /// Completes the memo and failure accounting and hands over the stats.
-    fn finish_stats(&mut self) -> Stats;
+    /// The run's context.
+    fn cx(&mut self) -> &mut RunCtx<'a, Self::Memo>;
 }
 
 /// Runs one request: checks the input size and the governor, opens the
 /// engine's run with `open`, and shapes the outcome. The run comes back
 /// too (unless no run was opened), for engine-specific state such as an
 /// incremental memo table or coverage.
-pub fn drive<R: ParseRun>(
+pub fn drive<'a, R: ParseRun<'a>>(
     text: &str,
     req: ParseRequest<'_>,
     open: impl FnOnce() -> R,
 ) -> (Outcome, Option<R>) {
-    let ParseRequest {
-        mode,
-        governor,
-        telemetry,
-    } = req;
+    let ParseRequest { mode, governor, .. } = req;
     if text.len() > u32::MAX as usize {
         // Spans and memo positions are 32-bit; refuse cleanly instead of
         // wrapping.
@@ -206,11 +189,11 @@ pub fn drive<R: ParseRun>(
     let mut run = open();
     let result = match mode {
         Mode::Tree => strict(&mut run, text).map(|value| Parsed {
-            tree: Some(SyntaxTree::new(text, run.materialize(value))),
+            tree: Some(SyntaxTree::new(text, run.cx().materialize(value))),
             diagnostics: Diagnostics::default(),
         }),
         Mode::Events(sink) => strict(&mut run, text).map(|value| {
-            run.emit(&value, sink);
+            run.cx().emit(&value, sink);
             Parsed::default()
         }),
         Mode::Resilient(policy) => {
@@ -231,31 +214,25 @@ pub fn drive<R: ParseRun>(
             })
         }
     };
-    let mut stats = run.finish_stats();
-    if let Some(gov) = governor {
-        stats.gov_ticks = gov.steps();
-        stats.gov_stride_refills = gov.stride_refills();
-        if let Some(telem) = telemetry {
-            telem.gov_ticks(gov.steps(), gov.stride_refills());
-        }
-    }
+    let stats = run.cx().finish_stats();
     ((result, stats), Some(run))
 }
 
 /// The strict modes: the root must match all of `text`. The abort check
 /// comes first and overrides the nominal result.
-fn strict(run: &mut impl ParseRun, text: &str) -> Result<Value, ParseFault> {
+fn strict<'a>(run: &mut impl ParseRun<'a>, text: &str) -> Result<Value, ParseFault> {
     let result = run.eval_root(0);
-    if let Some(kind) = run.aborted() {
+    let cx = run.cx();
+    if let Some(kind) = cx.aborted() {
         return Err(ParseFault::Abort(kind));
     }
     match result {
         Ok((end, value)) if end as usize == text.len() => Ok(value),
         Ok((end, _)) => {
-            run.failures().note(end, "end of input");
-            Err(ParseFault::Syntax(run.error()))
+            cx.failures.note(end, "end of input");
+            Err(ParseFault::Syntax(cx.error()))
         }
-        Err(Fail) => Err(ParseFault::Syntax(run.error())),
+        Err(Fail) => Err(ParseFault::Syntax(cx.error())),
     }
 }
 
@@ -263,8 +240,8 @@ fn strict(run: &mut impl ParseRun, text: &str) -> Result<Value, ParseFault> {
 /// aborts threaded straight through. One run — and one memo table —
 /// lives across all attempts, so a restart re-derives nothing already
 /// memoized.
-fn resilient(
-    run: &mut impl ParseRun,
+fn resilient<'a>(
+    run: &mut impl ParseRun<'a>,
     text: &str,
     policy: &RecoverPolicy,
 ) -> Result<(Value, Diagnostics), ParseFault> {
@@ -272,17 +249,16 @@ fn resilient(
     recover::drive(&input, policy, |pos, fresh| {
         // A diagnostic was just consumed: report only new failures.
         if fresh {
-            run.failures().reset();
+            run.cx().failures.reset();
         }
-        let end = match run.eval_root(pos) {
-            Ok((end, value)) => Some((end, run.materialize(value))),
-            Err(Fail) => None,
-        };
-        match run.aborted() {
+        let result = run.eval_root(pos);
+        let cx = run.cx();
+        let end = result.ok().map(|(end, value)| (end, cx.materialize(value)));
+        match cx.aborted() {
             Some(kind) => Err(ParseFault::Abort(kind)),
             None => Ok(Attempt {
                 end,
-                error: run.error(),
+                error: cx.error(),
             }),
         }
     })

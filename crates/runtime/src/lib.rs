@@ -20,9 +20,13 @@
 //! * [`ParseError`] / [`Failures`] — farthest-failure error tracking,
 //! * [`Stats`] — allocation and memoization accounting used by the
 //!   heap-utilization experiments,
+//! * [`RunCtx`] — one parse run's context and the protocol every engine
+//!   runs it by: governor guard and abort, depth ceiling, memo probe and
+//!   store under the budget ladder, terminals, class runs and value
+//!   building,
 //! * [`ParseRequest`] / [`Engine`] / [`engine::drive`] — the one request
 //!   shape every engine answers, and the shared driver that turns an
-//!   engine's per-run hooks into an [`Outcome`].
+//!   engine's run into an [`Outcome`].
 //!
 //! The runtime's only dependency is `modpeg-telemetry` (itself
 //! dependency-free), and it is free of panics on library paths.
@@ -49,6 +53,7 @@ mod memo;
 mod navigate;
 mod out;
 pub mod recover;
+mod run;
 pub mod scan;
 mod span;
 mod state;
@@ -70,6 +75,7 @@ pub use recover::{
     Attempt, Diagnostic, Diagnostics, RecoverPolicy, Recovered, SyncSet, DEFAULT_MAX_ERRORS,
     ERROR_KIND, RECOVERED_KIND,
 };
+pub use run::RunCtx;
 pub use scan::{ClassRun, ClassTable, WideVerdict};
 pub use span::{LineCol, LineMap, Span};
 pub use state::{ScopedState, StateMark};

@@ -70,6 +70,36 @@ pub trait MemoTable {
     /// Estimated heap bytes held by the table structure itself (semantic
     /// values are accounted separately when they are built).
     fn retained_bytes(&self) -> u64;
+
+    /// Looks up a stored answer for a running parse: like
+    /// [`MemoTable::probe`], but a table that relocates entries across
+    /// edits first applies the translation still pending on the column.
+    fn lookup(&mut self, slot: u32, pos: u32) -> Option<&MemoAnswer> {
+        self.probe(slot, pos)
+    }
+
+    /// Releases the memory of every entry strictly left of `hot_from`
+    /// (where the table keeps no positional structure, of every entry):
+    /// the first rung of the memo-budget degradation ladder. Memo entries
+    /// are a pure cache, so dropping them never changes a parse result.
+    fn evict_cold(&mut self, hot_from: u32) -> EvictReport;
+
+    /// Releases the memory of every entry: the table's floor, the last
+    /// rung before a budgeted run gives up.
+    fn evict_all(&mut self) -> EvictReport {
+        self.evict_cold(u32::MAX)
+    }
+
+    /// The table as a [`ChunkMemo`], when it is one: the flavour that owns
+    /// a value region, lookahead extents and edit accounting.
+    fn chunks(&self) -> Option<&ChunkMemo> {
+        None
+    }
+
+    /// Mutable [`MemoTable::chunks`].
+    fn chunks_mut(&mut self) -> Option<&mut ChunkMemo> {
+        None
+    }
 }
 
 /// Hash-map memoization: the unoptimized baseline.
@@ -112,6 +142,18 @@ impl MemoTable for HashMemo {
         let per = std::mem::size_of::<(u32, u32)>() + std::mem::size_of::<MemoAnswer>() + 1;
         (self.map.capacity() * per) as u64
     }
+
+    /// A hash map has no columns to spare selectively: every entry goes,
+    /// each counted as one freed column.
+    fn evict_cold(&mut self, _hot_from: u32) -> EvictReport {
+        let before = self.retained_bytes();
+        let dropped = self.purge();
+        EvictReport {
+            columns_freed: dropped,
+            entries_dropped: dropped,
+            bytes_freed: before - self.retained_bytes(),
+        }
+    }
 }
 
 /// One chunk: a fixed block of memo slots, allocated on first write.
@@ -143,6 +185,13 @@ impl Column {
             bias: 0,
             count: 0,
         }
+    }
+
+    /// The answer stored in `slot`, if any.
+    #[inline]
+    fn answer(&self, slot: u32) -> Option<&MemoAnswer> {
+        let chunk = self.chunks.get(slot as usize / CHUNK_SIZE)?.as_ref()?;
+        chunk[slot as usize % CHUNK_SIZE].as_ref()
     }
 
     /// Empties the column for reuse, keeping chunk allocations.
@@ -178,7 +227,7 @@ impl Column {
     }
 }
 
-/// Outcome of [`ChunkMemo::evict_cold`] / [`ChunkMemo::evict_all`]: how
+/// Outcome of [`MemoTable::evict_cold`] / [`MemoTable::evict_all`]: how
 /// much memory an eviction actually released.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictReport {
@@ -376,11 +425,16 @@ impl ChunkMemo {
     /// pending on the column from an earlier [`ChunkMemo::apply_edit`].
     /// Incremental sessions must probe through this method; the plain
     /// `probe` assumes (and debug-asserts) no translation is pending.
+    #[inline]
     pub fn probe_settled(&mut self, slot: u32, pos: u32) -> Option<&MemoAnswer> {
-        if let Some(Some(col)) = self.columns.get_mut(pos as usize) {
+        if slot >= self.n_slots {
+            return None;
+        }
+        let col = self.columns.get_mut(pos as usize)?.as_mut()?;
+        if col.bias != 0 {
             self.entries_shifted += col.settle(&self.arena);
         }
-        self.probe(slot, pos)
+        col.answer(slot)
     }
 
     /// Rewrites the table for an edit replacing bytes `[lo, lo + removed)`
@@ -442,34 +496,6 @@ impl ChunkMemo {
         self.allocated_columns -= 1;
         self.allocated_chunks -= col.chunks.iter().flatten().count() as u64;
         drop(col);
-    }
-
-    /// Releases the memory of every *cold* column — those at positions
-    /// strictly left of `hot_from` — plus the spare pool, actually freeing
-    /// the allocations (unlike invalidation, which recycles them).
-    ///
-    /// This is the first rung of the memo-budget degradation ladder: memo
-    /// entries are a pure cache, so dropping them can never change a parse
-    /// result, only cost re-evaluation if the parser backtracks far left.
-    pub fn evict_cold(&mut self, hot_from: u32) -> EvictReport {
-        let before = self.retained_bytes();
-        let mut report = EvictReport::default();
-        for pos in 0..(self.columns.len().min(hot_from as usize)) {
-            if let Some(col) = self.columns[pos].take() {
-                self.free_column(col, &mut report);
-            }
-        }
-        for col in std::mem::take(&mut self.spare) {
-            self.free_column(col, &mut report);
-        }
-        report.bytes_freed = before - self.retained_bytes();
-        report
-    }
-
-    /// Releases every column and the spare pool; only the (input-sized)
-    /// column pointer array remains. The last rung before giving up.
-    pub fn evict_all(&mut self) -> EvictReport {
-        self.evict_cold(u32::MAX)
     }
 
     /// Re-shapes the table for a fresh parse of `n_slots` productions over
@@ -574,8 +600,7 @@ impl MemoTable for ChunkMemo {
             "column {pos} probed with a pending edit translation; \
              incremental sessions must use probe_settled"
         );
-        let chunk = col.chunks.get(slot as usize / CHUNK_SIZE)?.as_ref()?;
-        chunk[slot as usize % CHUNK_SIZE].as_ref()
+        col.answer(slot)
     }
 
     fn store(&mut self, slot: u32, pos: u32, answer: MemoAnswer) {
@@ -639,6 +664,41 @@ impl MemoTable for ChunkMemo {
         let chunk_bytes = self.allocated_chunks
             * (CHUNK_SIZE * std::mem::size_of::<Option<MemoAnswer>>()) as u64;
         column_ptrs + column_headers + chunk_bytes
+    }
+
+    /// [`ChunkMemo::probe_settled`].
+    #[inline]
+    fn lookup(&mut self, slot: u32, pos: u32) -> Option<&MemoAnswer> {
+        self.probe_settled(slot, pos)
+    }
+
+    /// Frees every column strictly left of `hot_from`, plus the spare
+    /// pool, returning the allocations (unlike invalidation, which
+    /// recycles them). [`MemoTable::evict_all`] leaves only the
+    /// input-sized column pointer array.
+    fn evict_cold(&mut self, hot_from: u32) -> EvictReport {
+        let before = self.retained_bytes();
+        let mut report = EvictReport::default();
+        for pos in 0..(self.columns.len().min(hot_from as usize)) {
+            if let Some(col) = self.columns[pos].take() {
+                self.free_column(col, &mut report);
+            }
+        }
+        for col in std::mem::take(&mut self.spare) {
+            self.free_column(col, &mut report);
+        }
+        report.bytes_freed = before - self.retained_bytes();
+        report
+    }
+
+    #[inline]
+    fn chunks(&self) -> Option<&ChunkMemo> {
+        Some(self)
+    }
+
+    #[inline]
+    fn chunks_mut(&mut self) -> Option<&mut ChunkMemo> {
+        Some(self)
     }
 }
 

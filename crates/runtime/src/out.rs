@@ -59,6 +59,15 @@ impl Out {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The first value contributed, if any.
+    pub fn first(&self) -> Option<&Value> {
+        match self {
+            Out::None => None,
+            Out::One(v) => Some(v),
+            Out::Many(vs) => vs.first(),
+        }
+    }
 }
 
 #[cfg(test)]

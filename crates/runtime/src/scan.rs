@@ -25,16 +25,19 @@
 //! scanner down to the byte-at-a-time reference loop, which is also what
 //! CI builds to keep targets without SIMD green.
 //!
-//! The engines own the *observable* contract (governor ticks per
+//! [`RunCtx::class_run`](crate::RunCtx::class_run) owns the
+//! *observable* contract every engine shares (governor ticks per
 //! consumed character, `terminal_comparisons`, farthest-failure notes);
 //! this module only reports how far a run extends and how many
 //! characters it covers, plus [`advance_chars`] to recover the exact
 //! character boundary a partially-charged (aborted) run stopped at.
 //!
-//! [`force_scalar`] flips the calling thread onto the engines' original
-//! per-character loops (the differential reference for the conformance
-//! oracle and the `fig_simd` baseline); the `MODPEG_SCAN=scalar`
-//! environment variable sets the process-wide default.
+//! [`force_scalar`] flips the calling thread onto the per-character
+//! reference loops — `class_run`'s scalar path, and the interpreter's
+//! generic repetition loop — which are the differential reference for
+//! the conformance oracle and the `fig_simd` baseline; the
+//! `MODPEG_SCAN=scalar` environment variable sets the process-wide
+//! default.
 
 use std::borrow::Cow;
 use std::cell::Cell;

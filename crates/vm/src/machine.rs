@@ -20,13 +20,11 @@
 //! failure dispatch never needs to repair the call stack.
 
 use modpeg_runtime::{
-    ChunkMemo, EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind,
-    ParseAbort, ParseError, ParseRun, ScopedState, Span, StateMark, Stats, Value,
-    DEFAULT_MAX_DEPTH,
+    ChunkMemo, Fail, Failures, Governor, ParseRun, RunCtx, Span, StateMark, Value,
 };
 use modpeg_telemetry::{SpanToken, Telemetry};
 
-use crate::ops::{ClassConst, Op, NO_SLOT};
+use crate::ops::{Op, NO_SLOT};
 use crate::VmProgram;
 
 /// A backtrack entry: everything needed to resume at `pc` as if the
@@ -65,7 +63,7 @@ struct Mark {
 
 pub(crate) struct Machine<'p, 'i> {
     p: &'p VmProgram,
-    input: Input<'i>,
+    cx: RunCtx<'i, ChunkMemo>,
     pc: u32,
     pos: u32,
     /// The production-value register: finishers write it, `Ret` reads it.
@@ -74,18 +72,6 @@ pub(crate) struct Machine<'p, 'i> {
     marks: Vec<Mark>,
     bts: Vec<BtFrame>,
     calls: Vec<CallFrame>,
-    memo: ChunkMemo,
-    state: ScopedState,
-    failures: Failures,
-    stats: Stats,
-    suppress: u32,
-    telem: Telemetry,
-    prod_depth: u32,
-    gov: Option<&'p Governor>,
-    aborted: Option<ParseAbort>,
-    max_depth: u32,
-    memo_budget: u64,
-    memo_frozen: bool,
 }
 
 impl<'p, 'i> Machine<'p, 'i> {
@@ -94,22 +80,21 @@ impl<'p, 'i> Machine<'p, 'i> {
     pub(crate) fn new(
         p: &'p VmProgram,
         text: &'i str,
-        gov: Option<&'p Governor>,
+        gov: Option<&'i Governor>,
         telem: Option<&Telemetry>,
     ) -> Self {
-        let input = Input::new(text);
         // Always the chunked table: which table backs the memo changes
         // only constant factors, never answers, and the VM has no
         // incremental entry point that would need table handoff.
-        let memo = ChunkMemo::new(p.memo_slot_count(), input.len());
+        let memo = ChunkMemo::new(p.memo_slot_count(), text.len() as u32);
         let failures = if p.config().errors {
             Failures::new()
         } else {
             Failures::recording()
         };
-        let mut m = Machine {
+        Machine {
             p,
-            input,
+            cx: RunCtx::open(text, memo, failures, gov, telem, || p.production_names()),
             pc: 0,
             pos: 0,
             acc: Value::Unit,
@@ -117,128 +102,6 @@ impl<'p, 'i> Machine<'p, 'i> {
             marks: Vec::with_capacity(32),
             bts: Vec::with_capacity(64),
             calls: Vec::with_capacity(64),
-            memo,
-            state: ScopedState::new(),
-            failures,
-            stats: Stats::default(),
-            suppress: 0,
-            telem: Telemetry::disabled(),
-            prod_depth: 0,
-            gov: None,
-            aborted: None,
-            max_depth: u32::MAX,
-            memo_budget: u64::MAX,
-            memo_frozen: false,
-        };
-        if let Some(gov) = gov {
-            m.install_governor(gov);
-        }
-        if let Some(telem) = telem {
-            m.install_telemetry(telem);
-        }
-        m
-    }
-
-    /// Puts the run under `gov`'s limits (depth falls back to
-    /// [`DEFAULT_MAX_DEPTH`] — stack safety is non-negotiable once a run
-    /// is governed — and the memo budget to unlimited).
-    fn install_governor(&mut self, gov: &'p Governor) {
-        self.max_depth = gov.max_depth().unwrap_or(DEFAULT_MAX_DEPTH);
-        self.memo_budget = gov.memo_budget().unwrap_or(u64::MAX);
-        self.gov = Some(gov);
-    }
-
-    fn install_telemetry(&mut self, telem: &Telemetry) {
-        if telem.is_enabled() {
-            telem.set_names(self.p.production_names());
-            telem.set_input_len(self.input.len());
-            self.telem = telem.clone();
-        }
-    }
-
-    fn note(&mut self, pos: u32, desc: &str) {
-        if self.suppress == 0 {
-            self.failures.note(pos, desc);
-        }
-    }
-
-    /// One governed evaluation step; `true` means the run must unwind.
-    #[inline]
-    fn guard_fails(&mut self) -> bool {
-        if self.aborted.is_some() {
-            return true;
-        }
-        if let Some(gov) = self.gov {
-            if let Err(kind) = gov.tick() {
-                self.aborted = Some(kind);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The guarded tail of `ClassStar`/`ClassPlus` from `self.pos`,
-    /// scalar flavour: the original per-character loop (one guard tick
-    /// and one terminal comparison per probe, the failing probe noted).
-    /// Kept verbatim as the differential reference for the vectorized
-    /// path — `scan::force_scalar` / `MODPEG_SCAN=scalar` selects it.
-    fn class_run_scalar(&mut self, c: &ClassConst) {
-        loop {
-            // A repetition over bare terminals never passes a call, so
-            // it ticks on its own (the final failing probe included —
-            // matching the interpreter).
-            if self.guard_fails() {
-                break;
-            }
-            self.stats.terminal_comparisons += 1;
-            match self.input.char_at(self.pos) {
-                Some((ch, len)) if c.table.matches_char(ch) => self.pos += len,
-                _ => {
-                    self.note(self.pos, &c.desc);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// The guarded tail of `ClassStar`/`ClassPlus`, vectorized: one bulk
-    /// scan finds the whole run, then the governor is charged for every
-    /// consumed character plus the final failing probe in a single
-    /// batched call. Observables are tick-for-tick identical to
-    /// [`Machine::class_run_scalar`]: same `terminal_comparisons`, same
-    /// farthest-failure note at the run's end, and on a governor abort
-    /// `self.pos` lands on the exact character boundary the scalar loop
-    /// would have aborted at (with no note recorded, as the scalar loop
-    /// breaks before probing).
-    fn class_run_vectorized(&mut self, c: &ClassConst) {
-        if self.aborted.is_some() {
-            return;
-        }
-        let text = self.input.text();
-        let run = modpeg_runtime::scan::scan_class_run(text, self.pos, &c.table);
-        // One tick per matched character + one for the failing probe.
-        let need = u64::from(run.chars) + 1;
-        if let Some(gov) = self.gov {
-            if let Err((done, kind)) = gov.tick_many(need) {
-                self.stats.terminal_comparisons += done;
-                self.pos = modpeg_runtime::scan::advance_chars(text, self.pos, done as u32);
-                self.aborted = Some(kind);
-                return;
-            }
-        }
-        self.stats.terminal_comparisons += need;
-        self.pos = run.end;
-        self.note(run.end, &c.desc);
-    }
-
-    #[cold]
-    fn abort(&mut self, kind: ParseAbort) {
-        if let Some(gov) = self.gov {
-            gov.trip(kind);
-        }
-        if self.aborted.is_none() {
-            self.aborted = Some(kind);
-            self.telem.gov_abort(kind.name());
         }
     }
 
@@ -251,8 +114,8 @@ impl<'p, 'i> Machine<'p, 'i> {
                 self.pos = f.pos;
                 self.vstack.truncate(f.vlen as usize);
                 self.marks.truncate(f.mlen as usize);
-                self.state.rollback(f.state);
-                self.suppress = f.suppress;
+                self.cx.state.rollback(f.state);
+                self.cx.suppress = f.suppress;
                 self.pc = f.pc;
                 true
             }
@@ -266,15 +129,13 @@ impl<'p, 'i> Machine<'p, 'i> {
             pos: self.pos,
             vlen: self.vstack.len() as u32,
             mlen: self.marks.len() as u32,
-            state: self.state.mark(),
-            suppress: self.suppress,
+            state: self.cx.state.mark(),
+            suppress: self.cx.suppress,
         });
     }
 
     fn begin_call(&mut self, prod: u32, target: u32, slot: u32, push: bool, epoch_check: bool) {
-        self.stats.productions_evaluated += 1;
-        let span = self.telem.enter(prod, self.pos, self.prod_depth);
-        self.prod_depth += 1;
+        let span = self.cx.enter(prod, self.pos);
         self.calls.push(CallFrame {
             ret_pc: self.pc,
             prod,
@@ -288,77 +149,10 @@ impl<'p, 'i> Machine<'p, 'i> {
         self.pc = target;
     }
 
-    /// Mirrors the interpreter's `store_answer`: suppressed after an abort
-    /// (in-flight results may be tainted) or under transient-only
-    /// fallback, budget-enforced on every store.
-    fn store_answer(&mut self, prod: u32, slot: u32, pos: u32, ans: MemoAnswer) {
-        if self.aborted.is_some() || self.memo_frozen {
-            return;
-        }
-        self.telem.memo_store(prod, pos, ans.outcome.is_some());
-        self.memo.store(slot, pos, ans);
-        self.stats.memo_stores += 1;
-        if self.memo_budget != u64::MAX && self.memo.retained_bytes() > self.memo_budget {
-            self.enforce_memo_budget(pos);
-        }
-    }
-
-    /// The memo-budget degradation ladder, rung for rung the
-    /// interpreter's: evict cold columns, fall back to transient-only
-    /// parsing, abort only when the empty table itself exceeds the budget.
-    #[cold]
-    fn enforce_memo_budget(&mut self, hot_from: u32) {
-        if self.memo.retained_bytes() <= self.memo_budget {
-            return;
-        }
-        self.stats.gov_evictions += 1;
-        let freed = self.memo.evict_cold(hot_from).columns_freed;
-        self.stats.gov_columns_evicted += freed;
-        self.telem
-            .memo_evict(hot_from, freed.min(u64::from(u32::MAX)) as u32);
-        if self.memo.retained_bytes() <= self.memo_budget {
-            return;
-        }
-        self.memo_frozen = true;
-        self.stats.gov_transient_fallbacks += 1;
-        self.memo.evict_all();
-        if self.memo.retained_bytes() <= self.memo_budget {
-            return;
-        }
-        self.abort(ParseAbort::MemoBudget);
-    }
-
-    // ----- value construction (the runtime's shared arena builder) -----
-
-    fn make_text(&mut self, lo: u32, hi: u32) -> Value {
-        if self.p.config().text_only {
-            Value::Text(Span::new(lo, hi))
-        } else {
-            let s: std::rc::Rc<str> = std::rc::Rc::from(self.input.slice(Span::new(lo, hi)));
-            self.stats.strings_built += 1;
-            self.stats.value_bytes += (hi - lo) as u64 + 16;
-            Value::OwnedText(s)
-        }
-    }
-
-    fn make_node(&mut self, kind: &NodeKind, children: Vec<Value>, span: Option<Span>) -> Value {
-        self.memo
-            .arena_mut()
-            .make_node(&mut self.stats, kind.clone(), children, span)
-    }
-
-    fn make_list(&mut self, items: Vec<Value>) -> Value {
-        self.memo.arena_mut().make_list(&mut self.stats, items)
-    }
-
-    /// The name a state operation works with: the operand's first textual
-    /// value when it has one, otherwise the whole matched span.
+    /// The name a state operation bracketed by `m` works with.
     fn state_operand(&self, m: Mark) -> &str {
-        let text = self.input.text();
-        self.vstack
-            .get(m.vlen as usize)
-            .and_then(|v| v.as_text(text))
-            .unwrap_or(&text[m.pos as usize..self.pos as usize])
+        self.cx
+            .state_name(self.vstack.get(m.vlen as usize), m.pos, self.pos)
     }
 
     // ----- the dispatch loop -----
@@ -374,6 +168,15 @@ impl<'p, 'i> Machine<'p, 'i> {
                 }
                 continue;
             }};
+        }
+        // A terminal's match moves the position; its failure dispatches.
+        macro_rules! advance {
+            ($matched:expr) => {
+                match $matched {
+                    Ok(end) => self.pos = end,
+                    Err(_) => dispatch_fail!(),
+                }
+            };
         }
         loop {
             let op = p.op_at(self.pc);
@@ -391,8 +194,8 @@ impl<'p, 'i> Machine<'p, 'i> {
                     self.pos = f.pos;
                     self.vstack.truncate(f.vlen as usize);
                     self.marks.truncate(f.mlen as usize);
-                    self.state.rollback(f.state);
-                    self.suppress = f.suppress;
+                    self.cx.state.rollback(f.state);
+                    self.cx.suppress = f.suppress;
                     self.pc = t;
                 }
                 Op::FailTwice => {
@@ -417,7 +220,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                     }
                 }
                 Op::GuardTick => {
-                    if self.guard_fails() {
+                    if self.cx.guard().is_err() {
                         dispatch_fail!();
                     }
                 }
@@ -429,8 +232,8 @@ impl<'p, 'i> Machine<'p, 'i> {
                     self.marks.clear();
                     self.bts.clear();
                     self.calls.clear();
-                    self.suppress = 0;
-                    self.prod_depth = 0;
+                    self.cx.suppress = 0;
+                    self.cx.prod_depth = 0;
                 }
                 Op::Halt => {
                     let root = self.vstack.pop().expect("bootstrap pushed the root value");
@@ -439,11 +242,9 @@ impl<'p, 'i> Machine<'p, 'i> {
 
                 // ----- calls -----
                 Op::Call { prod, target, push } => {
-                    if self.calls.len() as u32 >= self.max_depth {
-                        self.abort(ParseAbort::DepthExceeded);
-                        dispatch_fail!();
-                    }
-                    if self.guard_fails() {
+                    if self.cx.check_depth(self.calls.len() as u32).is_err()
+                        || self.cx.guard().is_err()
+                    {
                         dispatch_fail!();
                     }
                     self.begin_call(prod, target, NO_SLOT, push, false);
@@ -455,40 +256,21 @@ impl<'p, 'i> Machine<'p, 'i> {
                     push,
                     epoch_check,
                 } => {
-                    if self.calls.len() as u32 >= self.max_depth {
-                        self.abort(ParseAbort::DepthExceeded);
-                        dispatch_fail!();
-                    }
                     // Ticking before the probe keeps the fuel cost of a
                     // position uniform across hits and misses.
-                    if self.guard_fails() {
+                    if self.cx.check_depth(self.calls.len() as u32).is_err()
+                        || self.cx.guard().is_err()
+                    {
                         dispatch_fail!();
                     }
-                    self.stats.memo_probes += 1;
-                    self.telem.memo_probe(prod, self.pos);
-                    let mut hit: Option<Option<(u32, Value)>> = None;
-                    if let Some(ans) = self.memo.probe_settled(slot, self.pos) {
-                        if epoch_check && ans.epoch != self.state.epoch() {
-                            self.stats.memo_stale += 1;
-                        } else {
-                            self.stats.memo_hits += 1;
-                            hit = Some(ans.outcome.as_ref().map(|(e, v)| (*e, v.clone())));
-                        }
-                    }
-                    match hit {
-                        Some(outcome) => {
-                            self.telem
-                                .memo_hit(prod, self.pos, self.prod_depth, outcome.is_some());
-                            match outcome {
-                                Some((end, v)) => {
-                                    self.pos = end;
-                                    if push {
-                                        self.vstack.push(v);
-                                    }
-                                }
-                                None => dispatch_fail!(),
+                    match self.cx.lookup(prod, slot, self.pos, epoch_check) {
+                        Some(Ok((end, v))) => {
+                            self.pos = end;
+                            if push {
+                                self.vstack.push(v);
                             }
                         }
+                        Some(Err(Fail)) => dispatch_fail!(),
                         None => self.begin_call(prod, target, slot, push, epoch_check),
                     }
                 }
@@ -497,13 +279,11 @@ impl<'p, 'i> Machine<'p, 'i> {
                     let catch = self.bts.pop();
                     debug_assert!(catch.is_some(), "production catch entry present at Ret");
                     debug_assert_eq!(self.vstack.len() as u32, f.vbase, "finisher consumed body");
-                    self.prod_depth -= 1;
-                    self.telem
-                        .exit(f.span, f.prod, f.pos0, self.prod_depth, self.pos, true);
+                    self.cx.exit(f.span, f.prod, f.pos0, Some(self.pos));
                     if f.slot != NO_SLOT {
-                        let epoch = if f.epoch_check { self.state.epoch() } else { 0 };
-                        let ans = MemoAnswer::success(epoch, self.pos, self.acc.clone());
-                        self.store_answer(f.prod, f.slot, f.pos0, ans);
+                        let answer = Ok((self.pos, self.acc.clone()));
+                        self.cx
+                            .store_answer(f.prod, f.slot, f.pos0, f.epoch_check, answer);
                     }
                     if f.push {
                         self.vstack
@@ -515,126 +295,66 @@ impl<'p, 'i> Machine<'p, 'i> {
                     // Reached via the production's catch entry, which
                     // already restored position/values/state/suppression.
                     let f = self.calls.pop().expect("RetFail with a call in flight");
-                    self.prod_depth -= 1;
-                    self.telem
-                        .exit(f.span, f.prod, f.pos0, self.prod_depth, f.pos0, false);
+                    self.cx.exit(f.span, f.prod, f.pos0, None);
                     if f.slot != NO_SLOT {
-                        let epoch = if f.epoch_check { self.state.epoch() } else { 0 };
-                        self.store_answer(f.prod, f.slot, f.pos0, MemoAnswer::fail(epoch));
+                        self.cx
+                            .store_answer(f.prod, f.slot, f.pos0, f.epoch_check, Err(Fail));
                     }
                     dispatch_fail!();
                 }
 
                 // ----- terminals -----
-                Op::Any => match self.input.char_at(self.pos) {
-                    Some((_, len)) => self.pos += len,
-                    None => {
-                        self.note(self.pos, "any character");
-                        dispatch_fail!();
-                    }
-                },
+                Op::Any => advance!(self.cx.any(self.pos)),
                 Op::Lit(i) => {
                     let lit = p.lit(i);
-                    self.stats.terminal_comparisons += lit.text.len() as u64;
-                    if self.input.starts_with(self.pos, &lit.text) {
-                        self.pos += lit.text.len() as u32;
-                    } else {
-                        self.note(self.pos, &lit.desc);
-                        dispatch_fail!();
-                    }
+                    advance!(self.cx.lit(self.pos, &lit.text, &lit.desc))
                 }
                 Op::LitBytes(i) => {
                     let lit = p.lit(i);
-                    let start = self.pos;
-                    let mut cur = start;
-                    let mut ok = true;
-                    for &b in lit.text.as_bytes() {
-                        self.stats.terminal_comparisons += 1;
-                        match self.input.byte_at(cur) {
-                            Some(x) if x == b => cur += 1,
-                            _ => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        self.pos = cur;
-                    } else {
-                        self.note(start, &lit.desc);
-                        dispatch_fail!();
-                    }
+                    advance!(self.cx.lit_bytes(self.pos, &lit.text, &lit.desc))
                 }
                 Op::Class(i) => {
                     let c = p.class(i);
-                    self.stats.terminal_comparisons += 1;
-                    match self.input.char_at(self.pos) {
-                        Some((ch, len)) if c.table.matches_char(ch) => self.pos += len,
-                        _ => {
-                            self.note(self.pos, &c.desc);
-                            dispatch_fail!();
-                        }
-                    }
+                    advance!(self.cx.cls(self.pos, &c.table, &c.desc))
                 }
 
                 // ----- superinstructions -----
                 Op::ClassStar(i) => {
                     let c = p.class(i);
-                    if modpeg_runtime::scan::scalar_forced() {
-                        self.class_run_scalar(c);
-                    } else {
-                        self.class_run_vectorized(c);
-                    }
-                    if self.aborted.is_some() {
-                        dispatch_fail!();
-                    }
+                    advance!(self.cx.class_run(self.pos, &c.table, &c.desc))
                 }
                 Op::ClassPlus(i) => {
                     let c = p.class(i);
                     // The mandatory first match carries no guard tick
                     // (the interpreter's `e+` evaluates `e` once before
                     // entering the guarded loop).
-                    self.stats.terminal_comparisons += 1;
-                    match self.input.char_at(self.pos) {
-                        Some((ch, len)) if c.table.matches_char(ch) => self.pos += len,
-                        _ => {
-                            self.note(self.pos, &c.desc);
-                            dispatch_fail!();
-                        }
-                    }
-                    if modpeg_runtime::scan::scalar_forced() {
-                        self.class_run_scalar(c);
-                    } else {
-                        self.class_run_vectorized(c);
-                    }
-                    if self.aborted.is_some() {
-                        dispatch_fail!();
-                    }
+                    advance!(self.cx.cls(self.pos, &c.table, &c.desc));
+                    advance!(self.cx.class_run(self.pos, &c.table, &c.desc))
                 }
                 Op::NotClass(i) => {
                     let c = p.class(i);
-                    self.stats.terminal_comparisons += 1;
-                    if matches!(self.input.char_at(self.pos), Some((ch, _)) if c.table.matches_char(ch))
+                    self.cx.stats.terminal_comparisons += 1;
+                    if matches!(self.cx.input.char_at(self.pos), Some((ch, _)) if c.table.matches_char(ch))
                     {
                         dispatch_fail!();
                     }
                 }
                 Op::NotLit(i) => {
                     let lit = p.lit(i);
-                    self.stats.terminal_comparisons += lit.text.len() as u64;
-                    if self.input.starts_with(self.pos, &lit.text) {
+                    self.cx.stats.terminal_comparisons += lit.text.len() as u64;
+                    if self.cx.input.starts_with(self.pos, &lit.text) {
                         dispatch_fail!();
                     }
                 }
                 Op::NotAny => {
-                    if self.input.char_at(self.pos).is_some() {
+                    if self.cx.input.char_at(self.pos).is_some() {
                         dispatch_fail!();
                     }
                 }
                 Op::AndClass(i) => {
                     let c = p.class(i);
-                    self.stats.terminal_comparisons += 1;
-                    if !matches!(self.input.char_at(self.pos), Some((ch, _)) if c.table.matches_char(ch))
+                    self.cx.stats.terminal_comparisons += 1;
+                    if !matches!(self.cx.input.char_at(self.pos), Some((ch, _)) if c.table.matches_char(ch))
                     {
                         dispatch_fail!();
                     }
@@ -643,19 +363,18 @@ impl<'p, 'i> Machine<'p, 'i> {
                 // ----- dispatch and backtrack accounting -----
                 Op::DispatchSkip { first, target } => {
                     let f = p.first(first);
-                    if !f.set.admits(self.input.byte_at(self.pos)) {
-                        self.note(self.pos, &f.desc);
+                    if !f.set.admits(self.cx.input.byte_at(self.pos)) {
+                        self.cx.note(self.pos, &f.desc);
                         self.pc = target;
                     }
                 }
                 Op::AltBacktrack(t) => {
                     let f = *self.calls.last().expect("alternative inside a production");
-                    self.stats.backtracks += 1;
-                    self.telem.backtrack(f.prod, f.pos0, self.prod_depth);
+                    self.cx.backtrack(f.prod, f.pos0);
                     self.pc = t;
                 }
                 Op::ChoiceBacktrack(t) => {
-                    self.stats.backtracks += 1;
+                    self.cx.stats.backtracks += 1;
                     self.pc = t;
                 }
 
@@ -671,7 +390,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                     let m = self.marks.pop().expect("optional mark");
                     if self.vstack.len() - m.vlen as usize >= 2 {
                         let vs = self.vstack.split_off(m.vlen as usize);
-                        let list = self.make_list(vs);
+                        let list = self.cx.make_list(vs);
                         self.vstack.push(list);
                     }
                 }
@@ -685,7 +404,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                     let m = self.marks.pop().expect("star mark");
                     if make {
                         let vs = self.vstack.split_off(m.vlen as usize);
-                        let list = self.make_list(vs);
+                        let list = self.cx.make_list(vs);
                         self.vstack.push(list);
                     }
                 }
@@ -697,7 +416,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                         // the interpreter's unmemoized `e+` shape.
                         debug_assert!(m0.vlen <= m1.vlen);
                         let items = self.vstack.split_off(m0.vlen as usize);
-                        let list = self.make_list(items);
+                        let list = self.cx.make_list(items);
                         self.vstack.push(list);
                     } else {
                         self.vstack.truncate(m0.vlen as usize);
@@ -707,7 +426,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                     let m = self.marks.pop().expect("capture mark");
                     self.vstack.truncate(m.vlen as usize);
                     if push {
-                        let text = self.make_text(m.pos, self.pos);
+                        let text = self.cx.make_text(m.pos, self.pos, p.config().text_only);
                         self.vstack.push(text);
                     }
                 }
@@ -729,7 +448,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                     // children, seed first.
                     let children = self.vstack.split_off(f.vbase as usize);
                     let span = with_span.then(|| Span::new(f.pos0, self.pos));
-                    let node = self.make_node(p.kind(kind), children, span);
+                    let node = self.cx.make_node(p.kind(kind), children, span);
                     self.vstack.push(node);
                 }
                 Op::MakeNodeFinish {
@@ -743,7 +462,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                         children.pop().expect("len checked")
                     } else {
                         let span = with_span.then(|| Span::new(f.pos0, self.pos));
-                        self.make_node(p.kind(kind), children, span)
+                        self.cx.make_node(p.kind(kind), children, span)
                     };
                 }
                 Op::MakeTextFinish { take_inner } => {
@@ -759,7 +478,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                     self.vstack.truncate(f.vbase as usize);
                     self.acc = match inner {
                         Some(v) => v,
-                        None => self.make_text(f.pos0, self.pos),
+                        None => self.cx.make_text(f.pos0, self.pos, p.config().text_only),
                     };
                 }
                 Op::UnitFinish => {
@@ -769,49 +488,50 @@ impl<'p, 'i> Machine<'p, 'i> {
                 }
 
                 // ----- predicates and state -----
-                Op::IncSuppress => self.suppress += 1,
+                Op::IncSuppress => self.cx.suppress += 1,
                 Op::StateDefine { keep } => {
                     let m = self.marks.pop().expect("state mark");
                     let name = self.state_operand(m).to_owned();
-                    self.state.define(&name);
+                    self.cx.state.define(&name);
                     if !keep {
                         self.vstack.truncate(m.vlen as usize);
                     }
                 }
                 Op::StateIsDef { keep } => {
                     let m = self.marks.pop().expect("state mark");
-                    let defined = self.state.is_defined(self.state_operand(m));
+                    let defined = self.cx.state.is_defined(self.state_operand(m));
                     if defined {
                         if !keep {
                             self.vstack.truncate(m.vlen as usize);
                         }
                     } else {
-                        self.note(m.pos, "defined name");
+                        self.cx.note(m.pos, "defined name");
                         dispatch_fail!();
                     }
                 }
                 Op::StateIsNotDef { keep } => {
                     let m = self.marks.pop().expect("state mark");
-                    let defined = self.state.is_defined(self.state_operand(m));
+                    let defined = self.cx.state.is_defined(self.state_operand(m));
                     if defined {
-                        self.note(m.pos, "undefined name");
+                        self.cx.note(m.pos, "undefined name");
                         dispatch_fail!();
                     } else if !keep {
                         self.vstack.truncate(m.vlen as usize);
                     }
                 }
-                Op::ScopePush => self.state.push_scope(),
+                Op::ScopePush => self.cx.state.push_scope(),
                 Op::ScopePopCommit => {
-                    self.state.pop_scope();
+                    self.cx.state.pop_scope();
                     self.bts.pop();
                 }
             }
         }
     }
-
 }
 
-impl ParseRun for Machine<'_, '_> {
+impl<'i> ParseRun<'i> for Machine<'_, 'i> {
+    type Memo = ChunkMemo;
+
     /// Re-enters the bootstrap (whose `Recover` prologue cleans the
     /// per-attempt registers) at `pos`.
     fn eval_root(&mut self, pos: u32) -> Result<(u32, Value), Fail> {
@@ -820,33 +540,7 @@ impl ParseRun for Machine<'_, '_> {
         self.run()
     }
 
-    fn aborted(&self) -> Option<ParseAbort> {
-        self.aborted
-    }
-
-    fn failures(&mut self) -> &mut Failures {
-        &mut self.failures
-    }
-
-    fn error(&self) -> ParseError {
-        self.failures.to_error(&self.input)
-    }
-
-    /// Detaches `value` from the machine's arena before it escapes into a
-    /// [`modpeg_runtime::SyntaxTree`].
-    fn materialize(&self, value: Value) -> Value {
-        self.memo.arena().copy_out(&value)
-    }
-
-    /// Streams `value` as SAX events straight from the machine's arena.
-    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
-        self.memo.arena().emit_events(value, sink);
-    }
-
-    fn finish_stats(&mut self) -> Stats {
-        self.stats.memo_bytes = self.memo.retained_bytes();
-        self.stats.failure_records = self.failures.recorded_len() as u64;
-        self.stats.failure_bytes = self.failures.retained_bytes() as u64;
-        std::mem::take(&mut self.stats)
+    fn cx(&mut self) -> &mut RunCtx<'i, ChunkMemo> {
+        &mut self.cx
     }
 }
