@@ -27,7 +27,7 @@ fn sweep(label: &str, grammar: &modpeg_core::Grammar, inputs: &[String]) -> Vec<
         for input in inputs {
             let (r, stats) = compiled.parse_with_stats(input);
             r.expect("workload parses");
-            agg.absorb(&stats);
+            agg.merge(&stats);
         }
         let n = inputs.len() as u64;
         agg.memo_bytes /= n;

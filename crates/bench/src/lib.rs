@@ -59,6 +59,7 @@ use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 use modpeg_runtime::{Engine, ParseRequest};
+use modpeg_telemetry::escape_json;
 
 /// One leg's summary from [`paired`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,22 +296,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", line(row.clone()));
     }
-}
-
-/// Minimal JSON string escaping for report cells.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Writes the machine-readable companion of a figure's text report to

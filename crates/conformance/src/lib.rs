@@ -566,8 +566,8 @@ pub fn assert_memo_telemetry_agrees(grammar: &str, input: &str) {
         registry
             .prods
             .iter()
-            .filter(|p| p.memo_probes > 0)
-            .map(|p| (p.name.clone(), p.memo_probes, p.memo_hits))
+            .filter(|(_, p)| p.memo_probes > 0)
+            .map(|(name, p)| (name.clone(), p.memo_probes, p.memo_hits))
             .collect()
     };
     let want = rates(&compiled);

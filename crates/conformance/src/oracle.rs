@@ -99,15 +99,6 @@ impl EngineKind {
             _ => None,
         }
     }
-
-    /// The canonical names, comma-separated — for error messages.
-    pub fn expected_list() -> String {
-        EngineKind::ALL
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 }
 
 impl std::fmt::Display for EngineKind {
@@ -199,10 +190,11 @@ impl EngineSet {
             match EngineKind::from_name(name) {
                 Some(kind) => set.enable(kind),
                 None => {
+                    let known: Vec<&str> = EngineKind::ALL.iter().map(|k| k.name()).collect();
                     return Err(format!(
                         "unknown engine `{name}` (expected {})",
-                        EngineKind::expected_list()
-                    ))
+                        known.join(", ")
+                    ));
                 }
             }
         }

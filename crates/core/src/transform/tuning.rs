@@ -23,6 +23,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use modpeg_telemetry::{escape_json, parse_json, JsonValue};
+
 use crate::grammar::Grammar;
 
 /// Version of the plan JSON schema this build reads and writes.
@@ -104,7 +106,10 @@ impl TuningPlan {
             self.fingerprint
         );
         let list = |set: &BTreeSet<String>| -> String {
-            let items: Vec<String> = set.iter().map(|n| format!("\"{}\"", escape(n))).collect();
+            let items: Vec<String> = set
+                .iter()
+                .map(|n| format!("\"{}\"", escape_json(n)))
+                .collect();
             format!("[{}]", items.join(", "))
         };
         let _ = writeln!(out, "  \"memoize\": {},", list(&self.memoize));
@@ -126,26 +131,15 @@ impl TuningPlan {
     /// A human-readable description of the first structural problem
     /// (malformed JSON, wrong version, non-string set member).
     pub fn from_json(text: &str) -> Result<TuningPlan, PlanParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
+        let JsonValue::Obj(pairs) = parse_json(text).map_err(PlanParseError)? else {
+            return Err(PlanParseError("expected a JSON object".into()));
         };
-        p.skip_ws();
-        p.expect(b'{')?;
         let mut plan = TuningPlan::default();
         let mut saw_version = false;
-        loop {
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
+        for (key, value) in &pairs {
             match key.as_str() {
                 "plan_version" => {
-                    let v = p.number()?;
+                    let v = plan_number(key, value)?;
                     if v != u64::from(PLAN_VERSION) {
                         return Err(PlanParseError(format!(
                             "unsupported plan_version {v} (this build reads {PLAN_VERSION})"
@@ -153,25 +147,13 @@ impl TuningPlan {
                     }
                     saw_version = true;
                 }
-                "fingerprint" => plan.fingerprint = p.number()?,
-                "memoize" => plan.memoize = p.string_set()?,
-                "transient" => plan.transient = p.string_set()?,
-                "inline" => plan.inline = p.string_set()?,
-                "dispatch" => plan.dispatch = Some(p.string_set()?),
-                other => {
-                    return Err(PlanParseError(format!("unknown plan key {other:?}")));
-                }
+                "fingerprint" => plan.fingerprint = plan_number(key, value)?,
+                "memoize" => plan.memoize = string_set(key, value)?,
+                "transient" => plan.transient = string_set(key, value)?,
+                "inline" => plan.inline = string_set(key, value)?,
+                "dispatch" => plan.dispatch = Some(string_set(key, value)?),
+                other => return Err(PlanParseError(format!("unknown plan key {other:?}"))),
             }
-            p.skip_ws();
-            if !p.eat(b',') {
-                p.skip_ws();
-                p.expect(b'}')?;
-                break;
-            }
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(PlanParseError(format!("trailing data at byte {}", p.pos)));
         }
         if !saw_version {
             return Err(PlanParseError("missing plan_version".into()));
@@ -183,6 +165,24 @@ impl TuningPlan {
         }
         Ok(plan)
     }
+}
+
+/// A plan field that must be a non-negative integer.
+fn plan_number(key: &str, value: &JsonValue) -> Result<u64, PlanParseError> {
+    value
+        .as_u64()
+        .ok_or_else(|| PlanParseError(format!("{key:?} is not a non-negative integer")))
+}
+
+/// A plan field that must be an array of production names.
+fn string_set(key: &str, value: &JsonValue) -> Result<BTreeSet<String>, PlanParseError> {
+    let not_names = || PlanParseError(format!("{key:?} is not an array of strings"));
+    value
+        .as_arr()
+        .ok_or_else(not_names)?
+        .iter()
+        .map(|item| item.as_str().map(str::to_owned).ok_or_else(not_names))
+        .collect()
 }
 
 /// Why a plan document failed to parse.
@@ -214,132 +214,6 @@ pub fn grammar_fingerprint(grammar: &Grammar) -> u64 {
     h
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The minimal recursive-descent reader for the plan schema: objects of
-/// numbers and string arrays. Production names are grammar identifiers,
-/// so only the simple escapes need decoding.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), PlanParseError> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(PlanParseError(format!(
-                "expected '{}' at byte {}",
-                char::from(b),
-                self.pos
-            )))
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, PlanParseError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(PlanParseError(format!("expected number at byte {start}")));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| PlanParseError(format!("bad number at byte {start}")))
-    }
-
-    fn string(&mut self) -> Result<String, PlanParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(PlanParseError("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        other => {
-                            return Err(PlanParseError(format!(
-                                "unsupported escape {other:?} at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (names may contain any
-                    // identifier character).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| PlanParseError("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn string_set(&mut self) -> Result<BTreeSet<String>, PlanParseError> {
-        self.expect(b'[')?;
-        let mut set = BTreeSet::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(set);
-        }
-        loop {
-            self.skip_ws();
-            set.insert(self.string()?);
-            self.skip_ws();
-            if self.eat(b']') {
-                return Ok(set);
-            }
-            self.expect(b',')?;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,12 +233,24 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let plan = sample_plan();
-        let json = plan.to_json();
-        let back = TuningPlan::from_json(&json).unwrap();
-        assert_eq!(back, plan);
-        // Determinism: equal plans serialize byte-identically.
-        assert_eq!(json, back.to_json());
+        let odd = TuningPlan {
+            memoize: [
+                "m.tab\t".to_string(),
+                "m.cr\r".to_string(),
+                "m.ctl\u{1}".to_string(),
+            ]
+            .into(),
+            transient: ["m.quote\"".to_string(), "m.back\\slash".to_string()].into(),
+            inline: ["m.Größe".to_string()].into(),
+            ..sample_plan()
+        };
+        for plan in [sample_plan(), odd] {
+            let json = plan.to_json();
+            let back = TuningPlan::from_json(&json).unwrap();
+            assert_eq!(back, plan);
+            // Determinism: equal plans serialize byte-identically.
+            assert_eq!(json, back.to_json());
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use crate::recover::ERROR_KIND;
 use crate::span::Span;
 use crate::stats::Stats;
 use crate::value::{Node, NodeKind, Value};
@@ -119,7 +120,6 @@ struct ArenaNode {
 /// let leaf = Value::Text(Span::new(0, 2));
 /// let node = arena.alloc_node(NodeKind::new("Pair"), vec![leaf.clone(), leaf], None);
 /// let v = Value::ArenaNode(node);
-/// assert_eq!(arena.to_sexpr(&v, "ab"), "(Pair \"ab\" \"ab\")");
 /// let detached = arena.copy_out(&v);
 /// arena.reset(); // kills the region; `detached` stays valid
 /// assert_eq!(detached.to_sexpr("ab"), "(Pair \"ab\" \"ab\")");
@@ -414,48 +414,13 @@ impl Arena {
         translated(v, delta)
     }
 
-    fn write_sexpr(&self, v: &Value, input: &str, out: &mut String) {
-        match v {
-            Value::ArenaNode(r) => {
-                out.push('(');
-                out.push_str(
-                    self.kind(*r)
-                        .expect("ArenaNode handle resolves to a node record")
-                        .as_str(),
-                );
-                for c in self.children(*r) {
-                    out.push(' ');
-                    self.write_sexpr(&c, input, out);
-                }
-                out.push(')');
-            }
-            Value::ArenaList(r) => {
-                out.push('[');
-                for (i, c) in self.children(*r).enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    self.write_sexpr(&c, input, out);
-                }
-                out.push(']');
-            }
-            other => out.push_str(&other.to_sexpr(input)),
-        }
-    }
-
-    /// Renders `v` as an S-expression directly from the region, without
-    /// copying out — byte-identical to rendering the copied-out tree
-    /// (the tree-equivalence tests assert exactly this).
-    pub fn to_sexpr(&self, v: &Value, input: &str) -> String {
-        let mut out = String::new();
-        self.write_sexpr(v, input, &mut out);
-        out
-    }
-
     /// Streams `v` as [`ParseEvent`]s without materializing any owned
     /// tree: arena nodes are resolved in place, owned trees (the
-    /// unchunked interpreter's) are walked structurally, text leaves arrive as borrowed spans whenever the
-    /// parse produced spans.
+    /// unchunked interpreter's, and recovered trees) are walked
+    /// structurally, and text leaves arrive as borrowed spans whenever
+    /// the parse produced spans. An [`ERROR_KIND`] node becomes an
+    /// `ErrorStart`/`ErrorEnd` bracket, so the resilient event mode
+    /// replays a recovered tree through this one walker on every engine.
     pub fn emit_events(&self, v: &Value, sink: &mut dyn EventSink) {
         match v {
             Value::Unit => sink.event(ParseEvent::Unit),
@@ -479,6 +444,17 @@ impl Arena {
                 self.each_child(*r, |c| self.emit_events(c, sink));
                 sink.event(ParseEvent::ExitList);
             }
+            // Recovery builds its error regions as `Rc` nodes only, so the
+            // arena arms never meet one.
+            Value::Node(n) if n.kind().as_str() == ERROR_KIND => {
+                sink.event(ParseEvent::ErrorStart {
+                    span: n.span().unwrap_or_default(),
+                });
+                for c in n.children() {
+                    self.emit_events(c, sink);
+                }
+                sink.event(ParseEvent::ErrorEnd);
+            }
             Value::Node(n) => {
                 sink.event(ParseEvent::EnterNode {
                     kind: n.kind().clone(),
@@ -496,50 +472,6 @@ impl Arena {
                 }
                 sink.event(ParseEvent::ExitList);
             }
-        }
-    }
-
-    /// Structural equality of two values, either of which may be
-    /// region-backed (resolved against *this* arena) or owned:
-    /// text leaves compare by the characters they denote in `input`,
-    /// node spans are ignored — the arena-aware analogue of
-    /// [`Value::same_shape`].
-    pub fn same_shape(&self, a: &Value, b: &Value, input: &str) -> bool {
-        // A composite's (kind-or-list, children); `None` for leaves.
-        fn parts<'a>(arena: &'a Arena, v: &'a Value) -> Option<(Option<&'a NodeKind>, Vec<Value>)> {
-            match v {
-                Value::ArenaNode(r) => Some((
-                    Some(
-                        arena
-                            .kind(*r)
-                            .expect("ArenaNode handle resolves to a node record"),
-                    ),
-                    arena.children(*r).collect(),
-                )),
-                Value::ArenaList(r) => Some((None, arena.children(*r).collect())),
-                Value::Node(n) => Some((Some(n.kind()), n.children().to_vec())),
-                Value::List(l) => Some((None, l.to_vec())),
-                _ => None,
-            }
-        }
-        match (parts(self, a), parts(self, b)) {
-            (Some((ka, ca)), Some((kb, cb))) => {
-                ka == kb
-                    && ca.len() == cb.len()
-                    && ca
-                        .iter()
-                        .zip(cb.iter())
-                        .all(|(x, y)| self.same_shape(x, y, input))
-            }
-            (None, None) => match (a, b) {
-                (Value::Unit, Value::Unit) | (Value::Absent, Value::Absent) => true,
-                (
-                    x @ (Value::Text(_) | Value::OwnedText(_)),
-                    y @ (Value::Text(_) | Value::OwnedText(_)),
-                ) => x.as_text(input) == y.as_text(input),
-                _ => false,
-            },
-            _ => false,
         }
     }
 }
@@ -914,7 +846,7 @@ impl EventSink for TreeBuilder {
             ParseEvent::Absent => self.push(Value::Absent),
             ParseEvent::ErrorStart { span } => self
                 .stack
-                .push((Some((NodeKind::new(crate::recover::ERROR_KIND), Some(span))), Vec::new())),
+                .push((Some((NodeKind::new(ERROR_KIND), Some(span))), Vec::new())),
             ParseEvent::ErrorEnd => self.event(ParseEvent::ExitNode),
         }
     }
@@ -993,7 +925,10 @@ mod tests {
         let v = sample(&mut arena);
         assert_eq!(arena.len(), 3);
         assert_eq!(arena.allocations(), 3);
-        assert_eq!(arena.to_sexpr(&v, "xy"), "(Root (Inner [\"x\" \"y\"]) \"x\" () ~)");
+        assert_eq!(
+            arena.copy_out(&v).to_sexpr("xy"),
+            "(Root (Inner [\"x\" \"y\"]) \"x\" () ~)"
+        );
         ArenaInvariants::check(&arena, 2).unwrap();
     }
 
@@ -1001,11 +936,12 @@ mod tests {
     fn copy_out_detaches_and_matches_sexpr() {
         let mut arena = Arena::new();
         let v = sample(&mut arena);
-        let arena_sexpr = arena.to_sexpr(&v, "xy");
         let detached = arena.copy_out(&v);
-        assert!(arena.same_shape(&v, &detached, "xy"));
         arena.reset();
-        assert_eq!(detached.to_sexpr("xy"), arena_sexpr);
+        assert_eq!(
+            detached.to_sexpr("xy"),
+            "(Root (Inner [\"x\" \"y\"]) \"x\" () ~)"
+        );
         assert!(arena.is_empty());
     }
 
@@ -1031,11 +967,14 @@ mod tests {
         let moved = arena.shifted(&v, 3);
         assert_eq!(arena.len(), before, "a shift retranslates the handle, it copies nothing");
         assert_eq!(
-            arena.to_sexpr(&moved, "abcxy"),
+            arena.copy_out(&moved).to_sexpr("abcxy"),
             "(Root (Inner [\"x\" \"y\"]) \"x\" () ~)"
         );
         // The original is untouched (no double-shift hazard).
-        assert_eq!(arena.to_sexpr(&v, "xy"), "(Root (Inner [\"x\" \"y\"]) \"x\" () ~)");
+        assert_eq!(
+            arena.copy_out(&v).to_sexpr("xy"),
+            "(Root (Inner [\"x\" \"y\"]) \"x\" () ~)"
+        );
         let Value::ArenaNode(r) = moved else { panic!() };
         assert_eq!((arena.span(r), r.shift()), (Some(Span::new(3, 5)), 3));
         // Children and detached copies read through the translation, and
@@ -1065,8 +1004,9 @@ mod tests {
         let mut builder = TreeBuilder::new();
         arena.emit_events(&v, &mut builder);
         let rebuilt = builder.finish().expect("balanced stream");
-        assert!(arena.same_shape(&v, &rebuilt, "xy"));
-        assert_eq!(rebuilt.to_sexpr("xy"), arena.to_sexpr(&v, "xy"));
+        let copied = arena.copy_out(&v);
+        assert!(copied.same_shape(&rebuilt, "xy"));
+        assert_eq!(rebuilt.to_sexpr("xy"), copied.to_sexpr("xy"));
     }
 
     #[test]
@@ -1133,7 +1073,7 @@ mod tests {
         let node = arena.make_node(&mut stats, NodeKind::new("N"), vec![inner.clone()], None);
         let outer = arena.make_list(&mut stats, vec![x.clone(), inner, node]);
         assert_eq!(
-            arena.to_sexpr(&outer, "x"),
+            arena.copy_out(&outer).to_sexpr("x"),
             "[\"x\" \"x\" \"x\" (N [\"x\" \"x\"])]"
         );
         assert_eq!((stats.nodes_built, stats.lists_built), (1, 2));

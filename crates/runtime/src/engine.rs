@@ -18,8 +18,8 @@ use modpeg_telemetry::Telemetry;
 
 use crate::recover::{self, Attempt, Diagnostic, Diagnostics, RecoverPolicy, Recovered};
 use crate::{
-    EventSink, Fail, Failures, Governor, Input, MemoTable, PResult, ParseError, ParseFault, RunCtx,
-    Span, Stats, SyntaxTree, Value,
+    Arena, EventSink, Fail, Failures, Governor, Input, MemoTable, PResult, ParseError, ParseFault,
+    RunCtx, Span, Stats, SyntaxTree, Value,
 };
 
 /// What a parse produces.
@@ -206,7 +206,7 @@ pub fn drive<'a, R: ParseRun<'a>>(
         // emits the identical stream.
         Mode::ResilientEvents(policy, sink) => {
             resilient(&mut run, text, policy).map(|(value, diagnostics)| {
-                recover::emit_recovered_events(&value, sink);
+                run.cx().emit(&value, sink);
                 Parsed {
                     tree: None,
                     diagnostics,
@@ -290,7 +290,7 @@ fn oversize(mode: Mode<'_>) -> Result<Parsed, ParseFault> {
             diagnostics,
         }),
         Mode::ResilientEvents(_, sink) => {
-            recover::emit_recovered_events(&Value::Unit, sink);
+            Arena::new().emit_events(&Value::Unit, sink);
             Ok(Parsed {
                 tree: None,
                 diagnostics,

@@ -200,25 +200,31 @@ impl ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at {}: expected ", self.position)?;
-        match self.expected.as_slice() {
-            [] => write!(f, "nothing")?,
-            [one] => write!(f, "{one}")?,
-            many => {
-                for (i, e) in many.iter().enumerate() {
-                    match i {
-                        0 => write!(f, "{e}")?,
-                        i if i + 1 == many.len() => write!(f, " or {e}")?,
-                        _ => write!(f, ", {e}")?,
-                    }
-                }
-            }
-        }
-        write!(f, ", found {}", self.found)?;
+        write!(
+            f,
+            "parse error at {}: expected {}, found {}",
+            self.position,
+            ExpectedList(&self.expected),
+            self.found
+        )?;
         if self.dropped > 0 {
             write!(f, " ({} failure record(s) dropped)", self.dropped)?;
         }
         Ok(())
+    }
+}
+
+/// `a, b or c` — how every report phrases a list of expected terminals
+/// (`nothing` when it is empty).
+pub(crate) struct ExpectedList<'a>(pub(crate) &'a [String]);
+
+impl fmt::Display for ExpectedList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            [] => f.write_str("nothing"),
+            [last] => f.write_str(last),
+            [init @ .., last] => write!(f, "{} or {last}", init.join(", ")),
+        }
     }
 }
 
@@ -280,6 +286,18 @@ mod tests {
         assert!(msg.contains("expected '(', digit or identifier"), "{msg}");
         assert!(msg.contains("found b"), "{msg}");
         assert_eq!(err.position().to_string(), "1:2");
+    }
+
+    #[test]
+    fn expected_list_phrasing() {
+        let phrase = |list: &[&str]| {
+            let list: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+            ExpectedList(&list).to_string()
+        };
+        assert_eq!(phrase(&[]), "nothing");
+        assert_eq!(phrase(&["a"]), "a");
+        assert_eq!(phrase(&["a", "b"]), "a or b");
+        assert_eq!(phrase(&["a", "b", "c"]), "a, b or c");
     }
 
     #[test]

@@ -1054,7 +1054,12 @@ mod tests {
         // The list entry and the parent's child are still one node.
         let Value::ArenaNode(p) = value_at(&m, 1, 2) else { panic!() };
         assert_eq!(m.arena().children(p).next(), Some(value_at(&m, 0, 4)));
-        assert_eq!(m.arena().to_sexpr(&Value::ArenaNode(p), "abcdefgh"), "(P [\"ef\"])");
+        assert_eq!(
+            m.arena()
+                .copy_out(&Value::ArenaNode(p))
+                .to_sexpr("abcdefgh"),
+            "(P [\"ef\"])"
+        );
         ArenaInvariants::check(m.arena(), 20).unwrap();
         ArenaInvariants::check_entries(&m).unwrap();
     }

@@ -33,8 +33,9 @@
 
 use std::rc::Rc;
 
-use crate::arena::{EventSink, ParseEvent};
-use crate::error::ParseError;
+use modpeg_telemetry::escape_json;
+
+use crate::error::{ExpectedList, ParseError};
 use crate::input::Input;
 use crate::span::Span;
 use crate::value::{Node, NodeKind, Value};
@@ -221,7 +222,7 @@ impl Diagnostics {
                 "{path}:{}:{}: error: expected {}, found {}",
                 p.line(),
                 p.col(),
-                expected_list(d.error.expected()),
+                ExpectedList(d.error.expected()),
                 d.error.found()
             ));
             if !d.skipped.is_empty() {
@@ -268,11 +269,11 @@ impl Diagnostics {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&json_string(e));
+                out.push_str(&format!("\"{}\"", escape_json(e)));
             }
             out.push_str(&format!(
-                "], \"found\": {}, \"skipped\": {{\"lo\": {}, \"hi\": {}}}, \"resumed_at\": {}}}",
-                json_string(d.error.found()),
+                "], \"found\": \"{}\", \"skipped\": {{\"lo\": {}, \"hi\": {}}}, \"resumed_at\": {}}}",
+                escape_json(d.error.found()),
                 d.skipped.lo(),
                 d.skipped.hi(),
                 d.resumed_at()
@@ -286,51 +287,6 @@ impl Diagnostics {
         ));
         out
     }
-}
-
-/// `a, b or c` — the expectation list the way [`ParseError`]'s `Display`
-/// phrases it.
-fn expected_list(expected: &[String]) -> String {
-    match expected {
-        [] => "nothing".to_owned(),
-        [one] => one.clone(),
-        many => {
-            let mut out = String::new();
-            for (i, e) in many.iter().enumerate() {
-                match i {
-                    0 => out.push_str(e),
-                    i if i + 1 == many.len() => {
-                        out.push_str(" or ");
-                        out.push_str(e);
-                    }
-                    _ => {
-                        out.push_str(", ");
-                        out.push_str(e);
-                    }
-                }
-            }
-            out
-        }
-    }
-}
-
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The outcome of one restart attempt, reported by an engine closure.
@@ -503,54 +459,6 @@ fn error_node(span: Span) -> Value {
     )))
 }
 
-/// Streams a recovered (owned, detached) tree as [`ParseEvent`]s:
-/// [`ERROR_KIND`] nodes become `ErrorStart`/`ErrorEnd` brackets, every
-/// other value the ordinary event it would produce. This is how the
-/// engines implement resilient event mode — the driver assembles
-/// fragments, then replays them — so all engines emit identical streams
-/// by construction.
-pub fn emit_recovered_events(v: &Value, sink: &mut dyn EventSink) {
-    match v {
-        Value::Unit => sink.event(ParseEvent::Unit),
-        Value::Absent => sink.event(ParseEvent::Absent),
-        Value::Text(span) => sink.event(ParseEvent::Text(*span)),
-        Value::OwnedText(s) => sink.event(ParseEvent::OwnedText(Rc::clone(s))),
-        Value::Node(n) if n.kind().as_str() == ERROR_KIND => {
-            sink.event(ParseEvent::ErrorStart {
-                span: n.span().unwrap_or_default(),
-            });
-            for c in n.children() {
-                emit_recovered_events(c, sink);
-            }
-            sink.event(ParseEvent::ErrorEnd);
-        }
-        Value::Node(n) => {
-            sink.event(ParseEvent::EnterNode {
-                kind: n.kind().clone(),
-                span: n.span(),
-            });
-            for c in n.children() {
-                emit_recovered_events(c, sink);
-            }
-            sink.event(ParseEvent::ExitNode);
-        }
-        Value::List(l) => {
-            sink.event(ParseEvent::EnterList);
-            for c in l.iter() {
-                emit_recovered_events(c, sink);
-            }
-            sink.event(ParseEvent::ExitList);
-        }
-        // Driver contract: attempt values are detached before they reach
-        // the recovered tree, so handles cannot appear here. Emit the
-        // balanced nothing rather than panicking in a release parser.
-        Value::ArenaNode(_) | Value::ArenaList(_) => {
-            debug_assert!(false, "recovered trees are detached; arena handle found");
-            sink.event(ParseEvent::Unit);
-        }
-    }
-}
-
 /// Counts the [`ERROR_KIND`] nodes in a recovered tree (the structural
 /// counterpart of [`Diagnostics::error_count`]; one more than the
 /// diagnostic count when the report was truncated).
@@ -568,8 +476,8 @@ pub fn count_error_nodes(v: &Value) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{Arena, EventSink, ParseEvent, TreeBuilder};
     use crate::error::Failures;
-    use crate::arena::TreeBuilder;
 
     /// A toy engine: the "grammar" matches one decimal-digit run.
     /// Failure semantics mirror the real engines: note the failure
@@ -791,8 +699,11 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let (_, d) = run("1\"2\n3", &digits_policy());
+        let json = d.to_json();
+        assert!(json.contains("\"found\": \"\\\"\""), "{json}");
+        assert!(json.contains("\"found\": \"\\n\""), "{json}");
+        modpeg_telemetry::validate_json(&json).expect("check --json output is JSON");
     }
 
     #[test]
@@ -800,7 +711,7 @@ mod tests {
         let (v, d) = run("12ab34", &digits_policy());
         assert_eq!(d.error_count(), 1);
         let mut builder = TreeBuilder::new();
-        emit_recovered_events(&v, &mut builder);
+        Arena::new().emit_events(&v, &mut builder);
         let rebuilt = builder.finish().expect("balanced stream");
         assert!(v.same_shape(&rebuilt, "12ab34"));
         // And the error bracket arrives as ErrorStart/ErrorEnd.
@@ -817,21 +728,10 @@ mod tests {
             }
         }
         let mut seen = Seen(Vec::new());
-        emit_recovered_events(&v, &mut seen);
+        Arena::new().emit_events(&v, &mut seen);
         assert_eq!(
             seen.0,
             vec!["enter", "leaf", "error-start", "error-end", "leaf", "exit"]
-        );
-    }
-
-    #[test]
-    fn expected_list_phrasing() {
-        assert_eq!(expected_list(&[]), "nothing");
-        assert_eq!(expected_list(&["a".into()]), "a");
-        assert_eq!(expected_list(&["a".into(), "b".into()]), "a or b");
-        assert_eq!(
-            expected_list(&["a".into(), "b".into(), "c".into()]),
-            "a, b or c"
         );
     }
 }

@@ -21,9 +21,7 @@
 //! characters in bulk: ASCII bytes in 16-byte SIMD chunks
 //! (SSE2 / NEON behind `#[cfg(target_arch)]`) or 8-byte SWAR words on
 //! other targets, falling back to per-`char` decode only at non-ASCII
-//! lead bytes. The `scalar-scan` cargo feature compiles the whole ASCII
-//! scanner down to the byte-at-a-time reference loop, which is also what
-//! CI builds to keep targets without SIMD green.
+//! lead bytes. SWAR is plain Rust, so every target gets a bulk path.
 //!
 //! [`RunCtx::class_run`](crate::RunCtx::class_run) owns the
 //! *observable* contract every engine shares (governor ticks per
@@ -275,36 +273,18 @@ pub fn advance_chars(text: &str, pos: u32, n: u32) -> u32 {
 /// the byte is non-ASCII or the class rejects it (or `bytes.len()`).
 #[inline]
 fn scan_ascii(bytes: &[u8], i: usize, table: &ClassTable) -> usize {
-    #[cfg(feature = "scalar-scan")]
-    {
-        scan_ascii_scalar(bytes, i, table)
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    if table.simd_runs != SIMD_RUNS_OVERFLOW {
+        // SAFETY: SSE2 is baseline on x86_64 and NEON on aarch64; no
+        // runtime feature detection is needed.
+        return unsafe { scan_ascii_simd(bytes, i, table) };
     }
-    #[cfg(not(feature = "scalar-scan"))]
-    {
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        if table.simd_runs != SIMD_RUNS_OVERFLOW {
-            // SAFETY: SSE2 is baseline on x86_64 and NEON on aarch64; no
-            // runtime feature detection is needed.
-            return unsafe { scan_ascii_simd(bytes, i, table) };
-        }
-        scan_ascii_swar(bytes, i, table)
-    }
-}
-
-/// Byte-at-a-time reference scanner: the semantics the bulk paths must
-/// reproduce, and the whole story under `--features scalar-scan`.
-#[cfg_attr(not(any(test, feature = "scalar-scan")), allow(dead_code))]
-fn scan_ascii_scalar(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
-    while i < bytes.len() && bytes[i] < 0x80 && table.matches_ascii(bytes[i]) {
-        i += 1;
-    }
-    i
+    scan_ascii_swar(bytes, i, table)
 }
 
 /// SWAR scanner: classifies 8 bytes per `u64` word. A high-bit mask
 /// rejects chunks containing non-ASCII bytes cheaply; member bytes are
 /// then confirmed with unrolled bitmap tests.
-#[cfg_attr(feature = "scalar-scan", allow(dead_code))]
 fn scan_ascii_swar(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
     const HIGH: u64 = 0x8080_8080_8080_8080;
     while i + 8 <= bytes.len() {
@@ -325,7 +305,6 @@ fn scan_ascii_swar(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
 }
 
 /// Scalar tail shared by the bulk scanners.
-#[cfg_attr(feature = "scalar-scan", allow(dead_code))]
 #[inline]
 fn scan_ascii_tail(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
     while i < bytes.len() && bytes[i] < 0x80 && table.matches_ascii(bytes[i]) {
@@ -340,7 +319,7 @@ fn scan_ascii_tail(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
 /// ≥ 0x80 never satisfy any run (run bounds are ≤ 0x7F) so they stop the
 /// scan exactly like a rejected ASCII byte, handing over to the per-char
 /// decoder.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-scan")))]
+#[cfg(target_arch = "x86_64")]
 unsafe fn scan_ascii_simd(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
     use std::arch::x86_64::{
         __m128i, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_min_epu8, _mm_movemask_epi8, _mm_or_si128,
@@ -372,7 +351,7 @@ unsafe fn scan_ascii_simd(bytes: &[u8], mut i: usize, table: &ClassTable) -> usi
 /// NEON scanner: 16 bytes per chunk, same run comparisons as SSE2, with
 /// the `vshrn` narrowing trick standing in for `movemask` (4 bits per
 /// lane in a `u64`).
-#[cfg(all(target_arch = "aarch64", not(feature = "scalar-scan")))]
+#[cfg(target_arch = "aarch64")]
 unsafe fn scan_ascii_simd(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
     use std::arch::aarch64::{
         vandq_u8, vcgeq_u8, vcleq_u8, vdupq_n_u8, vget_lane_u64, vld1q_u8, vmvnq_u8, vorrq_u8,
@@ -437,6 +416,15 @@ pub fn reset_forced() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Byte-at-a-time reference scanner: the semantics the bulk paths
+    /// must reproduce.
+    fn scan_ascii_scalar(bytes: &[u8], mut i: usize, table: &ClassTable) -> usize {
+        while i < bytes.len() && bytes[i] < 0x80 && table.matches_ascii(bytes[i]) {
+            i += 1;
+        }
+        i
+    }
 
     fn table(ranges: &[(char, char)], negated: bool) -> ClassTable {
         ClassTable::from_ranges(ranges, negated)

@@ -130,11 +130,6 @@ impl Stats {
         self.gov_ticks += other.gov_ticks;
         self.gov_stride_refills += other.gov_stride_refills;
     }
-
-    /// Former name of [`Stats::merge`], kept for source compatibility.
-    pub fn absorb(&mut self, other: &Stats) {
-        self.merge(other);
-    }
 }
 
 impl fmt::Display for Stats {
@@ -216,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_counters() {
+    fn merge_sums_counters() {
         let mut a = Stats {
             memo_probes: 2,
             nodes_built: 1,
@@ -228,7 +223,7 @@ mod tests {
             backtracks: 7,
             ..Stats::default()
         };
-        a.absorb(&b);
+        a.merge(&b);
         assert_eq!(a.memo_probes, 5);
         assert_eq!(a.nodes_built, 5);
         assert_eq!(a.backtracks, 7);

@@ -250,7 +250,7 @@ impl Value {
             }
             // Unresolvable without the arena; engines copy out before any
             // value escapes to rendering, so this is reachable only from
-            // misuse (render through `Arena::to_sexpr` instead).
+            // misuse (render what `Arena::copy_out` returns instead).
             Value::ArenaNode(_) | Value::ArenaList(_) => out.push_str("<arena>"),
         }
     }
@@ -268,8 +268,8 @@ impl Value {
     /// `OwnedText` compare equal when they denote the same characters of
     /// `input`, and node spans are ignored. Used to check that
     /// optimizations preserve semantics. Arena handles always compare
-    /// unequal here — use [`Arena::same_shape`](crate::Arena::same_shape)
-    /// to compare region-backed values.
+    /// unequal here — compare region-backed values after
+    /// [`Arena::copy_out`](crate::Arena::copy_out).
     pub fn same_shape(&self, other: &Value, input: &str) -> bool {
         match (self, other) {
             (Value::Unit, Value::Unit) | (Value::Absent, Value::Absent) => true,

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use modpeg_core::{AltAst, ClauseOp, Decl, ModuleAst, ProdKind};
+use modpeg_core::{AltAst, ClauseOp, Decl, ModuleAst};
 
 /// Renders one module in canonical form.
 pub fn format_module(module: &ModuleAst) -> String {
@@ -130,16 +130,6 @@ pub fn format_modules(modules: &[ModuleAst]) -> String {
         .map(format_module)
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-/// Checks that `kind` survives formatting — used to keep clause kinds
-/// printable ambiguity-free.
-fn _kind_token(kind: ProdKind) -> &'static str {
-    match kind {
-        ProdKind::Void => "void",
-        ProdKind::Text => "String",
-        ProdKind::Node => "Node",
-    }
 }
 
 #[cfg(test)]

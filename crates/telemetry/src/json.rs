@@ -4,7 +4,7 @@
 //! The workspace is deliberately dependency-free, so the exporter tests
 //! cannot lean on serde; this hand-rolled parser is what asserts that
 //! every JSON exporter emits something a real consumer will load, and
-//! what the profile reader uses to load `.mprof` files.
+//! what loads `.mprof` profiles and tuning plans.
 
 /// Validates that `text` is exactly one well-formed JSON value.
 ///
@@ -333,8 +333,9 @@ impl Reader<'_> {
 }
 
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included). Shared by every JSON-emitting exporter.
-pub(crate) fn escape_json(s: &str) -> String {
+/// included): the one JSON string escaper every writer in the workspace
+/// uses.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

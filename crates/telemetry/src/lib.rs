@@ -35,7 +35,7 @@
 //! let report = telem.take_report();
 //! assert_eq!(report.events.len(), 4);
 //! let registry = MetricsRegistry::from_report(&report);
-//! assert_eq!(registry.prods[0].evals, 1);
+//! assert_eq!(registry.prods[0].1.evals, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -50,10 +50,8 @@ mod profile;
 
 pub mod export;
 
-pub use json::{parse_json, validate_json, JsonValue};
-pub use metrics::{
-    MetricsRegistry, ProdMetrics, Totals, BACKTRACK_BUCKET, N_BUCKETS, TIME_BUCKET_NS,
-};
+pub use json::{escape_json, parse_json, validate_json, JsonValue};
+pub use metrics::{MetricsRegistry, Totals, BACKTRACK_BUCKET, N_BUCKETS, TIME_BUCKET_NS};
 pub use profile::{DiffRow, ProdProfile, ProfileDiff, WorkloadProfile, MPROF_VERSION};
 
 /// Production index used for the anonymous repetition/option helper

@@ -8,7 +8,7 @@
 use std::fmt;
 
 use crate::json::escape_json;
-use crate::{EventKind, TelemetryReport};
+use crate::{EventKind, ProdProfile, TelemetryReport};
 
 /// Number of histogram buckets (shared by time and backtrack-depth
 /// histograms so exposition code is uniform).
@@ -58,50 +58,6 @@ fn backtrack_bucket(depth: u32) -> usize {
     i
 }
 
-/// Aggregated metrics for one production.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProdMetrics {
-    /// Production name.
-    pub name: String,
-    /// Applications actually evaluated (recorded enter spans).
-    pub evals: u64,
-    /// Evaluations that matched.
-    pub matched: u64,
-    /// Evaluations that failed.
-    pub failed: u64,
-    /// Total (inclusive) nanoseconds across recorded spans.
-    pub total_ns: u64,
-    /// Exclusive nanoseconds (inclusive minus recorded child spans).
-    pub self_ns: u64,
-    /// Deepest production-nesting depth observed.
-    pub max_depth: u32,
-    /// Memo-table lookups.
-    pub memo_probes: u64,
-    /// Lookups that served a stored answer.
-    pub memo_hits: u64,
-    /// Memo entries written.
-    pub memo_stores: u64,
-    /// Alternatives that failed after consuming input.
-    pub backtracks: u64,
-    /// Histogram of span times; bucket `i` counts spans with duration
-    /// ≤ [`TIME_BUCKET_NS`]`[i]` (non-cumulative).
-    pub time_hist: [u64; N_BUCKETS],
-    /// Histogram of backtrack depths; bucket `i` counts backtracks at
-    /// depth ≤ [`BACKTRACK_BUCKET`]`[i]` (non-cumulative).
-    pub backtrack_hist: [u64; N_BUCKETS],
-}
-
-impl ProdMetrics {
-    /// Fraction of memo probes that hit, or 0.0 with no probes.
-    pub fn memo_hit_rate(&self) -> f64 {
-        if self.memo_probes == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / self.memo_probes as f64
-        }
-    }
-}
-
 /// Run-level totals that are not per-production.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Totals {
@@ -134,10 +90,10 @@ pub struct Totals {
 /// Per-production metrics aggregated from one [`TelemetryReport`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    /// One entry per production that produced any event, dense by
-    /// production index; the final entry aggregates the anonymous
-    /// repetition helpers when they produced events.
-    pub prods: Vec<ProdMetrics>,
+    /// One named row per production, dense by production index; the
+    /// final row, `(repetition)`, aggregates the anonymous repetition
+    /// helpers when they produced events.
+    pub prods: Vec<(String, ProdProfile)>,
     /// Run-level totals.
     pub totals: Totals,
 }
@@ -168,14 +124,14 @@ impl MetricsRegistry {
         } else {
             None
         };
-        let mut prods: Vec<ProdMetrics> = (0..n)
-            .map(|i| ProdMetrics {
-                name: if Some(i) == rep_index {
-                    "(repetition)".to_string()
+        let mut prods: Vec<(String, ProdProfile)> = (0..n)
+            .map(|i| {
+                let name = if Some(i) == rep_index {
+                    "(repetition)"
                 } else {
-                    report.name_of(i as u32).to_string()
-                },
-                ..ProdMetrics::default()
+                    report.name_of(i as u32)
+                };
+                (name.to_string(), ProdProfile::default())
             })
             .collect();
         let index = |prod: u32| -> Option<usize> {
@@ -200,8 +156,8 @@ impl MetricsRegistry {
             match event.kind {
                 EventKind::Enter { prod, pos: _, depth } => {
                     if let Some(i) = index(prod) {
-                        prods[i].evals += 1;
-                        prods[i].max_depth = prods[i].max_depth.max(depth);
+                        prods[i].1.evals += 1;
+                        prods[i].1.max_depth = prods[i].1.max_depth.max(depth);
                     }
                     stack.push((prod, event.at_ns, 0));
                 }
@@ -215,7 +171,7 @@ impl MetricsRegistry {
                         *parent_child += dur;
                     }
                     if let Some(i) = index(prod) {
-                        let p = &mut prods[i];
+                        let p = &mut prods[i].1;
                         p.total_ns += dur;
                         p.self_ns += dur.saturating_sub(child_ns);
                         p.time_hist[time_bucket(dur)] += 1;
@@ -228,18 +184,18 @@ impl MetricsRegistry {
                 }
                 EventKind::MemoProbe { prod, .. } => {
                     if let Some(i) = index(prod) {
-                        prods[i].memo_probes += 1;
+                        prods[i].1.memo_probes += 1;
                     }
                 }
                 EventKind::MemoHit { prod, depth, .. } => {
                     if let Some(i) = index(prod) {
-                        prods[i].memo_hits += 1;
-                        prods[i].max_depth = prods[i].max_depth.max(depth);
+                        prods[i].1.memo_hits += 1;
+                        prods[i].1.max_depth = prods[i].1.max_depth.max(depth);
                     }
                 }
                 EventKind::MemoStore { prod, .. } => {
                     if let Some(i) = index(prod) {
-                        prods[i].memo_stores += 1;
+                        prods[i].1.memo_stores += 1;
                     }
                 }
                 EventKind::MemoEvict { columns, .. } => {
@@ -248,8 +204,8 @@ impl MetricsRegistry {
                 }
                 EventKind::Backtrack { prod, depth, .. } => {
                     if let Some(i) = index(prod) {
-                        prods[i].backtracks += 1;
-                        prods[i].backtrack_hist[backtrack_bucket(depth)] += 1;
+                        prods[i].1.backtracks += 1;
+                        prods[i].1.backtrack_hist[backtrack_bucket(depth)] += 1;
                     }
                 }
                 EventKind::GovAbort { reason } => {
@@ -281,14 +237,14 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("{\"productions\":[");
-        for (i, p) in self.active().enumerate() {
+        for (i, (name, p)) in self.active().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"evals\":{},\"matched\":{},\"failed\":{},\"total_ns\":{},\"self_ns\":{},\"max_depth\":{},\"memo_probes\":{},\"memo_hits\":{},\"memo_hit_rate\":{:.4},\"memo_stores\":{},\"backtracks\":{}}}",
-                escape_json(&p.name),
+                escape_json(name),
                 p.evals,
                 p.matched,
                 p.failed,
@@ -328,9 +284,9 @@ impl MetricsRegistry {
         out
     }
 
-    /// Productions with any recorded activity.
-    fn active(&self) -> impl Iterator<Item = &ProdMetrics> {
-        self.prods.iter().filter(|p| {
+    /// Productions with any recorded activity, in production order.
+    pub(crate) fn active(&self) -> impl Iterator<Item = &(String, ProdProfile)> {
+        self.prods.iter().filter(|(_, p)| {
             p.evals > 0 || p.memo_probes > 0 || p.memo_stores > 0 || p.backtracks > 0
         })
     }
@@ -367,8 +323,8 @@ impl fmt::Display for MetricsRegistry {
                 t.session_reused, t.session_invalidated, t.session_shifted
             )?;
         }
-        let mut ranked: Vec<&ProdMetrics> = self.active().collect();
-        ranked.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(b.evals.cmp(&a.evals)));
+        let mut ranked: Vec<&(String, ProdProfile)> = self.active().collect();
+        ranked.sort_by(|(_, a), (_, b)| b.total_ns.cmp(&a.total_ns).then(b.evals.cmp(&a.evals)));
         if ranked.is_empty() {
             return Ok(());
         }
@@ -377,11 +333,11 @@ impl fmt::Display for MetricsRegistry {
             "{:<24} {:>8} {:>10} {:>10} {:>9} {:>10}",
             "production", "evals", "total ms", "self ms", "memo hit%", "backtracks"
         )?;
-        for p in ranked.iter().take(12) {
+        for (name, p) in ranked.iter().take(12) {
             writeln!(
                 f,
                 "{:<24} {:>8} {:>10.3} {:>10.3} {:>8.1}% {:>10}",
-                p.name,
+                name,
                 p.evals,
                 p.total_ns as f64 / 1e6,
                 p.self_ns as f64 / 1e6,
@@ -420,8 +376,8 @@ mod tests {
     fn aggregates_counts_and_pairing() {
         let r = MetricsRegistry::from_report(&sample_report());
         assert_eq!(r.prods.len(), 2);
-        let root = &r.prods[0];
-        let leaf = &r.prods[1];
+        let root = &r.prods[0].1;
+        let leaf = &r.prods[1].1;
         assert_eq!(root.evals, 1);
         assert_eq!(root.matched, 1);
         assert_eq!(root.backtracks, 1);
@@ -459,8 +415,8 @@ mod tests {
         t.memo_store(crate::REP_HELPER, 0, true);
         let r = MetricsRegistry::from_report(&t.take_report());
         assert_eq!(r.prods.len(), 2);
-        assert_eq!(r.prods[1].name, "(repetition)");
-        assert_eq!(r.prods[1].memo_probes, 1);
+        assert_eq!(r.prods[1].0, "(repetition)");
+        assert_eq!(r.prods[1].1.memo_probes, 1);
     }
 
     #[test]

@@ -126,30 +126,6 @@ impl WorkloadProfile {
         engine: &str,
         input_bytes: u64,
     ) -> WorkloadProfile {
-        let mut prods = BTreeMap::new();
-        for m in &registry.prods {
-            let active = m.evals > 0 || m.memo_probes > 0 || m.memo_stores > 0 || m.backtracks > 0;
-            if !active {
-                continue;
-            }
-            prods.insert(
-                m.name.clone(),
-                ProdProfile {
-                    evals: m.evals,
-                    matched: m.matched,
-                    failed: m.failed,
-                    memo_probes: m.memo_probes,
-                    memo_hits: m.memo_hits,
-                    memo_stores: m.memo_stores,
-                    backtracks: m.backtracks,
-                    max_depth: m.max_depth,
-                    backtrack_hist: m.backtrack_hist,
-                    total_ns: m.total_ns,
-                    self_ns: m.self_ns,
-                    time_hist: m.time_hist,
-                },
-            );
-        }
         WorkloadProfile {
             fingerprint,
             grammar: grammar.to_string(),
@@ -158,7 +134,7 @@ impl WorkloadProfile {
             input_bytes,
             dropped: registry.totals.dropped,
             wall_ns: registry.totals.wall_ns,
-            prods,
+            prods: registry.active().cloned().collect(),
         }
     }
 

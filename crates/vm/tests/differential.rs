@@ -137,8 +137,8 @@ fn memo_telemetry_agrees_with_interp() {
                 let mut v: Vec<(String, u64, u64)> = r
                     .prods
                     .iter()
-                    .filter(|p| p.memo_probes > 0)
-                    .map(|p| (p.name.clone(), p.memo_probes, p.memo_hits))
+                    .filter(|(_, p)| p.memo_probes > 0)
+                    .map(|(name, p)| (name.clone(), p.memo_probes, p.memo_hits))
                     .collect();
                 v.sort();
                 v
