@@ -463,9 +463,9 @@ impl<'g> Emitter<'g> {
         let p_text_inner = p.text_takes_inner;
         let build = match kind {
             ProdKind::Void => "let value = Value::Unit;".to_owned(),
-            ProdKind::Text if p_text_inner => format!(
-                "let mut vs = o.into_values(); let value = if matches!(vs.first(), Some(Value::Text(_) | Value::OwnedText(_))) {{ vs.swap_remove(0) }} else {{ Value::Text(Span::new({pos_var}, e2)) }};"
-            ),
+            ProdKind::Text if p_text_inner => {
+                format!("let value = self.cx.inner_text(o, {pos_var}, e2, true);")
+            }
             ProdKind::Text => format!("let value = Value::Text(Span::new({pos_var}, e2));"),
             ProdKind::Node => {
                 let k = self.kinds.get(alt.node_kind.as_str());
@@ -479,9 +479,7 @@ impl<'g> Emitter<'g> {
                         "let mut ch = vec![seed.clone()]; o.push_into(&mut ch); let value = self.cx.make_node(&self.kinds[{k}], ch, {span_expr});"
                     )
                 } else if alt.passthrough {
-                    format!(
-                        "let mut ch = o.into_values(); let value = if ch.len() == 1 {{ ch.pop().expect(\"len checked\") }} else {{ self.cx.make_node(&self.kinds[{k}], ch, {span_expr}) }};"
-                    )
+                    format!("let value = self.cx.pass_through(&self.kinds[{k}], o, {span_expr});")
                 } else {
                     format!("let ch = o.into_values(); let value = self.cx.make_node(&self.kinds[{k}], ch, {span_expr});")
                 }

@@ -73,7 +73,7 @@ impl CompiledGrammar {
     }
 }
 
-impl<M: MemoTable> Run<'_, M> {
+impl<'r, M: MemoTable> Run<'r, M> {
     // ----- input access (with lookahead accounting) -----
     //
     // Every read of the source text charges `examined`, so that it soundly
@@ -242,25 +242,17 @@ impl<M: MemoTable> Run<'_, M> {
     ) -> Value {
         match kind {
             ProdKind::Void => Value::Unit,
-            ProdKind::Text => {
-                if text_takes_inner {
-                    let mut values = out.into_values();
-                    if matches!(
-                        values.first(),
-                        Some(Value::Text(_) | Value::OwnedText(_))
-                    ) {
-                        return values.swap_remove(0);
-                    }
-                }
-                self.cx.make_text(pos, end, self.g.cfg.text_only)
+            ProdKind::Text if text_takes_inner => {
+                self.cx.inner_text(out, pos, end, self.g.cfg.text_only)
             }
+            ProdKind::Text => self.cx.make_text(pos, end, self.g.cfg.text_only),
             ProdKind::Node => {
-                let mut children = out.into_values();
-                if alt.passthrough && children.len() == 1 {
-                    return children.pop().expect("len checked");
-                }
                 let span = with_span.then(|| Span::new(pos, end));
-                self.cx.make_node(&alt.node_kind, children, span)
+                if alt.passthrough {
+                    self.cx.pass_through(&alt.node_kind, out, span)
+                } else {
+                    self.cx.make_node(&alt.node_kind, out.into_values(), span)
+                }
             }
         }
     }
@@ -629,7 +621,7 @@ impl<M: MemoTable> Run<'_, M> {
     fn eval_class_run(
         &mut self,
         table: &modpeg_runtime::ClassTable,
-        desc: &str,
+        desc: &'r str,
         pos: u32,
     ) -> EvalResult {
         // First-iteration prologue, in scalar order: the abort

@@ -8,7 +8,6 @@
 //! expected there. [`Failures`] implements both strategies so the cost of
 //! the unoptimized one is measurable.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::input::Input;
@@ -24,21 +23,30 @@ const MAX_RECORDED: usize = 1 << 22;
 /// the expected terminals there. In *recording* mode it additionally keeps
 /// every individual failure, as an unoptimized parser would allocate error
 /// objects.
+///
+/// The expected terminals are borrowed for `'a`, the run: every engine's
+/// descriptions outlive it (the interpreter's compiled grammar, the VM's
+/// constant pools, a generated parser's `static` table, string literals).
+/// Farthest-only noting therefore never allocates once the set's `Vec`
+/// has grown: a description already present is recognised by its address,
+/// so the set holds at most one entry per distinct description site. It is
+/// resolved to sorted, content-deduplicated strings only when read
+/// ([`Failures::expected`], [`Failures::to_error`]).
 #[derive(Debug, Clone)]
-pub struct Failures {
+pub struct Failures<'a> {
     farthest: u32,
-    expected: BTreeSet<String>,
+    expected: Vec<&'a str>,
     /// Individual failure records `(offset, expected)` in recording mode.
     recorded: Option<Vec<(u32, String)>>,
     dropped: u64,
 }
 
-impl Failures {
+impl<'a> Failures<'a> {
     /// Creates a farthest-only accumulator (the `errors` optimization on).
     pub fn new() -> Self {
         Failures {
             farthest: 0,
-            expected: BTreeSet::new(),
+            expected: Vec::new(),
             recorded: None,
             dropped: 0,
         }
@@ -49,32 +57,40 @@ impl Failures {
     pub fn recording() -> Self {
         Failures {
             farthest: 0,
-            expected: BTreeSet::new(),
+            expected: Vec::new(),
             recorded: Some(Vec::new()),
             dropped: 0,
         }
     }
 
-    /// Notes that a terminal described by `expected` failed to match at
+    /// Notes that a terminal described by `desc` failed to match at
     /// `offset`.
-    pub fn note(&mut self, offset: u32, expected: &str) {
-        if let Some(rec) = &mut self.recorded {
-            if rec.len() < MAX_RECORDED {
-                rec.push((offset, expected.to_owned()));
-            } else {
-                self.dropped += 1;
-            }
+    #[inline]
+    pub fn note(&mut self, offset: u32, desc: &'a str) {
+        if self.recorded.is_some() {
+            self.record(offset, desc);
         }
-        match offset.cmp(&self.farthest) {
-            std::cmp::Ordering::Greater => {
-                self.farthest = offset;
-                self.expected.clear();
-                self.expected.insert(expected.to_owned());
-            }
-            std::cmp::Ordering::Equal => {
-                self.expected.insert(expected.to_owned());
-            }
-            std::cmp::Ordering::Less => {}
+        if offset < self.farthest {
+            return;
+        }
+        if offset > self.farthest {
+            self.farthest = offset;
+            self.expected.clear();
+        } else if self.expected.iter().any(|&d| std::ptr::eq(d, desc)) {
+            return;
+        }
+        self.expected.push(desc);
+    }
+
+    /// Recording mode's per-failure record: the allocation the `errors`
+    /// optimization removes.
+    #[cold]
+    fn record(&mut self, offset: u32, desc: &str) {
+        let rec = self.recorded.as_mut().expect("recording mode");
+        if rec.len() < MAX_RECORDED {
+            rec.push((offset, desc.to_owned()));
+        } else {
+            self.dropped += 1;
         }
     }
 
@@ -104,9 +120,13 @@ impl Failures {
         }
     }
 
-    /// Terminals expected at the farthest failure offset.
-    pub fn expected(&self) -> impl Iterator<Item = &str> {
-        self.expected.iter().map(String::as_str)
+    /// Terminals expected at the farthest failure offset, sorted in byte
+    /// order with equal texts listed once.
+    pub fn expected(&self) -> Vec<String> {
+        let mut list = self.expected.clone();
+        list.sort_unstable();
+        list.dedup();
+        list.into_iter().map(str::to_owned).collect()
     }
 
     /// Number of individual failures recorded (recording mode only).
@@ -127,7 +147,7 @@ impl Failures {
         ParseError {
             offset: self.farthest,
             position: input.line_col(self.farthest),
-            expected: self.expected.iter().cloned().collect(),
+            expected: self.expected(),
             found: input
                 .char_at(self.farthest)
                 .map(|(c, _)| c.to_string())
@@ -137,7 +157,7 @@ impl Failures {
     }
 }
 
-impl Default for Failures {
+impl Default for Failures<'_> {
     fn default() -> Self {
         Failures::new()
     }
@@ -241,17 +261,61 @@ mod tests {
         f.note(1, "b");
         f.note(3, "c");
         assert_eq!(f.farthest(), 3);
-        let exp: Vec<&str> = f.expected().collect();
-        assert_eq!(exp, vec!["a", "c"]);
+        assert_eq!(f.expected(), ["a", "c"]);
     }
 
     #[test]
     fn later_failure_clears_expected_set() {
         let mut f = Failures::new();
         f.note(2, "x");
+        f.note(2, "z");
         f.note(5, "y");
         assert_eq!(f.farthest(), 5);
-        assert_eq!(f.expected().collect::<Vec<_>>(), vec!["y"]);
+        assert_eq!(f.expected(), ["y"]);
+        f.note(4, "w");
+        assert_eq!((f.farthest(), f.expected()), (5, vec!["y".to_owned()]));
+        f.note(5, "x");
+        assert_eq!(f.expected(), ["x", "y"]);
+    }
+
+    #[test]
+    fn equal_texts_from_distinct_sites_are_listed_once() {
+        let (a, b) = (String::from("';'"), String::from("';'"));
+        assert!(!std::ptr::eq(a.as_str(), b.as_str()));
+        let mut f = Failures::new();
+        f.note(2, &a);
+        f.note(2, &b);
+        let err = f.to_error(&Input::new("ab"));
+        assert_eq!(err.expected(), ["';'"]);
+        assert_eq!(f.expected(), ["';'"]);
+    }
+
+    #[test]
+    fn expected_list_is_sorted_in_byte_order() {
+        let mut f = Failures::new();
+        for desc in ["identifier", "\"(\"", "Zeta", "'('", "digit", "é", "\"(\""] {
+            f.note(0, desc);
+        }
+        // Byte order: quotes before capitals before lower case before
+        // multi-byte characters, exactly as an ordered set of strings.
+        let want = ["\"(\"", "'('", "Zeta", "digit", "identifier", "é"];
+        assert_eq!(f.expected(), want);
+        assert_eq!(f.to_error(&Input::new("")).expected(), want);
+    }
+
+    #[test]
+    fn renoting_a_description_is_idempotent() {
+        let mut f = Failures::new();
+        let desc = "digit";
+        f.note(4, desc);
+        let once = f.clone();
+        for _ in 0..100 {
+            f.note(4, desc);
+        }
+        assert_eq!(f.expected, once.expected, "one entry per site");
+        assert_eq!(f.farthest(), once.farthest());
+        let input = Input::new("12345");
+        assert_eq!(f.to_error(&input), once.to_error(&input));
     }
 
     #[test]
@@ -260,10 +324,13 @@ mod tests {
         f.note(0, "a");
         f.note(0, "a");
         f.note(1, "b");
-        assert_eq!(f.recorded_len(), 3);
+        f.note(0, "c");
+        assert_eq!(f.recorded_len(), 4, "behind the frontier and repeats too");
+        assert_eq!(f.recorded.as_ref().unwrap()[3], (0, "c".to_owned()));
         assert!(f.retained_bytes() > 0);
         // Farthest tracking still works.
         assert_eq!(f.farthest(), 1);
+        assert_eq!(f.expected(), ["b"]);
     }
 
     #[test]
@@ -319,16 +386,24 @@ mod tests {
 
     #[test]
     fn reset_forgets_failures_but_keeps_mode() {
-        let mut f = Failures::recording();
-        f.note(4, "x");
-        f.note(7, "y");
-        f.reset();
-        assert_eq!(f.farthest(), 0);
-        assert_eq!(f.expected().count(), 0);
-        assert_eq!(f.recorded_len(), 0);
-        // Still recording after the reset.
-        f.note(2, "z");
-        assert_eq!(f.recorded_len(), 1);
+        for recording in [false, true] {
+            let mut f = if recording {
+                Failures::recording()
+            } else {
+                Failures::new()
+            };
+            f.dropped = 3;
+            f.note(4, "x");
+            f.note(7, "y");
+            f.reset();
+            assert_eq!((f.farthest(), f.dropped()), (0, 3));
+            assert!(f.expected().is_empty());
+            assert_eq!(f.recorded_len(), 0);
+            // Still in the same mode after the reset.
+            f.note(2, "z");
+            assert_eq!(f.recorded_len(), usize::from(recording));
+            assert_eq!(f.expected(), ["z"]);
+        }
     }
 
     #[test]
@@ -343,7 +418,7 @@ mod tests {
         // a unit test, so exercise the surfacing contract directly.
         let full = Failures {
             farthest: 1,
-            expected: std::iter::once("digit".to_owned()).collect(),
+            expected: vec!["digit"],
             recorded: Some(Vec::new()),
             dropped: 7,
         };

@@ -485,7 +485,7 @@ mod tests {
     /// survives across attempts until the driver says `fresh`.
     struct DigitRuns<'i> {
         input: Input<'i>,
-        failures: Failures,
+        failures: Failures<'static>,
     }
 
     impl<'i> DigitRuns<'i> {

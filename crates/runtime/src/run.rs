@@ -51,8 +51,8 @@ pub struct RunCtx<'a, M> {
     pub memo: M,
     /// Transactional parser state (C `typedef` names and the like).
     pub state: ScopedState,
-    /// The farthest-failure record.
-    pub failures: Failures,
+    /// The farthest-failure record, borrowing the run's descriptions.
+    pub failures: Failures<'a>,
     /// The run's counters.
     pub stats: Stats,
     /// Predicate nesting: failures inside a predicate are not noted.
@@ -89,7 +89,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
     pub fn open(
         text: &'a str,
         memo: M,
-        failures: Failures,
+        failures: Failures<'a>,
         gov: Option<&'a Governor>,
         telem: Option<&Telemetry>,
         names: impl FnOnce() -> Vec<String>,
@@ -178,7 +178,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
 
     /// Notes that `desc` was expected at `pos`, unless inside a predicate.
     #[inline]
-    pub fn note(&mut self, pos: u32, desc: &str) {
+    pub fn note(&mut self, pos: u32, desc: &'a str) {
         if self.suppress == 0 {
             self.failures.note(pos, desc);
         }
@@ -319,7 +319,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
 
     /// The literal `text` at `pos`, compared as one string.
     #[inline]
-    pub fn lit(&mut self, pos: u32, text: &str, desc: &str) -> Result<u32, Fail> {
+    pub fn lit(&mut self, pos: u32, text: &str, desc: &'a str) -> Result<u32, Fail> {
         self.stats.terminal_comparisons += text.len() as u64;
         if self.input.starts_with(pos, text) {
             Ok(pos + text.len() as u32)
@@ -331,7 +331,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
 
     /// The literal `text` at `pos`, compared byte by byte up to the first
     /// mismatch: the naive strategy the `string_match` ablation measures.
-    pub fn lit_bytes(&mut self, pos: u32, text: &str, desc: &str) -> Result<u32, Fail> {
+    pub fn lit_bytes(&mut self, pos: u32, text: &str, desc: &'a str) -> Result<u32, Fail> {
         let mut p = pos;
         for &b in text.as_bytes() {
             self.stats.terminal_comparisons += 1;
@@ -346,7 +346,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
 
     /// One character of `table`'s class at `pos`.
     #[inline(always)]
-    pub fn cls(&mut self, pos: u32, table: &ClassTable, desc: &str) -> Result<u32, Fail> {
+    pub fn cls(&mut self, pos: u32, table: &ClassTable, desc: &'a str) -> Result<u32, Fail> {
         self.stats.terminal_comparisons += 1;
         match self.input.char_at(pos) {
             Some((c, len)) if table.matches_char(c) => Ok(pos + len),
@@ -368,7 +368,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
     /// `terminal_comparisons`, the same farthest-failure note at the
     /// run's end, and on an abort `Err` carrying the character boundary
     /// the scalar loop stopped at, with no note recorded.
-    pub fn class_run(&mut self, pos: u32, table: &ClassTable, desc: &str) -> Result<u32, u32> {
+    pub fn class_run(&mut self, pos: u32, table: &ClassTable, desc: &'a str) -> Result<u32, u32> {
         if scan::scalar_forced() {
             return self.class_run_scalar(pos, table, desc);
         }
@@ -398,7 +398,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
         &mut self,
         mut pos: u32,
         table: &ClassTable,
-        desc: &str,
+        desc: &'a str,
     ) -> Result<u32, u32> {
         loop {
             if self.guard().is_err() {
@@ -452,6 +452,33 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
             None => Node::new(kind.clone(), children),
         };
         Value::Node(Rc::new(node))
+    }
+
+    /// A pass-through alternative's value: its single value as it is, or a
+    /// node of `kind` over its values when it contributed none or several.
+    #[inline]
+    pub fn pass_through(&mut self, kind: &NodeKind, out: Out, span: Option<Span>) -> Value {
+        match out {
+            Out::One(v) => v,
+            Out::Many(mut vs) if vs.len() == 1 => vs.pop().expect("len checked"),
+            out => self.make_node(kind, out.into_values(), span),
+        }
+    }
+
+    /// A text production's value when it takes its inner text: the
+    /// alternative's first value if that is textual, otherwise the text
+    /// of `lo..hi` (see [`RunCtx::make_text`]).
+    #[inline]
+    pub fn inner_text(&mut self, out: Out, lo: u32, hi: u32, text_only: bool) -> Value {
+        let first = match out {
+            Out::One(v) => Some(v),
+            Out::Many(vs) => vs.into_iter().next(),
+            Out::None => None,
+        };
+        match first {
+            Some(v @ (Value::Text(_) | Value::OwnedText(_))) => v,
+            _ => self.make_text(lo, hi, text_only),
+        }
     }
 
     /// A list of `items`, splicing list-valued items in one level (see
@@ -734,7 +761,7 @@ mod tests {
         scan::reset_forced();
         let farthest = cx.failures.farthest();
         assert_eq!(
-            cx.failures.expected().count() > 0,
+            !cx.failures.expected().is_empty(),
             end.is_ok(),
             "a note only without an abort"
         );

@@ -61,7 +61,7 @@ struct Mark {
     pos: u32,
 }
 
-pub(crate) struct Machine<'p, 'i> {
+pub(crate) struct Machine<'p: 'i, 'i> {
     p: &'p VmProgram,
     cx: RunCtx<'i, ChunkMemo>,
     pc: u32,
@@ -74,7 +74,7 @@ pub(crate) struct Machine<'p, 'i> {
     calls: Vec<CallFrame>,
 }
 
-impl<'p, 'i> Machine<'p, 'i> {
+impl<'p: 'i, 'i> Machine<'p, 'i> {
     /// Opens a machine over `text`, under `gov`'s limits and reporting to
     /// `telem` when given.
     pub(crate) fn new(
@@ -457,10 +457,10 @@ impl<'p, 'i> Machine<'p, 'i> {
                     with_span,
                 } => {
                     let f = *self.calls.last().expect("finisher inside a production");
-                    let mut children = self.vstack.split_off(f.vbase as usize);
-                    self.acc = if passthrough && children.len() == 1 {
-                        children.pop().expect("len checked")
+                    self.acc = if passthrough && self.vstack.len() == f.vbase as usize + 1 {
+                        self.vstack.pop().expect("len checked")
                     } else {
+                        let children = self.vstack.split_off(f.vbase as usize);
                         let span = with_span.then(|| Span::new(f.pos0, self.pos));
                         self.cx.make_node(p.kind(kind), children, span)
                     };
