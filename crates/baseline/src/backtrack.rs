@@ -397,10 +397,7 @@ mod tests {
 
     #[test]
     fn depth_guard_survives_pathological_nesting() {
-        let g = grammar(
-            "module m; public V = \"[\" V \"]\" / $[0-9]+ ;",
-            "m",
-        );
+        let g = grammar("module m; public V = \"[\" V \"]\" / $[0-9]+ ;", "m");
         let p = BacktrackParser::new(&g);
         // 100k-deep nesting used to overflow the stack and kill the
         // process; now the guard trips and reports it.

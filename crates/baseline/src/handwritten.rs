@@ -472,9 +472,7 @@ impl P {
             Tok::KwInt | Tok::KwBoolean | Tok::KwChar | Tok::KwVoid => true,
             Tok::Ident => {
                 let mut j = self.pos + 1;
-                while self.toks[j].tok == Tok::LBrack
-                    && self.toks[j + 1].tok == Tok::RBrack
-                {
+                while self.toks[j].tok == Tok::LBrack && self.toks[j + 1].tok == Tok::RBrack {
                     j += 2;
                 }
                 self.toks[j].tok == Tok::Ident

@@ -23,7 +23,12 @@ fn main() {
                     m.productions.to_string(),
                     m.declarations.to_string(),
                     m.lines.to_string(),
-                    if m.is_modification { "modification" } else { "definition" }.to_owned(),
+                    if m.is_modification {
+                        "modification"
+                    } else {
+                        "definition"
+                    }
+                    .to_owned(),
                 ]);
             }
         }
@@ -80,7 +85,12 @@ fn main() {
         })
         .collect();
     json_rows.extend(totals.iter().map(|(n, p, l)| {
-        let mut jr = vec!["totals".to_owned(), n.clone(), "-".to_owned(), p.to_string()];
+        let mut jr = vec![
+            "totals".to_owned(),
+            n.clone(),
+            "-".to_owned(),
+            p.to_string(),
+        ];
         jr.push("-".to_owned());
         jr.push(l.to_string());
         jr.extend(pad(4));

@@ -247,7 +247,9 @@ fn load_grammar(args: &Args) -> Result<Grammar, CliError> {
             let modules: Vec<_> = set.iter().collect();
             (modules.len() == 1).then(|| modules[0].name.clone())
         })
-        .ok_or_else(|| CliError::Usage("--root <module> is required with multiple modules".into()))?;
+        .ok_or_else(|| {
+            CliError::Usage("--root <module> is required with multiple modules".into())
+        })?;
     set.elaborate(&root, args.start.as_deref())
         .map_err(|e| CliError::Failure(e.to_string()))
 }
@@ -412,10 +414,15 @@ fn cmd_fmt(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
-    println!("{:<28} {:>6} {:>6} {:>6}  kind", "module", "prods", "decls", "lines");
+    println!(
+        "{:<28} {:>6} {:>6} {:>6}  kind",
+        "module", "prods", "decls", "lines"
+    );
     for f in &args.files {
         let text = std::fs::read_to_string(f).map_err(|e| CliError::Io(format!("{f}: {e}")))?;
-        for m in modpeg_grammars::module_stats(&text).map_err(|e| CliError::Failure(e.to_string()))? {
+        for m in
+            modpeg_grammars::module_stats(&text).map_err(|e| CliError::Failure(e.to_string()))?
+        {
             println!(
                 "{:<28} {:>6} {:>6} {:>6}  {}",
                 m.name,
@@ -552,7 +559,10 @@ fn cmd_compile(args: &Args) -> Result<(), CliError> {
 const TELEMETRY_CAP: usize = 1 << 20;
 
 /// Renders a telemetry report in the requested `--format`.
-fn render_profile(args: &Args, report: &modpeg_telemetry::TelemetryReport) -> Result<String, CliError> {
+fn render_profile(
+    args: &Args,
+    report: &modpeg_telemetry::TelemetryReport,
+) -> Result<String, CliError> {
     Ok(match args.format.as_deref().unwrap_or("summary") {
         "summary" => MetricsRegistry::from_report(report).to_string(),
         "chrome" => export::chrome_trace(report),
@@ -921,14 +931,15 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
     let grammar = load_grammar(args)?;
     let plan = load_plan(args)?;
     let doc = format!("Generated from {}", args.files.join(", "));
-    let source = modpeg_codegen::generate_with_plan(&grammar, plan.as_ref(), &doc).map_err(|e| {
-        if plan.is_some() {
-            // A rejected plan (stale fingerprint) is user-fixable.
-            CliError::Failure(e.to_string())
-        } else {
-            CliError::Internal(e.to_string())
-        }
-    })?;
+    let source =
+        modpeg_codegen::generate_with_plan(&grammar, plan.as_ref(), &doc).map_err(|e| {
+            if plan.is_some() {
+                // A rejected plan (stale fingerprint) is user-fixable.
+                CliError::Failure(e.to_string())
+            } else {
+                CliError::Internal(e.to_string())
+            }
+        })?;
     match &args.out {
         Some(path) => {
             std::fs::write(path, source).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
@@ -984,8 +995,10 @@ mod tests {
 
     #[test]
     fn parses_flags_and_files() {
-        let a = parse_args(argv("parse g1.mpeg g2.mpeg --root java.Program --input x.java --stats"))
-            .unwrap();
+        let a = parse_args(argv(
+            "parse g1.mpeg g2.mpeg --root java.Program --input x.java --stats",
+        ))
+        .unwrap();
         assert_eq!(a.command, "parse");
         assert_eq!(a.files, vec!["g1.mpeg", "g2.mpeg"]);
         assert_eq!(a.root.as_deref(), Some("java.Program"));
@@ -1014,8 +1027,10 @@ mod tests {
 
     #[test]
     fn parses_fuzz_flags_without_files() {
-        let a = parse_args(argv("fuzz --grammar json --seeds 50 --engines opt-levels,codegen"))
-            .unwrap();
+        let a = parse_args(argv(
+            "fuzz --grammar json --seeds 50 --engines opt-levels,codegen",
+        ))
+        .unwrap();
         assert_eq!(a.command, "fuzz");
         assert!(a.files.is_empty());
         assert_eq!(a.grammar.as_deref(), Some("json"));
@@ -1074,7 +1089,14 @@ mod tests {
         assert_eq!(err.exit_code(), 2);
         assert!(err.message().contains("svg"), "{}", err.message());
         // Every documented format renders something for an empty report.
-        for fmt in ["chrome", "folded", "heatmap", "heatmap-csv", "json", "summary"] {
+        for fmt in [
+            "chrome",
+            "folded",
+            "heatmap",
+            "heatmap-csv",
+            "json",
+            "summary",
+        ] {
             let mut a = parse_args(argv("profile g.mpeg --input x")).unwrap();
             a.format = Some(fmt.to_owned());
             assert!(render_profile(&a, &report).is_ok(), "{fmt}");

@@ -37,7 +37,12 @@ fn exit_code(out: &Output) -> i32 {
 fn successful_parse_exits_zero() {
     let input = temp_input("ok.calc", "1 + 2 * 3");
     let out = run(&["parse", &calc_grammar(), "--input", &input]);
-    assert_eq!(exit_code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Add"));
 }
 
@@ -45,7 +50,12 @@ fn successful_parse_exits_zero() {
 fn syntax_error_exits_one() {
     let input = temp_input("bad.calc", "1 + * 2");
     let out = run(&["parse", &calc_grammar(), "--input", &input]);
-    assert_eq!(exit_code(&out), 1, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        exit_code(&out),
+        1,
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -80,7 +90,14 @@ fn resource_aborts_exit_four() {
     );
     assert!(String::from_utf8_lossy(&starved.stderr).contains("abort"));
 
-    let shallow = run(&["parse", &calc_grammar(), "--input", &input, "--max-depth", "2"]);
+    let shallow = run(&[
+        "parse",
+        &calc_grammar(),
+        "--input",
+        &input,
+        "--max-depth",
+        "2",
+    ]);
     assert_eq!(exit_code(&shallow), 4);
 
     // The same input under generous limits parses fine — the abort was a
@@ -155,7 +172,12 @@ fn trace_and_events_compose_with_engine_and_governor_flags() {
 #[test]
 fn fault_smoke_campaign_exits_zero() {
     let out = run(&["fault", "--grammar", "calc", "--smoke"]);
-    assert_eq!(exit_code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("abort contract holds"));
 }
 
@@ -201,7 +223,12 @@ fn malformed_input_exits_one_across_modes() {
 fn check_input_diagnostics_contract() {
     let clean = temp_input("check-ok.calc", "1 + 2 * 3");
     let out = run(&["check", &calc_grammar(), "--input", &clean]);
-    assert_eq!(exit_code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("0 error(s)"));
 
     let bad = temp_input("check-bad.calc", "1 + * 2 + ?");
@@ -213,7 +240,10 @@ fn check_input_diagnostics_contract() {
 
     let vm = run(&["check", &calc_grammar(), "--input", &bad, "--engine", "vm"]);
     assert_eq!(exit_code(&vm), 1);
-    assert_eq!(vm.stdout, interp.stdout, "engines must render identical diagnostics");
+    assert_eq!(
+        vm.stdout, interp.stdout,
+        "engines must render identical diagnostics"
+    );
 
     let json = run(&["check", &calc_grammar(), "--input", &bad, "--json"]);
     assert_eq!(exit_code(&json), 1);
@@ -222,10 +252,20 @@ fn check_input_diagnostics_contract() {
     assert!(report.contains("\"error_count\": 2"), "stdout: {report}");
     assert!(report.contains("\"skipped\""), "stdout: {report}");
 
-    let capped = run(&["check", &calc_grammar(), "--input", &bad, "--max-errors", "1"]);
+    let capped = run(&[
+        "check",
+        &calc_grammar(),
+        "--input",
+        &bad,
+        "--max-errors",
+        "1",
+    ]);
     assert_eq!(exit_code(&capped), 1);
     let stdout = String::from_utf8_lossy(&capped.stdout);
-    assert!(stdout.contains("1 error(s) (error budget exhausted"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("1 error(s) (error budget exhausted"),
+        "stdout: {stdout}"
+    );
 
     let starved = run(&["check", &calc_grammar(), "--input", &bad, "--fuel", "3"]);
     assert_eq!(

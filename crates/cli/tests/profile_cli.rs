@@ -79,7 +79,9 @@ fn record_with_vm_engine_works_and_counters_match_interp() {
     let g = grammar("calc");
     let out = run(&["profile", &g, "--input", &input, "--record", &pi]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
-    let out = run(&["profile", &g, "--input", &input, "--record", &pv, "--engine", "vm"]);
+    let out = run(&[
+        "profile", &g, "--input", &input, "--record", &pv, "--engine", "vm",
+    ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
     let interp = std::fs::read_to_string(&pi).unwrap();
     let vm = std::fs::read_to_string(&pv).unwrap();
@@ -117,7 +119,10 @@ fn record_then_optimize_then_parse_with_plan() {
         argv.extend_from_slice(engine);
         let tuned = run(&argv);
         assert_eq!(exit_code(&tuned), 0, "stderr: {}", stderr(&tuned));
-        assert_eq!(tuned.stdout, untuned.stdout, "plan changed the tree ({engine:?})");
+        assert_eq!(
+            tuned.stdout, untuned.stdout,
+            "plan changed the tree ({engine:?})"
+        );
     }
 }
 
@@ -125,9 +130,23 @@ fn record_then_optimize_then_parse_with_plan() {
 fn optimize_against_the_wrong_grammar_exits_one() {
     let input = temp_file("stale.calc", CALC_DOC);
     let prof = temp_path("stale.mprof");
-    let out = run(&["profile", &grammar("calc"), "--input", &input, "--record", &prof]);
+    let out = run(&[
+        "profile",
+        &grammar("calc"),
+        "--input",
+        &input,
+        "--record",
+        &prof,
+    ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
-    let out = run(&["profile", &grammar("json"), "--root", "json", "--optimize", &prof]);
+    let out = run(&[
+        "profile",
+        &grammar("json"),
+        "--root",
+        "json",
+        "--optimize",
+        &prof,
+    ]);
     assert_eq!(exit_code(&out), 1, "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("fingerprint"), "{}", stderr(&out));
 }
@@ -137,29 +156,67 @@ fn stale_plan_is_rejected_as_a_failure() {
     let input = temp_file("stale-plan.calc", CALC_DOC);
     let prof = temp_path("stale-plan.mprof");
     let plan = temp_path("stale-plan.json");
-    let out = run(&["profile", &grammar("calc"), "--input", &input, "--record", &prof]);
+    let out = run(&[
+        "profile",
+        &grammar("calc"),
+        "--input",
+        &input,
+        "--record",
+        &prof,
+    ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
-    let out = run(&["profile", &grammar("calc"), "--optimize", &prof, "--out", &plan]);
+    let out = run(&[
+        "profile",
+        &grammar("calc"),
+        "--optimize",
+        &prof,
+        "--out",
+        &plan,
+    ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
     // A calc plan against the json grammar: fingerprint mismatch, exit 1.
     let json_doc = temp_file("stale-plan.json-doc", "[1, 2, 3]");
     let out = run(&[
-        "parse", &grammar("json"), "--root", "json", "--input", &json_doc, "--plan", &plan,
+        "parse",
+        &grammar("json"),
+        "--root",
+        "json",
+        "--input",
+        &json_doc,
+        "--plan",
+        &plan,
     ]);
     assert_eq!(exit_code(&out), 1, "stderr: {}", stderr(&out));
     // Malformed plan file: also a failure (1); missing plan file: I/O (3).
     let garbage = temp_file("garbage.plan.json", "{\"plan_version\": 999}");
     let input2 = temp_file("stale2.calc", CALC_DOC);
-    let out = run(&["parse", &grammar("calc"), "--input", &input2, "--plan", &garbage]);
+    let out = run(&[
+        "parse",
+        &grammar("calc"),
+        "--input",
+        &input2,
+        "--plan",
+        &garbage,
+    ]);
     assert_eq!(exit_code(&out), 1, "stderr: {}", stderr(&out));
-    let out = run(&["parse", &grammar("calc"), "--input", &input2, "--plan", "/nonexistent.json"]);
+    let out = run(&[
+        "parse",
+        &grammar("calc"),
+        "--input",
+        &input2,
+        "--plan",
+        "/nonexistent.json",
+    ]);
     assert_eq!(exit_code(&out), 3, "stderr: {}", stderr(&out));
 }
 
 #[test]
 fn diff_clean_exits_zero_and_regression_exits_one() {
     let small = temp_file("diff-small.calc", CALC_DOC);
-    let big = temp_file("diff-big.calc", &format!("{CALC_DOC} + {CALC_DOC} * {CALC_DOC}"));
+    let big = temp_file(
+        "diff-big.calc",
+        &format!("{CALC_DOC} + {CALC_DOC} * {CALC_DOC}"),
+    );
     let (pa, pb) = (temp_path("diff-a.mprof"), temp_path("diff-b.mprof"));
     let g = grammar("calc");
     let out = run(&["profile", &g, "--input", &small, "--record", &pa]);
@@ -225,7 +282,9 @@ fn sample_and_format_still_compose_with_record() {
         "profile", &g, "--input", &input, "--record", &sampled, "--sample", "4",
     ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
-    assert!(std::fs::read_to_string(&sampled).unwrap().contains("\"mprof_version\""));
+    assert!(std::fs::read_to_string(&sampled)
+        .unwrap()
+        .contains("\"mprof_version\""));
 }
 
 #[test]
@@ -241,7 +300,12 @@ fn profile_usage_and_io_errors_have_distinct_exit_codes() {
     let out = run(&["profile", "merge", "a.mprof", "b.mprof"]);
     assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
     // Missing .mprof files are I/O errors (3); corrupt ones fail (1).
-    let out = run(&["profile", "diff", "/nonexistent/a.mprof", "/nonexistent/b.mprof"]);
+    let out = run(&[
+        "profile",
+        "diff",
+        "/nonexistent/a.mprof",
+        "/nonexistent/b.mprof",
+    ]);
     assert_eq!(exit_code(&out), 3, "stderr: {}", stderr(&out));
     let corrupt = temp_file("corrupt.mprof", "not json at all");
     let out = run(&["profile", "diff", &corrupt, &corrupt]);
@@ -249,6 +313,13 @@ fn profile_usage_and_io_errors_have_distinct_exit_codes() {
     let out = run(&["profile", &g, "--optimize", "/nonexistent/p.mprof"]);
     assert_eq!(exit_code(&out), 3, "stderr: {}", stderr(&out));
     // Recording to an unwritable path is an I/O error.
-    let out = run(&["profile", &g, "--input", &input, "--record", "/nonexistent/dir/x.mprof"]);
+    let out = run(&[
+        "profile",
+        &g,
+        "--input",
+        &input,
+        "--record",
+        "/nonexistent/dir/x.mprof",
+    ]);
     assert_eq!(exit_code(&out), 3, "stderr: {}", stderr(&out));
 }

@@ -191,9 +191,9 @@ fn inject_document(
     let ref_sexpr = match reference.parse(doc) {
         Ok(tree) => tree.to_sexpr(),
         Err(e) => {
-            report
-                .violations
-                .push(format!("{name}/doc{doc_no}: workload document rejected: {e}"));
+            report.violations.push(format!(
+                "{name}/doc{doc_no}: workload document rejected: {e}"
+            ));
             return;
         }
     };
@@ -226,9 +226,10 @@ fn inject_document(
         let mut memo = ChunkMemo::new(slots, len);
         let (r, _) = governed_incremental(incremental, doc, &mut memo, &gov);
         if abort_kind(&r) != Some(ParseAbort::FuelExhausted) {
-            report
-                .violations
-                .push(format!("{tag}: expected FuelExhausted, got {}", describe(&r)));
+            report.violations.push(format!(
+                "{tag}: expected FuelExhausted, got {}",
+                describe(&r)
+            ));
             continue;
         }
         // Structural memo soundness: no occupied column starts outside
@@ -269,7 +270,8 @@ fn inject_document(
                 (range.end - range.start) as u32,
                 insert.len() as u32,
             );
-            if let Some(v) = memo_invariant_violation(&memo, range.start as u32, insert.len() as u32)
+            if let Some(v) =
+                memo_invariant_violation(&memo, range.start as u32, insert.len() as u32)
             {
                 report
                     .violations
@@ -303,8 +305,8 @@ fn inject_document(
         report.degradations += 1;
         let gov = Governor::new().with_memo_budget(budget.max(1));
         let (r, _) = governed_incremental(incremental, doc, &mut ChunkMemo::new(slots, len), &gov);
-        let ok = matches_reference(&r, &ref_sexpr)
-            || abort_kind(&r) == Some(ParseAbort::MemoBudget);
+        let ok =
+            matches_reference(&r, &ref_sexpr) || abort_kind(&r) == Some(ParseAbort::MemoBudget);
         if !ok {
             report.violations.push(format!(
                 "{name}/doc{doc_no}: interp memo budget {budget}: expected reference tree or \
@@ -334,7 +336,11 @@ fn inject_document(
         report.injections += 1;
         let tag = format!("{name}/doc{doc_no}/session");
         let mut session = ParseSession::new(incremental.clone(), doc.to_owned());
-        let fuel = if total > 1 { rng.gen_range(1..total) } else { 0 };
+        let fuel = if total > 1 {
+            rng.gen_range(1..total)
+        } else {
+            0
+        };
         let gov = Governor::new().with_fuel(fuel);
         match session.run(ParseRequest::tree().governed(&gov)).0 {
             Err(ParseFault::Abort(ParseAbort::FuelExhausted)) => {}
@@ -503,7 +509,8 @@ fn inject_recovery(
         let label = engine.name();
         let probe = Governor::new();
         match run(engine, &probe) {
-            Ok(rec) if rec.tree.to_sexpr() == ref_sexpr && rec.diagnostics == ref_rec.diagnostics => {}
+            Ok(rec)
+                if rec.tree.to_sexpr() == ref_sexpr && rec.diagnostics == ref_rec.diagnostics => {}
             Ok(rec) => {
                 report.violations.push(format!(
                     "{name}/doc{doc_no}/{label}: unlimited governed recovery diverged: {}",
@@ -587,8 +594,16 @@ fn recovery_disagreement(
         ));
     }
     let (g, w) = (&got.diagnostics, &want.diagnostics);
-    let got_shape: Vec<_> = g.errors.iter().map(|d| (d.error.offset(), d.skipped)).collect();
-    let want_shape: Vec<_> = w.errors.iter().map(|d| (d.error.offset(), d.skipped)).collect();
+    let got_shape: Vec<_> = g
+        .errors
+        .iter()
+        .map(|d| (d.error.offset(), d.skipped))
+        .collect();
+    let want_shape: Vec<_> = w
+        .errors
+        .iter()
+        .map(|d| (d.error.offset(), d.skipped))
+        .collect();
     if got_shape != want_shape || g.truncated != w.truncated {
         return Some(format!(
             "diagnostics shape {got_shape:?} (truncated {}) diverged from scratch \
@@ -656,8 +671,7 @@ fn inject_engine(
         report.degradations += 1;
         let gov = Governor::new().with_memo_budget(budget.max(1));
         let (r, _) = governed(engine, doc, &gov);
-        let ok =
-            matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::MemoBudget);
+        let ok = matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::MemoBudget);
         if !ok {
             report.violations.push(format!(
                 "{name}/doc{doc_no}: {label} memo budget {budget}: expected reference tree or \
@@ -748,8 +762,7 @@ fn describe(r: &Result<SyntaxTree, ParseFault>) -> String {
 ///
 /// Panics with every violation found, or when the grammar is unknown.
 pub fn assert_fault_injection_clean(grammar: &str) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let report = fault_grammar(id, &FaultConfig::smoke()).expect("engines compile");
     assert!(
         report.clean(),
@@ -781,12 +794,7 @@ mod tests {
     fn smoke_campaign_is_clean_on_every_grammar() {
         for id in GrammarId::ALL {
             let report = fault_grammar(id, &FaultConfig::smoke()).unwrap();
-            assert!(
-                report.clean(),
-                "{}: {:#?}",
-                id.name(),
-                report.violations
-            );
+            assert!(report.clean(), "{}: {:#?}", id.name(), report.violations);
             assert!(report.documents > 0);
             assert!(report.injections > 0, "{}: nothing injected", id.name());
             assert!(report.degradations > 0);

@@ -123,11 +123,7 @@ impl<'g> Generator<'g> {
             // Coverage bias: three times out of four, chase an uncovered
             // feasible alternative when one exists.
             let uncovered: Vec<usize> = match &self.bias[id.index()] {
-                Some(hits) => feasible
-                    .iter()
-                    .copied()
-                    .filter(|&i| hits[i] == 0)
-                    .collect(),
+                Some(hits) => feasible.iter().copied().filter(|&i| hits[i] == 0).collect(),
                 None => Vec::new(),
             };
             if !uncovered.is_empty() && rng.gen_ratio(3, 4) {
@@ -167,10 +163,7 @@ impl<'g> Generator<'g> {
                     .collect();
                 match feasible.len() {
                     0 => {
-                        if let Some(x) = xs
-                            .iter()
-                            .min_by_key(|x| expr_height(x, &self.heights))
-                        {
+                        if let Some(x) = xs.iter().min_by_key(|x| expr_height(x, &self.heights)) {
                             self.gen_expr(x, depth, max_len, out, rng);
                         }
                     }
@@ -252,7 +245,10 @@ fn sample_class(class: &CharClass, rng: &mut StdRng) -> char {
             return c;
         }
     }
-    for c in (0x20u8..0x7F).map(char::from).chain(['\n', '\t', 'α', 'ω', 'é']) {
+    for c in (0x20u8..0x7F)
+        .map(char::from)
+        .chain(['\n', '\t', 'α', 'ω', 'é'])
+    {
         if class.matches(c) {
             return c;
         }
@@ -267,11 +263,8 @@ mod tests {
     #[test]
     fn calc_sentences_mostly_parse() {
         let g = modpeg_grammars::calc_grammar().unwrap();
-        let parser = modpeg_interp::CompiledGrammar::compile(
-            &g,
-            modpeg_interp::OptConfig::all(),
-        )
-        .unwrap();
+        let parser =
+            modpeg_interp::CompiledGrammar::compile(&g, modpeg_interp::OptConfig::all()).unwrap();
         let generator = Generator::new(&g);
         let mut rng = StdRng::seed_from_u64(11);
         let mut accepted = 0;

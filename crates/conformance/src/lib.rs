@@ -239,8 +239,8 @@ pub fn fuzz_grammar(id: GrammarId, cfg: &FuzzConfig) -> Result<FuzzReport, Strin
     let oracle = Oracle::new(&grammar, Some(id), cfg.engines)?;
     // Coverage must come from an unoptimized compile so alternative
     // indices align with the elaborated grammar (see `Generator::set_bias`).
-    let coverage_parser = CompiledGrammar::compile(&grammar, OptConfig::none())
-        .map_err(|e| e.to_string())?;
+    let coverage_parser =
+        CompiledGrammar::compile(&grammar, OptConfig::none()).map_err(|e| e.to_string())?;
     let mut generator = Generator::new(&grammar);
     let mut rng = StdRng::seed_from_u64(cfg.rng_seed ^ fnv1a(id.name().as_bytes()));
 
@@ -310,7 +310,9 @@ pub fn fuzz_grammar(id: GrammarId, cfg: &FuzzConfig) -> Result<FuzzReport, Strin
         }
     }
 
-    report.coverage_ratio = coverage.as_ref().map_or(0.0, modpeg_interp::Coverage::ratio);
+    report.coverage_ratio = coverage
+        .as_ref()
+        .map_or(0.0, modpeg_interp::Coverage::ratio);
     report.event_checks = oracle.event_checks();
     report.recovery_checks = oracle.recovery_checks();
     report.scan_parity_checks = oracle.scan_parity_checks();
@@ -407,8 +409,7 @@ fn check_one(
 ///
 /// Panics with the divergence description when any engine disagrees.
 pub fn assert_engines_agree(grammar: &str, input: &str) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let g = id.elaborate().expect("grammar elaborates");
     let oracle = Oracle::new(&g, Some(id), EngineSet::all()).expect("engines compile");
     if let Some(detail) = oracle.check(input) {
@@ -426,8 +427,7 @@ pub fn assert_engines_agree(grammar: &str, input: &str) {
 /// Panics with the divergence description when any engine disagrees or
 /// an invariant is violated.
 pub fn assert_recovery_agrees(grammar: &str, input: &str) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let g = id.elaborate().expect("grammar elaborates");
     let oracle = Oracle::new(&g, Some(id), EngineSet::all()).expect("engines compile");
     if let Some(detail) = oracle.check_recovery(input) {
@@ -482,8 +482,7 @@ pub fn seed_errors(doc: &str, k: usize) -> (String, Vec<String>) {
 /// the recovered tree under-reports the seeded errors, or when any
 /// engine disagrees on the corrupted input.
 pub fn assert_recovery_covers_seeded_errors(grammar: &str, seed: u64, errors: usize) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let g = id.elaborate().expect("grammar elaborates");
     let full = CompiledGrammar::compile(&g, OptConfig::all()).expect("grammar compiles");
     let doc = id.workload(seed, 260);
@@ -525,8 +524,7 @@ pub fn assert_recovery_covers_seeded_errors(grammar: &str, seed: u64, errors: us
 /// Panics with the divergence description when a reparse or the memo
 /// invariant disagrees.
 pub fn assert_edit_script_agrees(grammar: &str, input: &str, seed: u64) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let g = id.elaborate().expect("grammar elaborates");
     let oracle = Oracle::new(&g, Some(id), EngineSet::all()).expect("engines compile");
     if let Some(detail) = oracle.check_edits(input, seed) {
@@ -549,8 +547,7 @@ pub fn assert_edit_script_agrees(grammar: &str, input: &str, seed: u64) {
 /// or when any collector dropped events (raise the cap instead of
 /// comparing approximations).
 pub fn assert_memo_telemetry_agrees(grammar: &str, input: &str) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let g = id.elaborate().expect("grammar elaborates");
     let compiled = CompiledGrammar::compile(&g, OptConfig::all()).expect("grammar compiles");
     let vm = modpeg_vm::VmProgram::from_compiled(&compiled).expect("bytecode assembles");
@@ -600,8 +597,7 @@ pub fn assert_memo_telemetry_agrees(grammar: &str, input: &str) {
 /// Panics with the first differing production when the profiles
 /// disagree, or when either collector dropped events.
 pub fn assert_profile_record_agrees(grammar: &str, input: &str) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let g = id.elaborate().expect("grammar elaborates");
     // The record configuration: every production memoized, so the
     // profile observes memo behavior everywhere (see `cmd_profile`).
@@ -627,18 +623,19 @@ pub fn assert_profile_record_agrees(grammar: &str, input: &str) {
     assert!(a.complete(), "interp collector overflowed");
     assert!(b.complete(), "vm collector overflowed");
 
-    let deterministic = |p: &modpeg_telemetry::WorkloadProfile| -> Vec<(String, modpeg_telemetry::ProdProfile)> {
-        p.prods
-            .iter()
-            .map(|(name, row)| {
-                let mut row = row.clone();
-                row.total_ns = 0;
-                row.self_ns = 0;
-                row.time_hist = [0; 16];
-                (name.clone(), row)
-            })
-            .collect()
-    };
+    let deterministic =
+        |p: &modpeg_telemetry::WorkloadProfile| -> Vec<(String, modpeg_telemetry::ProdProfile)> {
+            p.prods
+                .iter()
+                .map(|(name, row)| {
+                    let mut row = row.clone();
+                    row.total_ns = 0;
+                    row.self_ns = 0;
+                    row.time_hist = [0; 16];
+                    (name.clone(), row)
+                })
+                .collect()
+        };
     assert_eq!(
         deterministic(&a),
         deterministic(&b),
@@ -658,8 +655,7 @@ pub fn assert_profile_record_agrees(grammar: &str, input: &str) {
 /// Panics when the tuner rejects its own recording, or when any tuned
 /// engine's verdict differs from the untuned reference.
 pub fn assert_tuned_plan_agrees(grammar: &str, input: &str) {
-    let id = GrammarId::from_name(grammar)
-        .unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
+    let id = GrammarId::from_name(grammar).unwrap_or_else(|| panic!("unknown grammar {grammar:?}"));
     let g = id.elaborate().expect("grammar elaborates");
     let recorder =
         CompiledGrammar::compile(&g, OptConfig::incremental()).expect("grammar compiles");
@@ -705,12 +701,7 @@ pub fn assert_tuned_plan_agrees(grammar: &str, input: &str) {
 }
 
 /// Renders a ready-to-paste regression test for a minimized divergence.
-fn regression_snippet(
-    id: GrammarId,
-    input: &str,
-    edit_seed: Option<u64>,
-    detail: &str,
-) -> String {
+fn regression_snippet(id: GrammarId, input: &str, edit_seed: Option<u64>, detail: &str) -> String {
     let hash = fnv1a(input.as_bytes()) & 0xFFFF_FFFF;
     let name = format!("regression_{}_{hash:08x}", id.name());
     let body = match edit_seed {
@@ -760,11 +751,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(
-            report.clean(),
-            "divergences: {:#?}",
-            report.divergences
-        );
+        assert!(report.clean(), "divergences: {:#?}", report.divergences);
         assert!(report.inputs_tested > 40);
         assert!(report.accepted > 0, "no accepted inputs at all");
         assert!(report.rejected > 0, "mutants never got rejected");

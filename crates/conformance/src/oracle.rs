@@ -337,7 +337,10 @@ fn starved_recovery_violation(
 
 pub(crate) fn clip(s: &str) -> String {
     if s.len() > 160 {
-        let cut = (0..=160).rev().find(|i| s.is_char_boundary(*i)).unwrap_or(0);
+        let cut = (0..=160)
+            .rev()
+            .find(|i| s.is_char_boundary(*i))
+            .unwrap_or(0);
         format!("{}…", &s[..cut])
     } else {
         s.to_owned()
@@ -837,7 +840,9 @@ impl<'g> Oracle<'g> {
                 if rebuilt != reference.sexpr {
                     return Some(format!(
                         "engine `{label}` event stream rebuilds {} but `cumulative(0)` tree is {}",
-                        rebuilt.as_deref().map_or_else(|| "<unbalanced stream>".to_owned(), clip),
+                        rebuilt
+                            .as_deref()
+                            .map_or_else(|| "<unbalanced stream>".to_owned(), clip),
                         reference.sexpr.as_deref().map_or_else(String::new, clip)
                     ));
                 }
@@ -881,9 +886,7 @@ impl<'g> Oracle<'g> {
             session.apply_edit(range.clone(), &insert);
             let incremental = Outcome::of(session.parse());
             let scratch = Outcome::of(self.incremental.parse(session.text()));
-            if incremental.accepted() != scratch.accepted()
-                || incremental.sexpr != scratch.sexpr
-            {
+            if incremental.accepted() != scratch.accepted() || incremental.sexpr != scratch.sexpr {
                 return Some(format!(
                     "session reparse diverged after edit {step} ({range:?} -> {insert:?}) on {:?}: {} vs scratch {}",
                     session.text(),
@@ -921,9 +924,7 @@ impl<'g> Oracle<'g> {
             let (result, _) = parser.run_incremental(&doc, ParseRequest::tree(), &mut memo);
             let incremental = Outcome::of(result.map(Parsed::into_tree));
             let scratch = Outcome::of(self.incremental.parse(&doc));
-            if incremental.accepted() != scratch.accepted()
-                || incremental.sexpr != scratch.sexpr
-            {
+            if incremental.accepted() != scratch.accepted() || incremental.sexpr != scratch.sexpr {
                 return Some(format!(
                     "memo-carrying reparse diverged after edit {step} ({range:?} -> {insert:?}) on {doc:?}: {} vs scratch {}",
                     incremental.describe(),

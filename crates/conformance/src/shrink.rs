@@ -90,10 +90,14 @@ mod tests {
     #[test]
     fn budget_caps_predicate_calls() {
         let mut calls = 0;
-        let _ = ddmin("aaaaaaaaaaaaaaaaaaaaaaaa", |s| {
-            calls += 1;
-            s.contains('a')
-        }, 7);
+        let _ = ddmin(
+            "aaaaaaaaaaaaaaaaaaaaaaaa",
+            |s| {
+                calls += 1;
+                s.contains('a')
+            },
+            7,
+        );
         assert!(calls <= 8, "{calls}"); // entry check + budget
     }
 }

@@ -116,16 +116,10 @@ fn parse_one(
 /// and child indices), or `None` when the trees are identical.
 fn diff(path: &str, a: &SExpr, b: &SExpr) -> Option<String> {
     match (a, b) {
-        (SExpr::Atom(x), SExpr::Atom(y)) => {
-            (x != y).then(|| format!("at {path}: leaf {x} vs {y}"))
-        }
+        (SExpr::Atom(x), SExpr::Atom(y)) => (x != y).then(|| format!("at {path}: leaf {x} vs {y}")),
         (SExpr::List(xs), SExpr::List(ys)) => {
             if xs.first().map(SExpr::head) != ys.first().map(SExpr::head) {
-                return Some(format!(
-                    "at {path}: kind {} vs {}",
-                    a.head(),
-                    b.head()
-                ));
+                return Some(format!("at {path}: kind {} vs {}", a.head(), b.head()));
             }
             if xs.len() != ys.len() {
                 return Some(format!(
@@ -135,15 +129,13 @@ fn diff(path: &str, a: &SExpr, b: &SExpr) -> Option<String> {
                     ys.len() - 1
                 ));
             }
-            xs.iter().zip(ys).enumerate().skip(1).find_map(|(i, (x, y))| {
-                diff(&format!("{path}.{}[{}]", a.head(), i - 1), x, y)
-            })
+            xs.iter()
+                .zip(ys)
+                .enumerate()
+                .skip(1)
+                .find_map(|(i, (x, y))| diff(&format!("{path}.{}[{}]", a.head(), i - 1), x, y))
         }
-        _ => Some(format!(
-            "at {path}: {} vs {}",
-            a.head(),
-            b.head()
-        )),
+        _ => Some(format!("at {path}: {} vs {}", a.head(), b.head())),
     }
 }
 
@@ -217,8 +209,12 @@ fn check_golden(id: GrammarId, input: &str, golden_file: &str) {
         std::fs::write(&path, format!("{generated}\n")).expect("write golden file");
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); run with MODPEG_BLESS=1", path.display()));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with MODPEG_BLESS=1",
+            path.display()
+        )
+    });
     assert_same_tree(
         &format!(
             "{} vs snapshot {} (if intentional, re-bless with MODPEG_BLESS=1)",
@@ -250,11 +246,7 @@ fn golden_tree_java() {
 
 #[test]
 fn golden_tree_c() {
-    check_golden(
-        GrammarId::C,
-        &modpeg_workload::c_program(7, 320),
-        "c.sexpr",
-    );
+    check_golden(GrammarId::C, &modpeg_workload::c_program(7, 320), "c.sexpr");
 }
 
 #[test]

@@ -101,16 +101,48 @@ fn seeded_errors_recovered_c() {
 #[test]
 fn recovery_agrees_on_hostile_boundary_inputs() {
     let per_grammar: &[(&str, &[&str])] = &[
-        ("calc", &["", "@", "@@@@", "1+@", "@+1", "(1+2", "1+(2*α)+β", "α", "1+2)"]),
+        (
+            "calc",
+            &[
+                "",
+                "@",
+                "@@@@",
+                "1+@",
+                "@+1",
+                "(1+2",
+                "1+(2*α)+β",
+                "α",
+                "1+2)",
+            ],
+        ),
         (
             "json",
-            &["", "{", "}", "[1,]", "{\"a\":}", "[1 2]", "{\"α\":∞}", "[[[", "nul"],
+            &[
+                "",
+                "{",
+                "}",
+                "[1,]",
+                "{\"a\":}",
+                "[1 2]",
+                "{\"α\":∞}",
+                "[[[",
+                "nul",
+            ],
         ),
         (
             "java",
-            &["", "class", "class A { void f() { } ", "class A { int x = ; }", "∂∂∂"],
+            &[
+                "",
+                "class",
+                "class A { void f() { } ",
+                "class A { int x = ; }",
+                "∂∂∂",
+            ],
         ),
-        ("c", &["", "int", "int f( { }", "typedef int t; t x = ;", "→"]),
+        (
+            "c",
+            &["", "int", "int f( { }", "typedef int t; t x = ;", "→"],
+        ),
     ];
     for (grammar, inputs) in per_grammar {
         for input in *inputs {

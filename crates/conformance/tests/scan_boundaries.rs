@@ -117,7 +117,10 @@ fn every_fuel_point_inside_a_bulk_run_aborts_at_the_scalar_boundary() {
     // scalars, so most fuel points land *inside* the vectorized scan
     // and must be unwound to the exact per-character tick the scalar
     // loop charges.
-    let p = compile("module s; public Node W = <W> $([a-z\u{e9}-\u{ffff}\u{1f600}]*) !. ;", "s");
+    let p = compile(
+        "module s; public Node W = <W> $([a-z\u{e9}-\u{ffff}\u{1f600}]*) !. ;",
+        "s",
+    );
     let vm = VmProgram::from_compiled(&p).unwrap();
     let doc = "abc\u{e9}\u{e9}def\u{800}ghi\u{1f600}\u{4e2d}jklmnop".repeat(3);
 

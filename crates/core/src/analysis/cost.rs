@@ -130,7 +130,11 @@ mod tests {
                     Expr::Opt(Box::new(r(1))),
                 ])],
             ),
-            ("B", ProdKind::Void, vec![Expr::seq(vec![r(1), Expr::literal("b")])]),
+            (
+                "B",
+                ProdKind::Void,
+                vec![Expr::seq(vec![r(1), Expr::literal("b")])],
+            ),
         ]);
         let h = derivation_heights(&g);
         assert_eq!(h[0], 1);

@@ -134,7 +134,10 @@ mod tests {
         let g = grammar(vec![(
             "A",
             ProdKind::Void,
-            vec![Expr::seq(vec![Expr::literal("x"), r(0)]), Expr::literal("y")],
+            vec![
+                Expr::seq(vec![Expr::literal("x"), r(0)]),
+                Expr::literal("y"),
+            ],
         )]);
         assert!(left_recursion_cycles(&g).is_empty());
     }
@@ -144,11 +147,17 @@ mod tests {
         let g = grammar(vec![(
             "A",
             ProdKind::Void,
-            vec![Expr::seq(vec![r(0), Expr::literal("x")]), Expr::literal("y")],
+            vec![
+                Expr::seq(vec![r(0), Expr::literal("x")]),
+                Expr::literal("y"),
+            ],
         )]);
         let cycles = left_recursion_cycles(&g);
         assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0], vec![crate::grammar::ProdId(0), crate::grammar::ProdId(0)]);
+        assert_eq!(
+            cycles[0],
+            vec![crate::grammar::ProdId(0), crate::grammar::ProdId(0)]
+        );
     }
 
     #[test]
@@ -157,12 +166,13 @@ mod tests {
             (
                 "E",
                 ProdKind::Node,
-                vec![
-                    Expr::seq(vec![r(0), Expr::literal("+"), r(1)]),
-                    r(1),
-                ],
+                vec![Expr::seq(vec![r(0), Expr::literal("+"), r(1)]), r(1)],
             ),
-            ("N", ProdKind::Text, vec![Expr::Capture(Box::new(Expr::literal("1")))]),
+            (
+                "N",
+                ProdKind::Text,
+                vec![Expr::Capture(Box::new(Expr::literal("1")))],
+            ),
         ]);
         // Simulate elaboration's split.
         let (mut prods, root) = g.clone().into_parts();
@@ -183,9 +193,16 @@ mod tests {
             (
                 "A",
                 ProdKind::Void,
-                vec![Expr::seq(vec![Expr::Opt(Box::new(Expr::literal("x"))), r(1)])],
+                vec![Expr::seq(vec![
+                    Expr::Opt(Box::new(Expr::literal("x"))),
+                    r(1),
+                ])],
             ),
-            ("B", ProdKind::Void, vec![Expr::seq(vec![r(0), Expr::literal("y")])]),
+            (
+                "B",
+                ProdKind::Void,
+                vec![Expr::seq(vec![r(0), Expr::literal("y")])],
+            ),
         ]);
         let cycles = left_recursion_cycles(&g);
         assert_eq!(cycles.len(), 1);
@@ -198,7 +215,10 @@ mod tests {
             (
                 "A",
                 ProdKind::Void,
-                vec![Expr::seq(vec![Expr::Not(Box::new(r(1))), Expr::literal("x")])],
+                vec![Expr::seq(vec![
+                    Expr::Not(Box::new(r(1))),
+                    Expr::literal("x"),
+                ])],
             ),
             ("B", ProdKind::Void, vec![r(0)]),
         ]);

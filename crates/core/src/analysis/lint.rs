@@ -112,14 +112,19 @@ mod tests {
     use crate::grammar::ProdKind;
 
     fn messages(g: &Grammar) -> Vec<String> {
-        lint(g).into_iter().map(|d| d.message().to_owned()).collect()
+        lint(g)
+            .into_iter()
+            .map(|d| d.message().to_owned())
+            .collect()
     }
 
     #[test]
     fn clean_grammar_has_no_warnings() {
-        let g = grammar(vec![
-            ("Root", ProdKind::Void, vec![Expr::literal("a"), Expr::literal("b")]),
-        ]);
+        let g = grammar(vec![(
+            "Root",
+            ProdKind::Void,
+            vec![Expr::literal("a"), Expr::literal("b")],
+        )]);
         assert!(messages(&g).is_empty());
     }
 
@@ -142,10 +147,7 @@ mod tests {
             vec![Expr::Opt(Box::new(Expr::literal("x"))), Expr::literal("y")],
         )]);
         let msgs = messages(&g);
-        assert!(
-            msgs.iter().any(|m| m.contains("empty string")),
-            "{msgs:?}"
-        );
+        assert!(msgs.iter().any(|m| m.contains("empty string")), "{msgs:?}");
     }
 
     #[test]
@@ -156,7 +158,11 @@ mod tests {
             vec![Expr::literal("+"), Expr::literal("+=")],
         )]);
         let msgs = messages(&g);
-        assert!(msgs.iter().any(|m| m.contains("shadowed by the earlier prefix")), "{msgs:?}");
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains("shadowed by the earlier prefix")),
+            "{msgs:?}"
+        );
         // The safe order produces no warning.
         let ok = grammar(vec![(
             "Op",
@@ -175,7 +181,10 @@ mod tests {
             ("Emptied", ProdKind::Void, vec![]),
         ]);
         let msgs = messages(&g);
-        assert!(msgs.iter().any(|m| m.contains("can never match")), "{msgs:?}");
+        assert!(
+            msgs.iter().any(|m| m.contains("can never match")),
+            "{msgs:?}"
+        );
     }
 
     #[test]

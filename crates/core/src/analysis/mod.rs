@@ -123,17 +123,26 @@ mod tests {
         let g = grammar(vec![(
             "A",
             ProdKind::Void,
-            vec![Expr::Star(Box::new(Expr::Opt(Box::new(Expr::literal("x")))))],
+            vec![Expr::Star(Box::new(Expr::Opt(Box::new(Expr::literal(
+                "x",
+            )))))],
         )]);
         let err = check_well_formed(&g).unwrap_err();
-        assert!(err.to_string().contains("repetition over nullable"), "{err}");
+        assert!(
+            err.to_string().contains("repetition over nullable"),
+            "{err}"
+        );
     }
 
     #[test]
     fn indirect_left_recursion_is_rejected() {
         let g = grammar(vec![
             ("A", ProdKind::Void, vec![r(1)]),
-            ("B", ProdKind::Void, vec![Expr::seq(vec![r(0), Expr::literal("x")])]),
+            (
+                "B",
+                ProdKind::Void,
+                vec![Expr::seq(vec![r(0), Expr::literal("x")])],
+            ),
         ]);
         let err = check_well_formed(&g).unwrap_err();
         assert!(err.to_string().contains("left recursion"), "{err}");
@@ -142,8 +151,16 @@ mod tests {
     #[test]
     fn well_formed_grammar_passes() {
         let g = grammar(vec![
-            ("A", ProdKind::Void, vec![Expr::seq(vec![Expr::literal("a"), r(1)])]),
-            ("B", ProdKind::Void, vec![Expr::Star(Box::new(Expr::literal("b")))]),
+            (
+                "A",
+                ProdKind::Void,
+                vec![Expr::seq(vec![Expr::literal("a"), r(1)])],
+            ),
+            (
+                "B",
+                ProdKind::Void,
+                vec![Expr::Star(Box::new(Expr::literal("b")))],
+            ),
         ]);
         assert!(check_well_formed(&g).is_ok());
     }

@@ -63,8 +63,16 @@ mod tests {
         let g = grammar(vec![
             ("Empty", ProdKind::Void, vec![Expr::literal("")]),
             ("NonEmpty", ProdKind::Void, vec![Expr::literal("x")]),
-            ("Star", ProdKind::Void, vec![Expr::Star(Box::new(Expr::literal("x")))]),
-            ("Plus", ProdKind::Void, vec![Expr::Plus(Box::new(Expr::literal("x")))]),
+            (
+                "Star",
+                ProdKind::Void,
+                vec![Expr::Star(Box::new(Expr::literal("x")))],
+            ),
+            (
+                "Plus",
+                ProdKind::Void,
+                vec![Expr::Plus(Box::new(Expr::literal("x")))],
+            ),
         ]);
         let n = nullable(&g);
         assert_eq!(n, vec![true, false, true, false]);
@@ -74,7 +82,11 @@ mod tests {
     fn nullability_propagates_through_references() {
         let g = grammar(vec![
             ("A", ProdKind::Void, vec![Expr::seq(vec![r(1), r(2)])]),
-            ("B", ProdKind::Void, vec![Expr::Opt(Box::new(Expr::literal("b")))]),
+            (
+                "B",
+                ProdKind::Void,
+                vec![Expr::Opt(Box::new(Expr::literal("b")))],
+            ),
             ("C", ProdKind::Void, vec![Expr::literal("")]),
         ]);
         let n = nullable(&g);

@@ -62,8 +62,16 @@ mod tests {
     #[test]
     fn reachability_is_transitive_and_handles_cycles() {
         let g = grammar(vec![
-            ("A", ProdKind::Void, vec![Expr::seq(vec![Expr::literal("x"), r(1)])]),
-            ("B", ProdKind::Void, vec![Expr::seq(vec![Expr::literal("y"), r(0)])]),
+            (
+                "A",
+                ProdKind::Void,
+                vec![Expr::seq(vec![Expr::literal("x"), r(1)])],
+            ),
+            (
+                "B",
+                ProdKind::Void,
+                vec![Expr::seq(vec![Expr::literal("y"), r(0)])],
+            ),
         ]);
         assert_eq!(reachable(&g), vec![true, true]);
     }
@@ -73,7 +81,11 @@ mod tests {
         let g = grammar(vec![
             ("Root", ProdKind::Void, vec![Expr::seq(vec![r(1), r(1)])]),
             ("Twice", ProdKind::Void, vec![Expr::literal("x")]),
-            ("Dead", ProdKind::Void, vec![Expr::seq(vec![r(1), r(1), r(1)])]),
+            (
+                "Dead",
+                ProdKind::Void,
+                vec![Expr::seq(vec![r(1), r(1), r(1)])],
+            ),
         ]);
         let counts = reference_counts(&g);
         assert_eq!(counts[0], 1); // synthetic root reference

@@ -126,7 +126,9 @@ mod tests {
         let g = grammar(vec![(
             "TypedefName",
             ProdKind::Text,
-            vec![Expr::StateIsDef(Box::new(Expr::Capture(Box::new(Expr::literal("t")))))],
+            vec![Expr::StateIsDef(Box::new(Expr::Capture(Box::new(
+                Expr::literal("t"),
+            ))))],
         )]);
         assert_eq!(stateful(&g), vec![true]);
     }
@@ -136,7 +138,11 @@ mod tests {
         let g = grammar(vec![
             ("Top", ProdKind::Void, vec![r(1)]),
             ("Mid", ProdKind::Void, vec![r(2)]),
-            ("Leaf", ProdKind::Void, vec![Expr::StateDefine(Box::new(Expr::literal("x")))]),
+            (
+                "Leaf",
+                ProdKind::Void,
+                vec![Expr::StateDefine(Box::new(Expr::literal("x")))],
+            ),
             ("Clean", ProdKind::Void, vec![Expr::literal("y")]),
         ]);
         assert_eq!(stateful(&g), vec![true, true, true, false]);
@@ -145,11 +151,25 @@ mod tests {
     #[test]
     fn reader_writer_split() {
         let g = grammar(vec![
-            ("Reader", ProdKind::Text, vec![Expr::StateIsDef(Box::new(Expr::Capture(Box::new(Expr::literal("t")))))]),
-            ("Writer", ProdKind::Void, vec![Expr::StateDefine(Box::new(Expr::literal("t")))]),
+            (
+                "Reader",
+                ProdKind::Text,
+                vec![Expr::StateIsDef(Box::new(Expr::Capture(Box::new(
+                    Expr::literal("t"),
+                ))))],
+            ),
+            (
+                "Writer",
+                ProdKind::Void,
+                vec![Expr::StateDefine(Box::new(Expr::literal("t")))],
+            ),
             ("Both", ProdKind::Void, vec![Expr::seq(vec![r(0), r(1)])]),
             ("Clean", ProdKind::Void, vec![Expr::literal("x")]),
-            ("Scoped", ProdKind::Void, vec![Expr::StateScope(Box::new(Expr::literal("x")))]),
+            (
+                "Scoped",
+                ProdKind::Void,
+                vec![Expr::StateScope(Box::new(Expr::literal("x")))],
+            ),
         ]);
         let acc = state_access(&g);
         assert!(acc[0].reads && !acc[0].writes);

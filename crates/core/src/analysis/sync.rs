@@ -190,9 +190,7 @@ fn flow(
         // Predicates consume nothing: a reference inside one is not
         // followed by anything in particular. Flow an empty context so
         // reference sites still contribute their sub-structure.
-        Expr::And(e) | Expr::Not(e) => {
-            flow(e, FirstSet::none(), first, nullable, follow, changed)
-        }
+        Expr::And(e) | Expr::Not(e) => flow(e, FirstSet::none(), first, nullable, follow, changed),
         Expr::Capture(e)
         | Expr::Void(e)
         | Expr::StateDefine(e)
@@ -308,7 +306,10 @@ mod tests {
         assert!(sync.contains(b's'), "FIRST");
         assert!(sync.contains(b'}'), "FOLLOW");
         assert!(sync.contains(b';'), "@recover");
-        assert_eq!(s.sync_bytes(crate::grammar::ProdId(1)), vec![b';', b's', b'}']);
+        assert_eq!(
+            s.sync_bytes(crate::grammar::ProdId(1)),
+            vec![b';', b's', b'}']
+        );
     }
 
     #[test]

@@ -229,10 +229,7 @@ mod tests {
             span: SrcSpan::none(),
         });
         let opts: Vec<_> = m.options().collect();
-        assert_eq!(
-            opts,
-            vec![("withLocation", None), ("parser", Some("java"))]
-        );
+        assert_eq!(opts, vec![("withLocation", None), ("parser", Some("java"))]);
     }
 
     #[test]

@@ -87,7 +87,9 @@ impl GrammarBuilder {
     /// recently added production. No-op on an empty builder.
     pub fn recover(&mut self, tokens: &[&str]) -> &mut Self {
         if let Some(clause) = self.module.productions.last_mut() {
-            clause.recover.extend(tokens.iter().map(|t| (*t).to_owned()));
+            clause
+                .recover
+                .extend(tokens.iter().map(|t| (*t).to_owned()));
         }
         self
     }

@@ -101,7 +101,11 @@ impl ModuleSet {
     /// mismatches, cyclic dependencies, clashing or dangling names, invalid
     /// modifications, left-recursion that cannot be handled, and
     /// ill-formed repetitions.
-    pub fn elaborate(&self, root_module: &str, start: Option<&str>) -> Result<Grammar, Diagnostics> {
+    pub fn elaborate(
+        &self,
+        root_module: &str,
+        start: Option<&str>,
+    ) -> Result<Grammar, Diagnostics> {
         Elaborator::new(self).run(root_module, start)
     }
 }
@@ -365,7 +369,10 @@ impl<'a> Elaborator<'a> {
                     self.error(
                         &module,
                         clause.span,
-                        format!("`...` is only legal in `:=`/`+=` clauses, not definitions of `{}`", clause.name),
+                        format!(
+                            "`...` is only legal in `:=`/`+=` clauses, not definitions of `{}`",
+                            clause.name
+                        ),
                     );
                 }
                 AltAst::Alt { label, expr } => {
@@ -398,7 +405,9 @@ impl<'a> Elaborator<'a> {
         };
         let slot = self.instances[idx].prods.len();
         self.instances[idx].prods.push(pp);
-        self.instances[idx].prod_index.insert(clause.name.clone(), slot);
+        self.instances[idx]
+            .prod_index
+            .insert(clause.name.clone(), slot);
     }
 
     /// Applies one modification instance's clauses to its target.
@@ -416,9 +425,7 @@ impl<'a> Elaborator<'a> {
                 ClauseOp::Define => {
                     // Fresh helper production, added to the target's
                     // namespace but resolving in the modification's scope.
-                    let exists = self.instances[target]
-                        .prod_index
-                        .contains_key(&clause.name);
+                    let exists = self.instances[target].prod_index.contains_key(&clause.name);
                     if exists {
                         self.error(
                             &module,
@@ -497,7 +504,10 @@ impl<'a> Elaborator<'a> {
                         self.error(
                             &module,
                             clause.span,
-                            format!("`...` may appear at most once in a modification of `{}`", clause.name),
+                            format!(
+                                "`...` may appear at most once in a modification of `{}`",
+                                clause.name
+                            ),
                         );
                         continue;
                     }
@@ -526,8 +536,7 @@ impl<'a> Elaborator<'a> {
                             );
                             continue;
                         }
-                        let Some(idx) =
-                            old.iter().position(|a| a.label.as_deref() == Some(anchor))
+                        let Some(idx) = old.iter().position(|a| a.label.as_deref() == Some(anchor))
                         else {
                             self.error(
                                 &module,
@@ -568,7 +577,10 @@ impl<'a> Elaborator<'a> {
                         self.error(
                             &module,
                             clause.span,
-                            format!("modification of `{}` duplicates alternative label `<{l}>`", clause.name),
+                            format!(
+                                "modification of `{}` duplicates alternative label `<{l}>`",
+                                clause.name
+                            ),
                         );
                         continue;
                     }
@@ -603,10 +615,7 @@ impl<'a> Elaborator<'a> {
                             None => self.error(
                                 &module,
                                 clause.span,
-                                format!(
-                                    "`{}` has no alternative labeled `<{label}>`",
-                                    clause.name
-                                ),
+                                format!("`{}` has no alternative labeled `<{label}>`", clause.name),
                             ),
                         }
                     }
@@ -644,8 +653,9 @@ impl<'a> Elaborator<'a> {
 
     fn run(mut self, root_module: &str, start: Option<&str>) -> Result<Grammar, Diagnostics> {
         let Some(root_ast) = self.set.get(root_module) else {
-            self.diags
-                .push(Diagnostic::error(format!("unknown root module `{root_module}`")));
+            self.diags.push(Diagnostic::error(format!(
+                "unknown root module `{root_module}`"
+            )));
             return Err(self.diags);
         };
         if !root_ast.params.is_empty() {
@@ -659,8 +669,10 @@ impl<'a> Elaborator<'a> {
         }
         if root_ast.is_modification() {
             self.diags.push(
-                Diagnostic::error(format!("root module `{root_module}` must not be a modification"))
-                    .with_module(root_module),
+                Diagnostic::error(format!(
+                    "root module `{root_module}` must not be a modification"
+                ))
+                .with_module(root_module),
             );
             return Err(self.diags);
         }
@@ -714,13 +726,13 @@ impl<'a> Elaborator<'a> {
             let mut alts = Vec::with_capacity(pp.alts.len());
             for alt in &pp.alts {
                 let mut errs: Vec<String> = Vec::new();
-                let resolved = alt.expr.map_refs(&mut |name: &String| {
-                    match self.resolve_name(alt.scope, name) {
-                        Ok(key) => *id_of.get(&key).expect("resolved key was enumerated"),
-                        Err(msg) => {
-                            errs.push(msg);
-                            ProdId(0)
-                        }
+                let resolved = alt.expr.map_refs(&mut |name: &String| match self
+                    .resolve_name(alt.scope, name)
+                {
+                    Ok(key) => *id_of.get(&key).expect("resolved key was enumerated"),
+                    Err(msg) => {
+                        errs.push(msg);
+                        ProdId(0)
                     }
                 });
                 let module = self.instances[alt.scope].module.clone();
@@ -750,11 +762,9 @@ impl<'a> Elaborator<'a> {
         // Start symbol.
         let root_id = match start {
             Some(name) => {
-                let key = self
-                    .resolve_name(root_inst, name)
-                    .map_err(|msg| Diagnostics::from(Diagnostic::error(format!(
-                        "start symbol: {msg}"
-                    ))))?;
+                let key = self.resolve_name(root_inst, name).map_err(|msg| {
+                    Diagnostics::from(Diagnostic::error(format!("start symbol: {msg}")))
+                })?;
                 *id_of.get(&key).expect("resolved key was enumerated")
             }
             None => {
@@ -889,8 +899,16 @@ mod tests {
         set.add(simple_module(
             "m",
             vec![
-                define("A", ProdKind::Node, vec![alt(Expr::seq(vec![Expr::literal("a"), r("B")]))]),
-                define("B", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal("b"))))]),
+                define(
+                    "A",
+                    ProdKind::Node,
+                    vec![alt(Expr::seq(vec![Expr::literal("a"), r("B")]))],
+                ),
+                define(
+                    "B",
+                    ProdKind::Text,
+                    vec![alt(Expr::Capture(Box::new(Expr::literal("b"))))],
+                ),
             ],
         ))
         .unwrap();
@@ -905,7 +923,11 @@ mod tests {
         let mut set = ModuleSet::new();
         set.add(simple_module(
             "lib",
-            vec![define("Word", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal("w"))))])],
+            vec![define(
+                "Word",
+                ProdKind::Text,
+                vec![alt(Expr::Capture(Box::new(Expr::literal("w"))))],
+            )],
         ))
         .unwrap();
         let mut main = simple_module(
@@ -945,7 +967,11 @@ mod tests {
         for lib in ["lib1", "lib2"] {
             set.add(simple_module(
                 lib,
-                vec![define("Word", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal("w"))))])],
+                vec![define(
+                    "Word",
+                    ProdKind::Text,
+                    vec![alt(Expr::Capture(Box::new(Expr::literal("w"))))],
+                )],
             ))
             .unwrap();
         }
@@ -961,7 +987,10 @@ mod tests {
         }
         set.add(main).unwrap();
         let err = set.elaborate("main", None).unwrap_err();
-        assert!(err.to_string().contains("ambiguous reference `Word`"), "{err}");
+        assert!(
+            err.to_string().contains("ambiguous reference `Word`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -969,14 +998,22 @@ mod tests {
         let mut set = ModuleSet::new();
         set.add(simple_module(
             "lib",
-            vec![define("Word", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal("libword"))))])],
+            vec![define(
+                "Word",
+                ProdKind::Text,
+                vec![alt(Expr::Capture(Box::new(Expr::literal("libword"))))],
+            )],
         ))
         .unwrap();
         let mut main = simple_module(
             "main",
             vec![
                 define("Start", ProdKind::Node, vec![alt(r("Word"))]),
-                define("Word", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal("localword"))))]),
+                define(
+                    "Word",
+                    ProdKind::Text,
+                    vec![alt(Expr::Capture(Box::new(Expr::literal("localword"))))],
+                ),
             ],
         );
         main.decls.push(Decl::Import {
@@ -1005,7 +1042,11 @@ mod tests {
         set.add(generic).unwrap();
         set.add(simple_module(
             "items",
-            vec![define("Item", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal("i"))))])],
+            vec![define(
+                "Item",
+                ProdKind::Text,
+                vec![alt(Expr::Capture(Box::new(Expr::literal("i"))))],
+            )],
         ))
         .unwrap();
         let mut main = simple_module(
@@ -1028,30 +1069,39 @@ mod tests {
         let g = set.elaborate("main", None).unwrap();
         // Applicative: generic(items) instantiated once, so 3 productions:
         // main.Start, items.Item, generic.ListOf.
-        assert_eq!(g.len(), 3, "{:?}", g.productions().iter().map(|p| &p.name).collect::<Vec<_>>());
+        assert_eq!(
+            g.len(),
+            3,
+            "{:?}",
+            g.productions().iter().map(|p| &p.name).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn distinct_arguments_make_distinct_instances() {
         let mut generic = ModuleAst::new("generic");
         generic.params.push("P".into());
-        generic.productions = vec![define(
-            "Wrapped",
-            ProdKind::Node,
-            vec![alt(r("Item"))],
-        )];
+        generic.productions = vec![define("Wrapped", ProdKind::Node, vec![alt(r("Item"))])];
         let mut set = ModuleSet::new();
         set.add(generic).unwrap();
         for name in ["items1", "items2"] {
             set.add(simple_module(
                 name,
-                vec![define("Item", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal(name))))])],
+                vec![define(
+                    "Item",
+                    ProdKind::Text,
+                    vec![alt(Expr::Capture(Box::new(Expr::literal(name))))],
+                )],
             ))
             .unwrap();
         }
         let mut main = simple_module(
             "main",
-            vec![define("Start", ProdKind::Node, vec![alt(Expr::seq(vec![r("W1"), r("W2")]))])],
+            vec![define(
+                "Start",
+                ProdKind::Node,
+                vec![alt(Expr::seq(vec![r("W1"), r("W2")]))],
+            )],
         );
         // Two instances, aliased; references disambiguated via helper prods.
         main.decls.push(Decl::Instantiate {
@@ -1091,7 +1141,10 @@ mod tests {
         generic.params.push("P".into());
         let mut set = ModuleSet::new();
         set.add(generic).unwrap();
-        let mut main = simple_module("main", vec![define("S", ProdKind::Node, vec![alt(Expr::literal("x"))])]);
+        let mut main = simple_module(
+            "main",
+            vec![define("S", ProdKind::Node, vec![alt(Expr::literal("x"))])],
+        );
         main.decls.push(Decl::Import {
             module: "generic".into(),
             span: SrcSpan::none(),
@@ -1267,7 +1320,10 @@ mod tests {
         .unwrap();
         set.add(main_importing(&["ext"])).unwrap();
         let err = set.elaborate("main", None).unwrap_err();
-        assert!(err.to_string().contains("requires `+=` without `...`"), "{err}");
+        assert!(
+            err.to_string().contains("requires `+=` without `...`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1340,7 +1396,10 @@ mod tests {
         .unwrap();
         set.add(main_importing(&["ext"])).unwrap();
         let err = set.elaborate("main", None).unwrap_err();
-        assert!(err.to_string().contains("no alternative labeled `<Nope>`"), "{err}");
+        assert!(
+            err.to_string().contains("no alternative labeled `<Nope>`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1376,7 +1435,11 @@ mod tests {
         set.add(mod_module(
             "ext",
             vec![
-                define("Helper", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::literal("h"))))]),
+                define(
+                    "Helper",
+                    ProdKind::Text,
+                    vec![alt(Expr::Capture(Box::new(Expr::literal("h"))))],
+                ),
                 ProdClause {
                     attrs: Attrs::default(),
                     kind: None,
@@ -1415,7 +1478,10 @@ mod tests {
         ))
         .unwrap();
         let err = set.elaborate("m", None).unwrap_err();
-        assert!(err.to_string().contains("requires a `modify` declaration"), "{err}");
+        assert!(
+            err.to_string().contains("requires a `modify` declaration"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1467,13 +1533,20 @@ mod tests {
                     "Expr",
                     ProdKind::Node,
                     vec![
-                        lalt("Add", Expr::seq(vec![r("Expr"), Expr::literal("+"), r("Num")])),
+                        lalt(
+                            "Add",
+                            Expr::seq(vec![r("Expr"), Expr::literal("+"), r("Num")]),
+                        ),
                         lalt("Num", r("Num")),
                     ],
                 ),
-                define("Num", ProdKind::Text, vec![alt(Expr::Capture(Box::new(Expr::Class(
-                    crate::expr::CharClass::from_ranges(vec![('0', '9')], false),
-                ))))]),
+                define(
+                    "Num",
+                    ProdKind::Text,
+                    vec![alt(Expr::Capture(Box::new(Expr::Class(
+                        crate::expr::CharClass::from_ranges(vec![('0', '9')], false),
+                    ))))],
+                ),
             ],
         ))
         .unwrap();
@@ -1519,7 +1592,10 @@ mod tests {
         set.add(a).unwrap();
         set.add(b).unwrap();
         let err = set.elaborate("a", None).unwrap_err();
-        assert!(err.to_string().contains("cyclic module dependency"), "{err}");
+        assert!(
+            err.to_string().contains("cyclic module dependency"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -512,7 +512,11 @@ mod tests {
 
     #[test]
     fn size_and_refs() {
-        let e = E::seq(vec![r("A"), Expr::Star(Box::new(r("B"))), Expr::literal("x")]);
+        let e = E::seq(vec![
+            r("A"),
+            Expr::Star(Box::new(r("B"))),
+            Expr::literal("x"),
+        ]);
         assert_eq!(e.size(), 5);
         let mut names = Vec::new();
         e.for_each_ref(&mut |n| names.push(n.clone()));
@@ -539,7 +543,10 @@ mod tests {
     #[test]
     fn rewrite_bottom_up() {
         // Replace every literal with Any.
-        let e = E::seq(vec![Expr::literal("a"), Expr::Opt(Box::new(Expr::literal("b")))]);
+        let e = E::seq(vec![
+            Expr::literal("a"),
+            Expr::Opt(Box::new(Expr::literal("b"))),
+        ]);
         let out = e.rewrite(&mut |e| match e {
             Expr::Literal(_) => Expr::Any,
             other => other,

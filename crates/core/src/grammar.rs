@@ -174,15 +174,11 @@ impl Production {
     /// Iterates over all expressions of the production, including the
     /// left-recursion split when present.
     pub fn exprs(&self) -> impl Iterator<Item = &Expr<ProdId>> {
-        self.alts
-            .iter()
-            .map(|a| &a.expr)
-            .chain(self.lr.iter().flat_map(|lr| {
-                lr.bases
-                    .iter()
-                    .chain(lr.tails.iter())
-                    .map(|a| &a.expr)
-            }))
+        self.alts.iter().map(|a| &a.expr).chain(
+            self.lr
+                .iter()
+                .flat_map(|lr| lr.bases.iter().chain(lr.tails.iter()).map(|a| &a.expr)),
+        )
     }
 
     /// Calls `f` for every production referenced from this one.
@@ -372,17 +368,15 @@ mod tests {
         Production::new(
             name,
             ProdKind::Text,
-            vec![Alternative::new(Expr::Capture(Box::new(Expr::literal(text))))],
+            vec![Alternative::new(Expr::Capture(Box::new(Expr::literal(
+                text,
+            ))))],
         )
     }
 
     #[test]
     fn grammar_construction_and_lookup() {
-        let g = Grammar::new(
-            vec![lit_prod("m.A", "a"), lit_prod("m.B", "b")],
-            ProdId(0),
-        )
-        .unwrap();
+        let g = Grammar::new(vec![lit_prod("m.A", "a"), lit_prod("m.B", "b")], ProdId(0)).unwrap();
         assert_eq!(g.len(), 2);
         assert_eq!(g.find("m.A"), Some(ProdId(0)));
         assert_eq!(g.find("B"), Some(ProdId(1)));
@@ -403,8 +397,8 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let err = Grammar::new(vec![lit_prod("X", "a"), lit_prod("X", "b")], ProdId(0))
-            .unwrap_err();
+        let err =
+            Grammar::new(vec![lit_prod("X", "a"), lit_prod("X", "b")], ProdId(0)).unwrap_err();
         assert!(err.to_string().contains("duplicate production name"));
     }
 
@@ -427,11 +421,7 @@ mod tests {
 
     #[test]
     fn with_root_changes_root() {
-        let g = Grammar::new(
-            vec![lit_prod("A", "a"), lit_prod("B", "b")],
-            ProdId(0),
-        )
-        .unwrap();
+        let g = Grammar::new(vec![lit_prod("A", "a"), lit_prod("B", "b")], ProdId(0)).unwrap();
         let g2 = g.with_root(ProdId(1)).unwrap();
         assert_eq!(g2.root(), ProdId(1));
         assert!(g.with_root(ProdId(9)).is_err());

@@ -60,14 +60,19 @@ mod tests {
             "m.A",
             ProdKind::Node,
             vec![
-                Alternative::labeled("One", Expr::seq(vec![Expr::literal("x"), Expr::Ref(ProdId(1))])),
+                Alternative::labeled(
+                    "One",
+                    Expr::seq(vec![Expr::literal("x"), Expr::Ref(ProdId(1))]),
+                ),
                 Alternative::new(Expr::Ref(ProdId(1))),
             ],
         );
         let mut b = crate::grammar::Production::new(
             "m.B",
             ProdKind::Text,
-            vec![Alternative::new(Expr::Capture(Box::new(Expr::literal("b"))))],
+            vec![Alternative::new(Expr::Capture(Box::new(Expr::literal(
+                "b",
+            ))))],
         );
         b.attrs.transient = true;
         Grammar::new(vec![a, b], ProdId(0)).unwrap()

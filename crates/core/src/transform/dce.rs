@@ -48,7 +48,8 @@ mod tests {
         let live = out.find("Live").unwrap();
         // Root's reference now points at the remapped Live.
         let mut refs = Vec::new();
-        out.production(out.root()).for_each_ref(&mut |x| refs.push(x));
+        out.production(out.root())
+            .for_each_ref(&mut |x| refs.push(x));
         assert_eq!(refs, vec![live]);
     }
 
@@ -66,8 +67,16 @@ mod tests {
     fn dead_cycle_removed() {
         let g = grammar(vec![
             ("Root", ProdKind::Void, vec![Expr::literal("r")]),
-            ("DeadA", ProdKind::Void, vec![Expr::seq(vec![Expr::literal("x"), r(2)])]),
-            ("DeadB", ProdKind::Void, vec![Expr::seq(vec![Expr::literal("y"), r(1)])]),
+            (
+                "DeadA",
+                ProdKind::Void,
+                vec![Expr::seq(vec![Expr::literal("x"), r(2)])],
+            ),
+            (
+                "DeadB",
+                ProdKind::Void,
+                vec![Expr::seq(vec![Expr::literal("y"), r(1)])],
+            ),
         ]);
         let out = eliminate_dead(g).unwrap();
         assert_eq!(out.len(), 1);

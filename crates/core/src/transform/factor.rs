@@ -14,10 +14,7 @@ use crate::grammar::{Alternative, Grammar, ProdId, ProdKind};
 
 fn head_and_tail(e: &Expr<ProdId>) -> (Expr<ProdId>, Expr<ProdId>) {
     match e {
-        Expr::Seq(xs) if !xs.is_empty() => (
-            xs[0].clone(),
-            Expr::seq(xs[1..].to_vec()),
-        ),
+        Expr::Seq(xs) if !xs.is_empty() => (xs[0].clone(), Expr::seq(xs[1..].to_vec())),
         other => (other.clone(), Expr::Empty),
     }
 }
@@ -155,7 +152,11 @@ mod tests {
     #[test]
     fn nested_choice_in_node_production_is_factored() {
         let nested = Expr::choice(vec![seq2("a", "x"), seq2("a", "y")]);
-        let g = grammar(vec![("N", ProdKind::Node, vec![Expr::Void(Box::new(nested))])]);
+        let g = grammar(vec![(
+            "N",
+            ProdKind::Node,
+            vec![Expr::Void(Box::new(nested))],
+        )]);
         let out = left_factor(g).unwrap();
         let e = out.production(out.root()).alts[0].expr.to_string();
         assert!(e.contains("\"a\" (\"x\" / \"y\")"), "{e}");
@@ -167,8 +168,16 @@ mod tests {
             "P",
             ProdKind::Void,
             vec![
-                Expr::seq(vec![Expr::literal("a"), Expr::literal("b"), Expr::literal("1")]),
-                Expr::seq(vec![Expr::literal("a"), Expr::literal("b"), Expr::literal("2")]),
+                Expr::seq(vec![
+                    Expr::literal("a"),
+                    Expr::literal("b"),
+                    Expr::literal("1"),
+                ]),
+                Expr::seq(vec![
+                    Expr::literal("a"),
+                    Expr::literal("b"),
+                    Expr::literal("2"),
+                ]),
                 Expr::seq(vec![Expr::literal("a"), Expr::literal("c")]),
             ],
         )]);

@@ -102,13 +102,22 @@ mod tests {
     fn identical_text_productions_fold() {
         let g = grammar(vec![
             ("Root", ProdKind::Node, vec![Expr::seq(vec![r(1), r(2)])]),
-            ("SpacingA", ProdKind::Void, vec![Expr::Star(Box::new(Expr::literal(" ")))]),
-            ("SpacingB", ProdKind::Void, vec![Expr::Star(Box::new(Expr::literal(" ")))]),
+            (
+                "SpacingA",
+                ProdKind::Void,
+                vec![Expr::Star(Box::new(Expr::literal(" ")))],
+            ),
+            (
+                "SpacingB",
+                ProdKind::Void,
+                vec![Expr::Star(Box::new(Expr::literal(" ")))],
+            ),
         ]);
         let out = fold_duplicates(g).unwrap();
         assert_eq!(out.len(), 2);
         let mut refs = Vec::new();
-        out.production(out.root()).for_each_ref(&mut |x| refs.push(x));
+        out.production(out.root())
+            .for_each_ref(&mut |x| refs.push(x));
         assert_eq!(refs[0], refs[1]);
     }
 
@@ -166,7 +175,10 @@ mod tests {
         let root = Production::new(
             "Root",
             ProdKind::Void,
-            vec![crate::grammar::Alternative::new(Expr::seq(vec![r(1), r(2)]))],
+            vec![crate::grammar::Alternative::new(Expr::seq(vec![
+                r(1),
+                r(2),
+            ]))],
         );
         let g = Grammar::new(vec![root, mk("A", true), mk("B", false)], ProdId(0)).unwrap();
         let out = fold_duplicates(g).unwrap();

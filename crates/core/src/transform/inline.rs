@@ -81,15 +81,12 @@ pub fn inline_with_candidates(
             // yields its *inner* textual value, not the whole match;
             // wrapping the body in `$(…)` would change that value. Only
             // inline String productions whose value is the whole match.
-            if p.kind == ProdKind::Text
-                && !p.alts.iter().all(|a| a.expr.is_statically_valueless())
+            if p.kind == ProdKind::Text && !p.alts.iter().all(|a| a.expr.is_statically_valueless())
             {
                 continue;
             }
             let body = body_of(&g, id);
-            if body.size() <= MAX_INLINE_SIZE
-                || counts[id.index()] <= 1
-                || extra.contains(&p.name)
+            if body.size() <= MAX_INLINE_SIZE || counts[id.index()] <= 1 || extra.contains(&p.name)
             {
                 let wrapped = match p.kind {
                     ProdKind::Void => Expr::Void(Box::new(body)),
@@ -131,20 +128,36 @@ mod tests {
     #[test]
     fn small_void_production_is_inlined() {
         let g = grammar(vec![
-            ("Root", ProdKind::Node, vec![Expr::seq(vec![r(1), Expr::literal("x")])]),
-            ("Sp", ProdKind::Void, vec![Expr::Star(Box::new(Expr::literal(" ")))]),
+            (
+                "Root",
+                ProdKind::Node,
+                vec![Expr::seq(vec![r(1), Expr::literal("x")])],
+            ),
+            (
+                "Sp",
+                ProdKind::Void,
+                vec![Expr::Star(Box::new(Expr::literal(" ")))],
+            ),
         ]);
         let out = inline_trivial(g).unwrap();
         assert_eq!(out.len(), 1);
         let root = out.production(out.root());
-        assert!(root.alts[0].expr.to_string().contains("%void"), "{}", root.alts[0].expr);
+        assert!(
+            root.alts[0].expr.to_string().contains("%void"),
+            "{}",
+            root.alts[0].expr
+        );
     }
 
     #[test]
     fn text_production_inlines_as_capture() {
         let g = grammar(vec![
             ("Root", ProdKind::Node, vec![r(1)]),
-            ("Op", ProdKind::Text, vec![Expr::literal("+"), Expr::literal("-")]),
+            (
+                "Op",
+                ProdKind::Text,
+                vec![Expr::literal("+"), Expr::literal("-")],
+            ),
         ]);
         let out = inline_trivial(g).unwrap();
         assert_eq!(out.len(), 1);
@@ -169,7 +182,11 @@ mod tests {
             (
                 "Nest",
                 ProdKind::Void,
-                vec![Expr::seq(vec![Expr::literal("("), Expr::Opt(Box::new(r(1))), Expr::literal(")")])],
+                vec![Expr::seq(vec![
+                    Expr::literal("("),
+                    Expr::Opt(Box::new(r(1))),
+                    Expr::literal(")"),
+                ])],
             ),
         ]);
         let out = inline_trivial(g).unwrap();
@@ -180,7 +197,11 @@ mod tests {
     fn stateful_production_is_not_inlined() {
         let g = grammar(vec![
             ("Root", ProdKind::Node, vec![r(1)]),
-            ("Def", ProdKind::Void, vec![Expr::StateDefine(Box::new(Expr::literal("t")))]),
+            (
+                "Def",
+                ProdKind::Void,
+                vec![Expr::StateDefine(Box::new(Expr::literal("t")))],
+            ),
         ]);
         let out = inline_trivial(g).unwrap();
         assert_eq!(out.len(), 2);
@@ -238,7 +259,11 @@ mod tests {
             Expr::literal("h"),
         ]);
         let g = grammar(vec![
-            ("Root", ProdKind::Node, vec![Expr::seq(vec![r(1), r(1), r(2)])]),
+            (
+                "Root",
+                ProdKind::Node,
+                vec![Expr::seq(vec![r(1), r(1), r(2)])],
+            ),
             ("Big", ProdKind::Void, vec![big]),
             ("Leaf", ProdKind::Node, vec![Expr::literal("x")]),
         ]);

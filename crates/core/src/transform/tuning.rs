@@ -302,7 +302,10 @@ mod tests {
         let plan = TuningPlan::for_grammar(&g1);
         assert!(plan.matches(&g1));
         assert!(!plan.matches(&g2));
-        assert!(TuningPlan::default().matches(&g2), "unchecked plans apply anywhere");
+        assert!(
+            TuningPlan::default().matches(&g2),
+            "unchecked plans apply anywhere"
+        );
     }
 
     #[test]

@@ -56,7 +56,11 @@ const TARGETS: &[Target] = &[
     },
     Target {
         name: "java_sql",
-        sources: &["grammars/java.mpeg", "grammars/sql.mpeg", "grammars/java_sql.mpeg"],
+        sources: &[
+            "grammars/java.mpeg",
+            "grammars/sql.mpeg",
+            "grammars/java_sql.mpeg",
+        ],
         root: "java.WithSql",
         start: Some("Start"),
     },

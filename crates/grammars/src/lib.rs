@@ -103,11 +103,7 @@ pub mod generated {
     }
 }
 
-fn elaborate(
-    sources: &[&str],
-    root: &str,
-    start: Option<&str>,
-) -> Result<Grammar, Diagnostics> {
+fn elaborate(sources: &[&str], root: &str, start: Option<&str>) -> Result<Grammar, Diagnostics> {
     modpeg_syntax::parse_module_set(sources.iter().copied())?.elaborate(root, start)
 }
 
@@ -500,7 +496,11 @@ int main(int argc, char **argv) {
             .to_sexpr();
         for n in [4, 8, 10, 12, modpeg_interp::OPT_COUNT] {
             let c = CompiledGrammar::compile(&g, OptConfig::cumulative(n)).unwrap();
-            assert_eq!(reference, c.parse(C_SAMPLE).unwrap().to_sexpr(), "cumulative({n})");
+            assert_eq!(
+                reference,
+                c.parse(C_SAMPLE).unwrap().to_sexpr(),
+                "cumulative({n})"
+            );
         }
     }
 
@@ -633,8 +633,7 @@ class Math {
     fn synthetic_c_workloads_parse() {
         for seed in 0..5u64 {
             let program = modpeg_workload::c_program(seed, 8_000);
-            generated::c::parse(&program)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{program}"));
+            generated::c::parse(&program).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{program}"));
         }
     }
 
@@ -655,7 +654,11 @@ class Math {
         let reference = generated::java::parse(&program).unwrap().to_sexpr();
         for n in [0, 6, 10, modpeg_interp::OPT_COUNT] {
             let c = CompiledGrammar::compile(&g, OptConfig::cumulative(n)).unwrap();
-            assert_eq!(c.parse(&program).unwrap().to_sexpr(), reference, "cumulative({n})");
+            assert_eq!(
+                c.parse(&program).unwrap().to_sexpr(),
+                reference,
+                "cumulative({n})"
+            );
         }
     }
 
@@ -729,19 +732,19 @@ class Repo {
         // the self-hosted grammar (value-level checks like inverted class
         // ranges excepted — see the grammar's header comment).
         let bad = [
-            "",                                        // no modules
-            "module ;",                                // missing name
-            "module m; P = ;; ",                       // stray semicolon
-            "module m; P ;",                           // no operator
-            "module m; P = \"unterminated ;",         // bad string
-            "module m; P = [] ;",                      // empty class
-            "module m; P = %bogus(\"x\") ;",           // unknown builtin
-            "module m; frob Node P = \"x\" ;",         // unknown attribute
-            "module m; P = ... \"x\" ;",               // splice then junk
-            "module m; P := before <L> \"x\" ;",       // anchor needs +=
-            "module m; P -= \"x\" ;",                  // remove needs labels
-            "module m; import a..b;",                  // bad dotted name
-            "module m; option p(q);",                  // option value not a string
+            "",                                  // no modules
+            "module ;",                          // missing name
+            "module m; P = ;; ",                 // stray semicolon
+            "module m; P ;",                     // no operator
+            "module m; P = \"unterminated ;",    // bad string
+            "module m; P = [] ;",                // empty class
+            "module m; P = %bogus(\"x\") ;",     // unknown builtin
+            "module m; frob Node P = \"x\" ;",   // unknown attribute
+            "module m; P = ... \"x\" ;",         // splice then junk
+            "module m; P := before <L> \"x\" ;", // anchor needs +=
+            "module m; P -= \"x\" ;",            // remove needs labels
+            "module m; import a..b;",            // bad dotted name
+            "module m; option p(q);",            // option value not a string
             "not a module at all",
         ];
         for src in bad {
@@ -760,11 +763,14 @@ class Repo {
     fn self_hosting_grammar_agrees_on_formatter_output() {
         // Canonical-form output of the formatter stays inside the language.
         for src in [sources::JAVA, sources::C, sources::JAVA_EXT, sources::MPEG] {
-            let formatted = modpeg_syntax::format_modules(
-                &modpeg_syntax::parse_modules(src).unwrap(),
-            );
-            generated::mpeg::parse(&formatted).unwrap_or_else(|e| panic!("{e}
-{formatted}"));
+            let formatted =
+                modpeg_syntax::format_modules(&modpeg_syntax::parse_modules(src).unwrap());
+            generated::mpeg::parse(&formatted).unwrap_or_else(|e| {
+                panic!(
+                    "{e}
+{formatted}"
+                )
+            });
         }
     }
 
@@ -793,7 +799,10 @@ class Repo {
             total
         );
         // Specific must-hit alternatives.
-        for (prod, idx) in [("java.Stmt.Statement", 1 /* <If> */), ("java.Stmt.Statement", 4 /* <For> */)] {
+        for (prod, idx) in [
+            ("java.Stmt.Statement", 1 /* <If> */),
+            ("java.Stmt.Statement", 4 /* <For> */),
+        ] {
             assert!(
                 total.hits_for(prod, idx).unwrap_or(0) > 0,
                 "{prod} alt {idx} unexercised
@@ -833,12 +842,10 @@ class Repo {
         // production, then fails; the rollback changes the epoch, so when
         // alternative B re-queries the reader at the same position the
         // entry must be treated as stale and re-evaluated.
-        let set = modpeg_syntax::parse_module_set([
-            "module m;\n\
+        let set = modpeg_syntax::parse_module_set(["module m;\n\
              public Node P = <A> Def Use \"!\" / <B> Def Use \"?\" ;\n\
              void Def = %define($[a-z]+) \" \" ;\n\
-             memo String Use = %isdef($[a-z]+) ;",
-        ])
+             memo String Use = %isdef($[a-z]+) ;"])
         .unwrap();
         let g = set.elaborate("m", Some("P")).unwrap();
         let parser = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
@@ -890,7 +897,10 @@ class Repo {
         let gov = Governor::new();
         let (r, stats) = governed(generated::java::run, JAVA_SAMPLE, &gov);
         let tree = r.unwrap_or_else(|e| panic!("{e}")).to_sexpr();
-        assert_eq!(tree, generated::java::parse(JAVA_SAMPLE).unwrap().to_sexpr());
+        assert_eq!(
+            tree,
+            generated::java::parse(JAVA_SAMPLE).unwrap().to_sexpr()
+        );
         assert!(stats.productions_evaluated > 0);
         assert!(gov.tripped().is_none());
         assert!(gov.steps() > 0, "limitless governor still counts steps");
@@ -899,7 +909,10 @@ class Repo {
         let gov = Governor::new();
         let fault = governed(generated::java::run, bad, &gov).0.unwrap_err();
         let err = fault.syntax().expect("syntax fault, not abort");
-        assert_eq!(err.offset(), generated::java::parse(bad).unwrap_err().offset());
+        assert_eq!(
+            err.offset(),
+            generated::java::parse(bad).unwrap_err().offset()
+        );
     }
 
     #[test]
@@ -915,7 +928,11 @@ class Repo {
         for fuel in [0, 1, total / 2, total - 1] {
             let gov = Governor::new().with_fuel(fuel);
             let fault = governed(generated::c::run, C_SAMPLE, &gov).0.unwrap_err();
-            assert_eq!(fault.abort(), Some(ParseAbort::FuelExhausted), "fuel={fuel}");
+            assert_eq!(
+                fault.abort(),
+                Some(ParseAbort::FuelExhausted),
+                "fuel={fuel}"
+            );
             assert_eq!(gov.tripped(), Some(ParseAbort::FuelExhausted));
         }
         // Exactly enough fuel completes with an identical tree.

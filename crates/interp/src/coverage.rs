@@ -27,10 +27,7 @@ pub struct Coverage {
 }
 
 impl Coverage {
-    pub(crate) fn new(
-        names: Vec<String>,
-        labels: Vec<Vec<Option<String>>>,
-    ) -> Self {
+    pub(crate) fn new(names: Vec<String>, labels: Vec<Vec<Option<String>>>) -> Self {
         let hits = labels.iter().map(|l| vec![0; l.len()]).collect();
         Coverage {
             names,
@@ -140,10 +137,7 @@ mod tests {
     fn sample() -> Coverage {
         Coverage::new(
             vec!["A".into(), "B".into()],
-            vec![
-                vec![Some("X".into()), None],
-                vec![None],
-            ],
+            vec![vec![Some("X".into()), None], vec![None]],
         )
     }
 
@@ -171,7 +165,10 @@ mod tests {
         let un = c.uncovered();
         assert_eq!(
             un,
-            vec![("A".to_owned(), "#2".to_owned()), ("B".to_owned(), "#1".to_owned())]
+            vec![
+                ("A".to_owned(), "#2".to_owned()),
+                ("B".to_owned(), "#1".to_owned())
+            ]
         );
         let text = c.to_string();
         assert!(text.contains("1/3"));

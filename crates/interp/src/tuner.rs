@@ -80,7 +80,10 @@ pub fn derive_plan(profile: &WorkloadProfile, grammar: &Grammar) -> Result<Tunin
         .iter()
         .map(|(id, p)| {
             let body_size: usize = p.alts.iter().map(|a| a.expr.size()).sum();
-            (p.name.as_str(), (p.kind, body_size, id == transformed.root()))
+            (
+                p.name.as_str(),
+                (p.kind, body_size, id == transformed.root()),
+            )
         })
         .collect();
 
@@ -132,11 +135,9 @@ mod tests {
     use modpeg_telemetry::ProdProfile;
 
     fn grammar() -> Grammar {
-        let set = modpeg_syntax::parse_module_set([
-            "module m;\n\
+        let set = modpeg_syntax::parse_module_set(["module m;\n\
              public Top = Word (\" \" Word)* ;\n\
-             String Word = $[a-z]+ / $[0-9]+ ;\n",
-        ])
+             String Word = $[a-z]+ / $[0-9]+ ;\n"])
         .unwrap();
         set.elaborate("m", None).unwrap()
     }
@@ -281,8 +282,14 @@ mod tests {
         // it already does between opt levels).
         for input in ["abc", "abc def", "a 1 b2", "", "UPPER"] {
             assert_eq!(
-                untuned.parse(input).map(|t| t.to_sexpr()).map_err(|e| e.offset()),
-                tuned.parse(input).map(|t| t.to_sexpr()).map_err(|e| e.offset()),
+                untuned
+                    .parse(input)
+                    .map(|t| t.to_sexpr())
+                    .map_err(|e| e.offset()),
+                tuned
+                    .parse(input)
+                    .map(|t| t.to_sexpr())
+                    .map_err(|e| e.offset()),
                 "tuned parse must be tree-identical on {input:?}"
             );
         }

@@ -18,7 +18,9 @@ fn unicode_classes_and_literals_across_configs() {
                public Node Word = <W> $([α-ωa-z]+) (\"→\" $([α-ω]+))? !. ;";
     for level in [0, 8, OPT_COUNT] {
         let p = compile(src, "u", None, OptConfig::cumulative(level));
-        let t = p.parse("αβγ→δε").unwrap_or_else(|e| panic!("level {level}: {e}"));
+        let t = p
+            .parse("αβγ→δε")
+            .unwrap_or_else(|e| panic!("level {level}: {e}"));
         assert_eq!(t.to_sexpr(), "(Word.W \"αβγ\" \"δε\")", "level {level}");
         assert!(p.parse("αβ→Q").is_err());
         // Multi-byte boundaries: a failure offset lands on a char boundary.

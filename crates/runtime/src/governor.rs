@@ -497,7 +497,10 @@ mod tests {
         assert_eq!(gov.tripped(), None);
         assert_eq!(gov.steps(), 10_000);
         // 10_000 ticks cross ceil(10_000 / POLL_STRIDE) stride boundaries.
-        assert_eq!(gov.stride_refills(), 10_000_u64.div_ceil(POLL_STRIDE as u64));
+        assert_eq!(
+            gov.stride_refills(),
+            10_000_u64.div_ceil(POLL_STRIDE as u64)
+        );
     }
 
     #[test]
@@ -517,7 +520,14 @@ mod tests {
     /// point — across stride boundaries and fuel edges.
     #[test]
     fn tick_many_equals_sequential_ticks() {
-        for fuel in [None, Some(1u64), Some(511), Some(512), Some(513), Some(2000)] {
+        for fuel in [
+            None,
+            Some(1u64),
+            Some(511),
+            Some(512),
+            Some(513),
+            Some(2000),
+        ] {
             // Batch sizes chosen to land before, on, and past stride and
             // fuel boundaries, with interleaved single ticks.
             for batch in [1u64, 7, 511, 512, 513, 1024, 3000] {
@@ -637,7 +647,10 @@ mod tests {
     #[test]
     fn trip_is_first_wins() {
         let gov = Governor::new();
-        assert_eq!(gov.trip(ParseAbort::DepthExceeded), ParseAbort::DepthExceeded);
+        assert_eq!(
+            gov.trip(ParseAbort::DepthExceeded),
+            ParseAbort::DepthExceeded
+        );
         assert_eq!(gov.trip(ParseAbort::MemoBudget), ParseAbort::DepthExceeded);
         assert_eq!(gov.tick(), Err(ParseAbort::DepthExceeded));
     }

@@ -69,7 +69,9 @@ pub use governor::{
     CancelToken, Governor, GovernorLimits, ParseAbort, ParseFault, DEFAULT_MAX_DEPTH, POLL_STRIDE,
 };
 pub use input::Input;
-pub use memo::{ChunkMemo, CompactReport, EditReport, EvictReport, HashMemo, MemoAnswer, MemoTable, CHUNK_SIZE};
+pub use memo::{
+    ChunkMemo, CompactReport, EditReport, EvictReport, HashMemo, MemoAnswer, MemoTable, CHUNK_SIZE,
+};
 pub use out::Out;
 pub use recover::{
     Attempt, Diagnostic, Diagnostics, RecoverPolicy, Recovered, SyncSet, DEFAULT_MAX_ERRORS,

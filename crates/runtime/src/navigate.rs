@@ -64,9 +64,7 @@ impl SyntaxTree {
         let mut best: Option<(&Node, Span)> = None;
         self.root().walk_nodes(&mut |n| {
             if let Some(span) = n.span() {
-                if span.contains(offset)
-                    && best.is_none_or(|(_, b)| span.len() <= b.len())
-                {
+                if span.contains(offset) && best.is_none_or(|(_, b)| span.len() <= b.len()) {
                     best = Some((n, span));
                 }
             }

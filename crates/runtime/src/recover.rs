@@ -687,7 +687,10 @@ mod tests {
     fn diagnostics_render_human_and_json() {
         let (_, d) = run("12ab34", &digits_policy());
         let human = d.render_human("in.txt");
-        assert!(human.contains("in.txt:1:3: error: expected digit, found a"), "{human}");
+        assert!(
+            human.contains("in.txt:1:3: error: expected digit, found a"),
+            "{human}"
+        );
         assert!(human.contains("skipped 2 byte(s)"), "{human}");
         assert!(human.contains("1 error(s)"), "{human}");
         let json = d.to_json();

@@ -122,7 +122,11 @@ impl ClassTable {
             bits,
             wide,
             runs,
-            simd_runs: if overflow { SIMD_RUNS_OVERFLOW } else { n as u8 },
+            simd_runs: if overflow {
+                SIMD_RUNS_OVERFLOW
+            } else {
+                n as u8
+            },
         }
     }
 
@@ -364,7 +368,10 @@ unsafe fn scan_ascii_simd(bytes: &[u8], mut i: usize, table: &ClassTable) -> usi
         let mut r = 0;
         while r < n {
             let (lo, hi) = table.runs[r];
-            let in_run = vandq_u8(vcgeq_u8(chunk, vdupq_n_u8(lo)), vcleq_u8(chunk, vdupq_n_u8(hi)));
+            let in_run = vandq_u8(
+                vcgeq_u8(chunk, vdupq_n_u8(lo)),
+                vcleq_u8(chunk, vdupq_n_u8(hi)),
+            );
             member = vorrq_u8(member, in_run);
             r += 1;
         }
@@ -559,7 +566,14 @@ mod tests {
                 i += c.len_utf8();
                 chars += 1;
             }
-            assert_eq!(bulk, ClassRun { end: i as u32, chars }, "pos {pos}");
+            assert_eq!(
+                bulk,
+                ClassRun {
+                    end: i as u32,
+                    chars
+                },
+                "pos {pos}"
+            );
         }
     }
 
@@ -569,7 +583,10 @@ mod tests {
             table(&[('a', 'z')], false),
             table(&[('a', 'z'), ('A', 'Z'), ('0', '9'), ('_', '_')], false),
             table(&[('"', '"'), ('\\', '\\')], true),
-            table(&[(' ', ' '), ('\t', '\t'), ('\n', '\n'), ('\r', '\r')], false),
+            table(
+                &[(' ', ' '), ('\t', '\t'), ('\n', '\n'), ('\r', '\r')],
+                false,
+            ),
         ];
         let text = "while (x_0 <= 99) { s = \"a\\nb\"; }\t\n ".repeat(5);
         let bytes = text.as_bytes();

@@ -283,7 +283,10 @@ mod tests {
             .lines()
             .find(|l| l.starts_with("incremental:"))
             .unwrap_or_else(|| panic!("no incremental line in {text}"));
-        assert!(line.ends_with("3 compactions (100 nodes reclaimed)"), "{line}");
+        assert!(
+            line.ends_with("3 compactions (100 nodes reclaimed)"),
+            "{line}"
+        );
         assert!(!Stats::default().to_string().contains("incremental:"));
     }
 

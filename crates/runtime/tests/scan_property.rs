@@ -14,8 +14,16 @@ use modpeg_workload::rng::StdRng;
 /// Multibyte scalars at every UTF-8 encoding-length boundary (2-, 3-,
 /// and 4-byte forms), plus interior samples.
 const WIDE_SAMPLE: &[char] = &[
-    '\u{80}', '\u{e9}', '\u{3b1}', '\u{7ff}', '\u{800}', '\u{4e2d}', '\u{ffff}', '\u{10000}',
-    '\u{1f600}', '\u{10ffff}',
+    '\u{80}',
+    '\u{e9}',
+    '\u{3b1}',
+    '\u{7ff}',
+    '\u{800}',
+    '\u{4e2d}',
+    '\u{ffff}',
+    '\u{10000}',
+    '\u{1f600}',
+    '\u{10ffff}',
 ];
 
 /// The scalar pool generators draw from: every ASCII character plus the
@@ -89,11 +97,17 @@ fn negated_wide_classes_match_complement() {
     let class = CharClass::from_ranges(vec![('z', '\u{3b1}')], true);
     let table = ClassTable::from_ranges(class.ranges(), class.is_negated());
     for c in ['a', 'y', '\u{3b2}', '\u{10000}'] {
-        assert!(table.matches_char(c), "{c:?} lies outside the negated range");
+        assert!(
+            table.matches_char(c),
+            "{c:?} lies outside the negated range"
+        );
         assert!(class.matches(c));
     }
     for c in ['z', '\u{7f}', '\u{80}', '\u{3b1}'] {
-        assert!(!table.matches_char(c), "{c:?} lies inside the negated range");
+        assert!(
+            !table.matches_char(c),
+            "{c:?} lies inside the negated range"
+        );
         assert!(!class.matches(c));
     }
 }

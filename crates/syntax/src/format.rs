@@ -81,8 +81,7 @@ pub fn format_module(module: &ModuleAst) -> String {
             let _ = write!(out, " {kw} <{label}>");
         }
         if clause.op == ClauseOp::Remove {
-            let labels: Vec<String> =
-                clause.removed.iter().map(|l| format!("<{l}>")).collect();
+            let labels: Vec<String> = clause.removed.iter().map(|l| format!("<{l}>")).collect();
             let _ = writeln!(out, " {} ;", labels.join(", "));
             continue;
         }

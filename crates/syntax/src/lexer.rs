@@ -304,7 +304,10 @@ impl<'a> Lexer<'a> {
         };
         let tok = match b {
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                while matches!(self.peek(), Some(b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_')) {
+                while matches!(
+                    self.peek(),
+                    Some(b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_')
+                ) {
                     self.pos += 1;
                 }
                 let text = std::str::from_utf8(&self.src[lo..self.pos])
@@ -357,7 +360,9 @@ impl<'a> Lexer<'a> {
                     b'%' => Tok::Percent,
                     b'@' => Tok::At,
                     other => {
-                        return Err(self.err(lo, format!("unexpected character `{}`", other as char)))
+                        return Err(
+                            self.err(lo, format!("unexpected character `{}`", other as char))
+                        )
                     }
                 }
             }

@@ -1,8 +1,8 @@
 //! Recursive-descent parser for the modpeg grammar-module language.
 
 use modpeg_core::{
-    AltAst, AnchorPos, Attrs, ClauseOp, Decl, Diagnostic, Diagnostics, Expr, ModuleAst,
-    ModuleSet, ProdClause, ProdKind, SrcSpan,
+    AltAst, AnchorPos, Attrs, ClauseOp, Decl, Diagnostic, Diagnostics, Expr, ModuleAst, ModuleSet,
+    ProdClause, ProdKind, SrcSpan,
 };
 
 use crate::lexer::{lex, Tok, Token};
@@ -89,9 +89,7 @@ impl Parser {
                         self.bump();
                         break;
                     }
-                    other => {
-                        return Err(self.err(format!("expected `,` or `)`, found {other}")))
-                    }
+                    other => return Err(self.err(format!("expected `,` or `)`, found {other}"))),
                 }
             }
         }
@@ -209,8 +207,7 @@ impl Parser {
             loop {
                 match self.bump().tok {
                     Tok::Str(s) if s.is_empty() => {
-                        return Err(self
-                            .err("`@recover` tokens must be non-empty string literals"))
+                        return Err(self.err("`@recover` tokens must be non-empty string literals"))
                     }
                     Tok::Str(s) => recover.push(s),
                     other => {
@@ -719,7 +716,10 @@ mod tests {
         let err = parse_module("module m; P ~ x ;").unwrap_err();
         assert!(err.to_string().contains("unexpected character"), "{err}");
         let err = parse_module("module m; frobnicate Node P = \"x\" ;").unwrap_err();
-        assert!(err.to_string().contains("unknown attribute `frobnicate`"), "{err}");
+        assert!(
+            err.to_string().contains("unknown attribute `frobnicate`"),
+            "{err}"
+        );
         let err = parse_module("module m; P = %bogus(\"x\") ;").unwrap_err();
         assert!(err.to_string().contains("unknown builtin"), "{err}");
         let err = parse_module("module m; void String P = \"x\" ;").unwrap_err();

@@ -136,7 +136,11 @@ fn clause(rng: &mut StdRng) -> ProdClause {
         name,
         op,
         alts: if op == ClauseOp::Remove { vec![] } else { alts },
-        removed: if op == ClauseOp::Remove { removed } else { vec![] },
+        removed: if op == ClauseOp::Remove {
+            removed
+        } else {
+            vec![]
+        },
         anchor: if op == ClauseOp::Append { anchor } else { None },
         recover,
         span: SrcSpan::none(),

@@ -49,7 +49,9 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
                     us(event.at_ns.saturating_sub(start)),
                 );
             }
-            EventKind::MemoHit { prod, pos, matched, .. } => {
+            EventKind::MemoHit {
+                prod, pos, matched, ..
+            } => {
                 let _ = write!(
                     out,
                     ",{{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"s\":\"t\",\

@@ -581,10 +581,17 @@ mod tests {
         t.exit(tok, 1, 0, 0, 4, true);
         let report = t.take_report();
         assert_eq!(report.events.len(), 3);
-        assert!(matches!(report.events[0].kind, EventKind::Enter { prod: 1, .. }));
+        assert!(matches!(
+            report.events[0].kind,
+            EventKind::Enter { prod: 1, .. }
+        ));
         assert!(matches!(
             report.events[2].kind,
-            EventKind::Exit { matched: true, end: 4, .. }
+            EventKind::Exit {
+                matched: true,
+                end: 4,
+                ..
+            }
         ));
         // Timestamps are monotonically non-decreasing.
         assert!(report.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));

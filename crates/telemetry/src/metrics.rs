@@ -154,7 +154,11 @@ impl MetricsRegistry {
         let mut stack: Vec<(u32, u64, u64)> = Vec::new();
         for event in &report.events {
             match event.kind {
-                EventKind::Enter { prod, pos: _, depth } => {
+                EventKind::Enter {
+                    prod,
+                    pos: _,
+                    depth,
+                } => {
                     if let Some(i) = index(prod) {
                         prods[i].1.evals += 1;
                         prods[i].1.max_depth = prods[i].1.max_depth.max(depth);

@@ -197,11 +197,19 @@ impl WorkloadProfile {
                 p.max_depth,
                 hist.join(", ")
             );
-            out.push_str(if i + 1 < self.prods.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.prods.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ],\n");
         // Single-line timing section (see layout contract above).
-        let _ = write!(out, "  \"timing\": {{\"wall_ns\": {}, \"productions\": [", self.wall_ns);
+        let _ = write!(
+            out,
+            "  \"timing\": {{\"wall_ns\": {}, \"productions\": [",
+            self.wall_ns
+        );
         for (i, (name, p)) in self.prods.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -263,11 +271,16 @@ impl WorkloadProfile {
                 .and_then(JsonValue::as_arr)
                 .ok_or_else(|| format!("missing or mistyped {what}"))?;
             if items.len() != N_BUCKETS {
-                return Err(format!("{what} has {} buckets, expected {N_BUCKETS}", items.len()));
+                return Err(format!(
+                    "{what} has {} buckets, expected {N_BUCKETS}",
+                    items.len()
+                ));
             }
             let mut out = [0u64; N_BUCKETS];
             for (slot, item) in out.iter_mut().zip(items) {
-                *slot = item.as_u64().ok_or_else(|| format!("mistyped bucket in {what}"))?;
+                *slot = item
+                    .as_u64()
+                    .ok_or_else(|| format!("mistyped bucket in {what}"))?;
             }
             Ok(out)
         };
@@ -356,7 +369,13 @@ pub struct DiffRow {
 /// Counter fields compared by [`ProfileDiff`]; cost fields (everything
 /// except `memo_hits`) regress when they *grow*, `memo_hits` when it
 /// *shrinks* while probes did not.
-const DIFF_FIELDS: [&str; 5] = ["evals", "memo_probes", "memo_hits", "memo_stores", "backtracks"];
+const DIFF_FIELDS: [&str; 5] = [
+    "evals",
+    "memo_probes",
+    "memo_hits",
+    "memo_stores",
+    "backtracks",
+];
 
 /// Minimum absolute counter change for a row to count as a regression;
 /// filters noise on near-zero counters (a 2→4 blip is not a signal).
@@ -379,7 +398,11 @@ pub struct ProfileDiff {
 impl ProfileDiff {
     /// Compares `before` and `after`, flagging counter changes whose
     /// relative delta exceeds `threshold` (e.g. `0.05` = 5%).
-    pub fn compute(before: &WorkloadProfile, after: &WorkloadProfile, threshold: f64) -> ProfileDiff {
+    pub fn compute(
+        before: &WorkloadProfile,
+        after: &WorkloadProfile,
+        threshold: f64,
+    ) -> ProfileDiff {
         let mut diff = ProfileDiff {
             threshold,
             same_grammar: before.fingerprint == after.fingerprint,
@@ -394,7 +417,13 @@ impl ProfileDiff {
                 continue;
             };
             let fields = |p: &ProdProfile| {
-                [p.evals, p.memo_probes, p.memo_hits, p.memo_stores, p.backtracks]
+                [
+                    p.evals,
+                    p.memo_probes,
+                    p.memo_hits,
+                    p.memo_stores,
+                    p.backtracks,
+                ]
             };
             for (i, field) in DIFF_FIELDS.iter().enumerate() {
                 let bv = fields(b)[i] / nb;
@@ -479,7 +508,11 @@ impl ProfileDiff {
                 out,
                 "{:<28} {}",
                 name,
-                if *in_after { "only in candidate" } else { "only in baseline" }
+                if *in_after {
+                    "only in candidate"
+                } else {
+                    "only in baseline"
+                }
             );
         }
         let _ = writeln!(out, "{} regression(s)", self.regressions());
@@ -579,8 +612,7 @@ mod tests {
     fn timing_lives_on_a_single_strippable_line() {
         let p = sample_profile();
         let json = p.to_json();
-        let timing_lines: Vec<&str> =
-            json.lines().filter(|l| l.contains("\"timing\"")).collect();
+        let timing_lines: Vec<&str> = json.lines().filter(|l| l.contains("\"timing\"")).collect();
         assert_eq!(timing_lines.len(), 1, "timing must be one line");
         // A stripped profile still loads, with timing zeroed.
         let stripped: String = json
@@ -657,7 +689,13 @@ mod tests {
     fn diff_reports_missing_productions() {
         let base = sample_profile();
         let mut extended = base.clone();
-        extended.prods.insert("m.New".into(), ProdProfile { evals: 5, ..ProdProfile::default() });
+        extended.prods.insert(
+            "m.New".into(),
+            ProdProfile {
+                evals: 5,
+                ..ProdProfile::default()
+            },
+        );
         let diff = ProfileDiff::compute(&base, &extended, 0.05);
         assert_eq!(diff.only_in_one, vec![("m.New".to_string(), true)]);
     }

@@ -71,7 +71,13 @@ pub enum Op {
     /// state epoch when `epoch_check`), falling back to a plain call on
     /// a miss. This is the memoized-nonterminal superinstruction — a
     /// packrat hit costs no call frame at all.
-    MemoCall { prod: u32, target: u32, slot: u32, push: bool, epoch_check: bool },
+    MemoCall {
+        prod: u32,
+        target: u32,
+        slot: u32,
+        push: bool,
+        epoch_check: bool,
+    },
     /// Production epilogue (success): store the memo answer, emit
     /// telemetry, pop call + catch entries, resume the caller.
     Ret,
@@ -149,7 +155,11 @@ pub enum Op {
     FoldNode { kind: u32, with_span: bool },
     /// Node-production finisher: wrap the frame's values into a node in
     /// the accumulator (or pass a lone child through).
-    MakeNodeFinish { kind: u32, passthrough: bool, with_span: bool },
+    MakeNodeFinish {
+        kind: u32,
+        passthrough: bool,
+        with_span: bool,
+    },
     /// Text-production finisher: take the first inner textual value, or
     /// the matched span.
     MakeTextFinish { take_inner: bool },

@@ -25,11 +25,23 @@ fn vm_configs() -> Vec<OptConfig> {
 
 fn bundled() -> Vec<(&'static str, Grammar)> {
     vec![
-        ("calc", modpeg_grammars::calc_grammar().expect("calc compiles")),
-        ("json", modpeg_grammars::json_grammar().expect("json compiles")),
-        ("java", modpeg_grammars::java_grammar().expect("java compiles")),
+        (
+            "calc",
+            modpeg_grammars::calc_grammar().expect("calc compiles"),
+        ),
+        (
+            "json",
+            modpeg_grammars::json_grammar().expect("json compiles"),
+        ),
+        (
+            "java",
+            modpeg_grammars::java_grammar().expect("java compiles"),
+        ),
         ("c", modpeg_grammars::c_grammar().expect("c compiles")),
-        ("tiny", modpeg_grammars::tiny_grammar().expect("tiny compiles")),
+        (
+            "tiny",
+            modpeg_grammars::tiny_grammar().expect("tiny compiles"),
+        ),
     ]
 }
 
@@ -51,7 +63,15 @@ fn inputs_for(name: &str) -> Vec<String> {
     // on these too.
     docs.extend(
         [
-            "", " ", "(", ")", "1 +", "{\"a\": }", "class {", "int x = ;", "\u{3b1}\u{3b2}",
+            "",
+            " ",
+            "(",
+            ")",
+            "1 +",
+            "{\"a\": }",
+            "class {",
+            "int x = ;",
+            "\u{3b1}\u{3b2}",
             "((((((((",
         ]
         .iter()
@@ -83,7 +103,8 @@ fn trees_and_verdicts_agree_with_interp() {
                 let want = describe(&interp.parse(&input));
                 let got = describe(&vm.parse(&input));
                 assert_eq!(
-                    got, want,
+                    got,
+                    want,
                     "{name} diverged on {:?} under {:?}",
                     &input[..input.len().min(80)],
                     cfg
@@ -105,8 +126,18 @@ fn stats_core_counters_agree_with_interp_at_full_opt() {
             let (_, si) = interp.parse_with_stats(&input);
             let (_, sv) = vm.parse_with_stats(&input);
             assert_eq!(
-                (si.productions_evaluated, si.memo_probes, si.memo_hits, si.memo_stale),
-                (sv.productions_evaluated, sv.memo_probes, sv.memo_hits, sv.memo_stale),
+                (
+                    si.productions_evaluated,
+                    si.memo_probes,
+                    si.memo_hits,
+                    si.memo_stale
+                ),
+                (
+                    sv.productions_evaluated,
+                    sv.memo_probes,
+                    sv.memo_hits,
+                    sv.memo_stale
+                ),
                 "{name}: memo traffic diverged on {:?}",
                 &input[..input.len().min(80)]
             );
@@ -237,11 +268,18 @@ fn unsupported_configs_are_rejected() {
 #[test]
 fn disassembly_is_deterministic() {
     let grammar = modpeg_grammars::calc_grammar().expect("compiles");
-    let a = VmProgram::full(&grammar).expect("vm compiles").disassemble();
-    let b = VmProgram::full(&grammar).expect("vm compiles").disassemble();
+    let a = VmProgram::full(&grammar)
+        .expect("vm compiles")
+        .disassemble();
+    let b = VmProgram::full(&grammar)
+        .expect("vm compiles")
+        .disassemble();
     assert_eq!(a, b);
     assert!(a.contains("memocall"), "calc memoizes productions:\n{a}");
-    assert!(a.contains("classstar") || a.contains("classplus"), "superinstructions selected");
+    assert!(
+        a.contains("classstar") || a.contains("classplus"),
+        "superinstructions selected"
+    );
 }
 
 /// Corrupts `doc` at `n` evenly spaced char boundaries (replacing one
@@ -275,7 +313,11 @@ fn resilient_trees_and_diagnostics_agree_with_interp() {
         for cfg in vm_configs() {
             let interp = CompiledGrammar::compile(&grammar, cfg).expect("interp compiles");
             let vm = VmProgram::from_compiled(&interp).expect("vm compiles");
-            assert_eq!(interp.recover_policy(), vm.recover_policy(), "{name} {cfg:?}");
+            assert_eq!(
+                interp.recover_policy(),
+                vm.recover_policy(),
+                "{name} {cfg:?}"
+            );
             let policy = vm.recover_policy();
             let mut docs = inputs_for(name);
             docs.extend(inputs_for(name).iter().map(|d| corrupt(d, 3)));
@@ -306,7 +348,9 @@ fn resilient_clean_input_agrees_with_plain_parse() {
         let vm = VmProgram::from_compiled(&interp).expect("vm compiles");
         let policy = vm.recover_policy();
         for input in inputs_for(name) {
-            let Ok(plain) = vm.parse(&input) else { continue };
+            let Ok(plain) = vm.parse(&input) else {
+                continue;
+            };
             let rec = vm.parse_resilient(&input, &policy);
             assert!(rec.diagnostics.is_clean(), "{name} on {input:?}");
             assert_eq!(rec.tree.to_sexpr(), plain.to_sexpr(), "{name} on {input:?}");

@@ -22,8 +22,7 @@ impl CGen {
         if !self.typedefs.is_empty() && self.rng.gen_ratio(2, 5) {
             self.typedefs[self.rng.gen_range(0..self.typedefs.len())].clone()
         } else {
-            ["int", "char", "long", "unsigned int", "double"][self.rng.gen_range(0..5)]
-                .to_owned()
+            ["int", "char", "long", "unsigned int", "double"][self.rng.gen_range(0..5)].to_owned()
         }
     }
 
@@ -134,11 +133,7 @@ impl CGen {
         let p1 = ident(&mut self.rng, IDENTS);
         let p2 = ident(&mut self.rng, IDENTS);
         let pt = self.ty();
-        let _ = writeln!(
-            self.out,
-            "int fn{}({pt} {p1}, {t} *{p2}) {{",
-            self.fn_idx
-        );
+        let _ = writeln!(self.out, "int fn{}({pt} {p1}, {t} *{p2}) {{", self.fn_idx);
         for _ in 0..self.rng.gen_range(2..6) {
             self.statement(1, 2);
         }

@@ -16,9 +16,26 @@ use crate::rng_for;
 /// A long lowercase identifier (with underscores), `min..max` chars.
 fn long_ident(rng: &mut StdRng, min: usize, max: usize) -> String {
     const WORDS: &[&str] = &[
-        "aggregated", "boundary", "checkpoint", "decoded", "envelope", "fragment", "generation",
-        "horizon", "interval", "jitter", "keyspace", "latency", "manifest", "namespace",
-        "observer", "pipeline", "quorum", "replica", "snapshot", "throughput",
+        "aggregated",
+        "boundary",
+        "checkpoint",
+        "decoded",
+        "envelope",
+        "fragment",
+        "generation",
+        "horizon",
+        "interval",
+        "jitter",
+        "keyspace",
+        "latency",
+        "manifest",
+        "namespace",
+        "observer",
+        "pipeline",
+        "quorum",
+        "replica",
+        "snapshot",
+        "throughput",
     ];
     let target = rng.gen_range(min..max);
     let mut out = String::with_capacity(target + 16);

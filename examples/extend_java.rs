@@ -54,7 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nextension modules:");
     for m in modpeg::grammars::module_stats(modpeg::grammars::sources::JAVA_EXT)? {
         if m.is_modification {
-            println!("  {:<22} {:>2} clauses, {:>2} lines", m.name, m.productions, m.lines);
+            println!(
+                "  {:<22} {:>2} clauses, {:>2} lines",
+                m.name, m.productions, m.lines
+            );
         }
     }
     println!("\nlines changed in the base grammar: 0");

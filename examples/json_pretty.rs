@@ -38,7 +38,12 @@ fn pretty(value: &Value, input: &str, indent: usize, out: &mut String) {
                 let key = node.child(0).and_then(|k| k.as_text(input)).unwrap_or("?");
                 out.push_str(key);
                 out.push_str(": ");
-                pretty(node.child(1).expect("member has a value"), input, indent, out);
+                pretty(
+                    node.child(1).expect("member has a value"),
+                    input,
+                    indent,
+                    out,
+                );
             }
             "Array.Array" => match node.child(0) {
                 Some(Value::List(items)) if !items.is_empty() => {

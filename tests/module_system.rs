@@ -101,7 +101,11 @@ fn modification_of_unimported_module_does_not_leak() {
     )
     .unwrap();
     let extended = modpeg::compile(
-        [base, ext, "module m2; import base; import ext; public Node D = X !. ;"],
+        [
+            base,
+            ext,
+            "module m2; import base; import ext; public Node D = X !. ;",
+        ],
         "m2",
         Some("D"),
     )
@@ -112,12 +116,7 @@ fn modification_of_unimported_module_does_not_leak() {
 
 #[test]
 fn diagnostics_carry_module_context() {
-    let err = modpeg::compile(
-        ["module m; public Node X = Undefined ;"],
-        "m",
-        None,
-    )
-    .unwrap_err();
+    let err = modpeg::compile(["module m; public Node X = Undefined ;"], "m", None).unwrap_err();
     let text = err.to_string();
     assert!(text.contains("module m"), "{text}");
     assert!(text.contains("undefined nonterminal `Undefined`"), "{text}");

@@ -220,7 +220,10 @@ fn memo_accounting_is_consistent() {
         assert!(stats.memo_hits <= stats.memo_probes);
         // Under full optimization nothing records individual failures.
         assert_eq!(stats.failure_records, 0);
-        assert_eq!(stats.strings_built, 0, "text-only mode allocates no strings");
+        assert_eq!(
+            stats.strings_built, 0,
+            "text-only mode allocates no strings"
+        );
     }
 }
 

@@ -142,8 +142,7 @@ fn optimizations_preserve_semantics_on_random_grammars() {
         let Some(grammar) = build(&rg) else {
             continue; // rejected by well-formedness checks
         };
-        let reference =
-            CompiledGrammar::compile(&grammar, OptConfig::none()).expect("compiles");
+        let reference = CompiledGrammar::compile(&grammar, OptConfig::none()).expect("compiles");
         let configs: Vec<CompiledGrammar> = [4usize, 8, 11, 14, 16]
             .iter()
             .map(|n| {
@@ -161,14 +160,13 @@ fn optimizations_preserve_semantics_on_random_grammars() {
             for (i, c) in configs.iter().enumerate() {
                 let got = c.parse(input).map(|t| t.to_sexpr());
                 match (&expected, &got) {
-                    (Ok(a), Ok(b)) => assert_eq!(
-                        a, b,
-                        "config #{i} diverged on {input:?} for grammar {rg:?}"
-                    ),
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a, b, "config #{i} diverged on {input:?} for grammar {rg:?}")
+                    }
                     (Err(_), Err(_)) => {}
-                    _ => panic!(
-                        "config #{i} accept/reject diverged on {input:?} for grammar {rg:?}"
-                    ),
+                    _ => {
+                        panic!("config #{i} accept/reject diverged on {input:?} for grammar {rg:?}")
+                    }
                 }
                 let got_prefix = c
                     .parse_prefix(input)

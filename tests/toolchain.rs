@@ -19,8 +19,7 @@ fn all_sources() -> Vec<(&'static str, &'static str)> {
 #[test]
 fn formatter_is_a_fixpoint_on_the_library() {
     for (name, src) in all_sources() {
-        let parsed = modpeg::syntax::parse_modules(src)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let parsed = modpeg::syntax::parse_modules(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let once = modpeg::syntax::format_modules(&parsed);
         let reparsed = modpeg::syntax::parse_modules(&once)
             .unwrap_or_else(|e| panic!("{name} (formatted): {e}\n{once}"));
@@ -59,7 +58,10 @@ fn library_grammars_are_lint_clean_modulo_known_exports() {
         ("calc", modpeg::grammars::calc_grammar().unwrap()),
         ("json", modpeg::grammars::json_grammar().unwrap()),
         ("java", modpeg::grammars::java_grammar().unwrap()),
-        ("java-extended", modpeg::grammars::java_extended_grammar().unwrap()),
+        (
+            "java-extended",
+            modpeg::grammars::java_extended_grammar().unwrap(),
+        ),
         ("c", modpeg::grammars::c_grammar().unwrap()),
         ("sql", modpeg::grammars::sql_grammar().unwrap()),
         ("java-sql", modpeg::grammars::java_sql_grammar().unwrap()),
@@ -118,6 +120,9 @@ fn tree_navigation_on_real_parses() {
         .iter()
         .map(|n| n.kind().as_str())
         .collect();
-    assert!(path.starts_with(&["CompilationUnit.Unit", "ClassDecl.Class"]), "{path:?}");
+    assert!(
+        path.starts_with(&["CompilationUnit.Unit", "ClassDecl.Class"]),
+        "{path:?}"
+    );
     assert_eq!(*path.last().unwrap(), "AddExpr.Add");
 }
