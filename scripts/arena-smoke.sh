@@ -8,8 +8,9 @@
 #   2. double-parse determinism — parsing the same document twice emits
 #      byte-identical trees (a dirty recycled region would show up as a
 #      diverging second parse);
-#   3. `fig_arena --smoke` — parse/recycle cycles through a SessionPool
-#      hold live heap flat once capacities warm up (allocation counters
+#   3. `fig_arena --smoke` — one session parsing document after
+#      document (`ParseSession::set_text`) holds live heap flat once
+#      capacities warm up (allocation counters
 #      catch regions leaked by reset/recycle), and 200 edits of a warmed
 #      Java session keep live heap within 1.5x (a session whose region
 #      grew with its edit history would fail).

@@ -57,7 +57,7 @@
 //! | [`interp`] | optimization-flagged interpreter ([`OptConfig`]) |
 //! | [`codegen`] | Rust parser generation (what `Rats!` does for Java) |
 //! | [`grammars`] | grammar library: calc, JSON, Java subset + extensions, SQL, C subset |
-//! | [`session`] | incremental parse sessions: memo reuse across edits, memo-table pooling |
+//! | [`session`] | incremental parse sessions: memo reuse across edits and across documents |
 //!
 //! The evaluation harness lives in `modpeg-bench` (see `EXPERIMENTS.md`).
 
@@ -75,7 +75,7 @@ pub use modpeg_telemetry as telemetry;
 pub use modpeg_core::{Diagnostic, Diagnostics, Grammar, GrammarBuilder, ModuleSet};
 pub use modpeg_interp::{CompiledGrammar, OptConfig};
 pub use modpeg_runtime::{Engine, ParseError, ParseRequest, Parsed, SyntaxTree, Value};
-pub use modpeg_session::{ParseSession, SessionPool};
+pub use modpeg_session::ParseSession;
 
 /// One-call convenience: parse grammar-module sources, elaborate from
 /// `root` (optionally with start production `start`), and compile a fully
@@ -129,5 +129,5 @@ pub mod prelude {
     pub use modpeg_runtime::{
         Engine, Governor, Node, NodeKind, ParseError, ParseRequest, Parsed, SyntaxTree, Value,
     };
-    pub use modpeg_session::{ParseSession, SessionPool};
+    pub use modpeg_session::ParseSession;
 }
