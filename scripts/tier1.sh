@@ -8,6 +8,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Formatting of the root workspace (`e2e_bench/` is a workspace of its
+# own and is not covered).
+echo "== tier-1: cargo fmt --all --check =="
+cargo fmt --all --check
+
 # The root manifest's `default-members` already makes bare `cargo build`
 # and `cargo test` cover every crate; `--workspace` keeps that explicit
 # (and the release CLI binary fresh for the smoke runs below).
