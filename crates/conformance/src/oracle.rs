@@ -36,8 +36,8 @@ use modpeg_baseline::BacktrackParser;
 use modpeg_core::{Expr, Grammar};
 use modpeg_interp::{CompiledGrammar, OptConfig, OPT_COUNT};
 use modpeg_runtime::{
-    recover, scan, ChunkMemo, Engine, Governor, ParseAbort, ParseFault, ParseRequest, Parsed,
-    Recovered, Span, Stats, SyntaxTree, TreeBuilder, Value,
+    recover, scan, ChunkMemo, Engine, Governor, Node, ParseAbort, ParseFault, ParseRequest, Parsed,
+    Recovered, Span, Stats, Step, SyntaxTree, TreeBuilder, Value,
 };
 use modpeg_session::ParseSession;
 use modpeg_vm::VmProgram;
@@ -284,21 +284,25 @@ fn scan_fingerprint(engine: &dyn Engine, input: &str) -> Result<ScanFingerprint,
 /// Checks that every span in a recovered value tree nests inside its
 /// nearest spanned ancestor — the structural guarantee that `$error`
 /// regions (and everything else) sit where the tree says they do.
-fn span_nesting_violation(v: &Value, bound: Option<Span>) -> Option<String> {
-    let (span, children): (Option<Span>, &[Value]) = match v {
-        Value::Node(n) => (n.span(), n.children()),
-        Value::List(items) => (None, items.as_slice()),
-        _ => (None, &[]),
-    };
-    if let (Some(s), Some(b)) = (span, bound) {
-        if s.lo() < b.lo() || s.hi() > b.hi() {
-            return Some(format!("span {s:?} escapes its enclosing span {b:?}"));
-        }
-    }
-    let inner = span.or(bound);
-    for c in children {
-        if let Some(d) = span_nesting_violation(c, inner) {
-            return Some(d);
+fn span_nesting_violation(v: &Value) -> Option<String> {
+    // Per open composite: the nearest span at or above it.
+    let mut bounds: Vec<Option<Span>> = Vec::new();
+    for step in v.walk() {
+        match step {
+            Step::Enter(composite) => {
+                let bound = bounds.last().copied().flatten();
+                let span = composite.as_node().and_then(Node::span);
+                if let (Some(s), Some(b)) = (span, bound) {
+                    if s.lo() < b.lo() || s.hi() > b.hi() {
+                        return Some(format!("span {s:?} escapes its enclosing span {b:?}"));
+                    }
+                }
+                bounds.push(span.or(bound));
+            }
+            Step::Exit(_) => {
+                bounds.pop();
+            }
+            Step::Leaf(_) => {}
         }
     }
     None
@@ -672,7 +676,7 @@ impl<'g> Oracle<'g> {
             }
             prev_hi = d.skipped.hi();
         }
-        if let Some(v) = span_nesting_violation(reference.tree.root(), None) {
+        if let Some(v) = span_nesting_violation(reference.tree.root()) {
             return Some(format!("recovery: {v}"));
         }
 
@@ -1065,5 +1069,38 @@ mod tests {
         for c in ['+', '-', '*', '(', ')', '0', '9'] {
             assert!(alphabet.contains(&c), "{c} missing from {alphabet:?}");
         }
+    }
+
+    #[test]
+    fn span_nesting_is_checked_on_deep_and_violating_trees() {
+        let spanned = |kind: &str, children: Vec<Value>, lo: u32, hi: u32| {
+            Value::Node(Rc::new(Node::with_span(
+                modpeg_runtime::NodeKind::new(kind),
+                children,
+                Span::new(lo, hi),
+            )))
+        };
+        // A left-deep chain as deep as a 256 KiB left-recursive fold,
+        // checked on a 2 MiB thread.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let levels = 128 * 1024;
+                let mut chain = spanned("Leaf", vec![], 0, 1);
+                for hi in 1..=levels {
+                    chain = spanned("Add", vec![Value::list(vec![chain])], 0, hi);
+                }
+                assert_eq!(span_nesting_violation(&chain), None);
+            })
+            .expect("spawns the worker")
+            .join()
+            .expect("the deep chain is checked");
+        // The grandchild escapes its nearest spanned ancestor, across a
+        // span-less node.
+        let inner = Value::node("Wrap", vec![spanned("Stray", vec![], 3, 9)]);
+        let tree = spanned("Root", vec![spanned("Mid", vec![inner], 2, 6)], 0, 10);
+        let v = span_nesting_violation(&tree).expect("a violation");
+        assert!(v.contains("escapes"), "{v}");
+        assert_eq!(span_nesting_violation(&spanned("Mid", vec![], 2, 6)), None);
     }
 }

@@ -18,15 +18,15 @@ use modpeg_telemetry::Telemetry;
 
 use crate::recover::{self, Attempt, Diagnostic, Diagnostics, RecoverPolicy, Recovered};
 use crate::{
-    Arena, EventSink, Fail, Failures, Governor, Input, MemoTable, PResult, ParseError, ParseFault,
-    RunCtx, Span, Stats, SyntaxTree, Value,
+    EventSink, Fail, Failures, Governor, Input, MemoTable, PResult, ParseError, ParseEvent,
+    ParseFault, RunCtx, Span, Stats, SyntaxTree, Value,
 };
 
 /// What a parse produces.
 pub enum Mode<'r> {
     /// An owned syntax tree; the first syntax error fails the parse.
     Tree,
-    /// The tree streamed to the sink as [`ParseEvent`](crate::ParseEvent)s
+    /// The tree streamed to the sink as [`ParseEvent`]s
     /// straight from the parse region — no owned tree is built, and no
     /// events are emitted for a failed parse.
     Events(&'r mut dyn EventSink),
@@ -290,7 +290,7 @@ fn oversize(mode: Mode<'_>) -> Result<Parsed, ParseFault> {
             diagnostics,
         }),
         Mode::ResilientEvents(_, sink) => {
-            Arena::new().emit_events(&Value::Unit, sink);
+            sink.event(ParseEvent::Unit);
             Ok(Parsed {
                 tree: None,
                 diagnostics,

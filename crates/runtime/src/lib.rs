@@ -8,7 +8,8 @@
 //!   character decoding and line/column mapping,
 //! * [`Span`] / [`LineCol`] — source locations,
 //! * [`Value`], [`Node`], [`SyntaxTree`] — generic semantic values (the
-//!   analogue of xtc's *GNode*s),
+//!   analogue of xtc's *GNode*s), read through the one pre-order cursor
+//!   [`Walk`],
 //! * [`Arena`] — the bump region backing zero-copy semantic values, with
 //!   `copy_out` / one-operation `reset`, plus the SAX-style
 //!   [`ParseEvent`] / [`EventSink`] surface for treeless parsing,
@@ -72,6 +73,7 @@ pub use input::Input;
 pub use memo::{
     ChunkMemo, CompactReport, EditReport, EvictReport, HashMemo, MemoAnswer, MemoTable, CHUNK_SIZE,
 };
+pub use navigate::{Step, Walk};
 pub use out::Out;
 pub use recover::{
     Attempt, Diagnostic, Diagnostics, RecoverPolicy, Recovered, SyncSet, DEFAULT_MAX_ERRORS,

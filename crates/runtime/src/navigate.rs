@@ -1,58 +1,117 @@
-//! Syntax-tree navigation: visiting, querying, and locating nodes.
+//! Syntax-tree navigation: the one walk over detached trees, and the
+//! queries built on it.
 //!
-//! Generic trees need generic plumbing. These helpers cover the access
-//! patterns application code actually uses on parser output: walk every
-//! node, collect nodes by kind, and find the innermost node covering a
-//! source position (for tooling built on `withLocation` grammars).
+//! [`Value::walk`] is the pre-order cursor over an `Rc` tree; it keeps
+//! its own stack, since a left-recursive fold builds a tree as deep as
+//! the input is long. Everything that reads a detached tree goes through
+//! it: counting and collecting nodes, locating a source position (for
+//! tooling built on `withLocation` grammars), rendering, event streaming
+//! and counting error regions. Region walks stay with
+//! [`Arena`](crate::Arena), and the drop is an owning walk of its own.
 
 use crate::span::Span;
 use crate::value::{Node, SyntaxTree, Value};
 
-impl Value {
-    /// Visits every [`Node`] reachable from this value, preorder (parents
-    /// before children), including through lists.
-    pub fn walk_nodes<'v>(&'v self, f: &mut impl FnMut(&'v Node)) {
-        match self {
-            Value::Node(node) => {
-                f(node);
-                for child in node.children() {
-                    child.walk_nodes(f);
-                }
-            }
-            Value::List(items) => {
-                for item in items.iter() {
-                    item.walk_nodes(f);
-                }
-            }
-            _ => {}
+/// One step of a [`Walk`].
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'v> {
+    /// A [`Value::Node`] or [`Value::List`] opens: its children follow,
+    /// then its [`Step::Exit`].
+    Enter(&'v Value),
+    /// Any other value: text, unit, absent, or an arena handle
+    /// (resolvable only through its region).
+    Leaf(&'v Value),
+    /// The composite of the matching [`Step::Enter`] closes.
+    Exit(&'v Value),
+}
+
+/// A borrowed pre-order cursor over a detached value; see
+/// [`Value::walk`].
+#[derive(Debug)]
+pub struct Walk<'v> {
+    /// The value still to visit first, until the first step.
+    root: Option<&'v Value>,
+    /// Per open composite: the composite and its children still to
+    /// visit, innermost last.
+    open: Vec<(&'v Value, std::slice::Iter<'v, Value>)>,
+}
+
+impl<'v> Walk<'v> {
+    /// Skips the children still to visit of the innermost open
+    /// composite: right after its [`Step::Enter`], its whole subtree. Its
+    /// [`Step::Exit`] still follows.
+    pub(crate) fn skip_children(&mut self) {
+        if let Some((_, children)) = self.open.last_mut() {
+            *children = [].iter();
         }
     }
 
-    /// Collects every node whose kind tag equals `kind`.
-    pub fn find_kind<'v>(&'v self, kind: &str) -> Vec<&'v Node> {
-        let mut out = Vec::new();
-        self.walk_nodes(&mut |n| {
-            if n.kind().as_str() == kind {
-                out.push(n);
+    /// The nodes the rest of the walk enters, preorder.
+    fn nodes(self) -> impl Iterator<Item = &'v Node> {
+        self.filter_map(|step| match step {
+            Step::Enter(Value::Node(n)) => Some(&**n),
+            _ => None,
+        })
+    }
+}
+
+impl<'v> Iterator for Walk<'v> {
+    type Item = Step<'v>;
+
+    fn next(&mut self) -> Option<Step<'v>> {
+        let v = match self.root.take() {
+            Some(root) => root,
+            None => {
+                let (composite, children) = self.open.last_mut()?;
+                match children.next() {
+                    Some(child) => child,
+                    None => {
+                        let composite = *composite;
+                        self.open.pop();
+                        return Some(Step::Exit(composite));
+                    }
+                }
             }
-        });
-        out
+        };
+        let children = match v {
+            Value::Node(n) => n.children(),
+            Value::List(items) => items.as_slice(),
+            _ => return Some(Step::Leaf(v)),
+        };
+        self.open.push((v, children.iter()));
+        Some(Step::Enter(v))
+    }
+}
+
+impl Value {
+    /// Walks this value preorder — parents before children, through
+    /// lists — with an explicit stack, so the depth of the tree costs
+    /// heap, not call stack.
+    pub fn walk(&self) -> Walk<'_> {
+        Walk {
+            root: Some(self),
+            open: Vec::new(),
+        }
+    }
+
+    /// Collects every node whose kind tag equals `kind`, preorder.
+    pub fn find_kind<'v>(&'v self, kind: &str) -> Vec<&'v Node> {
+        self.walk()
+            .nodes()
+            .filter(|n| n.kind().as_str() == kind)
+            .collect()
     }
 
     /// Counts the nodes in the tree.
     pub fn node_count(&self) -> usize {
-        let mut n = 0;
-        self.walk_nodes(&mut |_| n += 1);
-        n
+        self.walk().nodes().count()
     }
 }
 
 impl SyntaxTree {
     /// All nodes of the tree, preorder.
     pub fn nodes(&self) -> Vec<&Node> {
-        let mut out = Vec::new();
-        self.root().walk_nodes(&mut |n| out.push(n));
-        out
+        self.root().walk().nodes().collect()
     }
 
     /// The innermost node whose span contains byte `offset`.
@@ -62,42 +121,32 @@ impl SyntaxTree {
     /// disabled); span-less nodes are transparent to the search.
     pub fn node_at(&self, offset: u32) -> Option<&Node> {
         let mut best: Option<(&Node, Span)> = None;
-        self.root().walk_nodes(&mut |n| {
+        for n in self.root().walk().nodes() {
             if let Some(span) = n.span() {
                 if span.contains(offset) && best.is_none_or(|(_, b)| span.len() <= b.len()) {
                     best = Some((n, span));
                 }
             }
-        });
+        }
         best.map(|(n, _)| n)
     }
 
     /// The chain of spanned nodes covering `offset`, outermost first.
     pub fn path_to(&self, offset: u32) -> Vec<&Node> {
         let mut out = Vec::new();
-        fn descend<'v>(value: &'v Value, offset: u32, out: &mut Vec<&'v Node>) {
-            match value {
-                Value::Node(node) => {
-                    if node.span().is_some_and(|s| s.contains(offset)) {
-                        out.push(node);
-                    }
-                    // Even span-less nodes are traversed: their children
-                    // may carry spans.
-                    if node.span().is_none_or(|s| s.contains(offset)) {
-                        for c in node.children() {
-                            descend(c, offset, out);
-                        }
-                    }
-                }
-                Value::List(items) => {
-                    for item in items.iter() {
-                        descend(item, offset, out);
-                    }
-                }
-                _ => {}
+        let mut walk = self.root().walk();
+        while let Some(step) = walk.next() {
+            let Step::Enter(Value::Node(n)) = step else {
+                continue;
+            };
+            match n.span() {
+                Some(s) if s.contains(offset) => out.push(&**n),
+                Some(_) => walk.skip_children(),
+                // Even span-less nodes are traversed: their children may
+                // carry spans.
+                None => {}
             }
         }
-        descend(self.root(), offset, &mut out);
         out
     }
 }
@@ -141,6 +190,20 @@ mod tests {
     }
 
     #[test]
+    fn walk_brackets_composites_around_their_children() {
+        let v = Value::node("N", vec![Value::list(vec![Value::Unit]), Value::Absent]);
+        let steps: Vec<&str> = v
+            .walk()
+            .map(|step| match step {
+                Step::Enter(_) => "enter",
+                Step::Leaf(_) => "leaf",
+                Step::Exit(_) => "exit",
+            })
+            .collect();
+        assert_eq!(steps, ["enter", "enter", "leaf", "exit", "leaf", "exit"]);
+    }
+
+    #[test]
     fn find_kind_collects_matches() {
         let t = tree();
         assert_eq!(t.root().find_kind("C").len(), 1);
@@ -161,6 +224,55 @@ mod tests {
         let t = tree();
         let path: Vec<&str> = t.path_to(6).iter().map(|n| n.kind().as_str()).collect();
         assert_eq!(path, vec!["Root", "B", "C"]);
+    }
+
+    /// `(Root 0..10 [(Wrap [(Inner 2..5 (Leaf 3..4))]) ($error 5..7)]
+    /// (Tail 7..10 (Stray 0..1)))`: a spanned node under a span-less one,
+    /// inside a list, next to an error node, and a child whose span
+    /// escapes its parent's.
+    fn mixed_tree() -> SyntaxTree {
+        let spanned = |kind: &str, children: Vec<Value>, lo: u32, hi: u32| {
+            Value::Node(std::rc::Rc::new(Node::with_span(
+                NodeKind::new(kind),
+                children,
+                Span::new(lo, hi),
+            )))
+        };
+        let inner = spanned("Inner", vec![spanned("Leaf", vec![], 3, 4)], 2, 5);
+        let list = Value::list(vec![
+            Value::node("Wrap", vec![inner]),
+            spanned(crate::recover::ERROR_KIND, vec![], 5, 7),
+        ]);
+        let tail = spanned("Tail", vec![spanned("Stray", vec![], 0, 1)], 7, 10);
+        SyntaxTree::new("0123456789", spanned("Root", vec![list, tail], 0, 10))
+    }
+
+    #[test]
+    fn navigation_answers_on_a_mixed_tree() {
+        let t = mixed_tree();
+        let kinds = |nodes: Vec<&Node>| -> Vec<String> {
+            nodes.iter().map(|n| n.kind().as_str().to_owned()).collect()
+        };
+        assert_eq!(
+            kinds(t.nodes()),
+            ["Root", "Wrap", "Inner", "Leaf", "$error", "Tail", "Stray"]
+        );
+        assert_eq!(t.root().node_count(), 7);
+        assert_eq!(kinds(t.root().find_kind("Inner")), ["Inner"]);
+        assert_eq!(kinds(t.root().find_kind("$error")), ["$error"]);
+        let at = |offset| t.node_at(offset).map(|n| n.kind().as_str());
+        assert_eq!(at(3), Some("Leaf"));
+        assert_eq!(at(2), Some("Inner"));
+        assert_eq!(at(5), Some("$error"));
+        assert_eq!(at(8), Some("Tail"));
+        // The search visits every node, so a stray span still answers.
+        assert_eq!(at(0), Some("Stray"));
+        assert_eq!(at(10), None);
+        // The path never descends into a spanned node off the offset.
+        assert_eq!(kinds(t.path_to(3)), ["Root", "Inner", "Leaf"]);
+        assert_eq!(kinds(t.path_to(6)), ["Root", "$error"]);
+        assert_eq!(kinds(t.path_to(0)), ["Root"]);
+        assert!(t.path_to(10).is_empty());
     }
 
     #[test]

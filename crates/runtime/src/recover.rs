@@ -37,6 +37,7 @@ use modpeg_telemetry::escape_json;
 
 use crate::error::{ExpectedList, ParseError};
 use crate::input::Input;
+use crate::navigate::Step;
 use crate::span::Span;
 use crate::value::{Node, NodeKind, Value};
 
@@ -463,14 +464,11 @@ fn error_node(span: Span) -> Value {
 /// counterpart of [`Diagnostics::error_count`]; one more than the
 /// diagnostic count when the report was truncated).
 pub fn count_error_nodes(v: &Value) -> usize {
-    match v {
-        Value::Node(n) if n.kind().as_str() == ERROR_KIND => {
-            1 + n.children().iter().map(count_error_nodes).sum::<usize>()
-        }
-        Value::Node(n) => n.children().iter().map(count_error_nodes).sum(),
-        Value::List(l) => l.iter().map(count_error_nodes).sum(),
-        _ => 0,
-    }
+    v.walk()
+        .filter(
+            |step| matches!(step, Step::Enter(Value::Node(n)) if n.kind().as_str() == ERROR_KIND),
+        )
+        .count()
 }
 
 #[cfg(test)]
@@ -716,7 +714,7 @@ mod tests {
         let mut builder = TreeBuilder::new();
         Arena::new().emit_events(&v, &mut builder);
         let rebuilt = builder.finish().expect("balanced stream");
-        assert!(v.same_shape(&rebuilt, "12ab34"));
+        assert_eq!(rebuilt.to_sexpr("12ab34"), v.to_sexpr("12ab34"));
         // And the error bracket arrives as ErrorStart/ErrorEnd.
         struct Seen(Vec<&'static str>);
         impl EventSink for Seen {

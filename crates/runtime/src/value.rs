@@ -10,6 +10,7 @@
 use std::fmt;
 use std::rc::Rc;
 
+use crate::navigate::Step;
 use crate::span::Span;
 
 /// The kind tag of a [`Node`], e.g. `"Statement.While"` for the `<While>`
@@ -221,45 +222,32 @@ impl Value {
         }
     }
 
-    /// Estimated heap bytes retained by this value, counting shared
-    /// subtrees once per reference (an upper-bound estimate; packrat result
-    /// sharing can make true retention smaller). Arena handles retain
-    /// nothing themselves — the region's footprint is accounted by
-    /// [`Arena::retained_bytes`](crate::Arena::retained_bytes).
-    pub fn retained_bytes(&self) -> usize {
-        match self {
-            Value::Unit
-            | Value::Absent
-            | Value::Text(_)
-            | Value::ArenaNode(_)
-            | Value::ArenaList(_) => 0,
-            Value::OwnedText(s) => s.len() + 16,
-            Value::Node(n) => {
-                let own = std::mem::size_of::<Node>()
-                    + n.children.capacity() * std::mem::size_of::<Value>();
-                own + n.children.iter().map(Value::retained_bytes).sum::<usize>()
+    /// Renders the value as an S-expression, resolving text spans against
+    /// `input`. This is the canonical printable form used throughout the
+    /// test suite to compare parser outputs.
+    pub fn to_sexpr(&self, input: &str) -> String {
+        let mut out = String::new();
+        // A list's first item follows its `[` directly; every other value
+        // but the root follows a space.
+        let mut after: Option<Step<'_>> = None;
+        for step in self.walk() {
+            if !matches!(step, Step::Exit(_))
+                && after.is_some_and(|a| !matches!(a, Step::Enter(Value::List(_))))
+            {
+                out.push(' ');
             }
-            Value::List(l) => {
-                let own =
-                    std::mem::size_of::<Vec<Value>>() + l.capacity() * std::mem::size_of::<Value>();
-                own + l.iter().map(Value::retained_bytes).sum::<usize>()
-            }
-        }
-    }
-
-    /// The walk keeps its own stack: a left-recursive fold builds a
-    /// left-deep tree, one level per operator, as deep as the input is
-    /// long.
-    fn write_sexpr(&self, input: &str, out: &mut String) {
-        // Per open composite: its children, the next one to write, and
-        // whether it is a list.
-        let mut open: Vec<(&[Value], usize, bool)> = Vec::new();
-        let mut next = self;
-        loop {
-            match next {
-                Value::Unit => out.push_str("()"),
-                Value::Absent => out.push('~'),
-                Value::Text(span) => {
+            after = Some(step);
+            match step {
+                Step::Enter(Value::Node(n)) => {
+                    out.push('(');
+                    out.push_str(n.kind.as_str());
+                }
+                Step::Enter(_) => out.push('['),
+                Step::Exit(Value::Node(_)) => out.push(')'),
+                Step::Exit(_) => out.push(']'),
+                Step::Leaf(Value::Unit) => out.push_str("()"),
+                Step::Leaf(Value::Absent) => out.push('~'),
+                Step::Leaf(Value::Text(span)) => {
                     out.push('"');
                     out.push_str(
                         input
@@ -268,78 +256,19 @@ impl Value {
                     );
                     out.push('"');
                 }
-                Value::OwnedText(s) => {
+                Step::Leaf(Value::OwnedText(s)) => {
                     out.push('"');
                     out.push_str(s);
                     out.push('"');
-                }
-                Value::Node(n) => {
-                    out.push('(');
-                    out.push_str(n.kind.as_str());
-                    open.push((&n.children, 0, false));
-                }
-                Value::List(l) => {
-                    out.push('[');
-                    open.push((l, 0, true));
                 }
                 // Unresolvable without the arena; engines copy out before
                 // any value escapes to rendering, so this is reachable only
                 // from misuse (render what `Arena::copy_out` returns
                 // instead).
-                Value::ArenaNode(_) | Value::ArenaList(_) => out.push_str("<arena>"),
+                Step::Leaf(_) => out.push_str("<arena>"),
             }
-            next = loop {
-                let Some(&mut (items, ref mut at, list)) = open.last_mut() else {
-                    return;
-                };
-                if let Some(child) = items.get(*at) {
-                    if !list || *at > 0 {
-                        out.push(' ');
-                    }
-                    *at += 1;
-                    break child;
-                }
-                out.push(if list { ']' } else { ')' });
-                open.pop();
-            };
         }
-    }
-
-    /// Renders the value as an S-expression, resolving text spans against
-    /// `input`. This is the canonical printable form used throughout the
-    /// test suite to compare parser outputs.
-    pub fn to_sexpr(&self, input: &str) -> String {
-        let mut out = String::new();
-        self.write_sexpr(input, &mut out);
         out
-    }
-
-    /// Structural equality modulo text representation: `Text` spans and
-    /// `OwnedText` compare equal when they denote the same characters of
-    /// `input`, and node spans are ignored. Used to check that
-    /// optimizations preserve semantics. Arena handles always compare
-    /// unequal here — compare region-backed values after
-    /// [`Arena::copy_out`](crate::Arena::copy_out).
-    pub fn same_shape(&self, other: &Value, input: &str) -> bool {
-        match (self, other) {
-            (Value::Unit, Value::Unit) | (Value::Absent, Value::Absent) => true,
-            (
-                a @ (Value::Text(_) | Value::OwnedText(_)),
-                b @ (Value::Text(_) | Value::OwnedText(_)),
-            ) => a.as_text(input) == b.as_text(input),
-            (Value::Node(a), Value::Node(b)) => {
-                a.kind == b.kind
-                    && a.children.len() == b.children.len()
-                    && a.children
-                        .iter()
-                        .zip(b.children.iter())
-                        .all(|(x, y)| x.same_shape(y, input))
-            }
-            (Value::List(a), Value::List(b)) => {
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.same_shape(y, input))
-            }
-            _ => false,
-        }
     }
 }
 
@@ -384,11 +313,6 @@ impl SyntaxTree {
     /// Renders the whole tree as an S-expression.
     pub fn to_sexpr(&self) -> String {
         self.root.to_sexpr(&self.input)
-    }
-
-    /// Estimated heap bytes retained by the tree (excluding the input copy).
-    pub fn retained_bytes(&self) -> usize {
-        self.root.retained_bytes()
     }
 }
 
@@ -439,32 +363,39 @@ mod tests {
     }
 
     #[test]
-    fn same_shape_ignores_text_representation() {
+    fn sexpr_ignores_text_representation() {
         let input = "abc";
         let spanned = Value::node("N", vec![Value::Text(Span::new(0, 3))]);
         let owned = Value::node("N", vec![Value::OwnedText(Rc::from("abc"))]);
-        assert!(spanned.same_shape(&owned, input));
+        assert_eq!(spanned.to_sexpr(input), owned.to_sexpr(input));
         let other = Value::node("N", vec![Value::OwnedText(Rc::from("abd"))]);
-        assert!(!spanned.same_shape(&other, input));
+        assert_ne!(spanned.to_sexpr(input), other.to_sexpr(input));
     }
 
     #[test]
-    fn same_shape_distinguishes_kind_and_arity() {
+    fn sexpr_distinguishes_kind_and_arity() {
         let a = Value::node("A", vec![]);
         let b = Value::node("B", vec![]);
         let a2 = Value::node("A", vec![Value::Unit]);
-        assert!(!a.same_shape(&b, ""));
-        assert!(!a.same_shape(&a2, ""));
-        assert!(a.same_shape(&a.clone(), ""));
+        assert_eq!(a.to_sexpr(""), "(A)");
+        assert_eq!(b.to_sexpr(""), "(B)");
+        assert_eq!(a2.to_sexpr(""), "(A ())");
     }
 
     #[test]
-    fn retained_bytes_grows_with_structure() {
-        let leaf = Value::Text(Span::new(0, 1));
-        let small = Value::node("N", vec![leaf.clone()]);
-        let big = Value::node("N", vec![small.clone(), small.clone(), small.clone()]);
-        assert_eq!(leaf.retained_bytes(), 0);
-        assert!(big.retained_bytes() > small.retained_bytes());
+    fn sexpr_nests_lists_and_empty_composites() {
+        let v = Value::node(
+            "N",
+            vec![
+                Value::list(vec![]),
+                Value::list(vec![
+                    Value::list(vec![Value::Unit]),
+                    Value::node("M", vec![]),
+                ]),
+                Value::Absent,
+            ],
+        );
+        assert_eq!(v.to_sexpr(""), "(N [] [[()] (M)] ~)");
     }
 
     #[test]
