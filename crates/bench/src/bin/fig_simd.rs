@@ -18,8 +18,7 @@
 //!
 //! Scan modes are switched with the runtime's thread-local override
 //! (`scan::force_scalar`, set at the start of every parse of a cell), the
-//! same switch `scripts/simd-smoke.sh` and
-//! the conformance scan-parity legs use.
+//! same switch the conformance scan-parity legs and scan-mode tests use.
 //!
 //! Knobs: `MODPEG_BENCH_BYTES` (default 24000), `MODPEG_BENCH_SEEDS` (3),
 //! `MODPEG_BENCH_RUNS` (6).
@@ -87,7 +86,7 @@ fn main() {
         let cells: Vec<&dyn Engine> = cells.iter().map(|c| c as &dyn Engine).collect();
         assert_same_trees(g.name(), &cells, &inputs);
         let legs = paired_trees(knobs.runs, &cells, &inputs);
-        scan::reset_forced();
+        scan::force_scalar(false);
 
         for (cell, pair) in cells.iter().step_by(2).zip(legs.chunks(2)) {
             let (s, v) = (pair[0].median, pair[1].median);

@@ -21,7 +21,7 @@ use modpeg_telemetry::{SpanToken, Telemetry};
 
 use crate::scan::{self, ClassTable};
 use crate::{
-    Arena, EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, Node, NodeKind, Out,
+    EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, Node, NodeKind, Out,
     PResult, ParseAbort, ParseError, ScopedState, Span, Stats, Value, DEFAULT_MAX_DEPTH,
 };
 
@@ -482,7 +482,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
     }
 
     /// A list of `items`, splicing list-valued items in one level (see
-    /// [`Arena::make_list`]).
+    /// [`Arena::make_list`](crate::Arena::make_list)).
     pub fn make_list(&mut self, items: Vec<Value>) -> Value {
         if let Some(m) = self.memo.chunks_mut() {
             return m.arena_mut().make_list(&mut self.stats, items);
@@ -557,7 +557,7 @@ impl<'a, M: MemoTable> RunCtx<'a, M> {
     pub fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
         match self.memo.chunks() {
             Some(m) => m.arena().emit_events(value, sink),
-            None => Arena::new().emit_events(value, sink),
+            None => crate::arena::emit_detached(value, sink),
         }
     }
 
@@ -758,7 +758,7 @@ mod tests {
         let mut cx = open(text, ChunkMemo::new(1, text.len() as u32), Some(&gov));
         scan::force_scalar(scalar);
         let end = cx.class_run(0, &table, "letter");
-        scan::reset_forced();
+        scan::force_scalar(false);
         let farthest = cx.failures.farthest();
         assert_eq!(
             !cx.failures.expected().is_empty(),

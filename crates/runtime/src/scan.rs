@@ -33,13 +33,11 @@
 //! [`force_scalar`] flips the calling thread onto the per-character
 //! reference loops — `class_run`'s scalar path, and the interpreter's
 //! generic repetition loop — which are the differential reference for
-//! the conformance oracle and the `fig_simd` baseline; the
-//! `MODPEG_SCAN=scalar` environment variable sets the process-wide
-//! default.
+//! the conformance oracle and the `fig_simd` baseline. It is the only
+//! switch: every thread starts on the bulk scanner.
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Non-ASCII membership verdict of a class, derived once from its
 /// normalized ranges and negation flag.
@@ -388,36 +386,22 @@ unsafe fn scan_ascii_simd(bytes: &[u8], mut i: usize, table: &ClassTable) -> usi
 }
 
 thread_local! {
-    /// Per-thread override of the scalar/vectorized choice; `None`
-    /// defers to the `MODPEG_SCAN` environment default.
-    static FORCED: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Process-wide default from `MODPEG_SCAN=scalar`, read once.
-fn env_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("MODPEG_SCAN").is_ok_and(|v| v == "scalar"))
+    /// Whether the calling thread takes the scalar loops.
+    static FORCED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether the calling thread should take the engines' original
 /// per-character scalar loops instead of the bulk scanner. The
-/// conformance oracle flips this to run its scalar-vs-vectorized leg;
-/// `MODPEG_SCAN=scalar` sets the process default.
+/// conformance oracle flips this to run its scalar-vs-vectorized leg.
 #[inline]
 pub fn scalar_forced() -> bool {
-    FORCED.with(|c| c.get()).unwrap_or_else(env_default)
+    FORCED.with(Cell::get)
 }
 
 /// Forces (`true`) or un-forces (`false`) the scalar path on the calling
-/// thread, overriding the environment default until [`reset_forced`].
+/// thread.
 pub fn force_scalar(on: bool) {
-    FORCED.with(|c| c.set(Some(on)));
-}
-
-/// Drops the calling thread's override, restoring the `MODPEG_SCAN`
-/// environment default.
-pub fn reset_forced() {
-    FORCED.with(|c| c.set(None));
+    FORCED.with(|c| c.set(on));
 }
 
 #[cfg(test)]
@@ -615,12 +599,13 @@ mod tests {
 
     #[test]
     fn force_scalar_is_per_thread_and_resettable() {
-        assert!(!scalar_forced() || std::env::var("MODPEG_SCAN").is_ok());
+        assert!(!scalar_forced(), "a thread starts on the bulk scanner");
         force_scalar(true);
         assert!(scalar_forced());
+        let other = std::thread::spawn(scalar_forced);
+        assert!(!other.join().expect("thread"), "the switch is per thread");
         force_scalar(false);
         assert!(!scalar_forced());
-        reset_forced();
         let handle = std::thread::spawn(|| {
             force_scalar(true);
             scalar_forced()
