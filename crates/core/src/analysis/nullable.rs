@@ -3,6 +3,8 @@
 use crate::expr::Expr;
 use crate::grammar::{Grammar, ProdId};
 
+use super::first::first_sets;
+
 /// Whether `expr` can match the empty string, given per-production
 /// nullability in `prods` (indexed by [`ProdId::index`]).
 pub fn expr_nullable(expr: &Expr<ProdId>, prods: &[bool]) -> bool {
@@ -26,30 +28,15 @@ pub fn expr_nullable(expr: &Expr<ProdId>, prods: &[bool]) -> bool {
     }
 }
 
-/// Computes per-production nullability by fixpoint iteration.
-///
-/// The returned vector is indexed by [`ProdId::index`]. The fixpoint starts
-/// from "nothing is nullable" and grows, so recursive productions get the
-/// least solution (correct for PEGs, where a recursive expansion must make
-/// progress to terminate).
+/// Computes per-production nullability, indexed by [`ProdId::index`]: the
+/// `matches_empty` bit of [`first_sets`]. Recursive productions get the
+/// least solution (correct for PEGs, where a recursive expansion must
+/// make progress to terminate).
 pub fn nullable(grammar: &Grammar) -> Vec<bool> {
-    let mut result = vec![false; grammar.len()];
-    loop {
-        let mut changed = false;
-        for (id, prod) in grammar.iter() {
-            if result[id.index()] {
-                continue;
-            }
-            let n = prod.alts.iter().any(|a| expr_nullable(&a.expr, &result));
-            if n {
-                result[id.index()] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return result;
-        }
-    }
+    first_sets(grammar)
+        .iter()
+        .map(|f| f.matches_empty)
+        .collect()
 }
 
 #[cfg(test)]

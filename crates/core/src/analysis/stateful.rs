@@ -11,6 +11,8 @@
 use crate::expr::Expr;
 use crate::grammar::Grammar;
 
+use super::solve::{solve, update, Flow, Graph};
+
 /// How a production interacts with parser state (transitively).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StateAccess {
@@ -21,12 +23,25 @@ pub struct StateAccess {
     /// such a production would replay its value but skip the mutation,
     /// so writers are never memoized.
     pub writes: bool,
+    /// Opens a `%scope` somewhere in its expansion. A scope is balanced
+    /// (its net visibility effect is zero), so it is neither a read nor a
+    /// write, but it still changes scope structure: the inliner keeps
+    /// such productions as they are.
+    pub scopes: bool,
 }
 
 impl StateAccess {
     /// Reads or writes.
     pub fn any(self) -> bool {
         self.reads || self.writes
+    }
+
+    fn join(self, other: StateAccess) -> StateAccess {
+        StateAccess {
+            reads: self.reads || other.reads,
+            writes: self.writes || other.writes,
+            scopes: self.scopes || other.scopes,
+        }
     }
 }
 
@@ -35,83 +50,38 @@ fn direct_access(expr: &Expr<crate::grammar::ProdId>) -> StateAccess {
     expr.walk(&mut |e| match e {
         Expr::StateIsDef(_) | Expr::StateIsNotDef(_) => acc.reads = true,
         Expr::StateDefine(_) => acc.writes = true,
-        // %scope is balanced (its net visibility effect is zero), so it is
-        // neither a read nor a write by itself.
+        Expr::StateScope(_) => acc.scopes = true,
         _ => {}
     });
     acc
 }
 
-/// Computes, per production, its transitive state access.
+/// Computes, per production (indexed by [`ProdId::index`]), its transitive
+/// state access: what its own expressions do, joined with what every
+/// production it references does.
+///
+/// [`ProdId::index`]: crate::grammar::ProdId::index
 pub fn state_access(grammar: &Grammar) -> Vec<StateAccess> {
-    let mut result: Vec<StateAccess> = grammar
+    let mut access: Vec<StateAccess> = grammar
         .productions()
         .iter()
         .map(|p| {
-            let mut acc = StateAccess::default();
-            if p.attrs.stateful {
-                acc.writes = true; // explicit attribute: be conservative
-            }
-            for e in p.exprs() {
-                let d = direct_access(e);
-                acc.reads |= d.reads;
-                acc.writes |= d.writes;
-            }
-            acc
+            let own = StateAccess {
+                // explicit attribute: be conservative
+                writes: p.attrs.stateful,
+                ..StateAccess::default()
+            };
+            p.exprs().map(direct_access).fold(own, StateAccess::join)
         })
         .collect();
-    loop {
-        let mut changed = false;
-        for (id, prod) in grammar.iter() {
-            let mut acc = result[id.index()];
-            prod.for_each_ref(&mut |r| {
-                acc.reads |= result[r.index()].reads;
-                acc.writes |= result[r.index()].writes;
-            });
-            if acc != result[id.index()] {
-                result[id.index()] = acc;
-                changed = true;
-            }
-        }
-        if !changed {
-            return result;
-        }
-    }
-}
-
-/// Computes, per production (indexed by [`ProdId::index`]), whether its
-/// expansion can touch parser state — directly or through any reference.
-///
-/// [`ProdId::index`]: crate::grammar::ProdId::index
-pub fn stateful(grammar: &Grammar) -> Vec<bool> {
-    // %scope alone also counts here (it bumps scope structure), keeping
-    // this coarse query conservative for callers like the inliner.
-    let mut result: Vec<bool> = grammar
-        .productions()
-        .iter()
-        .map(|p| p.attrs.stateful || p.uses_state_directly())
-        .collect();
-    loop {
-        let mut changed = false;
-        for (id, prod) in grammar.iter() {
-            if result[id.index()] {
-                continue;
-            }
-            let mut hit = false;
-            prod.for_each_ref(&mut |r| {
-                if result[r.index()] {
-                    hit = true;
-                }
-            });
-            if hit {
-                result[id.index()] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return result;
-        }
-    }
+    let graph = Graph::references(grammar);
+    solve(&graph, Flow::Up, &mut access, |p, access, changed| {
+        let acc = graph.edges[p.index()]
+            .iter()
+            .fold(access[p.index()], |acc, r| acc.join(access[r.index()]));
+        update(access, p, acc, changed);
+    });
+    access
 }
 
 #[cfg(test)]
@@ -120,6 +90,14 @@ mod tests {
     use crate::analysis::testutil::{grammar, r};
     use crate::expr::Expr;
     use crate::grammar::ProdKind;
+
+    /// What the inliner treats as stateful.
+    fn stateful(g: &Grammar) -> Vec<bool> {
+        state_access(g)
+            .iter()
+            .map(|a| a.reads || a.writes || a.scopes)
+            .collect()
+    }
 
     #[test]
     fn direct_state_use_detected() {
@@ -178,6 +156,7 @@ mod tests {
         assert!(!acc[3].any());
         // %scope by itself is neither.
         assert!(!acc[4].any());
+        assert!(acc[4].scopes && !acc[0].scopes);
     }
 
     #[test]

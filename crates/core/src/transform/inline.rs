@@ -65,14 +65,16 @@ pub fn inline_with_candidates(
     let mut g = grammar;
     // Inlining can cascade (A uses B, both trivial); bounded fixpoint.
     for _ in 0..4 {
-        let stateful = crate::analysis::stateful(&g);
+        let access = crate::analysis::state_access(&g);
         let counts = crate::analysis::reference_counts(&g);
         let mut bodies: HashMap<ProdId, Expr<ProdId>> = HashMap::new();
         for (id, p) in g.iter() {
             if id == g.root()
                 || p.kind == ProdKind::Node
                 || p.attrs.memo
-                || stateful[id.index()]
+                || access[id.index()].reads
+                || access[id.index()].writes
+                || access[id.index()].scopes
                 || is_self_recursive(&g, id)
             {
                 continue;

@@ -8,9 +8,7 @@
 
 use std::rc::Rc;
 
-use modpeg_core::analysis::{
-    first_sets, nullable, reference_counts, state_access, sync_sets, FirstSet,
-};
+use modpeg_core::analysis::{first_sets, reference_counts, state_access, sync_sets, FirstSet};
 use modpeg_core::transform::TuningPlan;
 use modpeg_core::{CharClass, Diagnostics, Expr, Grammar, ProdId, ProdKind};
 use modpeg_runtime::{NodeKind, RecoverPolicy, SyncSet};
@@ -206,7 +204,7 @@ struct Lowering<'a> {
     reads: Vec<bool>,
     writes: Vec<bool>,
     next_slot: u32,
-    first: Option<(Vec<FirstSet>, Vec<bool>)>,
+    first: Option<Vec<FirstSet>>,
     /// Whether the production currently being lowered gets dispatch
     /// tables; toggled per production when a tuning plan restricts the
     /// table set, always `true` otherwise.
@@ -244,7 +242,7 @@ impl<'a> Lowering<'a> {
         }
         self.first
             .as_ref()
-            .map(|(sets, nullables)| modpeg_core::analysis::expr_first(e, sets, nullables))
+            .map(|sets| modpeg_core::analysis::expr_first(e, sets))
     }
 
     fn lower(&mut self, e: &Expr<ProdId>) -> EId {
@@ -488,9 +486,7 @@ impl CompiledGrammar {
             }
         }
 
-        let first = cfg
-            .terminal_dispatch
-            .then(|| (first_sets(&g), nullable(&g)));
+        let first = cfg.terminal_dispatch.then(|| first_sets(&g));
 
         let mut lowering = Lowering {
             cfg,
