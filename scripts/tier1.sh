@@ -39,6 +39,9 @@ cargo test --release --manifest-path e2e_bench/Cargo.toml
 echo "== tier-1: conformance fuzz smoke =="
 sh scripts/fuzz-smoke.sh
 
+echo "== tier-1: front-end smoke (huge generated grammars) =="
+sh scripts/frontend-smoke.sh
+
 echo "== tier-1: fault-injection smoke =="
 sh scripts/fault-smoke.sh
 
