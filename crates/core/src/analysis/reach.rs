@@ -23,7 +23,8 @@ pub fn reachable(grammar: &Grammar) -> Vec<bool> {
 }
 
 /// Counts references to each production from reachable productions
-/// (the root gets one synthetic reference). Feeds the `transient-auto`
+/// (the root gets one synthetic reference): every reference site in a
+/// production's alternatives counts once. Feeds the `transient-auto`
 /// optimization: a production referenced at most once cannot be re-parsed
 /// at the same position by backtracking *through different call sites*, so
 /// memoizing it never pays off.
@@ -35,9 +36,11 @@ pub fn reference_counts(grammar: &Grammar) -> Vec<u32> {
         if !reach[id.index()] {
             continue;
         }
-        prod.for_each_ref(&mut |r: ProdId| {
-            counts[r.index()] += 1;
-        });
+        for alt in &prod.alts {
+            alt.expr.for_each_ref(&mut |r: &ProdId| {
+                counts[r.index()] += 1;
+            });
+        }
     }
     counts
 }

@@ -755,6 +755,25 @@ mod tests {
     }
 
     #[test]
+    fn transient_auto_counts_a_left_recursive_tail_reference_once() {
+        // `Op` is a Node production (so inlining leaves it) referenced
+        // only from the left-recursive alternative of `Sum`.
+        let set = modpeg_syntax::parse_module_set([r#"
+            module o;
+            public Node Sum = <Add> Sum Op Word / Word ;
+            Node Op = <Plus> "+" / <Minus> "-" ;
+            String Word = $[a-z]+ ;
+        "#])
+        .unwrap();
+        let g = set.elaborate("o", None).unwrap();
+        let op = g.find("o.Op").unwrap();
+        assert_eq!(reference_counts(&g)[op.index()], 1);
+        let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
+        let op = c.prods.iter().find(|p| p.name == "o.Op").unwrap();
+        assert_eq!(op.memo_slot, None);
+    }
+
+    #[test]
     fn dispatch_tables_present_only_when_enabled() {
         let g = sample();
         let c = CompiledGrammar::compile(&g, OptConfig::none()).unwrap();
