@@ -10,7 +10,7 @@
 //! it in throughput comparisons — a conservative choice for the paper's
 //! claims, noted in `EXPERIMENTS.md`.
 
-use modpeg_core::{Expr, Grammar, ProdId};
+use modpeg_core::{Alternative, Expr, Grammar, LrSplit, ProdId};
 use modpeg_runtime::{Input, ScopedState, DEFAULT_MAX_DEPTH};
 
 /// A recognizer that tries alternatives by brute backtracking.
@@ -32,6 +32,8 @@ use modpeg_runtime::{Input, ScopedState, DEFAULT_MAX_DEPTH};
 #[derive(Debug)]
 pub struct BacktrackParser<'g> {
     grammar: &'g Grammar,
+    /// Per production: its left-recursion split, if it has one.
+    splits: Vec<Option<LrSplit>>,
 }
 
 /// Everything one [`BacktrackParser::recognize_with_depth`] call learned.
@@ -53,6 +55,7 @@ pub struct RecognizeOutcome {
 
 struct Run<'g, 'i> {
     grammar: &'g Grammar,
+    splits: &'g [Option<LrSplit>],
     input: Input<'i>,
     state: ScopedState,
     farthest: u32,
@@ -75,7 +78,12 @@ struct Run<'g, 'i> {
 impl<'g> BacktrackParser<'g> {
     /// Wraps an elaborated grammar.
     pub fn new(grammar: &'g Grammar) -> Self {
-        BacktrackParser { grammar }
+        // An unsplittable left recursion (never elaborated) runs as written.
+        let splits = grammar
+            .iter()
+            .map(|(id, p)| LrSplit::of(id, p).ok().flatten())
+            .collect();
+        BacktrackParser { grammar, splits }
     }
 
     /// Recognizes `input` (full consumption required).
@@ -111,6 +119,7 @@ impl<'g> BacktrackParser<'g> {
     pub fn recognize_with_depth(&self, input: &str, max_depth: u32) -> RecognizeOutcome {
         let mut run = Run {
             grammar: self.grammar,
+            splits: &self.splits,
             input: Input::new(input),
             state: ScopedState::new(),
             farthest: 0,
@@ -142,46 +151,30 @@ impl<'g, 'i> Run<'g, 'i> {
     }
 
     fn eval_prod(&mut self, id: ProdId, pos: u32) -> Option<u32> {
-        let prod = self.grammar.production(id);
-        match &prod.lr {
-            Some(lr) => {
-                // Fold-style left recursion (the only strategy that makes
-                // sense without a memo table).
-                let mut end = lr.bases.iter().find_map(|alt| {
-                    let mark = self.state.mark();
-                    match self.eval(&alt.expr, pos) {
-                        Some(e) => Some(e),
-                        None => {
-                            self.state.rollback(mark);
-                            None
-                        }
-                    }
-                })?;
-                'grow: loop {
-                    for tail in &lr.tails {
-                        let mark = self.state.mark();
-                        match self.eval(&tail.expr, end) {
-                            Some(e) => {
-                                end = e;
-                                continue 'grow;
-                            }
-                            None => self.state.rollback(mark),
-                        }
-                    }
-                    return Some(end);
-                }
-            }
-            None => {
-                for alt in &prod.alts {
-                    let mark = self.state.mark();
-                    match self.eval(&alt.expr, pos) {
-                        Some(e) => return Some(e),
-                        None => self.state.rollback(mark),
-                    }
-                }
-                self.fail(pos)
-            }
+        let Some(lr) = &self.splits[id.index()] else {
+            let alts = &self.grammar.production(id).alts;
+            return self.first_match(alts, pos).or_else(|| self.fail(pos));
+        };
+        // Fold-style left recursion (the only strategy that makes sense
+        // without a memo table): one base, then tails while one matches.
+        let mut end = self.first_match(&lr.bases, pos)?;
+        while let Some(e) = self.first_match(&lr.tails, end) {
+            end = e;
         }
+        Some(end)
+    }
+
+    /// Where the first of `alts` to match at `pos` ends; each failed
+    /// alternative's state changes are rolled back.
+    fn first_match(&mut self, alts: &[Alternative], pos: u32) -> Option<u32> {
+        alts.iter().find_map(|alt| {
+            let mark = self.state.mark();
+            let end = self.eval(&alt.expr, pos);
+            if end.is_none() {
+                self.state.rollback(mark);
+            }
+            end
+        })
     }
 
     /// Depth-guarded expression evaluation: counts held expression frames

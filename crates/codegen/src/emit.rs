@@ -506,9 +506,11 @@ impl<'g> Emitter<'g> {
             self.out,
             "    fn p{p_idx}_impl(&mut self, pos: u32) -> Result<(u32, Value), Fail> {{"
         );
-        match &p.lr {
-            Some(lr) => {
-                // Base: first matching base alternative becomes the seed.
+        // The alternatives tried in order at `pos`: the production's own,
+        // or the bases of a left-recursive one, which get their own
+        // function that the grow loop seeds from.
+        let alts = match p.lr_split() {
+            Some((bases, tails)) => {
                 let _ = writeln!(
                     self.out,
                     "        let (mut end, mut seed) = self.p{p_idx}_base(pos)?;"
@@ -517,58 +519,36 @@ impl<'g> Emitter<'g> {
                 // One guard tick per growth round: unbounded growth is
                 // otherwise invisible to fuel and deadline accounting.
                 let _ = writeln!(self.out, "            self.cx.guard()?;");
-                let has_dispatch = lr.tails.iter().any(|t| t.first.is_some());
-                if has_dispatch {
+                if tails.iter().any(|t| t.first.is_some()) {
                     let _ = writeln!(self.out, "            let b = self.cx.input.byte_at(end);");
                 }
-                for tail in lr.tails.clone() {
-                    let attempt = self.emit_alt_attempt(p_idx, &tail, true);
+                for tail in tails {
+                    let attempt = self.emit_alt_attempt(p_idx, tail, true);
                     let _ = writeln!(self.out, "{attempt}");
                 }
                 let _ = writeln!(self.out, "            return Ok((end, seed));");
                 let _ = writeln!(self.out, "        }}");
                 let _ = writeln!(self.out, "    }}\n");
-                // Base alternatives as their own function.
                 let _ = writeln!(
                     self.out,
                     "    fn p{p_idx}_base(&mut self, pos: u32) -> Result<(u32, Value), Fail> {{"
                 );
-                let has_dispatch = lr.bases.iter().any(|a| a.first.is_some());
-                if has_dispatch {
-                    let _ = writeln!(self.out, "        let b = self.cx.input.byte_at(pos);");
-                }
-                for alt in lr.bases.clone() {
-                    let attempt = self.emit_alt_attempt(p_idx, &alt, false);
-                    let _ = writeln!(self.out, "{attempt}");
-                }
-                let _ = writeln!(self.out, "        Err(Fail)");
-                let _ = writeln!(self.out, "    }}\n");
+                bases
             }
-            None => {
-                let has_dispatch = p.alts.iter().any(|a| a.first.is_some());
-                if has_dispatch {
-                    let _ = writeln!(self.out, "        let b = self.cx.input.byte_at(pos);");
-                }
-                for alt in p.alts.clone() {
-                    let attempt = self.emit_alt_attempt(p_idx, &alt, false);
-                    let _ = writeln!(self.out, "{attempt}");
-                }
-                let _ = writeln!(self.out, "        Err(Fail)");
-                let _ = writeln!(self.out, "    }}\n");
-            }
+            None => &p.alts[..],
+        };
+        if alts.iter().any(|a| a.first.is_some()) {
+            let _ = writeln!(self.out, "        let b = self.cx.input.byte_at(pos);");
         }
+        for alt in alts {
+            let attempt = self.emit_alt_attempt(p_idx, alt, false);
+            let _ = writeln!(self.out, "{attempt}");
+        }
+        let _ = writeln!(self.out, "        Err(Fail)");
+        let _ = writeln!(self.out, "    }}\n");
         // Expression functions for this production's composites.
-        let alts: Vec<EId> = p
-            .alts
-            .iter()
-            .chain(
-                p.lr.iter()
-                    .flat_map(|lr| lr.bases.iter().chain(lr.tails.iter())),
-            )
-            .map(|a| a.expr)
-            .collect();
-        for e in alts {
-            self.emit_expr_fns(e);
+        for alt in &p.alts {
+            self.emit_expr_fns(alt.expr);
         }
     }
 

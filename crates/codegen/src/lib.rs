@@ -87,23 +87,31 @@ pub fn generate_with_plan(
 
 /// Generates Rust source from an already compiled grammar.
 ///
-/// The compiled grammar should use [`OptConfig::all`]. Other
-/// configurations are accepted: what `compiled` decided follows them —
-/// the grammar transforms, which productions are memoized, the dispatch
-/// tables, which values are built (value elision) and which nodes carry
-/// spans. The remaining runtime strategies (chunked memoization,
-/// iterative repetition, fold-based left recursion, farthest-failure
-/// errors, span text, slice-compared literals) are always the optimized
-/// ones.
+/// The compiled grammar should use [`OptConfig::all`], and it must use
+/// its `left-recursion` optimization: only then does the compiled IR hold
+/// the base and tail alternatives the generated fold loop evaluates.
+/// Other configurations are accepted: what `compiled` decided follows
+/// them — the grammar transforms, which productions are memoized, the
+/// dispatch tables, which values are built (value elision) and which
+/// nodes carry spans. The remaining runtime strategies (chunked
+/// memoization, iterative repetition, farthest-failure errors, span text,
+/// slice-compared literals) are always the optimized ones.
 ///
 /// # Errors
 ///
-/// Currently infallible in practice; the `Result` reserves the right to
-/// reject grammars the emitter cannot express.
+/// Returns a diagnostic if `compiled` was compiled without
+/// `left-recursion` (Warth-style seed growing is interpreter-only, as on
+/// the bytecode machine).
 pub fn generate_from_compiled(
     compiled: &CompiledGrammar,
     doc: &str,
 ) -> Result<String, Diagnostics> {
+    if !compiled.config().left_recursion_iter {
+        return Err(Diagnostics::from(modpeg_core::Diagnostic::error(
+            "the code generator requires the `left-recursion` optimization \
+             (Warth-style seed growing is interpreter-only)",
+        )));
+    }
     Ok(emit::Emitter::new(compiled).emit(doc))
 }
 
@@ -166,6 +174,32 @@ mod tests {
         // Each table entry appears exactly once in its table.
         let count = src.matches("\"Expr.Add\"").count();
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn seed_growing_configurations_are_rejected() {
+        let compiled =
+            CompiledGrammar::compile(&calc(), OptConfig::all_except("left-recursion").unwrap())
+                .unwrap();
+        let err = generate_from_compiled(&compiled, "calc").unwrap_err();
+        assert!(err.to_string().contains("`left-recursion`"), "{err}");
+    }
+
+    #[test]
+    fn every_expression_function_is_called() {
+        // Each emitted `e{n}` function is called from somewhere else in
+        // the module (the left-recursive `Expr` included).
+        let src = generate(&calc(), "calc").unwrap();
+        let defined: Vec<&str> = src
+            .match_indices("fn e")
+            .filter_map(|(i, _)| src[i + 3..].split('(').next())
+            .filter(|f| f[1..].bytes().all(|b| b.is_ascii_digit()))
+            .collect();
+        assert!(!defined.is_empty());
+        for f in defined {
+            let calls = src.matches(&format!("self.{f}(")).count();
+            assert!(calls > 0, "`{f}` is never called");
+        }
     }
 
     #[test]

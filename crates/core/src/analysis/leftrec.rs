@@ -1,13 +1,13 @@
 //! Indirect left-recursion detection.
 //!
-//! Direct left recursion is split by elaboration into base/tail
-//! alternatives (see [`crate::grammar::LrSplit`]); this analysis finds what
-//! remains: cycles `A → B → … → A` in the *head-reference* graph, where an
-//! edge `A → B` exists when matching `A` can invoke `B` at `A`'s own start
+//! Direct left recursion is evaluated by splitting it into base/tail
+//! alternatives (see [`LrSplit`]); this analysis finds what remains:
+//! cycles `A → B → … → A` in the *head-reference* graph, where an edge
+//! `A → B` exists when matching `A` can invoke `B` at `A`'s own start
 //! position.
 
 use crate::expr::Expr;
-use crate::grammar::{Alternative, Grammar, ProdId};
+use crate::grammar::{Grammar, LrSplit, ProdId};
 
 use super::nullable::{expr_nullable, nullable};
 use super::solve::Graph;
@@ -46,8 +46,8 @@ fn head_refs(expr: &Expr<ProdId>, nullable: &[bool], out: &mut Vec<ProdId>) {
 
 /// Finds left-recursive cycles: the strongly connected components of the
 /// head-reference graph that have more than one member or a self-edge.
-/// Productions whose direct recursion has been split contribute their
-/// split alternatives, so only *unsupported* recursion is reported.
+/// Productions whose direct recursion splits contribute their bases and
+/// tails, so only *unsupported* recursion is reported.
 ///
 /// There is one chain per component, in the order a depth-first search
 /// in declaration order enters the components. A chain starts at the
@@ -59,16 +59,17 @@ pub fn left_recursion_cycles(grammar: &Grammar) -> Vec<Vec<ProdId>> {
 
 /// [`left_recursion_cycles`] given per-production nullability.
 pub(crate) fn cycles(grammar: &Grammar, nullable: &[bool]) -> Vec<Vec<ProdId>> {
-    let edges = grammar.productions().iter().map(|prod| {
+    let edges = grammar.iter().map(|(id, prod)| {
         // A split production's bases and tails have lost its leading
         // self-reference; a residual self-edge (say, through a nullable
         // prefix) is genuinely unsupported and stays.
-        let (alts, tails): (&[Alternative], &[Alternative]) = match &prod.lr {
-            Some(lr) => (&lr.bases, &lr.tails),
-            None => (&prod.alts, &[]),
+        let split = LrSplit::of(id, prod).ok().flatten();
+        let alts = match &split {
+            Some(lr) => [&lr.bases[..], &lr.tails[..]],
+            None => [&prod.alts[..], &[]],
         };
         let mut heads = Vec::new();
-        for alt in alts.iter().chain(tails) {
+        for alt in alts.iter().copied().flatten() {
             head_refs(&alt.expr, nullable, &mut heads);
         }
         heads.sort_unstable();
@@ -105,7 +106,7 @@ pub(crate) fn cycles(grammar: &Grammar, nullable: &[bool]) -> Vec<Vec<ProdId>> {
 mod tests {
     use super::*;
     use crate::analysis::testutil::{grammar, r};
-    use crate::grammar::{Alternative, ProdKind};
+    use crate::grammar::ProdKind;
 
     #[test]
     fn no_cycles_in_right_recursion() {
@@ -141,7 +142,8 @@ mod tests {
 
     #[test]
     fn split_production_reports_no_cycle() {
-        let mut g = grammar(vec![
+        // E = E "+" N / N — direct left recursion that splits.
+        let g = grammar(vec![
             (
                 "E",
                 ProdKind::Node,
@@ -153,13 +155,6 @@ mod tests {
                 vec![Expr::Capture(Box::new(Expr::literal("1")))],
             ),
         ]);
-        // Simulate elaboration's split.
-        let (mut prods, root) = g.clone().into_parts();
-        prods[0].lr = Some(crate::grammar::LrSplit {
-            bases: vec![Alternative::new(r(1))],
-            tails: vec![Alternative::new(Expr::seq(vec![Expr::literal("+"), r(1)]))],
-        });
-        g = Grammar::new(prods, root).unwrap();
         assert!(left_recursion_cycles(&g).is_empty());
     }
 

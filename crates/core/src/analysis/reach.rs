@@ -36,11 +36,9 @@ pub fn reference_counts(grammar: &Grammar) -> Vec<u32> {
         if !reach[id.index()] {
             continue;
         }
-        for alt in &prod.alts {
-            alt.expr.for_each_ref(&mut |r: &ProdId| {
-                counts[r.index()] += 1;
-            });
-        }
+        prod.for_each_ref(&mut |r: ProdId| {
+            counts[r.index()] += 1;
+        });
     }
     counts
 }

@@ -185,6 +185,7 @@ mod tests {
             )],
         );
         let g = b.build("E").unwrap();
-        assert!(g.production(g.root()).lr.is_some());
+        let split = crate::grammar::LrSplit::of(g.root(), g.production(g.root())).unwrap();
+        assert!(split.is_some());
     }
 }

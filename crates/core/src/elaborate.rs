@@ -18,7 +18,8 @@
 //!    resolved against the scope of the module that *wrote* it (spliced
 //!    alternatives keep resolving in their original module — this is what
 //!    makes composition of independently written extensions sound).
-//! 4. **Left-recursion splitting and well-formedness checks.**
+//! 4. **Well-formedness checks**, including that every directly
+//!    left-recursive production can be split ([`LrSplit::of`]).
 
 use std::collections::HashMap;
 
@@ -751,7 +752,6 @@ impl<'a> Elaborator<'a> {
                 kind: pp.kind,
                 attrs,
                 alts,
-                lr: None,
                 recover: pp.recover,
             });
         }
@@ -789,9 +789,12 @@ impl<'a> Elaborator<'a> {
             }
         };
 
-        // Phase D: split direct left recursion, then assemble.
-        for (i, p) in productions.iter_mut().enumerate() {
-            split_left_recursion(ProdId(i as u32), p, &mut self.diags);
+        // Phase D: check that direct left recursion can be split, then
+        // assemble.
+        for (i, p) in productions.iter().enumerate() {
+            if let Err(d) = LrSplit::of(ProdId(i as u32), p) {
+                self.diags.push(d);
+            }
         }
         if self.diags.has_errors() {
             return Err(self.diags);
@@ -808,59 +811,6 @@ impl<'a> Elaborator<'a> {
             Err(e) => Err(e),
         }
     }
-}
-
-/// Detects direct left recursion in `prod` (an alternative whose first
-/// element is a reference to `prod` itself) and computes the
-/// base/tail split.
-pub(crate) fn split_left_recursion(id: ProdId, prod: &mut Production, diags: &mut Diagnostics) {
-    fn leading_self_ref(expr: &Expr<ProdId>, id: ProdId) -> Option<Vec<Expr<ProdId>>> {
-        match expr {
-            Expr::Ref(r) if *r == id => Some(Vec::new()),
-            Expr::Seq(xs) => match xs.first() {
-                Some(Expr::Ref(r)) if *r == id => Some(xs[1..].to_vec()),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    let mut bases = Vec::new();
-    let mut tails = Vec::new();
-    for alt in &prod.alts {
-        match leading_self_ref(&alt.expr, id) {
-            Some(rest) if rest.is_empty() => {
-                diags.push(Diagnostic::error(format!(
-                    "production `{}` has a trivially left-recursive alternative (`{0}` alone)",
-                    prod.name
-                )));
-                return;
-            }
-            Some(rest) => tails.push(Alternative {
-                label: alt.label.clone(),
-                expr: Expr::seq(rest),
-            }),
-            None => bases.push(alt.clone()),
-        }
-    }
-    if tails.is_empty() {
-        return;
-    }
-    if bases.is_empty() {
-        diags.push(Diagnostic::error(format!(
-            "production `{}` is left-recursive with no base alternative",
-            prod.name
-        )));
-        return;
-    }
-    if prod.kind != ProdKind::Node {
-        diags.push(Diagnostic::error(format!(
-            "left-recursive production `{}` must have kind Node (found {})",
-            prod.name, prod.kind
-        )));
-        return;
-    }
-    prod.lr = Some(LrSplit { bases, tails });
 }
 
 #[cfg(test)]
@@ -1551,11 +1501,38 @@ mod tests {
         ))
         .unwrap();
         let g = set.elaborate("m", None).unwrap();
-        let e = g.production(g.find("m.Expr").unwrap());
-        let lr = e.lr.as_ref().expect("lr split computed");
+        let id = g.find("m.Expr").unwrap();
+        let lr = LrSplit::of(id, g.production(id))
+            .unwrap()
+            .expect("left-recursive");
         assert_eq!(lr.bases.len(), 1);
         assert_eq!(lr.tails.len(), 1);
         assert_eq!(lr.tails[0].label.as_deref(), Some("Add"));
+    }
+
+    #[test]
+    fn left_recursive_production_reports_each_diagnostic_once() {
+        // P = <More> P ("x"?)* "y" / <One> "z" — the nullable repetition
+        // sits in the left-recursive alternative only.
+        let nullable_star = Expr::Star(Box::new(Expr::Opt(Box::new(Expr::literal("x")))));
+        let mut set = ModuleSet::new();
+        set.add(simple_module(
+            "m",
+            vec![define(
+                "P",
+                ProdKind::Node,
+                vec![
+                    lalt(
+                        "More",
+                        Expr::seq(vec![r("P"), nullable_star, Expr::literal("y")]),
+                    ),
+                    lalt("One", Expr::literal("z")),
+                ],
+            )],
+        ))
+        .unwrap();
+        let err = set.elaborate("m", None).unwrap_err().to_string();
+        assert_eq!(err.matches("repetition over nullable").count(), 1, "{err}");
     }
 
     #[test]

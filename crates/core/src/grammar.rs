@@ -121,18 +121,74 @@ impl<R> Alternative<R> {
 
 /// The left-recursion split of a directly left-recursive production.
 ///
-/// Elaboration rewrites `P = P t₁ / … / b₁ / …` into base alternatives
-/// `bⱼ` plus *tail* alternatives `tᵢ` (the original alternative minus its
-/// leading self-reference). The optimized evaluation strategy matches a
-/// base once, then folds tails leftward; the unoptimized strategy grows a
+/// `P = P t₁ / … / b₁ / …` splits into base alternatives `bⱼ` plus *tail*
+/// alternatives `tᵢ` (the original alternative minus its leading
+/// self-reference). The optimized evaluation strategy matches a base
+/// once, then folds tails leftward; the unoptimized strategy grows a
 /// memoized seed over the *original* alternatives (Warth-style), which the
 /// `left-recursion` optimization flag lets the benchmarks compare.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The split is derived, never stored: [`LrSplit::of`] computes it from
+/// the production wherever it is needed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LrSplit {
     /// Alternatives that do not start with a self-reference.
     pub bases: Vec<Alternative>,
     /// Left-recursive alternatives with the leading self-reference removed.
     pub tails: Vec<Alternative>,
+}
+
+impl LrSplit {
+    /// The split of `prod`, whose id is `id`: `None` when no alternative
+    /// starts with a reference to `prod` itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns the diagnostic that makes the direct left recursion
+    /// unusable: an alternative that is the self-reference alone, no base
+    /// alternative, or a kind other than `Node`.
+    pub fn of(id: ProdId, prod: &Production) -> Result<Option<LrSplit>, Diagnostic> {
+        /// What follows `alt`'s leading self-reference, if it has one.
+        fn tail_of(id: ProdId, alt: &Alternative) -> Option<&[Expr<ProdId>]> {
+            match &alt.expr {
+                Expr::Ref(r) if *r == id => Some(&[]),
+                Expr::Seq(xs) if xs.first() == Some(&Expr::Ref(id)) => Some(&xs[1..]),
+                _ => None,
+            }
+        }
+        if prod.alts.iter().all(|alt| tail_of(id, alt).is_none()) {
+            return Ok(None);
+        }
+        let mut split = LrSplit::default();
+        for alt in &prod.alts {
+            match tail_of(id, alt) {
+                Some([]) => {
+                    return Err(Diagnostic::error(format!(
+                        "production `{}` has a trivially left-recursive alternative (`{0}` alone)",
+                        prod.name
+                    )))
+                }
+                Some(rest) => split.tails.push(Alternative {
+                    label: alt.label.clone(),
+                    expr: Expr::seq(rest.to_vec()),
+                }),
+                None => split.bases.push(alt.clone()),
+            }
+        }
+        if split.bases.is_empty() {
+            return Err(Diagnostic::error(format!(
+                "production `{}` is left-recursive with no base alternative",
+                prod.name
+            )));
+        }
+        if prod.kind != ProdKind::Node {
+            return Err(Diagnostic::error(format!(
+                "left-recursive production `{}` must have kind Node (found {})",
+                prod.name, prod.kind
+            )));
+        }
+        Ok(Some(split))
+    }
 }
 
 /// A single production of the flat grammar.
@@ -144,10 +200,9 @@ pub struct Production {
     pub kind: ProdKind,
     /// Boolean attributes.
     pub attrs: Attrs,
-    /// The ordered alternatives (original form, self-references intact).
+    /// The ordered alternatives (self-references intact; see
+    /// [`LrSplit::of`] for the left-recursion split).
     pub alts: Vec<Alternative>,
-    /// Present iff the production is directly left-recursive.
-    pub lr: Option<LrSplit>,
     /// `@recover(...)` annotation: literal synchronization tokens whose
     /// first bytes seed the recovery sync sets (`analysis::sync_sets`).
     pub recover: Vec<String>,
@@ -161,7 +216,6 @@ impl Production {
             kind,
             attrs: Attrs::default(),
             alts,
-            lr: None,
             recover: Vec::new(),
         }
     }
@@ -171,14 +225,9 @@ impl Production {
         self.name.rsplit('.').next().unwrap_or(&self.name)
     }
 
-    /// Iterates over all expressions of the production, including the
-    /// left-recursion split when present.
+    /// Iterates over the expressions of the production's alternatives.
     pub fn exprs(&self) -> impl Iterator<Item = &Expr<ProdId>> {
-        self.alts.iter().map(|a| &a.expr).chain(
-            self.lr
-                .iter()
-                .flat_map(|lr| lr.bases.iter().chain(lr.tails.iter()).map(|a| &a.expr)),
-        )
+        self.alts.iter().map(|a| &a.expr)
     }
 
     /// Calls `f` for every production referenced from this one.
@@ -422,19 +471,56 @@ mod tests {
     }
 
     #[test]
-    fn production_ref_iteration_includes_lr_split() {
-        let mut p = Production::new(
+    fn lr_split_is_derived_from_the_alternatives() {
+        // E = <Add> E "+" N / N ; N = "1"
+        let e = Production::new(
             "E",
             ProdKind::Node,
-            vec![Alternative::new(Expr::Ref(ProdId(0)))],
+            vec![
+                Alternative::labeled(
+                    "Add",
+                    Expr::seq(vec![
+                        Expr::Ref(ProdId(0)),
+                        Expr::literal("+"),
+                        Expr::Ref(ProdId(1)),
+                    ]),
+                ),
+                Alternative::new(Expr::Ref(ProdId(1))),
+            ],
         );
-        p.lr = Some(LrSplit {
-            bases: vec![Alternative::new(Expr::Ref(ProdId(1)))],
-            tails: vec![Alternative::new(Expr::Ref(ProdId(2)))],
-        });
+        let split = LrSplit::of(ProdId(0), &e).unwrap().unwrap();
+        assert_eq!(split.bases, vec![Alternative::new(Expr::Ref(ProdId(1)))]);
+        assert_eq!(
+            split.tails,
+            vec![Alternative::labeled(
+                "Add",
+                Expr::seq(vec![Expr::literal("+"), Expr::Ref(ProdId(1))])
+            )]
+        );
+        // Under another id nothing is self-referential, and references
+        // are visited once each.
+        assert_eq!(LrSplit::of(ProdId(2), &e), Ok(None));
         let mut refs = Vec::new();
-        p.for_each_ref(&mut |r| refs.push(r.0));
-        assert_eq!(refs, vec![0, 1, 2]);
+        e.for_each_ref(&mut |r| refs.push(r.0));
+        assert_eq!(refs, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn lr_split_rejects_unusable_recursion() {
+        let msg = |kind, alts: Vec<Expr<ProdId>>| {
+            let p = Production::new("P", kind, alts.into_iter().map(Alternative::new).collect());
+            LrSplit::of(ProdId(0), &p).unwrap_err().to_string()
+        };
+        let tail = || Expr::seq(vec![Expr::Ref(ProdId(0)), Expr::literal("x")]);
+        assert!(msg(
+            ProdKind::Node,
+            vec![Expr::Ref(ProdId(0)), Expr::literal("y")]
+        )
+        .contains("trivially left-recursive"));
+        assert!(msg(ProdKind::Node, vec![tail()]).contains("no base alternative"));
+        assert!(
+            msg(ProdKind::Void, vec![tail(), Expr::literal("y")]).contains("must have kind Node")
+        );
     }
 
     #[test]

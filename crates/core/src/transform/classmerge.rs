@@ -102,9 +102,8 @@ pub fn merge_classes(grammar: Grammar) -> Result<Grammar, Diagnostics> {
                 p.alts = merged.into_iter().map(Alternative::new).collect();
             }
         }
-        p.lr = None;
     }
-    super::rebuild(productions, root)
+    Grammar::new(productions, root)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub fn eliminate_dead(grammar: Grammar) -> Result<Grammar, Diagnostics> {
     }
     let new_root = map[root.index()];
     super::remap_refs(&mut kept, &map);
-    super::rebuild(kept, new_root)
+    Grammar::new(kept, new_root)
 }
 
 #[cfg(test)]

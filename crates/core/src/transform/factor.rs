@@ -96,9 +96,8 @@ pub fn left_factor(grammar: Grammar) -> Result<Grammar, Diagnostics> {
             .into_iter()
             .map(|e| Alternative::new(factor_expr(e)))
             .collect();
-        p.lr = None;
     }
-    super::rebuild(productions, root)
+    Grammar::new(productions, root)
 }
 
 #[cfg(test)]

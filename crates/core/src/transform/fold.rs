@@ -61,7 +61,7 @@ pub fn fold_duplicates(grammar: Grammar) -> Result<Grammar, Diagnostics> {
             }
         }
         if !merged_any {
-            return super::rebuild(productions, root);
+            return Grammar::new(productions, root);
         }
         // Merge attributes into representatives.
         for (i, &target) in map.iter().enumerate() {
@@ -86,7 +86,7 @@ pub fn fold_duplicates(grammar: Grammar) -> Result<Grammar, Diagnostics> {
         let final_map: Vec<ProdId> = map.iter().map(|m| compact[m.index()]).collect();
         super::remap_refs(&mut kept, &final_map);
         let new_root = final_map[root.index()];
-        g = super::rebuild(kept, new_root)?;
+        g = Grammar::new(kept, new_root)?;
     }
     Ok(g)
 }

@@ -113,9 +113,8 @@ pub fn inline_with_candidates(
                     other => other,
                 });
             }
-            p.lr = None;
         }
-        g = super::rebuild(productions, root)?;
+        g = Grammar::new(productions, root)?;
         g = super::eliminate_dead(g)?;
     }
     Ok(g)

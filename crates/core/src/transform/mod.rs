@@ -117,24 +117,6 @@ pub fn pipeline_with_plan(
     Ok(g)
 }
 
-/// Rebuilds a grammar from transformed productions: recomputes the
-/// left-recursion splits (transforms edit `alts`, the splits are derived)
-/// and revalidates.
-pub(crate) fn rebuild(
-    mut productions: Vec<Production>,
-    root: ProdId,
-) -> Result<Grammar, Diagnostics> {
-    let mut diags = Diagnostics::new();
-    for (i, p) in productions.iter_mut().enumerate() {
-        p.lr = None;
-        crate::elaborate::split_left_recursion(ProdId(i as u32), p, &mut diags);
-    }
-    if diags.has_errors() {
-        return Err(diags);
-    }
-    Grammar::new(productions, root)
-}
-
 /// Remaps every reference in `productions` through `map` (old index →
 /// new id); productions whose map entry is `None` must already be
 /// unreferenced.
@@ -144,7 +126,6 @@ pub(crate) fn remap_refs(productions: &mut [Production], map: &[ProdId]) {
             let expr = std::mem::replace(&mut alt.expr, crate::expr::Expr::Empty);
             alt.expr = expr.map_refs(&mut |r: &ProdId| map[r.index()]);
         }
-        p.lr = None; // recomputed by rebuild()
     }
 }
 

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use modpeg_core::analysis::{first_sets, reference_counts, state_access, sync_sets, FirstSet};
 use modpeg_core::transform::TuningPlan;
-use modpeg_core::{CharClass, Diagnostics, Expr, Grammar, ProdId, ProdKind};
+use modpeg_core::{Alternative, CharClass, Diagnostics, Expr, Grammar, LrSplit, ProdId, ProdKind};
 use modpeg_runtime::{NodeKind, RecoverPolicy, SyncSet};
 
 use crate::config::OptConfig;
@@ -126,14 +126,6 @@ fn state_flags(
     }
 }
 
-/// The left-recursion split in compiled form.
-#[derive(Debug, Clone)]
-#[allow(missing_docs)]
-pub struct CLr {
-    pub bases: Vec<CAlt>,
-    pub tails: Vec<CAlt>,
-}
-
 /// A compiled production.
 #[derive(Debug, Clone)]
 #[allow(missing_docs)]
@@ -152,10 +144,34 @@ pub struct CProd {
     /// true the production yields its *first* inner value if textual;
     /// otherwise it yields the whole matched span.
     pub text_takes_inner: bool,
-    /// The original alternatives (self-references intact for
-    /// left-recursive productions — used by the seed-growing strategy).
+    /// The alternatives this configuration evaluates, in order. For a
+    /// left-recursive production under `left-recursion`: its bases, then
+    /// its tails (each without the leading self-reference); otherwise, and
+    /// under the seed-growing strategy, the original alternatives.
     pub alts: Vec<CAlt>,
-    pub lr: Option<CLr>,
+    /// Present iff the production is directly left-recursive.
+    pub lr: Option<LeftRec>,
+}
+
+/// How a compiled production evaluates its direct left recursion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeftRec {
+    /// `left-recursion`: one of the first `n` alternatives, the bases, is
+    /// matched once, then the rest, the tails, are folded.
+    Fold(usize),
+    /// Warth-style seed growing over the original alternatives.
+    Seed,
+}
+
+impl CProd {
+    /// The bases and the tails of a left-recursive production compiled
+    /// under `left-recursion`.
+    pub fn lr_split(&self) -> Option<(&[CAlt], &[CAlt])> {
+        match self.lr? {
+            LeftRec::Fold(bases) => Some(self.alts.split_at(bases)),
+            LeftRec::Seed => None,
+        }
+    }
 }
 
 /// A grammar compiled against a specific [`OptConfig`], ready to parse.
@@ -377,7 +393,7 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    fn lower_alt(&mut self, prod_short: &str, alt: &modpeg_core::Alternative) -> CAlt {
+    fn lower_alt(&mut self, prod_short: &str, alt: &Alternative) -> CAlt {
         let node_kind = match &alt.label {
             Some(l) => NodeKind::new(format!("{prod_short}.{l}")),
             None => NodeKind::new(prod_short),
@@ -402,7 +418,9 @@ impl CompiledGrammar {
     /// # Errors
     ///
     /// Returns diagnostics if a grammar transform produces an invalid
-    /// grammar (a toolkit bug, surfaced rather than swallowed).
+    /// grammar (a toolkit bug, surfaced rather than swallowed), or if a
+    /// directly left-recursive production cannot be split (see
+    /// [`LrSplit::of`]; elaboration rejects such grammars first).
     pub fn compile(grammar: &Grammar, cfg: OptConfig) -> Result<Self, Diagnostics> {
         Self::compile_with_plan(grammar, cfg, None)
     }
@@ -454,6 +472,10 @@ impl CompiledGrammar {
         )?;
         let access = state_access(&g);
         let refcounts = reference_counts(&g);
+        let splits = g
+            .iter()
+            .map(|(id, p)| LrSplit::of(id, p))
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Memoization slots for productions. State *writers* are never
         // memoized (the mutation would not replay); state *readers* get a
@@ -462,7 +484,7 @@ impl CompiledGrammar {
         let mut memo_slots: Vec<Option<u32>> = vec![None; g.len()];
         let mut next_slot = 0u32;
         for (id, p) in g.iter() {
-            let lr = p.lr.is_some();
+            let lr = splits[id.index()].is_some();
             let static_skip = |p: &modpeg_core::Production, id: ProdId| {
                 (cfg.transient && p.attrs.transient)
                     || (cfg.transient_auto && refcounts[id.index()] <= 1)
@@ -509,30 +531,15 @@ impl CompiledGrammar {
                 None => true,
             };
             let short = p.short_name().to_owned();
-            let alts: Vec<CAlt> = p
-                .alts
-                .iter()
-                .map(|a| lowering.lower_alt(&short, a))
-                .collect();
-            let lr = p.lr.as_ref().map(|lr| CLr {
-                bases: lr
-                    .bases
-                    .iter()
-                    .map(|a| lowering.lower_alt(&short, a))
-                    .collect(),
-                tails: lr
-                    .tails
-                    .iter()
-                    .map(|a| {
-                        let mut c = lowering.lower_alt(&short, a);
-                        // Tails always wrap (the original alternative had a
-                        // leading self-reference, so it was never a single
-                        // element).
-                        c.passthrough = false;
-                        c
-                    })
-                    .collect(),
-            });
+            let (body, tails, lr): (&[Alternative], &[Alternative], _) = match &splits[id.index()] {
+                Some(split) if cfg.left_recursion_iter => {
+                    let lr = LeftRec::Fold(split.bases.len());
+                    (&split.bases, &split.tails, Some(lr))
+                }
+                Some(_) => (&p.alts, &[], Some(LeftRec::Seed)),
+                None => (&p.alts, &[], None),
+            };
+            let mut alts: Vec<CAlt> = body.iter().map(|a| lowering.lower_alt(&short, a)).collect();
             let text_takes_inner =
                 p.kind == ProdKind::Text && alts.iter().any(|a| lowering.yields[a.expr as usize]);
             let body_ctx = match p.kind {
@@ -542,12 +549,19 @@ impl CompiledGrammar {
                 ProdKind::Text => text_takes_inner || !cfg.value_elision,
                 ProdKind::Void => !cfg.value_elision,
             };
-            for alt in alts.iter().chain(lr.iter().flat_map(|lr| &lr.bases)) {
+            for alt in &alts {
                 lowering.decide_keep(alt.expr, body_ctx);
             }
-            // Tails always build their node, so they keep every value.
-            for tail in lr.iter().flat_map(|lr| &lr.tails) {
+            for a in tails {
+                // Tails always wrap (the original alternative had a leading
+                // self-reference, so it was never a single element) and
+                // build their node, so they keep every value.
+                let tail = CAlt {
+                    passthrough: false,
+                    ..lowering.lower_alt(&short, a)
+                };
                 lowering.decide_keep(tail.expr, true);
+                alts.push(tail);
             }
             prods.push(CProd {
                 name: p.name.clone(),
@@ -908,7 +922,7 @@ mod tests {
         }
     }
 
-    /// One line per production: `name: alt | alt`, then the bases and
+    /// One line per production: `name: alt | alt`, or the bases and
     /// tails of a left-recursive split.
     fn keep_listing(c: &CompiledGrammar) -> String {
         let alts = |xs: &[CAlt]| {
@@ -917,14 +931,10 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join(" | ")
         };
-        let line = |p: &CProd| match &p.lr {
-            Some(lr) => format!(
-                "{}: {}; bases {}; tails {}",
-                p.name,
-                alts(&p.alts),
-                alts(&lr.bases),
-                alts(&lr.tails)
-            ),
+        let line = |p: &CProd| match p.lr_split() {
+            Some((bases, tails)) => {
+                format!("{}: bases {}; tails {}", p.name, alts(bases), alts(tails))
+            }
             None => format!("{}: {}", p.name, alts(&p.alts)),
         };
         c.prods.iter().map(line).collect::<Vec<_>>().join("\n")
@@ -952,8 +962,7 @@ mod tests {
         };
         let word = "k.Word: {$[a-z]+}";
         let tagged = r#"k.Tagged: {("@" {k.Word})}"#;
-        let sum =
-            r#"k.Sum: {({k.Sum} "+" {k.Word})} | {k.Word}; bases {k.Word}; tails {("+" {k.Word})}"#;
+        let sum = r#"k.Sum: bases {k.Word}; tails {("+" {k.Word})}"#;
         // No grammar transforms: every production keeps its own body.
         // Predicates keep nothing, state operands always keep, `$(…)`,
         // `void` operands and void bodies keep only without elision.

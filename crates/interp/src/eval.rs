@@ -12,7 +12,7 @@ use modpeg_runtime::{
 };
 use modpeg_telemetry::{Telemetry, REP_HELPER};
 
-use crate::compile::{CAlt, CExpr, CompiledGrammar, EId};
+use crate::compile::{CAlt, CExpr, CompiledGrammar, EId, LeftRec};
 
 type EvalResult = Result<(u32, Out), Fail>;
 
@@ -155,20 +155,16 @@ impl<'r, M: MemoTable> Run<'r, M> {
         if p.memo_slot.is_some() {
             self.examined = pos;
         }
-        let result = if p.lr.is_some() {
-            if g.cfg.left_recursion_iter {
-                self.eval_lr_fold(id, pos)
-            } else {
-                self.eval_lr_seed(id, pos)
-            }
-        } else {
-            self.eval_alts(id, false, pos)
+        let result = match p.lr {
+            Some(LeftRec::Fold(bases)) => self.eval_lr_fold(id, bases, pos),
+            Some(LeftRec::Seed) => self.eval_lr_seed(id, pos),
+            None => self.eval_alts(id, &p.alts, pos),
         };
         self.cx
             .exit(span, id.0, pos, result.as_ref().ok().map(|&(end, _)| end));
         if let Some(slot) = p.memo_slot {
             // The seed-growing strategy stores its own final answer.
-            if p.lr.is_none() || g.cfg.left_recursion_iter {
+            if p.lr != Some(LeftRec::Seed) {
                 self.cx
                     .store_answer(id.0, slot, pos, p.epoch_check, result.clone());
             }
@@ -177,17 +173,11 @@ impl<'r, M: MemoTable> Run<'r, M> {
         result
     }
 
-    /// Evaluates a production's alternatives (either the original list or,
-    /// for `lr_bases`, the base alternatives of a split production) and
-    /// builds the production-level value.
-    fn eval_alts(&mut self, id: ProdId, lr_bases: bool, pos: u32) -> PResult {
-        let g = self.g;
-        let p = &g.prods[id.index()];
-        let alts: &[CAlt] = if lr_bases {
-            &p.lr.as_ref().expect("lr_bases implies split").bases
-        } else {
-            &p.alts
-        };
+    /// Evaluates `alts`, a prefix of production `id`'s alternatives (all
+    /// of them, or the bases of a split production), and builds the
+    /// production-level value.
+    fn eval_alts(&mut self, id: ProdId, alts: &'r [CAlt], pos: u32) -> PResult {
+        let p = &self.g.prods[id.index()];
         let byte = self.peek_byte(pos);
         for (alt_idx, alt) in alts.iter().enumerate() {
             if let Some((first, desc)) = &alt.first {
@@ -252,16 +242,16 @@ impl<'r, M: MemoTable> Run<'r, M> {
         }
     }
 
-    /// Optimized left recursion: match a base once, then fold tails.
-    fn eval_lr_fold(&mut self, id: ProdId, pos: u32) -> PResult {
+    /// Optimized left recursion: match one of the first `bases`
+    /// alternatives once, then fold the remaining ones, the tails.
+    fn eval_lr_fold(&mut self, id: ProdId, bases: usize, pos: u32) -> PResult {
         let g = self.g;
         let p = &g.prods[id.index()];
-        let (mut end, mut seed) = self.eval_alts(id, true, pos)?;
-        let tails = &p.lr.as_ref().expect("caller checked").tails;
+        let (mut end, mut seed) = self.eval_alts(id, &p.alts[..bases], pos)?;
         'grow: loop {
             self.cx.guard()?;
             let byte = self.peek_byte(end);
-            for tail in tails {
+            for (alt_idx, tail) in p.alts.iter().enumerate().skip(bases) {
                 if let Some((first, desc)) = &tail.first {
                     if !first.admits(byte) {
                         self.cx.note(end, desc);
@@ -272,15 +262,7 @@ impl<'r, M: MemoTable> Run<'r, M> {
                 match self.eval(tail.expr, end) {
                     Ok((e2, out)) => {
                         if let Some(cov) = &mut self.coverage {
-                            let bases = p.lr.as_ref().expect("caller checked").bases.len();
-                            let tail_idx =
-                                p.lr.as_ref()
-                                    .expect("caller checked")
-                                    .tails
-                                    .iter()
-                                    .position(|t| std::ptr::eq(t, tail))
-                                    .unwrap_or(0);
-                            cov.hit(id.index(), bases + tail_idx);
+                            cov.hit(id.index(), alt_idx);
                         }
                         let mut children = vec![seed];
                         out.push_into(&mut children);
@@ -325,7 +307,7 @@ impl<'r, M: MemoTable> Run<'r, M> {
             if self.cx.aborted().is_some() {
                 break;
             }
-            let r = self.eval_alts(id, false, pos);
+            let r = self.eval_alts(id, &p.alts, pos);
             match r {
                 Ok((end, v)) if best.as_ref().is_none_or(|(b, _)| end > *b) => {
                     if self.cx.aborted().is_some() {
@@ -990,11 +972,8 @@ impl CompiledGrammar {
             .prods
             .iter()
             .map(|p| {
-                let alts: Vec<&CAlt> = match &p.lr {
-                    Some(lr) => lr.bases.iter().chain(lr.tails.iter()).collect(),
-                    None => p.alts.iter().collect(),
-                };
-                alts.iter()
+                p.alts
+                    .iter()
                     .map(|a| a.node_kind.label().map(str::to_owned))
                     .collect()
             })
@@ -2082,5 +2061,30 @@ mod tests {
         let rebuilt = sink.finish().expect("balanced event stream");
         let rec = c.parse_resilient(text, &policy);
         assert_eq!(rebuilt.to_sexpr(text), rec.tree.root().to_sexpr(text));
+    }
+
+    #[test]
+    fn coverage_labels_follow_the_evaluated_alternatives() {
+        let set = modpeg_syntax::parse_module_set([r#"
+            module s;
+            public Node Sum = <Add> Sum "+" Word / Word ;
+            String Word = $[a-z]+ ;
+        "#])
+        .unwrap();
+        let g = set.elaborate("s", None).unwrap();
+        // Seed growing indexes the original alternatives, the fold the
+        // base and then the tail: either way `a` leaves `<Add>` uncovered.
+        for cfg in [
+            OptConfig::all_except("left-recursion").unwrap(),
+            OptConfig::all(),
+        ] {
+            let c = CompiledGrammar::compile(&g, cfg).unwrap();
+            let (tree, cov) = c.parse_with_coverage("a");
+            assert!(tree.is_ok());
+            assert_eq!(
+                cov.uncovered(),
+                vec![("s.Sum".to_owned(), "<Add>".to_owned())]
+            );
+        }
     }
 }

@@ -42,5 +42,5 @@ pub use tuner::derive_plan;
 /// Internal compiled-grammar IR, exposed for `modpeg-codegen` only.
 #[doc(hidden)]
 pub mod ir {
-    pub use crate::compile::{first_set_desc, CAlt, CExpr, CLr, CProd, EId};
+    pub use crate::compile::{first_set_desc, CAlt, CExpr, CProd, EId, LeftRec};
 }

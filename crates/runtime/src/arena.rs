@@ -6,7 +6,7 @@
 //! area of flat node records whose children live in one shared pool and
 //! whose text leaves are [`Span`]s borrowing the input. Parsers allocate
 //! composite values here ([`Value::ArenaNode`] / [`Value::ArenaList`] are
-//! 8-byte handles), callers that want a detached tree call
+//! 16-byte handles), callers that want a detached tree call
 //! [`Arena::copy_out`] once at the end, and [`Arena::reset`] recycles the
 //! whole region — every allocation of the previous parse — in O(1)
 //! (capacity is kept, so pooled sessions stop allocating entirely once
@@ -597,44 +597,69 @@ impl Compaction {
     }
 
     /// The copy of the node behind `r`, reached under translation `shift`
-    /// (the caller's bias plus `r`'s own).
+    /// (the caller's bias plus `r`'s own). Walks with an explicit stack,
+    /// so a deep tree costs heap, not machine stack.
     fn node(&mut self, r: ArenaRef, shift: i64) -> ArenaRef {
+        let generation = self.next.generation;
+        let at = |index| ArenaRef {
+            index,
+            generation,
+            shift: 0,
+        };
+        if let Some(index) = self.forwarded(r, shift) {
+            return at(index);
+        }
+        // Per node being copied: its handle, translation, the value its
+        // parent holds it as (node or list), next child, and where its
+        // copied children start on the value stack.
+        let lo = |c: &Self, r: ArenaRef| c.old.nodes[r.index as usize].lo;
+        let root: fn(ArenaRef) -> Value = Value::ArenaNode;
+        let mut frames = vec![(r, shift, root, lo(self, r), self.stack.len())];
+        while let Some(&mut (r, shift, held, ref mut next, base)) = frames.last_mut() {
+            let n = &self.old.nodes[r.index as usize];
+            if *next < n.lo + n.len {
+                let child = self.old.pool[*next as usize].clone();
+                *next += 1;
+                let (c, held): (_, fn(ArenaRef) -> Value) = match child {
+                    Value::ArenaNode(c) => (c, Value::ArenaNode),
+                    Value::ArenaList(c) => (c, Value::ArenaList),
+                    leaf => {
+                        let leaf = self.copy(&leaf, shift);
+                        self.stack.push(leaf);
+                        continue;
+                    }
+                };
+                let shift = shift + c.shift;
+                match self.forwarded(c, shift) {
+                    Some(index) => self.stack.push(held(at(index))),
+                    None => frames.push((c, shift, held, lo(self, c), self.stack.len())),
+                }
+                continue;
+            }
+            let (kind, span) = (n.kind.clone(), n.span.map(|s| s.shifted(shift)));
+            let index = self.intern(kind, span, base);
+            self.stack.truncate(base);
+            if self.forward[r.index as usize].1 == NONE {
+                self.forward[r.index as usize] = (shift, index);
+            }
+            frames.pop();
+            if !frames.is_empty() {
+                self.stack.push(held(at(index)));
+            } else {
+                return at(index);
+            }
+        }
+        unreachable!("the root frame returns")
+    }
+
+    /// The copy already made of `r` under translation `shift`, if any.
+    fn forwarded(&self, r: ArenaRef, shift: i64) -> Option<u32> {
         debug_assert_eq!(
             r.generation, self.old.generation,
             "stale arena handle reached compaction"
         );
-        let generation = self.next.generation;
         let (first, copied) = self.forward[r.index as usize];
-        if copied != NONE && first == shift {
-            return ArenaRef {
-                index: copied,
-                generation,
-                shift: 0,
-            };
-        }
-        let n = &self.old.nodes[r.index as usize];
-        let (kind, span, lo, len) = (
-            n.kind.clone(),
-            n.span.map(|s| s.shifted(shift)),
-            n.lo,
-            n.len,
-        );
-        let base = self.stack.len();
-        for i in lo..lo + len {
-            let child = self.old.pool[i as usize].clone();
-            let child = self.copy(&child, shift);
-            self.stack.push(child);
-        }
-        let index = self.intern(kind, span, base);
-        self.stack.truncate(base);
-        if copied == NONE {
-            self.forward[r.index as usize] = (shift, index);
-        }
-        ArenaRef {
-            index,
-            generation,
-            shift: 0,
-        }
+        (copied != NONE && first == shift).then_some(copied)
     }
 
     /// The copy of a node with `kind`, `span` and the children on the

@@ -171,7 +171,7 @@ pub enum Value {
     /// An absent optional (`e?` that did not match). A present optional
     /// yields the inner value directly.
     Absent,
-    /// A node allocated in a parse [`Arena`](crate::Arena): an 8-byte
+    /// A node allocated in a parse [`Arena`](crate::Arena): a 16-byte
     /// handle instead of an `Rc` tree. Region-backed values must be
     /// resolved (rendered, copied out, compared) through the arena that
     /// allocated them.

@@ -510,3 +510,31 @@ fn edited_deep_chain_copies_out_on_a_small_stack() {
         .join()
         .expect("the edited chain reparses and copies out");
 }
+
+#[test]
+fn deep_chain_session_compacts_on_a_small_stack() {
+    // Compaction copies the left-deep tree of a 128K-level chain into the
+    // next region: its explicit frame stack must fit a 2 MiB thread.
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let parser = calc();
+            let mut session =
+                ParseSession::new(parser.clone(), format!("1{}", "+1".repeat(128 * 1024)));
+            session.parse().unwrap();
+            let mut compactions = 0;
+            for digit in ["2", "3", "4"] {
+                session.apply_edit(0..1, digit);
+                let tree = session.parse().unwrap();
+                compactions += session.last_stats().arena_compactions;
+                assert_eq!(
+                    tree.to_sexpr(),
+                    parser.parse(session.text()).unwrap().to_sexpr()
+                );
+            }
+            assert!(compactions > 0, "no reparse compacted the region");
+        })
+        .expect("spawns the worker")
+        .join()
+        .expect("the compacted chain reparses on a small stack");
+}

@@ -185,9 +185,9 @@ impl<'g> Assembler<'g> {
         let p = &self.prods[pi];
         let catch_at = self.op(Op::Catch(0));
 
-        if let Some(lr) = &p.lr {
+        if let Some((bases, tails)) = p.lr_split() {
             // Bases commit into the grow loop instead of returning.
-            let commits = self.emit_alts(&lr.bases, p);
+            let commits = self.emit_alts(bases, p);
             self.op(Op::Fail);
             let l_seed = self.here();
             for at in commits {
@@ -197,7 +197,7 @@ impl<'g> Assembler<'g> {
             let l_grow = self.here();
             self.op(Op::GuardTick);
             let mut next_fixups: Vec<usize> = Vec::new();
-            for tail in &lr.tails {
+            for tail in tails {
                 for at in next_fixups.drain(..) {
                     self.patch(at, self.ops.len() as u32);
                 }
